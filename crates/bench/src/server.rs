@@ -113,6 +113,7 @@ fn handle_connection(stream: TcpStream, db: &Database, shutdown: &AtomicBool) {
                     .and_then(|_| writeln!(writer, "spill_get_requests {}", sp.get_requests))
                     .and_then(|_| writeln!(writer, "spill_bytes_written {}", sp.bytes_written))
                     .and_then(|_| writeln!(writer, "spill_bytes_read {}", sp.bytes_read))
+                    .and_then(|_| writeln!(writer, "spill_live_objects {}", sp.live_objects))
                     .and_then(|_| writeln!(writer, "prefetch_hits {}", sp.prefetch_hits))
                     .and_then(|_| writeln!(writer, "prefetch_misses {}", sp.prefetch_misses))
                     .and_then(|_| {

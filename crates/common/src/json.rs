@@ -280,13 +280,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
+                    // Copy the whole unescaped run at once. `"` and `\` are
+                    // ASCII, so the run ends on a character boundary of the
+                    // (valid UTF-8) input and only the run is re-validated.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -389,5 +394,37 @@ mod tests {
         let mut lit = String::new();
         write_escaped(&mut lit, original);
         assert_eq!(Json::parse(&lit).unwrap().as_str(), Some(original));
+    }
+
+    /// A trace-shaped document (10 000 span objects, ~1 MB) parses in linear
+    /// time: `string()` used to re-validate the rest of the input for every
+    /// character, which made this document take minutes.
+    #[test]
+    fn megabyte_trace_parses_in_linear_time_and_round_trips() {
+        let name = |i: usize| format!("sort.merge_pass «{i}» \"run\"\\{}", "x".repeat(40));
+        let mut doc = String::from("{\"traceEvents\":[");
+        for i in 0..10_000 {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str("{\"name\":");
+            write_escaped(&mut doc, &name(i));
+            doc.push_str(&format!(
+                ",\"cat\":\"sort\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{i},\"dur\":7}}",
+                i % 5
+            ));
+        }
+        doc.push_str("]}");
+        assert!(doc.len() > 1_000_000, "document is {} bytes", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "1 MB parse took {took:?}");
+        let events = parsed.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert_eq!(events.len(), 10_000);
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(ev.get("name").and_then(Json::as_str), Some(&*name(i)));
+            assert_eq!(ev.get("ts").and_then(Json::as_u64), Some(i as u64));
+        }
     }
 }

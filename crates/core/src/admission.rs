@@ -321,10 +321,10 @@ impl std::fmt::Debug for AdmissionPermit {
 mod tests {
     use super::*;
     use std::thread;
-    use wf_storage::spill::SpillMedium;
+    use wf_storage::SpillConfig;
 
     fn governor(max: usize, depth: usize) -> Arc<QueryGovernor> {
-        let pool = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         QueryGovernor::new(
             pool,
             AdmissionConfig {

@@ -1016,7 +1016,8 @@ mod tests {
             .build()
             .unwrap();
         let stats = TableStats::from_table(&table);
-        let env = ExecEnv::with_memory_blocks(64);
+        // Pinned serial: the CI matrix forces `WF_WORKERS=4` over the suite.
+        let env = ExecEnv::with_memory_blocks(64).with_par_workers(1);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
         let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
         assert_eq!(report.step_metrics.len(), report.steps.len() + 1);

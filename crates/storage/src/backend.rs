@@ -16,9 +16,22 @@
 //!   Box<dyn BackendFile>             one spill object, block-granular
 //!        ▲
 //!        │ open()
-//!   Arc<dyn SpillBackend>            LocalFileBackend | MemBackend
-//!                                    | ObjectStoreBackend
+//!   Arc<dyn SpillBackend>
+//!        ├─ MemBackend / ObjectStoreBackend   a Vec of payloads per object
+//!        └─ LocalFileBackend                  the spill arena:
+//!
+//!             one unlinked temp file per backend, SLOT_SIZE-byte slots
+//!             ┌────────┬────────┬────────┬────────┬────────┬──
+//!             │ slot 0 │ slot 1 │ slot 2 │ slot 3 │ slot 4 │ …
+//!             └────────┴────────┴────────┴────────┴────────┴──
+//!             object A = [0, 3]   object B = [1, 4]   free list = [2]
 //! ```
+//!
+//! A file-backed spill object is nothing but its slot list: appending takes
+//! a slot off the free list (or grows the file by one), deleting pushes the
+//! object's slots back. No object ever creates, opens or unlinks an OS file
+//! — a Hashed Sort that victim-spills a thousand small buckets costs a
+//! thousand slot-list pushes, not a thousand `open`/`unlink` pairs.
 //!
 //! The invariant that makes the layering safe: a backend only ever sees
 //! opaque block payloads. Rows, modeled counters, and pool counters are
@@ -32,11 +45,12 @@
 //! says the medium benefits (RAM-to-RAM copies do not).
 
 use crate::block::BLOCK_SIZE;
+use crate::codec::FRAME_HEADER;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 use wf_common::{Error, Result};
 
@@ -46,6 +60,7 @@ use wf_common::{Error, Result};
 /// time or pool counters).
 #[derive(Debug, Default)]
 pub struct BackendCounters {
+    opened: AtomicU64,
     put_requests: AtomicU64,
     get_requests: AtomicU64,
     delete_requests: AtomicU64,
@@ -58,6 +73,11 @@ pub struct BackendCounters {
 impl BackendCounters {
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    #[inline]
+    pub(crate) fn record_open(&self) {
+        self.opened.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -97,7 +117,7 @@ pub struct BackendStats {
     pub put_requests: u64,
     /// Block-read requests issued (prefetched reads included).
     pub get_requests: u64,
-    /// Spill objects deleted (every file is, eventually — delete-on-drop).
+    /// Spill objects deleted (every one is, eventually — delete-on-drop).
     pub delete_requests: u64,
     /// Physical bytes written (post-compression).
     pub bytes_written: u64,
@@ -107,6 +127,15 @@ pub struct BackendStats {
     pub prefetch_hits: u64,
     /// Reads that had to wait for (or issue) the fetch.
     pub prefetch_misses: u64,
+    /// Spill objects opened and not yet deleted. Every object deletes itself
+    /// on drop, so this reads 0 whenever no query is running — however the
+    /// last one ended. The leak oracle on every backend.
+    pub live_objects: u64,
+    /// Bytes of backing storage the backend holds open: for the file
+    /// backend, the arena's length (slots ever handed out × [`SLOT_SIZE`],
+    /// free ones included — the high-water mark of live blocks); 0 on the
+    /// heap backends.
+    pub footprint_bytes: u64,
 }
 
 impl BackendStats {
@@ -151,19 +180,32 @@ pub trait SpillBackend: Send + Sync {
     fn open(&self) -> Result<Box<dyn BackendFile>>;
     /// The backend's shared traffic counters.
     fn counters(&self) -> &Arc<BackendCounters>;
+    /// Bytes of backing storage held open (see
+    /// [`BackendStats::footprint_bytes`]).
+    fn footprint_bytes(&self) -> u64 {
+        0
+    }
 
     /// Snapshot the traffic counters.
     fn stats(&self) -> BackendStats {
         let c = self.counters();
+        // Deletes first: an object is deleted after it is opened, so a
+        // concurrent snapshot can over- but never under-count the live set.
+        let delete_requests = c.delete_requests.load(Ordering::Relaxed);
         BackendStats {
             backend: self.name(),
             put_requests: c.put_requests.load(Ordering::Relaxed),
             get_requests: c.get_requests.load(Ordering::Relaxed),
-            delete_requests: c.delete_requests.load(Ordering::Relaxed),
+            delete_requests,
             bytes_written: c.bytes_written.load(Ordering::Relaxed),
             bytes_read: c.bytes_read.load(Ordering::Relaxed),
             prefetch_hits: c.prefetch_hits.load(Ordering::Relaxed),
             prefetch_misses: c.prefetch_misses.load(Ordering::Relaxed),
+            live_objects: c
+                .opened
+                .load(Ordering::Relaxed)
+                .saturating_sub(delete_requests),
+            footprint_bytes: self.footprint_bytes(),
         }
     }
 }
@@ -220,6 +262,7 @@ impl SpillBackend for MemBackend {
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
+        self.counters.record_open();
         Ok(Box::new(MemFile {
             blocks: Mutex::new(Some(Vec::new())),
             counters: Arc::clone(&self.counters),
@@ -287,15 +330,40 @@ impl Drop for MemFile {
 }
 
 // ---------------------------------------------------------------------------
-// LocalFileBackend
+// LocalFileBackend — the spill arena
 // ---------------------------------------------------------------------------
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Real temporary files (one per spill object), removed on drop.
+/// Bytes one arena slot spans: a logical block plus the block codec's
+/// worst-case framing (an incompressible block is stored raw behind a
+/// [`FRAME_HEADER`]), so any payload the spill path produces fits one slot.
+/// A shorter (compressed, or trailing partial) payload occupies the front of
+/// its slot; the unwritten tail is a hole in the sparse file.
+pub const SLOT_SIZE: usize = BLOCK_SIZE + FRAME_HEADER;
+
+/// Local-disk backend: every spill object of one backend instance lives in
+/// **one** temp file, the *spill arena*, carved into fixed [`SLOT_SIZE`]
+/// slots (PostgreSQL's `logtape.c` scheme at its simplest).
+///
+/// * **Lifetime.** The file is created under the backend's directory by the
+///   first block ever appended — a backend that never spills creates
+///   nothing — and is **unlinked right after it is opened**: but for that
+///   instant the directory shows no entry, and no crash, panic or abort
+///   path can leak one; the kernel reclaims the space when the backend (and
+///   the last object handle) drops.
+/// * **Allocation.** A free list of slot numbers under one short mutex:
+///   O(1) alloc and free, no compaction. Deleting an object (explicitly or
+///   by drop) returns its slots, and the next append anywhere reuses them,
+///   so the file's length — [`BackendStats::footprint_bytes`], slots ever
+///   handed out × [`SLOT_SIZE`], free ones included — is the high-water
+///   mark of *live* blocks, not the volume ever spilled.
+/// * **I/O.** Positional reads and writes issued outside the allocator
+///   lock: no seek, and concurrent readers (the prefetcher's workers) of one
+///   object or of many never serialise on each other.
 #[derive(Debug)]
 pub struct LocalFileBackend {
-    dir: PathBuf,
+    arena: Arc<Arena>,
     counters: Arc<BackendCounters>,
 }
 
@@ -306,10 +374,14 @@ impl LocalFileBackend {
     }
 
     /// Spill into a caller-chosen directory (tests point this at a private
-    /// dir to observe delete-on-drop).
+    /// dir to observe that it never holds an entry).
     pub fn in_dir(dir: PathBuf) -> Arc<Self> {
         Arc::new(LocalFileBackend {
-            dir,
+            arena: Arc::new(Arena {
+                dir,
+                file: OnceLock::new(),
+                alloc: Mutex::new(SlotAlloc::default()),
+            }),
             counters: Arc::new(BackendCounters::default()),
         })
     }
@@ -329,24 +401,10 @@ impl SpillBackend for LocalFileBackend {
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
-        let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = self
-            .dir
-            .join(format!("wfopt-spill-{}-{}.tmp", std::process::id(), n));
-        let file = OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| Error::Execution(format!("create spill file: {e}")))?;
-        Ok(Box::new(LocalFile {
-            inner: Mutex::new(LocalFileInner {
-                file,
-                index: Vec::new(),
-                len: 0,
-            }),
-            path,
-            deleted: AtomicBool::new(false),
+        self.counters.record_open();
+        Ok(Box::new(ArenaFile {
+            arena: Arc::clone(&self.arena),
+            index: RwLock::new(Some(Vec::new())),
             counters: Arc::clone(&self.counters),
         }))
     }
@@ -354,70 +412,155 @@ impl SpillBackend for LocalFileBackend {
     fn counters(&self) -> &Arc<BackendCounters> {
         &self.counters
     }
+
+    fn footprint_bytes(&self) -> u64 {
+        lock(&self.arena.alloc).slots * SLOT_SIZE as u64
+    }
 }
 
-struct LocalFileInner {
-    file: File,
-    /// `(offset, len)` of each appended block — payloads are variable-sized
-    /// once compression is on.
-    index: Vec<(u64, u32)>,
-    len: u64,
+/// The one temp file behind a [`LocalFileBackend`] and its slot allocator.
+#[derive(Debug)]
+struct Arena {
+    dir: PathBuf,
+    /// Set once, by the first allocation, while holding `alloc`.
+    file: OnceLock<File>,
+    alloc: Mutex<SlotAlloc>,
 }
 
-struct LocalFile {
-    inner: Mutex<LocalFileInner>,
-    path: PathBuf,
-    deleted: AtomicBool,
+#[derive(Debug, Default)]
+struct SlotAlloc {
+    /// Slots given back by deleted objects; reused last-in first-out.
+    free: Vec<u64>,
+    /// Slots ever handed out — the file's high-water mark.
+    slots: u64,
+}
+
+/// Allocator and slot-list updates are single pushes and pops that leave the
+/// data valid at every step, so a poisoned lock is safe to recover — and
+/// `delete` runs from `Drop`, which must not panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn io_err(what: &str, e: std::io::Error) -> Error {
+    Error::Execution(format!("{what}: {e}"))
+}
+
+/// Create the arena's temp file and unlink it while keeping it open.
+fn create_unlinked(dir: &Path) -> Result<File> {
+    let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("wfopt-spill-{}-{}.tmp", std::process::id(), n));
+    let file = OpenOptions::new()
+        .create_new(true)
+        .read(true)
+        .write(true)
+        .open(&path)
+        .map_err(|e| io_err("create spill file", e))?;
+    std::fs::remove_file(&path).map_err(|e| io_err("unlink spill file", e))?;
+    Ok(file)
+}
+
+impl Arena {
+    /// Take one slot: a recycled one if any, else the next past the
+    /// high-water mark. The first call creates the file.
+    fn alloc(&self) -> Result<(u64, &File)> {
+        let mut alloc = lock(&self.alloc);
+        let file = match self.file.get() {
+            Some(file) => file,
+            None => {
+                let created = create_unlinked(&self.dir)?;
+                self.file.get_or_init(|| created)
+            }
+        };
+        let slot = alloc.free.pop().unwrap_or_else(|| {
+            alloc.slots += 1;
+            alloc.slots - 1
+        });
+        Ok((slot, file))
+    }
+
+    fn free(&self, slots: impl IntoIterator<Item = u64>) {
+        lock(&self.alloc).free.extend(slots);
+    }
+}
+
+/// One spill object of the arena: the slots holding its blocks, in append
+/// order.
+struct ArenaFile {
+    arena: Arc<Arena>,
+    /// `(slot, payload length)` per block; `None` once deleted. Reads hold
+    /// the lock shared *across the transfer* and delete takes it exclusive,
+    /// so a read racing a delete returns an error or the object's own bytes
+    /// — never those of whoever the slot was recycled to.
+    index: RwLock<Option<Vec<(u64, u32)>>>,
     counters: Arc<BackendCounters>,
 }
 
-impl BackendFile for LocalFile {
+fn slot_offset(slot: u64) -> u64 {
+    slot * SLOT_SIZE as u64
+}
+
+impl BackendFile for ArenaFile {
     fn append_block(&mut self, block: &[u8]) -> Result<()> {
-        let inner = self.inner.get_mut().expect("file spill lock");
-        inner
-            .file
-            .seek(SeekFrom::End(0))
-            .and_then(|_| inner.file.write_all(block))
-            .map_err(|e| Error::Execution(format!("spill write: {e}")))?;
-        inner.index.push((inner.len, block.len() as u32));
-        inner.len += block.len() as u64;
+        if block.len() > SLOT_SIZE {
+            return Err(Error::Execution(format!(
+                "spill block of {} bytes exceeds the {SLOT_SIZE}-byte slot",
+                block.len()
+            )));
+        }
+        let index = self
+            .index
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+            .ok_or_else(|| Error::Execution("append to deleted spill object".into()))?;
+        let (slot, file) = self.arena.alloc()?;
+        if let Err(e) = file.write_all_at(block, slot_offset(slot)) {
+            self.arena.free([slot]);
+            return Err(io_err("spill write", e));
+        }
+        index.push((slot, block.len() as u32));
         self.counters.record_put(block.len());
         Ok(())
     }
 
     fn read_block(&self, idx: u64) -> Result<Vec<u8>> {
-        let mut inner = self.inner.lock().expect("file spill lock");
-        let &(offset, len) = inner
-            .index
-            .get(idx as usize)
+        let guard = self.index.read().unwrap_or_else(PoisonError::into_inner);
+        let index = guard
+            .as_ref()
+            .ok_or_else(|| Error::Execution("read from deleted spill object".into()))?;
+        let &(slot, len) = usize::try_from(idx)
+            .ok()
+            .and_then(|i| index.get(i))
             .ok_or_else(|| Error::Execution(format!("spill block {idx} out of range")))?;
-        let mut buf = vec![0u8; len as usize];
-        inner
+        let file = self
+            .arena
             .file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| Error::Execution(format!("spill seek: {e}")))?;
-        let mut total = 0;
-        while total < buf.len() {
-            let n = inner
-                .file
-                .read(&mut buf[total..])
-                .map_err(|e| Error::Execution(format!("spill read: {e}")))?;
-            if n == 0 {
-                return Err(Error::Execution("short read from spill file".into()));
-            }
-            total += n;
-        }
+            .get()
+            .ok_or_else(|| Error::Execution("spill arena has no file".into()))?;
+        let mut buf = vec![0u8; len as usize];
+        file.read_exact_at(&mut buf, slot_offset(slot))
+            .map_err(|e| io_err("spill read", e))?;
         self.counters.record_get(buf.len());
         Ok(buf)
     }
 
     fn block_count(&self) -> u64 {
-        self.inner.lock().expect("file spill lock").index.len() as u64
+        self.index
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map_or(0, |index| index.len() as u64)
     }
 
     fn delete(&self) {
-        if !self.deleted.swap(true, Ordering::SeqCst) {
-            let _ = std::fs::remove_file(&self.path);
+        let taken = self
+            .index
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(index) = taken {
+            self.arena.free(index.into_iter().map(|(slot, _)| slot));
             self.counters.record_delete();
         }
     }
@@ -427,7 +570,7 @@ impl BackendFile for LocalFile {
     }
 }
 
-impl Drop for LocalFile {
+impl Drop for ArenaFile {
     fn drop(&mut self) {
         self.delete();
     }
@@ -498,6 +641,7 @@ impl SpillBackend for ObjectStoreBackend {
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
+        self.counters.record_open();
         Ok(Box::new(ObjectFile {
             blocks: Mutex::new(Some(Vec::new())),
             cfg: self.cfg,
@@ -599,7 +743,8 @@ pub enum SpillBackendKind {
     /// In-memory ([`MemBackend`], the default).
     #[default]
     Mem,
-    /// Local temp files ([`LocalFileBackend`]).
+    /// One local temp file holding every spill object
+    /// ([`LocalFileBackend`], the spill arena).
     File,
     /// Simulated object store ([`ObjectStoreBackend`]) with the given
     /// latency knobs.
@@ -651,7 +796,7 @@ impl SpillConfig {
         Self::of_kind(SpillBackendKind::Mem)
     }
 
-    /// Local temp-file backend.
+    /// Local-disk backend (one temp file, the spill arena).
     pub fn file() -> Self {
         Self::of_kind(SpillBackendKind::File)
     }
@@ -747,8 +892,10 @@ mod tests {
         let s = backend.stats();
         assert_eq!(s.put_requests, 5);
         assert_eq!(s.get_requests, 5);
+        assert_eq!(backend.stats().live_objects, 1);
         drop(f);
-        assert_eq!(backend.stats().delete_requests, 1);
+        let s = backend.stats();
+        assert_eq!((s.delete_requests, s.live_objects), (1, 0));
     }
 
     #[test]
@@ -771,17 +918,189 @@ mod tests {
         assert_eq!(s.bytes_read, s.bytes_written);
     }
 
+    /// A private, empty directory for one test's arena.
+    fn private_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("wfopt-arenatest-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &Path) -> usize {
+        std::fs::read_dir(dir).unwrap().count()
+    }
+
+    fn slots(backend: &LocalFileBackend) -> u64 {
+        backend.stats().footprint_bytes / SLOT_SIZE as u64
+    }
+
+    /// Deterministic, object- and block-specific payload of a given length.
+    fn payload(object: usize, block: usize, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (object * 31 + block * 7 + i % 13) as u8)
+            .collect()
+    }
+
     #[test]
-    fn local_file_is_removed_on_drop_and_delete_is_idempotent() {
-        let backend = LocalFileBackend::new();
+    fn arena_file_is_unlinked_and_delete_is_idempotent() {
+        let dir = private_dir("unlinked");
+        let backend = LocalFileBackend::in_dir(dir.clone());
         let mut f = backend.open().unwrap();
         f.append_block(&[1, 2, 3]).unwrap();
-        let path = backend.dir.read_dir().unwrap().count();
-        assert!(path > 0);
+        assert_eq!(entries(&dir), 0, "the arena file is unlinked once open");
+        assert_eq!(f.read_block(0).unwrap(), [1, 2, 3]);
+        assert_eq!(backend.stats().live_objects, 1);
         f.delete();
         f.delete();
         drop(f);
-        assert_eq!(backend.stats().delete_requests, 1);
+        let s = backend.stats();
+        assert_eq!((s.delete_requests, s.live_objects), (1, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn backend_that_never_spills_creates_no_file() {
+        let dir = private_dir("idle");
+        let backend = LocalFileBackend::in_dir(dir.clone());
+        let f = backend.open().unwrap();
+        assert_eq!(f.block_count(), 0);
+        drop(f);
+        let s = backend.stats();
+        assert_eq!(
+            (s.put_requests, s.footprint_bytes, s.live_objects),
+            (0, 0, 0)
+        );
+        assert!(backend.arena.file.get().is_none());
+        assert_eq!(entries(&dir), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn freed_slots_are_recycled_so_the_footprint_tracks_live_blocks() {
+        let dir = private_dir("recycle");
+        let backend = LocalFileBackend::in_dir(dir.clone());
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..10_000usize {
+            let mut f = backend.open().unwrap();
+            f.append_block(&payload(i, 0, 64)).unwrap();
+            f.append_block(&payload(i, 1, 64)).unwrap();
+            live.push_back((i, f));
+            if live.len() == 8 {
+                let (oldest, f) = live.pop_front().unwrap();
+                assert_eq!(f.read_block(1).unwrap(), payload(oldest, 1, 64));
+            }
+            assert!(
+                slots(&backend) <= 16,
+                "object {i}: {} slots",
+                slots(&backend)
+            );
+        }
+        live.clear();
+        let s = backend.stats();
+        assert_eq!(s.live_objects, 0);
+        assert_eq!(s.delete_requests, 10_000);
+        assert_eq!(s.put_requests, 20_000);
+        assert_eq!(entries(&dir), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn interleaved_objects_read_back_out_of_order() {
+        // The merge cascade's access pattern: many runs appended round-robin
+        // (so their slots interleave in the file), compressed payloads of
+        // varying length, read back in an unrelated order.
+        let backend = LocalFileBackend::new();
+        let raw = |o: usize, b: usize| payload(o, b, 1 + (o * 977 + b * 4099) % BLOCK_SIZE);
+        let mut files: Vec<_> = (0..64).map(|_| backend.open().unwrap()).collect();
+        for b in 0..6 {
+            for (o, f) in files.iter_mut().enumerate() {
+                f.append_block(&crate::codec::compress_block(&raw(o, b)))
+                    .unwrap();
+            }
+        }
+        for b in [4usize, 0, 5, 2, 1, 3] {
+            for o in (0..64).rev() {
+                let frame = files[o].read_block(b as u64).unwrap();
+                assert_eq!(
+                    crate::codec::decompress_block(&frame).unwrap(),
+                    raw(o, b),
+                    "object {o} block {b}"
+                );
+            }
+        }
+        assert_eq!(slots(&backend), 64 * 6);
+        assert_eq!(backend.stats().live_objects, 64);
+    }
+
+    #[test]
+    fn a_read_racing_a_delete_never_sees_a_recycled_slot() {
+        use std::sync::Barrier;
+        let backend = LocalFileBackend::new();
+        for round in 0..200usize {
+            let mut f = backend.open().unwrap();
+            let own = payload(round, 0, BLOCK_SIZE);
+            f.append_block(&own).unwrap();
+            let victim: Arc<dyn BackendFile> = Arc::from(f);
+            let barrier = Barrier::new(2);
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    barrier.wait();
+                    victim.read_block(0)
+                });
+                barrier.wait();
+                victim.delete();
+                // Whoever gets the freed slot overwrites it at once.
+                let mut next = backend.open().unwrap();
+                next.append_block(&vec![0xEE; BLOCK_SIZE]).unwrap();
+                match reader.join().expect("reader thread") {
+                    Ok(bytes) => assert_eq!(bytes, own, "round {round}"),
+                    Err(e) => assert!(matches!(e, Error::Execution(_)), "{e}"),
+                }
+            });
+            assert!(
+                victim.read_block(0).is_err(),
+                "deleted objects stay deleted"
+            );
+        }
+        assert_eq!(backend.stats().live_objects, 0);
+        assert_eq!(slots(&backend), 1, "every round reused the one slot");
+    }
+
+    #[test]
+    fn arena_failures_are_typed_errors_and_leak_nothing() {
+        let dir = private_dir("faults");
+        // The directory does not exist, so the arena cannot create its file.
+        let broken = LocalFileBackend::in_dir(dir.join("missing"));
+        let mut f = broken.open().unwrap();
+        let err = f.append_block(&[1, 2, 3]).unwrap_err();
+        assert!(matches!(err, Error::Execution(_)), "{err}");
+        assert_eq!(f.block_count(), 0);
+        drop(f);
+        let s = broken.stats();
+        assert_eq!(
+            (s.put_requests, s.live_objects, s.footprint_bytes),
+            (0, 0, 0)
+        );
+
+        let backend = LocalFileBackend::in_dir(dir.clone());
+        let mut f = backend.open().unwrap();
+        f.append_block(&[7; 10]).unwrap();
+        for bad in [1, u64::MAX] {
+            let err = f.read_block(bad).unwrap_err();
+            assert!(matches!(err, Error::Execution(_)), "{err}");
+        }
+        let err = f.append_block(&vec![0; SLOT_SIZE + 1]).unwrap_err();
+        assert!(matches!(err, Error::Execution(_)), "{err}");
+        f.delete();
+        for result in [f.read_block(0).map(drop), f.append_block(&[1])] {
+            let err = result.unwrap_err();
+            assert!(matches!(err, Error::Execution(_)), "{err}");
+        }
+        drop(f);
+        let s = backend.stats();
+        assert_eq!((s.live_objects, s.put_requests), (0, 1));
+        assert_eq!(slots(&backend), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -155,6 +155,9 @@ pub fn keyed_overhead(key: Option<&[u8]>) -> usize {
 // Every compressed block decodes to exactly `raw_len` bytes; anything else
 // is a corruption error.
 
+/// Bytes of framing (`mode:u8 raw_len:u32le`) ahead of every payload — also
+/// the most a frame can exceed its raw block by (the stored-raw fallback).
+pub const FRAME_HEADER: usize = 5;
 /// Stored-raw frame marker.
 const MODE_RAW: u8 = 0;
 /// LZ token-stream frame marker.
@@ -219,10 +222,10 @@ pub fn compress_block(raw: &[u8]) -> Vec<u8> {
     }
     flush_literals(raw, literal_start, raw.len(), &mut out);
 
-    if out.len() < 5 + raw.len() {
+    if out.len() < FRAME_HEADER + raw.len() {
         out
     } else {
-        let mut stored = Vec::with_capacity(5 + raw.len());
+        let mut stored = Vec::with_capacity(FRAME_HEADER + raw.len());
         stored.push(MODE_RAW);
         stored.extend_from_slice(&(raw.len() as u32).to_le_bytes());
         stored.extend_from_slice(raw);
@@ -232,12 +235,12 @@ pub fn compress_block(raw: &[u8]) -> Vec<u8> {
 
 /// Decompress one frame produced by [`compress_block`].
 pub fn decompress_block(frame: &[u8]) -> Result<Vec<u8>> {
-    if frame.len() < 5 {
+    if frame.len() < FRAME_HEADER {
         return Err(corrupt("truncated compressed block header"));
     }
     let mode = frame[0];
-    let raw_len = u32::from_le_bytes(frame[1..5].try_into().expect("4 bytes")) as usize;
-    let payload = &frame[5..];
+    let raw_len = u32::from_le_bytes(frame[1..FRAME_HEADER].try_into().expect("4 bytes")) as usize;
+    let payload = &frame[FRAME_HEADER..];
     match mode {
         MODE_RAW => {
             if payload.len() != raw_len {

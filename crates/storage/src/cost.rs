@@ -16,6 +16,7 @@
 //! this substitution.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Thread-safe counters for the segment-store pool's spill traffic.
 ///
@@ -31,6 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct PoolCounters {
     blocks_read: AtomicU64,
     blocks_written: AtomicU64,
+    /// Counters every charge is mirrored into — how a per-statement account
+    /// stays per statement while the shared pool's totals stay cumulative.
+    parent: Option<Arc<PoolCounters>>,
 }
 
 impl PoolCounters {
@@ -39,16 +43,30 @@ impl PoolCounters {
         Self::default()
     }
 
+    /// Fresh counters that also charge everything to `parent`.
+    pub fn mirroring(parent: Arc<PoolCounters>) -> Self {
+        PoolCounters {
+            parent: Some(parent),
+            ..Self::default()
+        }
+    }
+
     /// Charge `n` pool block reads.
     #[inline]
     pub fn read_blocks(&self, n: u64) {
         self.blocks_read.fetch_add(n, Ordering::Relaxed);
+        if let Some(p) = &self.parent {
+            p.read_blocks(n);
+        }
     }
 
     /// Charge `n` pool block writes.
     #[inline]
     pub fn write_blocks(&self, n: u64) {
         self.blocks_written.fetch_add(n, Ordering::Relaxed);
+        if let Some(p) = &self.parent {
+            p.write_blocks(n);
+        }
     }
 
     /// Total pool blocks read back so far.
@@ -256,7 +274,6 @@ impl CostWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counters_accumulate() {

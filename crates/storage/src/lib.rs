@@ -12,8 +12,9 @@
 //!   validity bitmaps and a row-view shim, the vectorized layout operators
 //!   stream between each other,
 //! * [`backend`] — pluggable spill media behind the
-//!   [`backend::SpillBackend`] adapter trait: in-memory, local temp files,
-//!   or a simulated object store with latency/throughput knobs,
+//!   [`backend::SpillBackend`] adapter trait: in-memory, one local temp file
+//!   carved into slots (the spill arena), or a simulated object store with
+//!   latency/throughput knobs,
 //! * [`spill`] — append-only spill files over a configured backend, owning
 //!   all block-granular meter charging,
 //! * [`prefetch`] — the async read-ahead pipeline that fetches upcoming
@@ -56,5 +57,5 @@ pub use segstore::{
     ResidencyHold, RingCharge, SegmentBuilder, SegmentHandle, SegmentReader, SegmentStore,
     StoreSnapshot,
 };
-pub use spill::{IoMeter, SpillFile, SpillMedium, SpillReader};
+pub use spill::{IoMeter, SpillFile, SpillReader};
 pub use table::Table;

@@ -28,7 +28,7 @@ use crate::backend::SpillConfig;
 use crate::block::blocks_for_bytes;
 use crate::colblock::RowBatch;
 use crate::cost::PoolCounters;
-use crate::spill::{IoMeter, SpillFile, SpillMedium, SpillReader};
+use crate::spill::{IoMeter, SpillFile, SpillReader};
 use std::sync::{Arc, Mutex};
 use wf_common::{Result, Row, TraceSink};
 
@@ -115,12 +115,6 @@ pub struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// A store with the given pool budget in blocks (`None` = unbounded)
-    /// on the legacy two-way medium selector.
-    pub fn new(budget_blocks: Option<u64>, medium: SpillMedium) -> Arc<Self> {
-        Self::with_spill(budget_blocks, medium.config())
-    }
-
     /// A store with the given pool budget in blocks (`None` = unbounded)
     /// spilling through the given backend configuration.
     pub fn with_spill(budget_blocks: Option<u64>, spill: SpillConfig) -> Arc<Self> {
@@ -218,10 +212,10 @@ impl SegmentStore {
         }
     }
 
-    fn note_spill(&self) {
-        self.state.lock().expect("store lock").spilled_segments += 1;
+    fn note_spills(&self, segments: u64) {
+        self.state.lock().expect("store lock").spilled_segments += segments;
         if let Some(p) = &self.parent {
-            p.note_spill();
+            p.note_spills(segments);
         }
     }
 
@@ -258,9 +252,11 @@ impl SegmentStore {
     /// A **pooled** ledger sub-account: like [`SegmentStore::sub_store`] it
     /// has an independent budget so its spill decisions depend only on its
     /// own deterministic usage, but unlike a worker sub-account every
-    /// charge/release (and spill event) is *forwarded* up to this store, so
-    /// the shared ledger's residency and high-water mark genuinely track the
-    /// combined live footprint of all concurrent sub-accounts.
+    /// charge/release, spill event and pool block transfer is *forwarded* up
+    /// to this store, so the shared ledger's residency, high-water mark and
+    /// pool I/O genuinely track the combined footprint of all sub-accounts
+    /// while the child's own [`SegmentStore::snapshot`] counts only what the
+    /// child (one statement) did.
     ///
     /// This is the cross-**query** flavor of the PR 5 mechanism: the
     /// admission governor hands each admitted query one pooled sub-account
@@ -278,7 +274,7 @@ impl SegmentStore {
         Arc::new(SegmentStore {
             budget: budget_blocks.map(|b| b.max(1) as usize * crate::block::BLOCK_SIZE),
             spill: self.spill.clone(),
-            pool_io: Arc::clone(&self.pool_io),
+            pool_io: Arc::new(PoolCounters::mirroring(Arc::clone(&self.pool_io))),
             state: Mutex::new(PoolState::default()),
             parent: Some(Arc::clone(self)),
             trace: Mutex::new(self.trace()),
@@ -314,6 +310,9 @@ impl SegmentStore {
         let peak_bytes: usize = workers.iter().map(|w| w.peak_resident_bytes).sum();
         let peak_rows: usize = workers.iter().map(|w| w.peak_resident_rows).sum();
         let spilled: u64 = workers.iter().map(|w| w.spilled_segments).sum();
+        // Worker accounts do not forward; their spill events reach this
+        // ledger — and a pooled account's parent — here.
+        self.note_spills(spilled);
         let mut s = self.state.lock().expect("store lock");
         s.peak_bytes = s.peak_bytes.max(s.phase_peak_bytes + peak_bytes);
         s.peak_rows = s.peak_rows.max(s.phase_peak_rows + peak_rows);
@@ -321,7 +320,6 @@ impl SegmentStore {
         // watermark, not this one's.
         s.phase_peak_bytes = s.used_bytes;
         s.phase_peak_rows = s.used_rows;
-        s.spilled_segments += spilled;
         // Keep the per-shard peaks visible for observability (EXPLAIN
         // ANALYZE / regress): elementwise max across phases by shard index.
         if s.worker_peak_bytes.len() < workers.len() {
@@ -509,7 +507,7 @@ impl SegmentBuilder {
         self.store
             .release(std::mem::take(&mut self.bytes), buffered);
         file.push(&row)?;
-        self.store.note_spill();
+        self.store.note_spills(1);
         self.spill = Some(file);
         Ok(())
     }
@@ -736,7 +734,7 @@ mod tests {
 
     #[test]
     fn small_segment_stays_resident() {
-        let store = SegmentStore::new(Some(4), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(4), SpillConfig::mem());
         let h = store.admit(rows(10)).unwrap();
         assert!(!h.is_spilled());
         assert_eq!(h.len(), 10);
@@ -754,7 +752,7 @@ mod tests {
 
     #[test]
     fn oversized_segment_spills_and_round_trips() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         let input = rows(2000); // far beyond one block
         let h = store.admit(input.clone()).unwrap();
         assert!(h.is_spilled());
@@ -772,7 +770,7 @@ mod tests {
 
     #[test]
     fn unbounded_store_never_spills() {
-        let store = SegmentStore::new(None, SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(None, SpillConfig::mem());
         let h = store.admit(rows(5000)).unwrap();
         assert!(!h.is_spilled());
         assert_eq!(store.snapshot().spill_blocks_written, 0);
@@ -781,7 +779,7 @@ mod tests {
 
     #[test]
     fn streaming_reader_yields_rows_in_order() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         for n in [0usize, 3, 1500] {
             let h = store.admit(rows(n)).unwrap();
             let mut got = Vec::new();
@@ -796,7 +794,7 @@ mod tests {
     #[test]
     fn shared_handle_is_uncharged() {
         let base = Arc::new(rows(100));
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         let h = SegmentStore::shared(Arc::clone(&base));
         assert_eq!(h.len(), 100);
         assert!(!h.is_spilled());
@@ -806,7 +804,7 @@ mod tests {
 
     #[test]
     fn shared_batch_handle_is_uncharged_and_round_trips() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         let base = rows(100);
         let batch = Arc::new(RowBatch::from_rows(&base).unwrap());
         let h = SegmentStore::shared_batch(Arc::clone(&batch));
@@ -826,7 +824,7 @@ mod tests {
 
     #[test]
     fn hold_tracks_forced_unit_memory() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         {
             let mut g = store.hold(10 * BLOCK_SIZE, 500);
             g.grow(BLOCK_SIZE, 10);
@@ -842,7 +840,7 @@ mod tests {
 
     #[test]
     fn ring_charge_follows_occupancy() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         {
             let mut ring = store.ring_charge();
             for _ in 0..4 {
@@ -866,7 +864,7 @@ mod tests {
 
     #[test]
     fn abandoned_builder_releases_its_charge() {
-        let store = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         {
             let mut b = store.builder();
             for r in rows(50) {
@@ -882,7 +880,7 @@ mod tests {
 
     #[test]
     fn sub_store_has_independent_budget_and_shared_pool_io() {
-        let parent = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let parent = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let child = parent.sub_store(Some(1));
         // Child spills by its own 1-block budget even though the parent has
         // plenty of room…
@@ -898,7 +896,7 @@ mod tests {
         drop(h);
         // An unbounded parent hands out unbounded children regardless of the
         // requested budget (the pre-store reference configuration).
-        let unbounded = SegmentStore::new(None, SpillMedium::Simulated);
+        let unbounded = SegmentStore::with_spill(None, SpillConfig::mem());
         let uchild = unbounded.sub_store(Some(1));
         let h2 = uchild.admit(rows(2000)).unwrap();
         assert!(!h2.is_spilled());
@@ -906,7 +904,7 @@ mod tests {
 
     #[test]
     fn absorb_concurrent_sums_worker_peaks() {
-        let parent = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let parent = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let a = parent.sub_store(Some(8));
         let b = parent.sub_store(Some(8));
         let ha = a.admit(rows(30)).unwrap();
@@ -930,7 +928,7 @@ mod tests {
 
     #[test]
     fn worker_peaks_are_recorded_per_shard() {
-        let parent = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let parent = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         assert!(parent.worker_peak_blocks().is_empty(), "no phase yet");
         parent.begin_concurrent_phase();
         let a = parent.sub_store(Some(8));
@@ -954,7 +952,7 @@ mod tests {
 
     #[test]
     fn sub_store_inherits_trace_sink() {
-        let parent = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let parent = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         assert!(!parent.trace().is_enabled());
         parent.set_trace(TraceSink::enabled());
         assert!(parent.trace().is_enabled());
@@ -963,7 +961,7 @@ mod tests {
 
     #[test]
     fn pool_spill_out_records_a_span() {
-        let store = SegmentStore::new(Some(1), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
         let sink = TraceSink::enabled();
         store.set_trace(Arc::clone(&sink));
         let h = store.admit(rows(2000)).unwrap();
@@ -979,7 +977,7 @@ mod tests {
     /// reported peak is the max over phases, never their sum.
     #[test]
     fn absorb_concurrent_does_not_compound_across_phases() {
-        let parent = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let parent = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let run_phase = |n: usize| {
             parent.begin_concurrent_phase();
             let w = parent.sub_store(Some(8));
@@ -1002,7 +1000,7 @@ mod tests {
 
     #[test]
     fn pooled_sub_store_forwards_residency_to_parent() {
-        let pool = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let a = pool.pooled_sub_store(Some(8));
         let b = pool.pooled_sub_store(Some(8));
         let ha = a.admit(rows(30)).unwrap();
@@ -1029,14 +1027,14 @@ mod tests {
         // A roomy pool must not save a sub-account from its own budget:
         // spill decisions depend only on the account's deterministic usage,
         // never on how much of the pool other queries happen to occupy.
-        let pool = SegmentStore::new(Some(10_000), SpillMedium::Simulated);
+        let pool = SegmentStore::with_spill(Some(10_000), SpillConfig::mem());
         let q = pool.pooled_sub_store(Some(1));
         let h = q.admit(rows(2000)).unwrap();
         assert!(h.is_spilled());
         assert_eq!(q.snapshot().spilled_segments, 1);
         // The spill event is mirrored into the shared ledger…
         assert_eq!(pool.snapshot().spilled_segments, 1);
-        // …as is the pool I/O (shared counters, as with worker accounts).
+        // …as is the pool I/O.
         assert!(pool.snapshot().spill_blocks_written > 0);
         // The overflowed prefix's charge was released through to the parent.
         drop(h);
@@ -1044,18 +1042,43 @@ mod tests {
     }
 
     #[test]
+    fn pooled_sub_store_pool_io_is_its_own_and_mirrors_up() {
+        // One account per statement: each reports only the blocks it moved
+        // (worker sub-accounts included), the shared pool reports the sum.
+        let pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
+        let mut per_statement = Vec::new();
+        for _ in 0..3 {
+            let q = pool.pooled_sub_store(Some(1));
+            q.admit(rows(2000)).unwrap().into_rows().unwrap();
+            let worker = q.sub_store(Some(1));
+            worker.admit(rows(500)).unwrap().into_rows().unwrap();
+            per_statement.push(q.snapshot());
+        }
+        let first = per_statement[0];
+        assert!(first.spill_blocks_written > 0);
+        assert_eq!(first.spill_blocks_read, first.spill_blocks_written);
+        assert!(
+            per_statement.iter().all(|s| *s == first),
+            "{per_statement:?}"
+        );
+        let total = pool.snapshot();
+        assert_eq!(total.spill_blocks_written, 3 * first.spill_blocks_written);
+        assert_eq!(total.spill_blocks_read, 3 * first.spill_blocks_read);
+    }
+
+    #[test]
     fn pooled_sub_store_counters_do_not_depend_on_pool_occupancy() {
         // The same input through the same per-query budget must place
         // segments identically whether the pool is empty or mostly occupied
         // by a neighbor — the bit-identity contract under concurrency.
-        let solo_pool = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let solo_pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let solo = solo_pool.pooled_sub_store(Some(2));
         let h1 = solo.admit(rows(400)).unwrap();
         let solo_snap = solo.snapshot();
         let solo_spilled = h1.is_spilled();
         drop(h1);
 
-        let busy_pool = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let busy_pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let neighbor = busy_pool.pooled_sub_store(Some(60));
         let _big = neighbor.admit(rows(3000)).unwrap();
         let q = busy_pool.pooled_sub_store(Some(2));
@@ -1068,7 +1091,7 @@ mod tests {
 
     #[test]
     fn pooled_sub_store_hold_reaches_parent_high_water() {
-        let pool = SegmentStore::new(Some(4), SpillMedium::Simulated);
+        let pool = SegmentStore::with_spill(Some(4), SpillConfig::mem());
         let q = pool.pooled_sub_store(Some(2));
         {
             let _g = q.hold(3 * BLOCK_SIZE, 90);
@@ -1080,7 +1103,7 @@ mod tests {
 
     #[test]
     fn peak_accounts_concurrent_segments() {
-        let store = SegmentStore::new(Some(64), SpillMedium::Simulated);
+        let store = SegmentStore::with_spill(Some(64), SpillConfig::mem());
         let a = store.admit(rows(50)).unwrap();
         let b = store.admit(rows(50)).unwrap();
         let peak = store.snapshot().peak_resident_rows;

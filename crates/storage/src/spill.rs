@@ -26,30 +26,6 @@ use crate::prefetch::Prefetcher;
 use std::sync::Arc;
 use wf_common::{Error, Result, Row};
 
-/// Which store spill files should use — the legacy two-way selector, kept
-/// for call sites that predate [`SpillConfig`]. `Simulated` maps to the
-/// in-memory backend, `TempFile` to real local files; neither compresses
-/// nor prefetches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillMedium {
-    /// In-memory simulated device (default; counts are what matter).
-    #[default]
-    Simulated,
-    /// Real temporary files.
-    TempFile,
-}
-
-impl SpillMedium {
-    /// The equivalent full [`SpillConfig`] (fresh backend, no compression,
-    /// no read-ahead).
-    pub fn config(self) -> SpillConfig {
-        match self {
-            SpillMedium::Simulated => SpillConfig::mem(),
-            SpillMedium::TempFile => SpillConfig::file(),
-        }
-    }
-}
-
 /// Where a spill file's block traffic is charged.
 ///
 /// Reorder spills (sort runs, hash buckets) are work the paper's cost model
@@ -111,16 +87,6 @@ pub struct SpillFile {
 }
 
 impl SpillFile {
-    /// Create a spill file on the given medium charging modeled I/O.
-    pub fn create(medium: SpillMedium, tracker: Arc<CostTracker>) -> Result<Self> {
-        Self::create_metered(medium, IoMeter::Model(tracker))
-    }
-
-    /// Create a spill file on the given medium charging the given meter.
-    pub fn create_metered(medium: SpillMedium, meter: IoMeter) -> Result<Self> {
-        Self::with_config(&medium.config(), meter)
-    }
-
     /// Create a spill file on a configured backend, with the config's
     /// compression (post-negotiation) and read-ahead settings.
     pub fn with_config(cfg: &SpillConfig, meter: IoMeter) -> Result<Self> {
@@ -437,6 +403,11 @@ mod tests {
             .collect()
     }
 
+    /// A spill file on the in-memory backend charging `tracker`.
+    fn mem_spill(tracker: &Arc<CostTracker>) -> SpillFile {
+        SpillFile::with_config(&SpillConfig::mem(), IoMeter::Model(Arc::clone(tracker))).unwrap()
+    }
+
     fn spill_round_trip_cfg(cfg: &SpillConfig, n: usize) {
         let tracker = Arc::new(CostTracker::new());
         let mut f = SpillFile::with_config(cfg, IoMeter::Model(Arc::clone(&tracker))).unwrap();
@@ -510,7 +481,7 @@ mod tests {
     #[test]
     fn empty_spill_reads_nothing() {
         let tracker = Arc::new(CostTracker::new());
-        let f = SpillFile::create(SpillMedium::Simulated, Arc::clone(&tracker)).unwrap();
+        let f = mem_spill(&tracker);
         let mut r = f.into_reader().unwrap();
         assert!(r.next_row().unwrap().is_none());
         assert_eq!(tracker.snapshot().io_blocks(), 0);
@@ -520,7 +491,7 @@ mod tests {
     fn rows_spanning_block_boundaries() {
         // A long string forces rows to straddle block boundaries.
         let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::create(SpillMedium::Simulated, Arc::clone(&tracker)).unwrap();
+        let mut f = mem_spill(&tracker);
         let big = "x".repeat(BLOCK_SIZE / 2 + 100);
         let rows: Vec<Row> = (0..8).map(|i| row![i as i64, big.clone()]).collect();
         for r in &rows {
@@ -533,7 +504,7 @@ mod tests {
     #[test]
     fn keyed_spill_round_trips_keys_and_rows() {
         let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::create(SpillMedium::Simulated, Arc::clone(&tracker)).unwrap();
+        let mut f = mem_spill(&tracker);
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64, format!("r{i}")]).collect();
         for (i, r) in rows.iter().enumerate() {
             let key = (i as u64).to_be_bytes();
@@ -558,14 +529,14 @@ mod tests {
         // Keys inflate the physical file but must not change charged I/O.
         let rows = sample_rows(3000);
         let plain = Arc::new(CostTracker::new());
-        let mut pf = SpillFile::create(SpillMedium::Simulated, Arc::clone(&plain)).unwrap();
+        let mut pf = mem_spill(&plain);
         for r in &rows {
             pf.push(r).unwrap();
         }
         pf.into_reader().unwrap().read_all().unwrap();
 
         let keyed = Arc::new(CostTracker::new());
-        let mut kf = SpillFile::create(SpillMedium::Simulated, Arc::clone(&keyed)).unwrap();
+        let mut kf = mem_spill(&keyed);
         let wide_key = [0xABu8; 32];
         for r in &rows {
             kf.push_keyed(Some(&wide_key), r).unwrap();
@@ -586,7 +557,7 @@ mod tests {
     #[test]
     fn keyed_spill_via_next_row_drops_keys() {
         let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::create(SpillMedium::Simulated, Arc::clone(&tracker)).unwrap();
+        let mut f = mem_spill(&tracker);
         let rows = vec![row![1, "a"], row![2, "b"]];
         for r in &rows {
             f.push_keyed(Some(b"key"), r).unwrap();
@@ -600,70 +571,94 @@ mod tests {
         assert_eq!(s.blocks_read, 1);
     }
 
-    fn temp_spill_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("wfopt-spilltest-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A file backend over a private directory. With the spill arena the
+    /// directory must stay empty throughout (the one temp file is unlinked
+    /// while open), so leaks are read off `live_objects` and slot reuse off
+    /// `footprint_bytes`.
+    struct ArenaProbe {
+        dir: std::path::PathBuf,
+        cfg: SpillConfig,
+    }
+
+    impl ArenaProbe {
+        fn new(tag: &str, compress: bool, prefetch_blocks: usize) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("wfopt-spilltest-{}-{tag}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let cfg = SpillConfig {
+                backend: LocalFileBackend::in_dir(dir.clone()),
+                compress,
+                prefetch_blocks,
+            };
+            ArenaProbe { dir, cfg }
+        }
+
+        fn spill(&self, rows: usize) -> SpillFile {
+            let tracker = Arc::new(CostTracker::new());
+            let mut f = SpillFile::with_config(&self.cfg, IoMeter::Model(tracker)).unwrap();
+            for r in sample_rows(rows) {
+                f.push(&r).unwrap();
+            }
+            f
+        }
+
+        /// `(live objects, arena bytes)`, after checking the dir is empty.
+        fn observe(&self) -> (u64, u64) {
+            assert_eq!(std::fs::read_dir(&self.dir).unwrap().count(), 0);
+            let s = self.cfg.stats();
+            (s.live_objects, s.footprint_bytes)
+        }
+
+        /// The aborted object is gone, and an identical successor fits in
+        /// the slots it gave back.
+        fn assert_released_and_reused(self, rows: usize, footprint: u64) {
+            assert_eq!(self.observe(), (0, footprint));
+            let mut again = self.spill(rows).into_reader().unwrap();
+            assert_eq!(again.read_all().unwrap(), sample_rows(rows));
+            assert_eq!(self.observe(), (1, footprint), "freed slots are reused");
+            drop(again);
+            assert_eq!(self.observe(), (0, footprint));
+            std::fs::remove_dir_all(&self.dir).unwrap();
+        }
     }
 
     #[test]
     fn spill_file_is_removed_when_reader_drops() {
-        let dir = temp_spill_dir("reader-drop");
-        let cfg = SpillConfig {
-            backend: LocalFileBackend::in_dir(dir.clone()),
-            compress: false,
-            prefetch_blocks: 0,
-        };
-        let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::with_config(&cfg, IoMeter::Model(tracker)).unwrap();
-        for r in sample_rows(1000) {
-            f.push(&r).unwrap();
-        }
-        let mut reader = f.into_reader().unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let probe = ArenaProbe::new("reader-drop", false, 0);
+        let mut reader = probe.spill(1000).into_reader().unwrap();
+        let (live, footprint) = probe.observe();
+        assert_eq!(live, 1);
+        assert!(footprint > 0);
         // Simulate an aborted query: drop mid-stream, before EOF.
         reader.next_row().unwrap().unwrap();
         drop(reader);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
+        probe.assert_released_and_reused(1000, footprint);
     }
 
     #[test]
     fn spill_file_is_removed_when_prefetching_reader_drops() {
-        let dir = temp_spill_dir("prefetch-drop");
-        let cfg = SpillConfig {
-            backend: LocalFileBackend::in_dir(dir.clone()),
-            compress: true,
-            prefetch_blocks: 2,
-        };
-        let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::with_config(&cfg, IoMeter::Model(tracker)).unwrap();
-        for r in sample_rows(2000) {
-            f.push(&r).unwrap();
-        }
-        let mut reader = f.into_reader().unwrap();
+        let probe = ArenaProbe::new("prefetch-drop", true, 2);
+        let mut reader = probe.spill(2000).into_reader().unwrap();
+        let (live, footprint) = probe.observe();
+        assert_eq!(live, 1);
         reader.next_row().unwrap().unwrap();
-        drop(reader); // joins the prefetch workers, then deletes the file
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
+        drop(reader); // joins the prefetch workers, then frees the slots
+        probe.assert_released_and_reused(2000, footprint);
     }
 
     #[test]
     fn writer_drop_before_reader_deletes_file() {
-        let dir = temp_spill_dir("writer-drop");
-        let cfg = SpillConfig {
-            backend: LocalFileBackend::in_dir(dir.clone()),
-            compress: false,
-            prefetch_blocks: 0,
-        };
-        let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::with_config(&cfg, IoMeter::Model(tracker)).unwrap();
-        for r in sample_rows(100) {
-            f.push(&r).unwrap();
-        }
+        let probe = ArenaProbe::new("writer-drop", false, 0);
+        let f = probe.spill(1000);
+        let (live, footprint) = probe.observe();
+        assert_eq!(live, 1);
+        assert!(footprint > 0, "full blocks were flushed before the abort");
         drop(f); // aborted before into_reader
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(probe.observe(), (0, footprint));
+        let again = probe.spill(1000);
+        assert_eq!(probe.observe(), (1, footprint), "freed slots are reused");
+        drop(again);
+        assert_eq!(probe.observe(), (0, footprint));
+        std::fs::remove_dir_all(&probe.dir).unwrap();
     }
 }

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use wf_common::{Row, Value};
 use wf_storage::bytebuf::ByteBuf;
 use wf_storage::codec::{decode_row, encode_row};
-use wf_storage::spill::SpillMedium;
-use wf_storage::{blocks_for_bytes, CostTracker, SpillFile};
+use wf_storage::{blocks_for_bytes, CostTracker, IoMeter, SpillConfig, SpillFile};
 
 /// SplitMix64 — the same tiny deterministic generator the test helpers use.
 struct Rng(u64);
@@ -80,7 +79,9 @@ fn spill_files_preserve_sequences() {
         let n = (rng.next() % 120) as usize;
         let rows: Vec<Row> = (0..n).map(|_| rng.row()).collect();
         let tracker = Arc::new(CostTracker::new());
-        let mut f = SpillFile::create(SpillMedium::Simulated, Arc::clone(&tracker)).unwrap();
+        let mut f =
+            SpillFile::with_config(&SpillConfig::mem(), IoMeter::Model(Arc::clone(&tracker)))
+                .unwrap();
         for r in &rows {
             f.push(r).unwrap();
         }

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use wfopt::datagen::WsConfig;
 use wfopt::prelude::*;
+use wfopt::storage::StoreSnapshot;
 
 const SQL: &str = "SELECT *, \
     rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r, \
@@ -207,4 +208,82 @@ fn cancellation_aborts_a_queued_query_cleanly() {
     drop(permit);
     let outcome = db.session().execute(SQL).unwrap();
     assert_eq!(outcome.table.row_count(), 2_000);
+}
+
+/// `ExecReport.store` describes one statement: its pooled sub-account has
+/// pool counters of its own that mirror up, so the report stops growing with
+/// the database's age while `Database::pool_snapshot()` stays cumulative.
+#[test]
+fn exec_report_store_is_per_statement_and_sums_to_the_pool() {
+    let table = sales(6_000);
+    let pool_blocks = |s: &StoreSnapshot| {
+        (
+            s.spilled_segments,
+            s.spill_blocks_written,
+            s.spill_blocks_read,
+        )
+    };
+    // A Par plan (worker sub-accounts share their statement's counters) and
+    // a serial one, sequentially and then from two sessions at once.
+    for workers in [1usize, 2] {
+        let db = DatabaseConfig::new()
+            .memory_blocks(64)
+            .max_concurrent(2)
+            .per_query_blocks(2)
+            .worker_threads(workers)
+            .open();
+        db.register("web_sales", table.clone()).unwrap();
+
+        let before = db.pool_snapshot();
+        let stores: Vec<StoreSnapshot> = (0..4)
+            .map(|_| db.session().execute(SQL).unwrap().report.store)
+            .collect();
+        let first = stores[0];
+        assert!(first.spill_blocks_written > 0, "2 blocks must pool-spill");
+        assert_eq!(first.spill_blocks_read, first.spill_blocks_written);
+        for (i, s) in stores.iter().enumerate() {
+            assert_eq!(*s, first, "workers={workers}: statement {i} differs");
+        }
+        let after = db.pool_snapshot();
+        let (segments, written, read) = pool_blocks(&first);
+        assert_eq!(
+            pool_blocks(&after),
+            (
+                before.spilled_segments + 4 * segments,
+                before.spill_blocks_written + 4 * written,
+                before.spill_blocks_read + 4 * read
+            ),
+            "workers={workers}: the pool counts the sum of its statements"
+        );
+
+        let barrier = Barrier::new(2);
+        let concurrent: Vec<StoreSnapshot> = thread::scope(|scope| {
+            let sessions: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let session = db.session();
+                        barrier.wait();
+                        (0..2)
+                            .map(|_| session.execute(SQL).unwrap().report.store)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            sessions
+                .into_iter()
+                .flat_map(|h| h.join().expect("session thread"))
+                .collect()
+        });
+        for s in &concurrent {
+            assert_eq!(*s, first, "workers={workers}: a neighbour leaked in");
+        }
+        assert_eq!(
+            pool_blocks(&db.pool_snapshot()),
+            (
+                after.spilled_segments + 4 * segments,
+                after.spill_blocks_written + 4 * written,
+                after.spill_blocks_read + 4 * read
+            )
+        );
+    }
 }
