@@ -38,6 +38,12 @@ impl Row {
         self.values.push(v);
     }
 
+    /// Make room for `additional` more derived columns, so that a row
+    /// receiving several window outputs grows once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.values.reserve(additional);
+    }
+
     /// Consume into the underlying values.
     pub fn into_values(self) -> Vec<Value> {
         self.values

@@ -140,9 +140,30 @@ impl Plan {
         out
     }
 
+    /// For every step, the index of the head of its **window group**: the
+    /// run of steps one window operator evaluates together off one
+    /// reordered relation ([`window_group_len`]). A step that is its own
+    /// head opens a group (of one, unless matched steps follow).
+    pub fn group_heads(&self) -> Vec<usize> {
+        let mut heads = Vec::with_capacity(self.steps.len());
+        while heads.len() < self.steps.len() {
+            let head = heads.len();
+            let len = window_group_len(&self.steps, &self.specs, head);
+            heads.extend(std::iter::repeat_n(head, len));
+        }
+        heads
+    }
+
     /// Chain with schema-resolved key details (for EXPLAIN-style output).
+    /// A matched step evaluated by the window operator of an earlier step
+    /// says so: `(matched; group of HS→ f_rank)`.
     pub fn explain(&self, schema: &Schema) -> String {
         let specs = &self.specs;
+        let heads = self.group_heads();
+        let member_of = |i: usize| {
+            (heads[i] != i)
+                .then(|| format!("group of {}", step_label(&self.steps[heads[i]], specs)))
+        };
         let mut out = format!("input: {}\n", self.input_props);
         if let Some(pred) = &self.filter {
             out.push_str(&format!("  ── Filter {pred:?}\n"));
@@ -152,7 +173,10 @@ impl Plan {
             let step = &self.steps[i];
             let spec = &specs[step.wf];
             match &step.reorder {
-                ReorderOp::None => out.push_str("  ── (matched)\n"),
+                ReorderOp::None => match member_of(i) {
+                    Some(group) => out.push_str(&format!("  ── (matched; {group})\n")),
+                    None => out.push_str("  ── (matched)\n"),
+                },
                 ReorderOp::Fs { key } => {
                     out.push_str(&format!("  ── FullSort key={}\n", names(key, schema)))
                 }
@@ -215,13 +239,14 @@ impl Plan {
                         set_names(&shard, schema),
                         ops.join(" ∘ ")
                     ));
-                    for s in &self.steps[i..i + span] {
+                    for (j, s) in self.steps.iter().enumerate().skip(i).take(span) {
                         let sp = &specs[s.wf];
                         out.push_str(&format!(
-                            "  {} {} [{}] (in-worker)\n",
+                            "  {} {} [{}] (in-worker{})\n",
                             sp.name,
                             sp.describe(schema),
-                            sp.eval_class()
+                            sp.eval_class(),
+                            member_of(j).map_or_else(String::new, |g| format!("; {g}"))
                         ));
                     }
                     i += span;
@@ -348,6 +373,26 @@ pub fn par_span_len(steps: &[PlanStep], specs: &[WindowSpec], k: usize) -> usize
         len += 1;
     }
     len
+}
+
+/// `ARROW name` — a step's label in EXPLAIN and the execution reports.
+pub fn step_label(step: &PlanStep, specs: &[WindowSpec]) -> String {
+    format!("{} {}", step.reorder.arrow(), specs[step.wf].name)
+}
+
+/// Number of steps, from step `k` on, that one window operator evaluates
+/// together: step `k` plus every directly following step that needs no
+/// reorder of its own and has step `k`'s `(WPK, WOK)` — once a relation
+/// matches a window function it matches every function on the same keys, so
+/// they all evaluate off the one reordered relation (`wf_exec::WindowOp`).
+/// Shared by the runtime's lowering, EXPLAIN and the execution reports; the
+/// scheduler applies the same rule to the stages of a `Par` span.
+pub fn window_group_len(steps: &[PlanStep], specs: &[WindowSpec], k: usize) -> usize {
+    wf_exec::group_len(
+        &steps[k..],
+        |s| (specs[s.wf].wpk(), specs[s.wf].wok()),
+        |s| s.reorder == ReorderOp::None,
+    )
 }
 
 /// At (near-)equal modeled cost, plans should prefer the reorder with the

@@ -1,10 +1,14 @@
 //! Plan execution: compiles a [`Plan`] into a chained tree of pull-based
 //! [`Operator`]s and drives it **one segment at a time**.
 //!
-//! The chain for `ws FS→ wf2 HS→ wf1` is
+//! One reorder operator per reordering step, one window operator per
+//! **window group** — a step plus every directly following step that is
+//! matched on its `(WPK, WOK)` ([`window_group_len`]): once the relation
+//! matches, every function on those keys evaluates off the one reordered
+//! relation. The chain for `ws HS→ f1 → f2 → f3 FS→ g1` is
 //!
 //! ```text
-//! TableScan → FullSortOp → WindowOp(wf2) → HashedSortOp → WindowOp(wf1)
+//! TableScan → HashedSortOp → WindowOp{f1, f2, f3} → FullSortOp → WindowOp{g1}
 //! ```
 //!
 //! and the driver pulls segments off the last operator: after a Hashed Sort,
@@ -12,14 +16,17 @@
 //! are still unsorted — the paper's complete-partition pipelining (§3.2/3.3)
 //! rather than fully-materialized hand-offs between steps.
 //!
-//! Cost attribution: every step's operators are wrapped in a `Metered`
-//! shim that charges the shared tracker delta of each pull to its step,
-//! minus whatever nested upstream steps charged during the same pull — so
-//! the per-step breakdown in [`ExecReport::steps`] is exact even though the
-//! steps' work interleaves in time. Totals are unchanged from the batch
-//! executor: the operators charge the identical counters.
+//! Cost attribution: every reorder-plus-group subtree is wrapped in a
+//! `Metered` shim that charges the shared tracker delta of each pull to its
+//! slots, minus whatever nested upstream slots charged during the same pull
+//! — so the per-step breakdown in [`ExecReport::steps`] is exact even though
+//! the steps' work interleaves in time. The report keeps **one slot per plan
+//! step**: work and wall of a group (as of a `PAR→` span) are not separable
+//! per function and land on the head's slot, while every member slot counts
+//! the rows and segments that flowed through it. Totals are unchanged from
+//! the batch executor: the operators charge the identical counters.
 
-use crate::plan::{Plan, ReorderOp};
+use crate::plan::{step_label, window_group_len, Plan, ReorderOp};
 use crate::spec::WindowSpec;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -382,18 +389,24 @@ struct StepExec {
 /// is plan step `k` (its reorder plus its window evaluation).
 type MeterCells = Rc<RefCell<Vec<StepExec>>>;
 
-/// Wraps one step's operator subtree and attributes tracker deltas to its
-/// slot. Because pulls recurse into upstream (already-metered) operators,
-/// the shim subtracts whatever upstream slots accumulated during the same
-/// pull — the remainder is exactly this step's own work. Wall time is
-/// attributed the same way (elapsed minus upstream wall), and each pull is
-/// wrapped in a `step` span so the timeline shows the chain's nesting;
-/// neither touches the tracker, so tracing never changes modeled counters.
+/// Wraps the operator subtree of one step — or of the run of steps one
+/// operator evaluates together (a window group, a `PAR→` span) — and
+/// attributes tracker deltas to its slots. Because pulls recurse into
+/// upstream (already-metered) operators, the shim subtracts whatever
+/// upstream slots accumulated during the same pull — the remainder is
+/// exactly these steps' own work. Wall time is attributed the same way
+/// (elapsed minus upstream wall), and each pull is wrapped in a `step` span
+/// so the timeline shows the chain's nesting; neither touches the tracker,
+/// so tracing never changes modeled counters.
+///
+/// Work and wall inside one operator are not separable per step: they land
+/// on the head's slot (`slots.start`), while every covered slot counts the
+/// rows and segments that flowed through it.
 struct Metered<O> {
     inner: O,
     tracker: Arc<CostTracker>,
     cells: MeterCells,
-    idx: usize,
+    slots: std::ops::Range<usize>,
     label: Rc<str>,
     trace: Arc<TraceSink>,
 }
@@ -403,7 +416,7 @@ impl<O> Metered<O> {
         inner: O,
         tracker: Arc<CostTracker>,
         cells: MeterCells,
-        idx: usize,
+        slots: std::ops::Range<usize>,
         label: Rc<str>,
         trace: Arc<TraceSink>,
     ) -> Self {
@@ -411,14 +424,14 @@ impl<O> Metered<O> {
             inner,
             tracker,
             cells,
-            idx,
+            slots,
             label,
             trace,
         }
     }
 
     fn upstream_sum(&self) -> (CostSnapshot, Duration) {
-        self.cells.borrow()[..self.idx].iter().fold(
+        self.cells.borrow()[..self.slots.start].iter().fold(
             (CostSnapshot::default(), Duration::ZERO),
             |(work, wall), c| (work.plus(&c.work), wall + c.wall),
         )
@@ -439,21 +452,17 @@ impl<O: Operator> Operator for Metered<O> {
         let own = delta.since(&upstream_delta);
         let own_wall = elapsed.saturating_sub(upstream_wall_after - upstream_wall_before);
         let mut cells = self.cells.borrow_mut();
-        let slot = &mut cells[self.idx];
-        slot.work = slot.work.plus(&own);
-        slot.wall += own_wall;
+        let head = &mut cells[self.slots.start];
+        head.work = head.work.plus(&own);
+        head.wall += own_wall;
         if let Ok(Some(seg)) = &result {
-            slot.rows += seg.len() as u64;
-            slot.segments += 1;
+            for slot in &mut cells[self.slots.clone()] {
+                slot.rows += seg.len() as u64;
+                slot.segments += 1;
+            }
         }
         result
     }
-}
-
-/// Report label of plan step `k` (shared by [`ExecReport::steps`] and the
-/// EXPLAIN ANALYZE table).
-fn step_label(step: &crate::plan::PlanStep, specs: &[WindowSpec]) -> String {
-    format!("{} {}", step.reorder.arrow(), specs[step.wf].name)
 }
 
 /// Compile a plan into its operator chain over `table`. Returns the chain's
@@ -479,7 +488,7 @@ fn build_chain<'a>(
         source,
         Arc::clone(&tracker),
         Rc::clone(cells),
-        0,
+        0..1,
         Rc::from("scan+filter"),
         Arc::clone(&op_env.trace),
     ));
@@ -581,22 +590,17 @@ fn build_chain<'a>(
                         )
                         .with_recorded_prefixes(record),
                     );
-                    // One `Metered` shim per fused slot keeps the report at
-                    // one entry per plan step. The innermost shim (the Par
-                    // step's own slot) absorbs the whole span's work; the
-                    // outer shims see it already attributed upstream and
-                    // report zero — elapsed work inside the workers is not
-                    // separable per stage.
-                    for slot in k..k + span {
-                        op = Box::new(Metered::new(
-                            op,
-                            Arc::clone(&tracker),
-                            Rc::clone(cells),
-                            slot + 1,
-                            Rc::from(step_label(&plan.steps[slot], specs)),
-                            Arc::clone(&op_env.trace),
-                        ));
-                    }
+                    // One shim over the whole span keeps the report at one
+                    // entry per plan step: elapsed work inside the workers
+                    // is not separable per stage.
+                    op = Box::new(Metered::new(
+                        op,
+                        Arc::clone(&tracker),
+                        Rc::clone(cells),
+                        k + 1..k + 1 + span,
+                        Rc::from(step_label(step, specs)),
+                        Arc::clone(&op_env.trace),
+                    ));
                     for s in &plan.steps[k..k + span] {
                         eval_order.push(s.wf);
                     }
@@ -610,24 +614,30 @@ fn build_chain<'a>(
                 )
             }
         };
-        op = Box::new(WindowOp::new(
+        // Every directly following step that is matched on this step's
+        // (WPK, WOK) evaluates off the same reordered relation: one window
+        // operator for the whole group.
+        let group = &plan.steps[k..][..window_group_len(&plan.steps, specs, k)];
+        op = Box::new(WindowOp::group(
             op,
             spec.wpk().clone(),
             spec.wok().clone(),
-            spec.func.clone(),
-            spec.frame,
+            group
+                .iter()
+                .map(|s| (specs[s.wf].func.clone(), specs[s.wf].frame))
+                .collect(),
             op_env.clone(),
         ));
         op = Box::new(Metered::new(
             op,
             Arc::clone(&tracker),
             Rc::clone(cells),
-            k + 1,
+            k + 1..k + 1 + group.len(),
             Rc::from(step_label(step, specs)),
             Arc::clone(&op_env.trace),
         ));
-        eval_order.push(step.wf);
-        k += 1;
+        eval_order.extend(group.iter().map(|s| s.wf));
+        k += group.len();
     }
     (op, eval_order)
 }
@@ -761,11 +771,24 @@ fn render_analyze(
     ];
     let spill_bytes = |work: &CostSnapshot| work.io_blocks() * BLOCK_SIZE as u64;
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for m in &report.step_metrics {
+    // A window group's wall and work are its head's row; say so on the
+    // members' rows (slot `k + 1` is plan step `k`).
+    let heads = plan.group_heads();
+    for (slot, m) in report.step_metrics.iter().enumerate() {
         let wall_ms = m.wall.as_secs_f64() * 1e3;
         let model_ms = weights.modeled_ms(&m.work);
+        let step = match slot.checked_sub(1) {
+            Some(k) if heads[k] != k => {
+                format!(
+                    "{}  (group of {})",
+                    m.label,
+                    report.step_metrics[heads[k] + 1].label
+                )
+            }
+            _ => m.label.clone(),
+        };
         rows.push(vec![
-            m.label.clone(),
+            step,
             format!("{wall_ms:.3}"),
             format!("{model_ms:.3}"),
             format!("{:+.3}", model_ms - wall_ms),

@@ -65,5 +65,6 @@ pub use segment::{BoundaryLayer, RunSplitter, SegmentBounds, SegmentedRows};
 pub use segmented_sort::{segmented_sort, SegmentedSortOp};
 pub use sorter::SortKey;
 pub use window::{
-    evaluate_window, Bound, FrameSpec, FrameUnits, StreamableEval, WindowFunction, WindowOp,
+    evaluate_window, group_len, Bound, FrameSpec, FrameUnits, StreamableEval, WindowFunction,
+    WindowOp,
 };

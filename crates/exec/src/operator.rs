@@ -33,9 +33,10 @@
 //!   then **one bucket per pull**, each sorted lazily at emission,
 //! * [`crate::segmented_sort::SegmentedSortOp`] — fully streaming; holds
 //!   one unit at a time even for spilled segments,
-//! * [`crate::window::WindowOp`] — fully streaming; spilled segments are
-//!   evaluated partition-at-a-time (Shi & Wang-style spilling aggregation
-//!   for the SQL-default frame) instead of materialized,
+//! * [`crate::window::WindowOp`] — fully streaming; evaluates every window
+//!   call sharing a `(WPK, WOK)` in one pass per segment; spilled segments
+//!   are evaluated partition-at-a-time (Shi & Wang-style spilling
+//!   aggregation for the SQL-default frame) instead of materialized,
 //! * [`crate::relational::FilterOp`], [`crate::relational::GroupByHashOp`],
 //!   [`crate::relational::GroupBySortOp`] — the upstream relational ops,
 //! * [`crate::parallel::ParallelOp`] — scatter on first pull, then worker

@@ -59,7 +59,7 @@ use crate::segment::SegmentBounds;
 use crate::segmented_sort::SegmentedSortOp;
 use crate::sorter::{merge_sorted_handles, sort_stream_to_handle, SortKey};
 use crate::util::hash_row_on;
-use crate::window::{FrameSpec, WindowFunction, WindowOp};
+use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wf_common::{AttrSet, Error, Result, SortSpec};
@@ -406,7 +406,10 @@ fn run_worker_chain(
             .with_recorded_prefixes(head_record.to_vec()),
         ),
     };
-    for stage in stages {
+    // Stages that need no SS of their own on the head's (WPK, WOK) share
+    // its window operator — the grouping rule of the serial chain.
+    let mut rest = stages;
+    while let Some(stage) = rest.first() {
         if let Some((alpha, beta)) = &stage.ss {
             op = Box::new(SegmentedSortOp::new(
                 op,
@@ -415,14 +418,16 @@ fn run_worker_chain(
                 env.clone(),
             ));
         }
-        op = Box::new(WindowOp::new(
+        let (group, tail) =
+            rest.split_at(group_len(rest, |s| (&s.wpk, &s.wok), |s| s.ss.is_none()));
+        op = Box::new(WindowOp::group(
             op,
             stage.wpk.clone(),
             stage.wok.clone(),
-            stage.func.clone(),
-            stage.frame,
+            group.iter().map(|s| (s.func.clone(), s.frame)).collect(),
             env.clone(),
         ));
+        rest = tail;
     }
     let mut out = Vec::new();
     while let Some(seg) = op.next_segment()? {

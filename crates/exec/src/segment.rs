@@ -73,9 +73,10 @@ impl SegmentBounds {
         self.layers.retain(|l| l.attrs.is_subset(keep));
     }
 
-    /// Start indices of the maximal runs of `rows[lo..hi]` equal on
-    /// `target`, derived from the carried layers; `None` when no layer
-    /// applies (the caller falls back to a scan).
+    /// Append to `out` the start indices of the maximal runs of
+    /// `rows[lo..hi]` equal on `target`, derived from the carried layers;
+    /// returns `false` (nothing appended) when no layer applies and the
+    /// caller must fall back to a scan — [`detect_runs`] does both.
     ///
     /// * A layer with `attrs == target` answers with **zero** comparisons:
     ///   its starts *are* the run boundaries.
@@ -89,8 +90,13 @@ impl SegmentBounds {
     ///   streaming (spill-backed) operator paths charge exactly the
     ///   comparisons the materialized paths do.
     ///
+    /// Layer starts are sorted, so the ones inside `(lo, hi)` are found by
+    /// binary search: a caller asking once per partition pays for its own
+    /// partition's starts, not for the whole segment's.
+    ///
     /// `eq` must implement equality on exactly `target`'s attributes; each
     /// invocation charges one comparison to `tracker`.
+    #[allow(clippy::too_many_arguments)]
     pub fn runs_equal_on(
         &self,
         target: &AttrSet,
@@ -99,37 +105,41 @@ impl SegmentBounds {
         hi: usize,
         mut eq: impl FnMut(&Row, &Row) -> bool,
         tracker: &CostTracker,
-    ) -> Option<Vec<usize>> {
+        out: &mut Vec<usize>,
+    ) -> bool {
         debug_assert!(lo <= hi && hi <= rows.len());
         if lo >= hi {
-            return Some(Vec::new());
+            return true;
         }
         if target.is_empty() {
             // Every row is trivially equal on the empty attribute set: one
             // run, no comparisons (a global window's partition detection).
-            return Some(vec![lo]);
+            out.push(lo);
+            return true;
         }
         if let Some(layer) = self.layers.iter().find(|l| l.attrs == *target) {
-            let mut out = vec![lo];
-            out.extend(layer.starts.iter().copied().filter(|&s| s > lo && s < hi));
-            return Some(out);
+            out.push(lo);
+            out.extend_from_slice(starts_inside(&layer.starts, lo, hi));
+            return true;
         }
-        let in_range = |l: &BoundaryLayer| l.starts.iter().filter(|&&s| s > lo && s < hi).count();
-        let layer = self
+        let Some(layer) = self
             .layers
             .iter()
             .filter(|l| target.is_subset(&l.attrs))
-            .min_by_key(|l| in_range(l))?;
-        let mut out = vec![lo];
-        let mut checks = 0u64;
-        for &s in layer.starts.iter().filter(|&&s| s > lo && s < hi) {
-            checks += 1;
-            if !eq(&rows[s - 1], &rows[s]) {
-                out.push(s);
-            }
-        }
-        tracker.compare(checks);
-        Some(out)
+            .min_by_key(|l| starts_inside(&l.starts, lo, hi).len())
+        else {
+            return false;
+        };
+        let candidates = starts_inside(&layer.starts, lo, hi);
+        out.push(lo);
+        out.extend(
+            candidates
+                .iter()
+                .copied()
+                .filter(|&s| !eq(&rows[s - 1], &rows[s])),
+        );
+        tracker.compare(candidates.len() as u64);
+        true
     }
 
     /// A view of these bounds restricted to the row window `[lo, hi)`, with
@@ -147,17 +157,19 @@ impl SegmentBounds {
             .map(|l| BoundaryLayer {
                 attrs: l.attrs.clone(),
                 starts: std::iter::once(0)
-                    .chain(
-                        l.starts
-                            .iter()
-                            .filter(|&&s| s > lo && s < hi)
-                            .map(|&s| s - lo),
-                    )
+                    .chain(starts_inside(&l.starts, lo, hi).iter().map(|&s| s - lo))
                     .collect(),
             })
             .collect();
         SegmentBounds { layers }
     }
+}
+
+/// The entries of the sorted `starts` strictly inside `(lo, hi)`.
+fn starts_inside(starts: &[usize], lo: usize, hi: usize) -> &[usize] {
+    let from = starts.partition_point(|&s| s <= lo);
+    let to = from + starts[from..].partition_point(|&s| s < hi);
+    &starts[from..to]
 }
 
 /// Streaming run detection with the exact charging of
@@ -203,12 +215,11 @@ impl RunSplitter {
                     },
                 };
             }
-            let in_range = |l: &BoundaryLayer| l.starts.iter().filter(|&&s| s > 0 && s < n).count();
             if let Some(layer) = bounds
                 .layers
                 .iter()
                 .filter(|l| target.is_subset(&l.attrs))
-                .min_by_key(|l| in_range(l))
+                .min_by_key(|l| starts_inside(&l.starts, 0, n).len())
             {
                 return RunSplitter {
                     mode: SplitMode::Candidates {
@@ -266,32 +277,51 @@ impl RunSplitter {
     }
 }
 
-/// Start indices of the maximal runs of `rows[lo..hi]` equal under `eq`,
-/// found by scanning adjacent pairs — one comparison charged per pair.
-/// The scan fallback behind [`SegmentBounds::runs_equal_on`]: operators
-/// call this when no carried layer applies, so run detection and its
-/// counter accounting live in one place.
+/// Append to `out` the start indices of the maximal runs of `rows[lo..hi]`
+/// equal under `eq`, found by scanning adjacent pairs — one comparison
+/// charged per pair. The scan fallback behind
+/// [`SegmentBounds::runs_equal_on`].
 pub fn scan_runs(
     rows: &[Row],
     lo: usize,
     hi: usize,
     mut eq: impl FnMut(&Row, &Row) -> bool,
     tracker: &CostTracker,
-) -> Vec<usize> {
+    out: &mut Vec<usize>,
+) {
     debug_assert!(lo <= hi && hi <= rows.len());
     if lo >= hi {
-        return Vec::new();
+        return;
     }
-    let mut starts = vec![lo];
-    let mut checks = 0u64;
+    out.push(lo);
     for i in lo + 1..hi {
-        checks += 1;
         if !eq(&rows[i - 1], &rows[i]) {
-            starts.push(i);
+            out.push(i);
         }
     }
-    tracker.compare(checks);
-    starts
+    tracker.compare((hi - lo - 1) as u64);
+}
+
+/// Run detection as every materialized operator path does it: from the
+/// carried layers when `reuse` is on and one applies
+/// ([`SegmentBounds::runs_equal_on`]), by scanning otherwise
+/// ([`scan_runs`]) — so run detection and its counter accounting live in
+/// one place. Appends the run starts of `rows[lo..hi]` to `out`.
+#[allow(clippy::too_many_arguments)]
+pub fn detect_runs(
+    bounds: &SegmentBounds,
+    reuse: bool,
+    target: &AttrSet,
+    rows: &[Row],
+    lo: usize,
+    hi: usize,
+    mut eq: impl FnMut(&Row, &Row) -> bool,
+    tracker: &CostTracker,
+    out: &mut Vec<usize>,
+) {
+    if !(reuse && bounds.runs_equal_on(target, rows, lo, hi, &mut eq, tracker, out)) {
+        scan_runs(rows, lo, hi, eq, tracker, out);
+    }
 }
 
 /// Rows plus segment boundaries. Invariant: `seg_starts` is strictly

@@ -78,27 +78,18 @@ impl<I: Operator> SegmentedSortOp<I> {
         }
         // Unit starts: reuse a carried boundary layer when one covers α's
         // attributes, else walk the segment comparing adjacent α values.
-        let unit_starts: Vec<usize> = if env.reuse_bounds {
-            bounds.runs_equal_on(
-                &self.alpha_attrs,
-                &rows,
-                0,
-                end,
-                |a, b| self.alpha_cmp.equal(a, b),
-                &env.tracker,
-            )
-        } else {
-            None
-        }
-        .unwrap_or_else(|| {
-            crate::segment::scan_runs(
-                &rows,
-                0,
-                end,
-                |a, b| self.alpha_cmp.equal(a, b),
-                &env.tracker,
-            )
-        });
+        let mut unit_starts: Vec<usize> = Vec::new();
+        crate::segment::detect_runs(
+            &bounds,
+            env.reuse_bounds,
+            &self.alpha_attrs,
+            &rows,
+            0,
+            end,
+            |a, b| self.alpha_cmp.equal(a, b),
+            &env.tracker,
+            &mut unit_starts,
+        );
 
         let mut out: Vec<Row> = Vec::with_capacity(end);
         for (k, &start) in unit_starts.iter().enumerate() {

@@ -1,5 +1,8 @@
 //! The window-function operator: sequentially scans a matched (reordered)
-//! input and appends one derived column (paper §1's evaluation model).
+//! input and appends one derived column per window call (paper §1's
+//! evaluation model). One operator evaluates a whole **window group** —
+//! every call sharing a `(WPK, WOK)` — in one pass per segment; see
+//! [`WindowOp`].
 //!
 //! Partition boundaries are detected by a change in the `WPK` values or a
 //! segment boundary — sound because a matched input delivers every
@@ -345,27 +348,200 @@ impl std::fmt::Display for StreamableEval {
     }
 }
 
-/// The window-function operator as a pull-based pipeline stage — **fully
-/// streaming**: each pull takes one upstream segment (which contains only
-/// complete window partitions by the segmented-relation contract), appends
-/// the derived column partition by partition, and emits the segment with
-/// row order and boundaries untouched.
-pub struct WindowOp<I> {
-    input: I,
+/// One call of a window group: the computation and its (resolved) frame.
+struct Call {
+    func: WindowFunction,
+    frame: FrameSpec,
+    /// Slot of this call's per-row frame ranges in [`Scratch::ranges`] —
+    /// one slot per *distinct* frame of the group, so calls sharing a frame
+    /// share its resolution. `None` for calls that never resolve ranges:
+    /// frame-less functions and the running default-frame aggregates.
+    ranges_slot: Option<usize>,
+}
+
+impl Call {
+    /// SQL-default-frame `count`/`sum`/`avg`/`min`/`max`: the running
+    /// accumulator (resident) and one-pass (spilled) case.
+    fn is_running_default(&self) -> bool {
+        use WindowFunction::*;
+        self.frame.is_sql_default()
+            && matches!(self.func, Count(_) | Sum(_) | Avg(_) | Min(_) | Max(_))
+    }
+
+    /// True when evaluating this call over a resident partition resolves
+    /// its peer groups: the ranking/distribution functions always, frame
+    /// readers when a `RANGE` bound is `CURRENT ROW` (the SQL-default frame
+    /// included).
+    fn needs_peers(&self) -> bool {
+        use WindowFunction::*;
+        match self.func {
+            Rank | DenseRank | PercentRank | CumeDist => true,
+            RowNumber | Ntile(_) | Lag { .. } | Lead { .. } => false,
+            _ => {
+                self.frame.units == FrameUnits::Range
+                    && (self.frame.start == Bound::CurrentRow
+                        || self.frame.end == Bound::CurrentRow)
+            }
+        }
+    }
+
+    fn eval_class(&self) -> StreamableEval {
+        StreamableEval::classify(&self.func, &self.frame)
+    }
+
+    /// Upper bound on the encoded length of one value of this call, given
+    /// the longest value of the input rows: a number, or — for the functions
+    /// that copy a column value — that longest value or the call's default.
+    fn value_len_bound(&self, longest_input: usize) -> usize {
+        use WindowFunction::*;
+        let number = Value::Int(0).encoded_len();
+        match &self.func {
+            Lag { default, .. } | Lead { default, .. } => {
+                longest_input.max(default.as_ref().map_or(number, Value::encoded_len))
+            }
+            FirstValue(_) | LastValue(_) | NthValue(..) | Min(_) | Max(_) => {
+                longest_input.max(number)
+            }
+            _ => number,
+        }
+    }
+}
+
+/// What every call of a window group shares: the keys, the calls and the
+/// environment — immutable while segments flow.
+struct Group {
     wpk: AttrSet,
     wok: SortSpec,
     wok_cmp: RowComparator,
     /// `WPK ∪ attr(WOK)` — peer groups are exactly the maximal runs equal
     /// on this set (the `WPK` part never changes within a partition).
     union_attrs: AttrSet,
-    func: WindowFunction,
-    frame: FrameSpec,
+    calls: Vec<Call>,
     env: OpEnv,
 }
 
+/// Working state of a window group, owned by the operator and reused —
+/// cleared, never reallocated — across partitions and segments. What the
+/// calls of a group share is resolved **once**: the partition starts per
+/// segment; the peer groups and the frame ranges of each distinct frame per
+/// partition, by the first call that reads them.
+#[derive(Default)]
+struct Scratch {
+    /// Partition starts of the segment.
+    part_starts: Vec<usize>,
+    /// Absolute peer-group starts of the partitions resolved so far.
+    peer_starts: Vec<usize>,
+    /// Per row of the partition: start / exclusive end of its peer group
+    /// (partition-relative). Empty until a call resolves them.
+    gs: Vec<usize>,
+    ge: Vec<usize>,
+    /// Per distinct frame (see [`Call::ranges_slot`]), per row of the
+    /// partition: the frame as a half-open partition-relative index range.
+    /// Empty until a call resolves them.
+    ranges: Vec<Vec<(usize, usize)>>,
+    /// Per call, its values over the partition.
+    columns: Vec<Vec<Value>>,
+    /// Prefix arrays and sparse-table levels of the frame readers.
+    bufs: FrameBufs,
+}
+
+impl Scratch {
+    fn begin_partition(&mut self) {
+        self.gs.clear();
+        self.ge.clear();
+        self.ranges.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// Encoded size of a resident segment's rows, followed call by call to make
+/// the store's admission decisions ahead of the store.
+struct SegSize {
+    bytes: usize,
+    /// Encoded length of the longest single value.
+    longest_value: usize,
+}
+
+impl SegSize {
+    fn of(rows: &[Row]) -> SegSize {
+        let mut size = SegSize {
+            bytes: 0,
+            longest_value: 0,
+        };
+        for row in rows {
+            size.bytes += row.encoded_len();
+            for v in row.values() {
+                size.longest_value = size.longest_value.max(v.encoded_len());
+            }
+        }
+        size
+    }
+}
+
+/// The window operator as a pull-based pipeline stage: a **window group**.
+/// It evaluates every window function that shares one `(WPK, WOK)` — a
+/// single function is the group of one — over each upstream segment (which
+/// contains only complete window partitions by the segmented-relation
+/// contract), appends one derived column per call in call order, and emits
+/// the segment with row order and boundaries untouched.
+///
+/// PostgreSQL, where the paper's scheme was built, runs all functions of
+/// one window clause inside a single WindowAgg node; the paper costs a
+/// chain by its reorders because, once a relation *matches*, every function
+/// of the cover set evaluates off the one reordered relation. The runtime
+/// therefore folds every run of matched plan steps on one `(WPK, WOK)` into
+/// one operator ([`group_len`]).
+///
+/// **Resident segments** take one pass, partition by partition: one
+/// materialization, one partition-start derivation, and per partition —
+/// while its rows are in cache — peer groups resolved once for the group,
+/// frame ranges once per distinct frame, every call evaluated into a column
+/// buffer and the values appended to the rows; the buffers (columns, prefix
+/// arrays, sparse-table levels) are reused across partitions and segments,
+/// and the segment is handed to the store once. When several calls would
+/// fail, the first in call order surfaces its error, exactly as a chain of
+/// single-call operators would.
+///
+/// **Modeled cost is unchanged by grouping.** What the group no longer
+/// repeats — the 2nd…K-th partition and peer scan when boundary reuse is
+/// off, one row hand-off per call — is charged as a count, and the boundary
+/// layers evolve in the same sequence, so rows, emitted layers and every
+/// modeled counter equal those of K chained single-call operators in both
+/// positions of `reuse_bounds`.
+///
+/// **Spilled segments** run their calls back to back through the streaming
+/// disciplines (see [`StreamableEval`]) and drop into the resident path as
+/// soon as an intermediate comes back resident. Conversely the resident
+/// path stops where a chain of single-call operators would have spilled an
+/// intermediate, spills it and streams on — the same sequence of residency
+/// decisions, hence the same pool traffic.
+pub struct WindowOp<I> {
+    input: I,
+    group: Group,
+    scratch: Scratch,
+}
+
+/// How many of `steps` (head first) one [`WindowOp`] evaluates: the head
+/// plus every directly following step that is `matched` — needs no reorder
+/// of its own — on the head's `keys`, its `(WPK, WOK)`. The one grouping
+/// rule behind the serial runtime's chains and the scheduler's worker
+/// chains.
+pub fn group_len<'a, S, K: PartialEq>(
+    steps: &'a [S],
+    keys: impl Fn(&'a S) -> K,
+    matched: impl Fn(&S) -> bool,
+) -> usize {
+    let Some(head) = steps.first() else { return 0 };
+    let head_keys = keys(head);
+    1 + steps[1..]
+        .iter()
+        .take_while(|s| matched(s) && keys(s) == head_keys)
+        .count()
+}
+
 impl<I: Operator> WindowOp<I> {
-    /// Evaluate `func` over a matched input. `frame` defaults per SQL when
-    /// `None` (see [`FrameSpec::default_for`]).
+    /// Evaluate the single call `func` over a matched input — the group of
+    /// one. `frame` defaults per SQL when `None` (see
+    /// [`FrameSpec::default_for`]).
     pub fn new(
         input: I,
         wpk: AttrSet,
@@ -374,91 +550,353 @@ impl<I: Operator> WindowOp<I> {
         frame: Option<FrameSpec>,
         env: OpEnv,
     ) -> Self {
-        let frame = frame.unwrap_or_else(|| FrameSpec::default_for(!wok.is_empty()));
+        WindowOp::group(input, wpk, wok, vec![(func, frame)], env)
+    }
+
+    /// Evaluate `calls` — window functions sharing `(wpk, wok)` — over a
+    /// matched input, appending their columns in call order.
+    pub fn group(
+        input: I,
+        wpk: AttrSet,
+        wok: SortSpec,
+        calls: Vec<(WindowFunction, Option<FrameSpec>)>,
+        env: OpEnv,
+    ) -> Self {
+        let mut frames: Vec<FrameSpec> = Vec::new();
+        let calls: Vec<Call> = calls
+            .into_iter()
+            .map(|(func, frame)| {
+                let frame = frame.unwrap_or_else(|| FrameSpec::default_for(!wok.is_empty()));
+                let mut call = Call {
+                    func,
+                    frame,
+                    ranges_slot: None,
+                };
+                if call.func.uses_frame() && !call.is_running_default() {
+                    let slot = frames.iter().position(|f| *f == frame).unwrap_or_else(|| {
+                        frames.push(frame);
+                        frames.len() - 1
+                    });
+                    call.ranges_slot = Some(slot);
+                }
+                call
+            })
+            .collect();
+        let columns = vec![Vec::new(); calls.len()];
         WindowOp {
             input,
-            wok_cmp: RowComparator::new(&wok),
-            union_attrs: wpk.union(&wok.attr_set()),
-            wpk,
-            wok,
-            func,
-            frame,
-            env,
+            group: Group {
+                wok_cmp: RowComparator::new(&wok),
+                union_attrs: wpk.union(&wok.attr_set()),
+                wpk,
+                wok,
+                calls,
+                env,
+            },
+            scratch: Scratch {
+                ranges: vec![Vec::new(); frames.len()],
+                columns,
+                ..Scratch::default()
+            },
         }
     }
 
-    /// Append the derived column to one segment. A segment boundary always
-    /// starts a new partition (adjacent segments are disjoint on a subset of
-    /// `WPK`); within the segment partitions break on `WPK`-value changes —
-    /// taken from a carried boundary layer when the chain already proved
-    /// them, detected by scanning otherwise. The materialized path, used
-    /// for segments already in memory.
-    fn eval_segment(&self, seg: Segment) -> Result<Segment> {
+    /// The evaluation class of the group: the weakest of its calls' classes
+    /// (see [`StreamableEval::classify`]) — which streaming disciplines
+    /// spilled segments take, and therefore the operator's tracked
+    /// residency.
+    pub fn eval_class(&self) -> StreamableEval {
+        StreamableEval::weakest(self.group.calls.iter().map(Call::eval_class))
+    }
+}
+
+impl<I: Operator> Operator for WindowOp<I> {
+    fn next_segment(&mut self) -> Result<Option<Segment>> {
+        let Some(mut seg) = self.input.next_segment()? else {
+            return Ok(None);
+        };
+        let WindowOp { group, scratch, .. } = self;
+        let mut next = 0;
+        while next < group.calls.len() {
+            if seg.is_spilled() {
+                let _span = group.env.trace.span("window", "eval_spilled");
+                seg = group.eval_spilled(scratch, seg, &group.calls[next])?;
+                next += 1;
+            } else {
+                let _span = group.env.trace.span("window", "eval");
+                (seg, next) = group.eval_resident(scratch, seg, next)?;
+            }
+        }
+        Ok(Some(seg))
+    }
+}
+
+impl Group {
+    /// The materialized path, for a segment already in memory: evaluate
+    /// `calls[first..]` over it and return the segment plus the index of the
+    /// next call still to run (`calls.len()` unless the walk stopped where
+    /// an intermediate would have spilled).
+    ///
+    /// A segment boundary always starts a new partition (adjacent segments
+    /// are disjoint on a subset of `WPK`); within the segment partitions
+    /// break on `WPK`-value changes — taken from a carried boundary layer
+    /// when the chain already proved them, detected by scanning otherwise.
+    fn eval_resident(
+        &self,
+        scratch: &mut Scratch,
+        seg: Segment,
+        first: usize,
+    ) -> Result<(Segment, usize)> {
+        let env = &self.env;
         let store_backed = seg.is_store_backed();
         let (mut rows, mut bounds) = seg.into_parts()?;
+        let n = rows.len();
+        scratch.part_starts.clear();
+        crate::segment::detect_runs(
+            &bounds,
+            env.reuse_bounds,
+            &self.wpk,
+            &rows,
+            0,
+            n,
+            |a, b| self.wpk_eq(a, b),
+            &env.tracker,
+            &mut scratch.part_starts,
+        );
+        // A chain of single-call operators hands every intermediate to the
+        // store; one that does not fit the pool spills and its successor
+        // streams it. Follow the encoded size call by call to stop exactly
+        // there (an unbounded pool admits everything).
+        let may_spill =
+            store_backed && first + 1 < self.calls.len() && env.store.budget_bytes().is_some();
+        let mut size = may_spill.then(|| SegSize::of(&rows));
+        let mut next = first;
+        while next < self.calls.len() {
+            // Calls whose intermediates provably fit the pool go in one
+            // pass; one that might not goes alone, and its actual size
+            // decides.
+            let pass = &self.calls[next..];
+            let pass = &pass[..self.resident_run(pass, n, size.as_ref())];
+            self.eval_pass(
+                scratch,
+                pass,
+                next > first,
+                &mut rows,
+                &mut bounds,
+                &mut size,
+            )?;
+            next += pass.len();
+            if next < self.calls.len() && size.as_ref().is_some_and(|s| !env.store.fits(s.bytes)) {
+                break;
+            }
+        }
+        let seg = if store_backed {
+            Segment::from_handle(env.store.admit(rows)?, bounds)
+        } else {
+            Segment::with_bounds(rows, bounds)
+        };
+        Ok((seg, next))
+    }
+
+    /// How many of `calls` (at least one) can run over an `n`-row resident
+    /// segment of `size` before an intermediate could outgrow the pool —
+    /// judged by an upper bound on what each call appends.
+    fn resident_run(&self, calls: &[Call], n: usize, size: Option<&SegSize>) -> usize {
+        let Some(size) = size else {
+            return calls.len();
+        };
+        let mut bytes = size.bytes;
+        calls
+            .iter()
+            .take_while(|call| {
+                bytes += n * call.value_len_bound(size.longest_value);
+                self.env.store.fits(bytes)
+            })
+            .count()
+            .max(1)
+    }
+
+    /// Evaluate `calls` over the resident `rows`, partition by partition,
+    /// and append their values. `rescan` says whether the first call's own
+    /// operator would have derived the partition starts again (it is not
+    /// the first call over this materialization).
+    ///
+    /// Boundary layers evolve as along a chain of single-call operators:
+    /// each would hand on the peer groups (when it resolved them, for every
+    /// partition) and then the partitions, replacing layers already there.
+    fn eval_pass(
+        &self,
+        scratch: &mut Scratch,
+        calls: &[Call],
+        rescan: bool,
+        rows: &mut [Row],
+        bounds: &mut SegmentBounds,
+        size: &mut Option<SegSize>,
+    ) -> Result<()> {
         let env = &self.env;
         let n = rows.len();
-        let wpk_eq = |a: &Row, b: &Row| self.wpk_eq(a, b);
-        let part_starts: Vec<usize> = (if env.reuse_bounds {
-            bounds.runs_equal_on(&self.wpk, &rows, 0, n, wpk_eq, &env.tracker)
-        } else {
-            None
-        })
-        .unwrap_or_else(|| crate::segment::scan_runs(&rows, 0, n, wpk_eq, &env.tracker));
-        let (peer_starts, peers_complete) = {
-            let mut peers = PeerResolver::new(&bounds, &self.union_attrs, env.reuse_bounds);
-            for (pi, &start) in part_starts.iter().enumerate() {
-                let end = part_starts.get(pi + 1).copied().unwrap_or(n);
-                let values = eval_partition(
-                    &rows,
-                    start,
-                    end,
-                    &self.wok_cmp,
-                    &self.wok,
-                    &self.func,
-                    &self.frame,
-                    env,
-                    &mut peers,
-                )?;
-                for (off, v) in values.into_iter().enumerate() {
-                    rows[start + off].push(v);
+        if !env.reuse_bounds {
+            // Without boundary reuse every call's own operator scans the
+            // segment's adjacent pairs for partition starts again.
+            let rescans = calls.len() - usize::from(!rescan);
+            env.tracker.compare((rescans * n.saturating_sub(1)) as u64);
+        }
+        env.tracker.move_rows((calls.len() * n) as u64);
+        if n == 0 {
+            return Ok(());
+        }
+        // The first call to resolve peers sees the partition layer of the
+        // calls before it.
+        let peers_first = calls[0].needs_peers();
+        if !peers_first {
+            bounds.add_layer(self.wpk.clone(), scratch.part_starts.clone());
+        }
+        scratch.peer_starts.clear();
+        // The failing call with the lowest index wins, wherever in the
+        // segment it fails: after a failure only the calls before it go on.
+        let mut live = calls.len();
+        let mut failure = None;
+        for pi in 0..scratch.part_starts.len() {
+            let lo = scratch.part_starts[pi];
+            let hi = scratch.part_starts.get(pi + 1).copied().unwrap_or(n);
+            scratch.begin_partition();
+            for (slot, call) in calls[..live].iter().enumerate() {
+                if let Err(e) = self.eval_partition(scratch, call, slot, rows, bounds, lo, hi) {
+                    failure = Some(e);
+                    live = slot;
+                    break;
                 }
             }
-            (
-                peers.collected,
-                peers.partitions_resolved == part_starts.len(),
-            )
-        };
-        env.tracker.move_rows(n as u64);
-        // Hand the boundaries this step established to the next one. The
-        // union (peer) layer is only sound when every partition actually
-        // resolved its peer groups.
-        if n > 0 {
-            if peers_complete {
-                bounds.add_layer(self.union_attrs.clone(), peer_starts);
+            if failure.is_some() {
+                continue;
             }
-            bounds.add_layer(self.wpk.clone(), part_starts);
+            let part = &mut rows[lo..hi];
+            // Several values: grow each row once (one push grows it as well
+            // by itself).
+            if calls.len() > 1 {
+                for row in part.iter_mut() {
+                    row.reserve(calls.len());
+                }
+            }
+            for column in &mut scratch.columns[..calls.len()] {
+                if let Some(size) = size {
+                    size.bytes += column.iter().map(Value::encoded_len).sum::<usize>();
+                }
+                for (row, v) in part.iter_mut().zip(column.drain(..)) {
+                    row.push(v);
+                }
+            }
         }
-        if store_backed {
-            Ok(Segment::from_handle(env.store.admit(rows)?, bounds))
-        } else {
-            Ok(Segment::with_bounds(rows, bounds))
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        if calls.iter().any(Call::needs_peers) {
+            bounds.add_layer(self.union_attrs.clone(), scratch.peer_starts.clone());
+        }
+        if peers_first {
+            bounds.add_layer(self.wpk.clone(), scratch.part_starts.clone());
+        }
+        Ok(())
+    }
+
+    /// Evaluate `call` over the partition `rows[lo..hi]` into
+    /// `scratch.columns[slot]`. Peer groups and frame ranges of the
+    /// partition are resolved here, right before they are first read — so
+    /// errors surface in the order a per-call evaluation meets them.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_partition(
+        &self,
+        scratch: &mut Scratch,
+        call: &Call,
+        slot: usize,
+        rows: &[Row],
+        bounds: &SegmentBounds,
+        lo: usize,
+        hi: usize,
+    ) -> Result<()> {
+        if call.needs_peers() {
+            self.resolve_peers(scratch, rows, bounds, lo, hi);
+        }
+        let part = &rows[lo..hi];
+        let Scratch {
+            gs,
+            ge,
+            ranges,
+            columns,
+            bufs,
+            ..
+        } = scratch;
+        let ranges: &[(usize, usize)] = match call.ranges_slot {
+            None => &[],
+            Some(slot) => {
+                let resolved = &mut ranges[slot];
+                if resolved.is_empty() {
+                    frame_ranges(part, &self.wok, &call.frame, gs, ge, resolved)?;
+                }
+                resolved
+            }
+        };
+        let out = &mut columns[slot];
+        out.clear();
+        eval_values(part, call, gs, ge, ranges, bufs, &self.env, out)
+    }
+
+    /// Make the peer groups of partition `rows[lo..hi]` available in the
+    /// scratch (`gs`/`ge` per row, absolute starts in `peer_starts`).
+    ///
+    /// Peer groups are maximal runs equal under the WOK comparator; since
+    /// `WPK` values are constant within a partition, they coincide with the
+    /// maximal runs equal on `WPK ∪ attr(WOK)` — which is what a carried
+    /// union layer proves, making reuse sound.
+    ///
+    /// The first call of a pass that needs them resolves them, from a
+    /// carried layer or by scanning. For every later call its own operator
+    /// would resolve them again: for free from the union layer the first
+    /// one attached, or — without boundary reuse — by the same scan, which
+    /// is charged here as a count.
+    fn resolve_peers(
+        &self,
+        scratch: &mut Scratch,
+        rows: &[Row],
+        bounds: &SegmentBounds,
+        lo: usize,
+        hi: usize,
+    ) {
+        let env = &self.env;
+        if !scratch.gs.is_empty() {
+            if !env.reuse_bounds {
+                env.tracker.compare((hi - lo - 1) as u64);
+            }
+            return;
+        }
+        let from = scratch.peer_starts.len();
+        crate::segment::detect_runs(
+            bounds,
+            env.reuse_bounds,
+            &self.union_attrs,
+            rows,
+            lo,
+            hi,
+            |a, b| self.wok_cmp.equal(a, b),
+            &env.tracker,
+            &mut scratch.peer_starts,
+        );
+        let starts = &scratch.peer_starts[from..];
+        scratch.gs.resize(hi - lo, 0);
+        scratch.ge.resize(hi - lo, 0);
+        for (k, &s) in starts.iter().enumerate() {
+            let e = starts.get(k + 1).copied().unwrap_or(hi);
+            scratch.gs[s - lo..e - lo].fill(s - lo);
+            scratch.ge[s - lo..e - lo].fill(e - lo);
         }
     }
 
-    /// The evaluation class of this operator's call (see
-    /// [`StreamableEval::classify`]): which streaming discipline spilled
-    /// segments take, and therefore the operator's tracked residency.
-    pub fn eval_class(&self) -> StreamableEval {
-        StreamableEval::classify(&self.func, &self.frame)
-    }
-
-    /// The streaming path for spilled segments: split partitions on the
-    /// fly, evaluate each within the residency bound of the call's
-    /// [`StreamableEval`] class, and stream the output through a store
-    /// builder. Outputs — rows, boundary layers, modeled counters — are
-    /// bit-identical to [`WindowOp::eval_segment`].
-    fn eval_spilled(&self, seg: Segment) -> Result<Segment> {
+    /// The streaming path for a spilled segment and one call: split
+    /// partitions on the fly, evaluate each within the residency bound of
+    /// the call's [`StreamableEval`] class, and stream the output through a
+    /// store builder. Outputs — rows, boundary layers, modeled counters —
+    /// are bit-identical to [`Group::eval_resident`].
+    fn eval_spilled(&self, scratch: &mut Scratch, seg: Segment, call: &Call) -> Result<Segment> {
         let env = &self.env;
         let (n, stream, bounds) = seg.into_stream();
         let mut out = env.store.builder();
@@ -466,17 +904,25 @@ impl<I: Operator> WindowOp<I> {
         let mut peer_starts: Vec<usize> = Vec::new();
         let mut resolved = 0usize;
         let mut nparts = 0usize;
-        match self.eval_class() {
-            StreamableEval::OnePass if matches!(self.func, WindowFunction::Ntile(_)) => {
-                self.stream_ntile(n, stream, &bounds, &mut out, &mut part_starts, &mut nparts)?
-            }
+        match call.eval_class() {
+            StreamableEval::OnePass if matches!(call.func, WindowFunction::Ntile(_)) => self
+                .stream_ntile(
+                    call,
+                    n,
+                    stream,
+                    &bounds,
+                    &mut out,
+                    &mut part_starts,
+                    &mut nparts,
+                )?,
             StreamableEval::OnePass
                 if matches!(
-                    self.func,
+                    call.func,
                     WindowFunction::PercentRank | WindowFunction::CumeDist
                 ) =>
             {
                 self.stream_distribution(
+                    call,
                     n,
                     stream,
                     &bounds,
@@ -488,6 +934,7 @@ impl<I: Operator> WindowOp<I> {
                 )?
             }
             StreamableEval::OnePass => self.stream_default_agg(
+                call,
                 n,
                 stream,
                 &bounds,
@@ -498,6 +945,7 @@ impl<I: Operator> WindowOp<I> {
                 &mut nparts,
             )?,
             StreamableEval::Ring => self.stream_ring(
+                call,
                 n,
                 stream,
                 &bounds,
@@ -508,6 +956,8 @@ impl<I: Operator> WindowOp<I> {
                 &mut nparts,
             )?,
             StreamableEval::Buffered => self.stream_buffered_partitions(
+                scratch,
+                call,
                 n,
                 stream,
                 &bounds,
@@ -535,6 +985,8 @@ impl<I: Operator> WindowOp<I> {
     #[allow(clippy::too_many_arguments)]
     fn stream_buffered_partitions(
         &self,
+        scratch: &mut Scratch,
+        call: &Call,
         n: usize,
         mut stream: crate::operator::SegStream,
         bounds: &SegmentBounds,
@@ -551,22 +1003,37 @@ impl<I: Operator> WindowOp<I> {
         let mut hold = env.store.hold(0, 0);
         let mut lo = 0usize;
         let mut idx = 0usize;
+        // Evaluate one buffered partition (rows relative, `lo` absolute)
+        // and stream it out with its derived column.
+        let mut flush = |mut rows: Vec<Row>, lo: usize| -> Result<()> {
+            let len = rows.len();
+            part_starts.push(lo);
+            // A window of the carried bounds answers peer queries with the
+            // exact boundaries and comparison charges of the absolute view.
+            let wbounds = bounds.window(lo, lo + len);
+            scratch.peer_starts.clear();
+            scratch.begin_partition();
+            self.eval_partition(scratch, call, 0, &rows, &wbounds, 0, len)?;
+            for (row, v) in rows.iter_mut().zip(scratch.columns[0].drain(..)) {
+                row.push(v);
+            }
+            if call.needs_peers() {
+                *resolved += 1;
+                peer_starts.extend(scratch.peer_starts.iter().map(|s| s + lo));
+            }
+            *nparts += 1;
+            for row in rows {
+                out.push(row)?;
+            }
+            Ok(())
+        };
         while let Some(row) = stream.next_row()? {
             let boundary = match cur.last() {
                 None => true,
                 Some(prev) => splitter.is_boundary(idx, prev, &row, wpk_eq, false, &env.tracker),
             };
             if boundary && !cur.is_empty() {
-                self.flush_partition(
-                    std::mem::take(&mut cur),
-                    lo,
-                    bounds,
-                    out,
-                    part_starts,
-                    peer_starts,
-                    resolved,
-                    nparts,
-                )?;
+                flush(std::mem::take(&mut cur), lo)?;
                 hold = env.store.hold(0, 0);
                 lo = idx;
             }
@@ -575,64 +1042,9 @@ impl<I: Operator> WindowOp<I> {
             idx += 1;
         }
         if !cur.is_empty() {
-            self.flush_partition(
-                cur,
-                lo,
-                bounds,
-                out,
-                part_starts,
-                peer_starts,
-                resolved,
-                nparts,
-            )?;
+            flush(cur, lo)?;
         }
         drop(hold);
-        Ok(())
-    }
-
-    /// Evaluate one buffered partition (rows relative, `lo` absolute) and
-    /// stream it out with its derived column.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_partition(
-        &self,
-        mut rows: Vec<Row>,
-        lo: usize,
-        bounds: &SegmentBounds,
-        out: &mut wf_storage::SegmentBuilder,
-        part_starts: &mut Vec<usize>,
-        peer_starts: &mut Vec<usize>,
-        resolved: &mut usize,
-        nparts: &mut usize,
-    ) -> Result<()> {
-        let env = &self.env;
-        let len = rows.len();
-        part_starts.push(lo);
-        // A window of the carried bounds answers peer queries with the
-        // exact boundaries and comparison charges of the absolute view.
-        let wbounds = bounds.window(lo, lo + len);
-        let mut peers = PeerResolver::new(&wbounds, &self.union_attrs, env.reuse_bounds);
-        let values = eval_partition(
-            &rows,
-            0,
-            len,
-            &self.wok_cmp,
-            &self.wok,
-            &self.func,
-            &self.frame,
-            env,
-            &mut peers,
-        )?;
-        for (row, v) in rows.iter_mut().zip(values) {
-            row.push(v);
-        }
-        if peers.partitions_resolved > 0 {
-            *resolved += 1;
-            peer_starts.extend(peers.collected.iter().map(|s| s + lo));
-        }
-        *nparts += 1;
-        for row in rows {
-            out.push(row)?;
-        }
         Ok(())
     }
 
@@ -644,6 +1056,7 @@ impl<I: Operator> WindowOp<I> {
     #[allow(clippy::too_many_arguments)]
     fn stream_default_agg(
         &self,
+        call: &Call,
         n: usize,
         mut stream: crate::operator::SegStream,
         bounds: &SegmentBounds,
@@ -657,7 +1070,7 @@ impl<I: Operator> WindowOp<I> {
         let wpk_eq = |a: &Row, b: &Row| self.wpk_eq(a, b);
         let mut part_split = RunSplitter::new(bounds, &self.wpk, n, env.reuse_bounds);
         let mut peer_split = RunSplitter::new(bounds, &self.union_attrs, n, env.reuse_bounds);
-        let mut agg = RunningAgg::new(&self.func, env);
+        let mut agg = RunningAgg::new(&call.func, env);
         let mut prev: Option<Row> = None;
         let mut lo = 0usize;
         let mut idx = 0usize;
@@ -738,6 +1151,7 @@ impl<I: Operator> WindowOp<I> {
     #[allow(clippy::too_many_arguments)]
     fn stream_ntile(
         &self,
+        call: &Call,
         n: usize,
         mut stream: crate::operator::SegStream,
         bounds: &SegmentBounds,
@@ -746,7 +1160,7 @@ impl<I: Operator> WindowOp<I> {
         nparts: &mut usize,
     ) -> Result<()> {
         let env = &self.env;
-        let tiles = match self.func {
+        let tiles = match call.func {
             WindowFunction::Ntile(t) => t.max(1) as usize,
             _ => unreachable!("dispatched on Ntile"),
         };
@@ -814,6 +1228,7 @@ impl<I: Operator> WindowOp<I> {
     #[allow(clippy::too_many_arguments)]
     fn stream_distribution(
         &self,
+        call: &Call,
         n: usize,
         mut stream: crate::operator::SegStream,
         bounds: &SegmentBounds,
@@ -824,7 +1239,7 @@ impl<I: Operator> WindowOp<I> {
         nparts: &mut usize,
     ) -> Result<()> {
         let env = &self.env;
-        let want_pr = matches!(self.func, WindowFunction::PercentRank);
+        let want_pr = matches!(call.func, WindowFunction::PercentRank);
         let wpk_eq = |a: &Row, b: &Row| self.wpk_eq(a, b);
         let mut part_split = RunSplitter::new(bounds, &self.wpk, n, env.reuse_bounds);
         let mut peer_split = RunSplitter::new(bounds, &self.union_attrs, n, env.reuse_bounds);
@@ -927,6 +1342,7 @@ impl<I: Operator> WindowOp<I> {
     #[allow(clippy::too_many_arguments)]
     fn stream_ring(
         &self,
+        call: &Call,
         n: usize,
         mut stream: crate::operator::SegStream,
         bounds: &SegmentBounds,
@@ -940,13 +1356,13 @@ impl<I: Operator> WindowOp<I> {
         let wpk_eq = |a: &Row, b: &Row| self.wpk_eq(a, b);
         let mut part_split = RunSplitter::new(bounds, &self.wpk, n, env.reuse_bounds);
         // Only the ranking functions resolve peers (the materialized path
-        // calls `peer_bounds` for exactly those) — resolving them for other
+        // resolves them for exactly those) — resolving them for other
         // functions would charge comparisons the materialized path never
         // pays.
-        let needs_peers = matches!(self.func, WindowFunction::Rank | WindowFunction::DenseRank);
+        let needs_peers = matches!(call.func, WindowFunction::Rank | WindowFunction::DenseRank);
         let mut peer_split =
             needs_peers.then(|| RunSplitter::new(bounds, &self.union_attrs, n, env.reuse_bounds));
-        let mut ring = RingEval::new(&self.func, &self.frame, &self.wok, env)?;
+        let mut ring = RingEval::new(&call.func, &call.frame, &self.wok, env)?;
         let mut prev: Option<Row> = None;
         let mut idx = 0usize;
         while let Some(row) = stream.next_row()? {
@@ -993,22 +1409,6 @@ impl<I: Operator> WindowOp<I> {
             *nparts += 1;
         }
         Ok(())
-    }
-}
-
-impl<I: Operator> Operator for WindowOp<I> {
-    fn next_segment(&mut self) -> Result<Option<Segment>> {
-        match self.input.next_segment()? {
-            None => Ok(None),
-            Some(seg) if seg.is_spilled() => {
-                let _span = self.env.trace.span("window", "eval_spilled");
-                Ok(Some(self.eval_spilled(seg)?))
-            }
-            Some(seg) => {
-                let _span = self.env.trace.span("window", "eval");
-                Ok(Some(self.eval_segment(seg)?))
-            }
-        }
     }
 }
 
@@ -1809,7 +2209,7 @@ impl RingEval {
 
 /// Evaluate `func` over a matched input: appends one column to every row and
 /// preserves row order and segmentation. `frame` defaults per SQL when
-/// `None`. Thin wrapper over [`WindowOp`] for batch callers.
+/// `None`. The batch callers' wrapper over [`WindowOp`] — the group of one.
 pub fn evaluate_window(
     input: SegmentedRows,
     wpk: &AttrSet,
@@ -1829,146 +2229,55 @@ pub fn evaluate_window(
     drain(&mut op)
 }
 
-/// Resolves peer-group (tie) boundaries per partition, reusing a carried
-/// boundary layer over `WPK ∪ attr(WOK)` when the chain already proved one
-/// and collecting the resolved starts so the operator can emit them as a
-/// layer for the *next* step.
-struct PeerResolver<'a> {
-    bounds: &'a SegmentBounds,
-    union_attrs: &'a AttrSet,
-    reuse: bool,
-    /// Absolute peer-group starts across resolved partitions, in order.
-    collected: Vec<usize>,
-    /// Number of partitions that resolved their peers (the union layer is
-    /// emitted only when every partition did).
-    partitions_resolved: usize,
-}
-
-impl<'a> PeerResolver<'a> {
-    fn new(bounds: &'a SegmentBounds, union_attrs: &'a AttrSet, reuse: bool) -> Self {
-        PeerResolver {
-            bounds,
-            union_attrs,
-            reuse,
-            collected: Vec::new(),
-            partitions_resolved: 0,
-        }
-    }
-
-    /// Peer bounds of partition `rows[lo..hi]`: for each row (relative
-    /// index) the start and end (exclusive, relative) of its peer group.
-    ///
-    /// Peer groups are maximal runs equal under the WOK comparator; since
-    /// `WPK` values are constant within a partition, they coincide with the
-    /// maximal runs equal on `WPK ∪ attr(WOK)` — which is what a carried
-    /// union layer proves, making reuse sound.
-    fn peer_bounds(
-        &mut self,
-        rows: &[Row],
-        lo: usize,
-        hi: usize,
-        cmp: &RowComparator,
-        env: &OpEnv,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let n = hi - lo;
-        let starts = if self.reuse {
-            self.bounds.runs_equal_on(
-                self.union_attrs,
-                rows,
-                lo,
-                hi,
-                |a, b| cmp.equal(a, b),
-                &env.tracker,
-            )
-        } else {
-            None
-        }
-        .unwrap_or_else(|| {
-            crate::segment::scan_runs(rows, lo, hi, |a, b| cmp.equal(a, b), &env.tracker)
-        });
-        let mut gs = vec![0usize; n];
-        let mut ge = vec![n; n];
-        for (k, &s) in starts.iter().enumerate() {
-            let e = starts.get(k + 1).copied().unwrap_or(hi);
-            for i in s..e {
-                gs[i - lo] = s - lo;
-                ge[i - lo] = e - lo;
-            }
-        }
-        self.partitions_resolved += 1;
-        self.collected.extend(starts);
-        (gs, ge)
-    }
-}
-
+/// Append `call`'s value for every row of the partition `part` to `out`.
+/// `gs`/`ge` are the partition's peer bounds (per row, partition-relative;
+/// empty unless [`Call::needs_peers`]) and `ranges` its resolved frames
+/// (empty unless the call has a [`Call::ranges_slot`]).
 #[allow(clippy::too_many_arguments)]
-fn eval_partition(
-    rows: &[Row],
-    lo: usize,
-    hi: usize,
-    wok_cmp: &RowComparator,
-    wok: &SortSpec,
-    func: &WindowFunction,
-    frame: &FrameSpec,
+fn eval_values(
+    part: &[Row],
+    call: &Call,
+    gs: &[usize],
+    ge: &[usize],
+    ranges: &[(usize, usize)],
+    bufs: &mut FrameBufs,
     env: &OpEnv,
-    peers: &mut PeerResolver<'_>,
-) -> Result<Vec<Value>> {
-    let part = &rows[lo..hi];
+    out: &mut Vec<Value>,
+) -> Result<()> {
     let n = part.len();
-    match func {
-        WindowFunction::RowNumber => Ok((1..=n as i64).map(Value::Int).collect()),
-        WindowFunction::Rank => {
-            let (gs, _) = peers.peer_bounds(rows, lo, hi, wok_cmp, env);
-            Ok(gs.iter().map(|&s| Value::Int(s as i64 + 1)).collect())
-        }
+    match &call.func {
+        WindowFunction::RowNumber => out.extend((1..=n as i64).map(Value::Int)),
+        WindowFunction::Rank => out.extend(gs.iter().map(|&s| Value::Int(s as i64 + 1))),
         WindowFunction::DenseRank => {
-            let (gs, _) = peers.peer_bounds(rows, lo, hi, wok_cmp, env);
             let mut dense = 0i64;
-            let mut out = Vec::with_capacity(n);
             let mut last = usize::MAX;
-            for &s in &gs {
+            for &s in gs {
                 if s != last {
                     dense += 1;
                     last = s;
                 }
                 out.push(Value::Int(dense));
             }
-            Ok(out)
         }
-        WindowFunction::PercentRank => {
-            let (gs, _) = peers.peer_bounds(rows, lo, hi, wok_cmp, env);
-            Ok(gs
-                .iter()
-                .map(|&s| {
-                    if n <= 1 {
-                        Value::Float(0.0)
-                    } else {
-                        Value::Float(s as f64 / (n - 1) as f64)
-                    }
-                })
-                .collect())
-        }
+        WindowFunction::PercentRank => out.extend(gs.iter().map(|&s| {
+            if n <= 1 {
+                Value::Float(0.0)
+            } else {
+                Value::Float(s as f64 / (n - 1) as f64)
+            }
+        })),
         WindowFunction::CumeDist => {
-            let (_, ge) = peers.peer_bounds(rows, lo, hi, wok_cmp, env);
-            Ok(ge
-                .iter()
-                .map(|&e| Value::Float(e as f64 / n as f64))
-                .collect())
+            out.extend(ge.iter().map(|&e| Value::Float(e as f64 / n as f64)))
         }
         WindowFunction::Ntile(tiles) => {
             let t = (*tiles).max(1) as usize;
             let base = n / t;
             let extra = n % t;
-            let mut out = Vec::with_capacity(n);
-            for tile in 0..t {
+            // Tiles past the `n`-th are empty (`base == 0`, `extra == n`).
+            for tile in 0..t.min(n) {
                 let size = base + usize::from(tile < extra);
-                for _ in 0..size {
-                    out.push(Value::Int(tile as i64 + 1));
-                }
+                out.extend(std::iter::repeat_n(Value::Int(tile as i64 + 1), size));
             }
-            // n < t leaves the loop short; n rows always emitted.
-            out.truncate(n);
-            Ok(out)
         }
         WindowFunction::Lag {
             col,
@@ -1976,13 +2285,10 @@ fn eval_partition(
             default,
         } => {
             let d = default.clone().unwrap_or(Value::Null);
-            Ok((0..n)
-                .map(|i| {
-                    i.checked_sub(*offset as usize)
-                        .map(|j| part[j].get(*col).clone())
-                        .unwrap_or_else(|| d.clone())
-                })
-                .collect())
+            out.extend((0..n).map(|i| {
+                i.checked_sub(*offset as usize)
+                    .map_or_else(|| d.clone(), |j| part[j].get(*col).clone())
+            }));
         }
         WindowFunction::Lead {
             col,
@@ -1990,34 +2296,28 @@ fn eval_partition(
             default,
         } => {
             let d = default.clone().unwrap_or(Value::Null);
-            Ok((0..n)
-                .map(|i| {
-                    let j = i + *offset as usize;
-                    if j < n {
-                        part[j].get(*col).clone()
-                    } else {
-                        d.clone()
-                    }
-                })
-                .collect())
+            out.extend((0..n).map(|i| {
+                part.get(i + *offset as usize)
+                    .map_or_else(|| d.clone(), |r| r.get(*col).clone())
+            }));
         }
-        _ => eval_framed(rows, lo, hi, wok_cmp, wok, func, frame, env, peers),
+        _ if call.is_running_default() => running_default_frame(part, &call.func, ge, env, out)?,
+        _ => eval_framed(part, call, ranges, bufs, env, out)?,
     }
+    Ok(())
 }
 
-/// Resolve the frame of each row as a half-open index range.
-#[allow(clippy::too_many_arguments)]
+/// Resolve the frame of each row of `part` as a half-open partition-relative
+/// index range, appended to `out`. `gs`/`ge` are the partition's peer
+/// bounds, read only by `RANGE` frames with a `CURRENT ROW` bound.
 fn frame_ranges(
-    rows: &[Row],
-    lo: usize,
-    hi: usize,
-    wok_cmp: &RowComparator,
+    part: &[Row],
     wok: &SortSpec,
     frame: &FrameSpec,
-    env: &OpEnv,
-    peers: &mut PeerResolver<'_>,
-) -> Result<Vec<(usize, usize)>> {
-    let part = &rows[lo..hi];
+    gs: &[usize],
+    ge: &[usize],
+    out: &mut Vec<(usize, usize)>,
+) -> Result<()> {
     // SQL: "frame offset must not be negative" — reject rather than clamp
     // (ROWS) or flip direction (RANGE).
     for b in [frame.start, frame.end] {
@@ -2031,22 +2331,12 @@ fn frame_ranges(
     }
     let n = part.len();
     match frame.units {
-        FrameUnits::Rows => Ok((0..n)
-            .map(|i| {
-                let s = rows_bound_start(frame.start, i, n);
-                let e = rows_bound_end(frame.end, i, n);
-                (s.min(n), e.max(s).min(n))
-            })
-            .collect()),
+        FrameUnits::Rows => out.extend((0..n).map(|i| {
+            let s = rows_bound_start(frame.start, i, n);
+            let e = rows_bound_end(frame.end, i, n);
+            (s.min(n), e.max(s).min(n))
+        })),
         FrameUnits::Range => {
-            let needs_peers =
-                matches!(frame.start, Bound::CurrentRow) || matches!(frame.end, Bound::CurrentRow);
-            let (gs, ge) = if needs_peers {
-                peers.peer_bounds(rows, lo, hi, wok_cmp, env)
-            } else {
-                (vec![], vec![])
-            };
-            let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 let s = match frame.start {
                     Bound::UnboundedPreceding => 0,
@@ -2072,9 +2362,9 @@ fn frame_ranges(
                 };
                 out.push((s.min(n), e.max(s).min(n)));
             }
-            Ok(out)
         }
     }
+    Ok(())
 }
 
 fn rows_bound_start(b: Bound, i: usize, n: usize) -> usize {
@@ -2205,18 +2495,18 @@ fn null_region(part: &[Row], wok: &SortSpec, i: usize) -> Result<(usize, usize)>
 /// Drive an incremental running aggregate over monotone (ROWS-frame) ranges
 /// with two pointers: `update(state, row_index, add)` is called exactly once
 /// per row entering (`add = true`) and leaving (`add = false`) the sliding
-/// window, and the state is snapshotted per frame — O(n) total instead of
+/// window, and `emit` sees the state once per frame — O(n) total instead of
 /// O(n·frame) recomputation. Degenerate empty frames that jump past the
 /// current window restart it.
 fn sliding_rows_agg<S: Clone>(
     ranges: &[(usize, usize)],
     init: S,
     mut update: impl FnMut(&mut S, usize, bool),
-) -> Vec<S> {
+    mut emit: impl FnMut(&S),
+) {
     let mut lo = 0usize;
     let mut hi = 0usize;
     let mut state = init.clone();
-    let mut out = Vec::with_capacity(ranges.len());
     for &(s, e) in ranges {
         debug_assert!(s <= e);
         if s >= hi {
@@ -2234,77 +2524,69 @@ fn sliding_rows_agg<S: Clone>(
             update(&mut state, lo, false);
             lo += 1;
         }
-        out.push(state.clone());
+        emit(&state);
     }
-    out
+}
+
+/// Whether every non-null value of `col` over `part` is an integer (`Err`
+/// for a non-numeric one): any float anywhere makes the whole partition
+/// float-typed — the one classification rule of `sum`/`avg`, whatever the
+/// frame.
+fn all_int(part: &[Row], col: AttrId) -> Result<bool> {
+    let mut all_int = true;
+    for row in part {
+        match row.get(col) {
+            Value::Int(_) | Value::Null => {}
+            Value::Float(_) => all_int = false,
+            other => {
+                return Err(Error::TypeMismatch {
+                    expected: "numeric".into(),
+                    found: other.type_name().into(),
+                })
+            }
+        }
+    }
+    Ok(all_int)
 }
 
 /// The SQL-default frame `RANGE UNBOUNDED PRECEDING .. CURRENT ROW`
-/// evaluated as a **running accumulator**: every frame is `[0, peer_end)`,
-/// so one forward pass per partition answers every row — no prefix arrays,
-/// no sparse table, no per-frame allocation. Returns `None` for functions
-/// the generic frame machinery must handle.
+/// evaluated as a **running accumulator** (see [`Call::is_running_default`]):
+/// every frame is `[0, peer_end)`, so one forward pass per partition answers
+/// every row — no prefix arrays, no sparse table.
 ///
 /// Outputs are bit-identical to the generic path: integer sums accumulate
 /// exactly in `i128`; float sums add the same values in the same order the
-/// prefix arrays did.
+/// prefix arrays do.
 fn running_default_frame(
-    rows: &[Row],
-    lo: usize,
-    hi: usize,
-    wok_cmp: &RowComparator,
+    part: &[Row],
     func: &WindowFunction,
+    ge: &[usize],
     env: &OpEnv,
-    peers: &mut PeerResolver<'_>,
-) -> Result<Option<Vec<Value>>> {
+    out: &mut Vec<Value>,
+) -> Result<()> {
     use WindowFunction::*;
-    if !matches!(func, Count(_) | Sum(_) | Avg(_) | Min(_) | Max(_)) {
-        return Ok(None);
-    }
-    let part = &rows[lo..hi];
-    let n = part.len();
-    let (_, ge) = peers.peer_bounds(rows, lo, hi, wok_cmp, env);
-    let mut out = Vec::with_capacity(n);
+    let mut consumed = 0usize;
     match func {
         Count(col) => {
-            let qualifies = |i: usize| -> i64 {
-                match col {
-                    None => 1,
-                    Some(c) => i64::from(!part[i].get(*c).is_null()),
-                }
-            };
             let mut cnt = 0i64;
-            let mut consumed = 0usize;
-            for &e in &ge {
+            for &e in ge {
                 while consumed < e {
-                    cnt += qualifies(consumed);
+                    cnt += match col {
+                        None => 1,
+                        Some(c) => i64::from(!part[consumed].get(*c).is_null()),
+                    };
                     consumed += 1;
                 }
                 out.push(Value::Int(cnt));
             }
         }
         Sum(col) | Avg(col) => {
-            // Classify the column once (same rule as the generic path): any
-            // float anywhere makes the whole partition float-typed.
-            let mut all_int = true;
-            for row in part {
-                match row.get(*col) {
-                    Value::Int(_) | Value::Null => {}
-                    Value::Float(_) => all_int = false,
-                    other => {
-                        return Err(Error::TypeMismatch {
-                            expected: "numeric".into(),
-                            found: other.type_name().into(),
-                        })
-                    }
-                }
-            }
+            let all_int = all_int(part, *col)?;
             let want_avg = matches!(func, Avg(_));
             let mut sum_i = 0i128;
             let mut sum_f = 0f64;
             let mut cnt = 0i64;
-            let mut consumed = 0usize;
-            for &e in &ge {
+            for &e in ge {
                 while consumed < e {
                     match part[consumed].get(*col) {
                         Value::Int(x) => {
@@ -2337,143 +2619,111 @@ fn running_default_frame(
         }
         Min(col) | Max(col) => {
             let want_min = matches!(func, Min(_));
-            let mut cur: Option<Value> = None;
-            let mut consumed = 0usize;
-            for &e in &ge {
+            let mut cur: Option<&Value> = None;
+            let mut compared = 0u64;
+            for &e in ge {
                 while consumed < e {
                     let v = part[consumed].get(*col);
                     if !v.is_null() {
-                        match &cur {
-                            None => cur = Some(v.clone()),
+                        match cur {
+                            None => cur = Some(v),
                             Some(c) => {
-                                env.tracker.compare(1);
+                                compared += 1;
                                 if (want_min && v < c) || (!want_min && v > c) {
-                                    cur = Some(v.clone());
+                                    cur = Some(v);
                                 }
                             }
                         }
                     }
                     consumed += 1;
                 }
-                out.push(cur.clone().unwrap_or(Value::Null));
+                out.push(cur.cloned().unwrap_or(Value::Null));
             }
+            env.tracker.compare(compared);
         }
-        _ => unreachable!("gated above"),
+        other => unreachable!("{other:?} is not a running default-frame aggregate"),
     }
-    Ok(Some(out))
+    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Reusable buffers of the frame readers: prefix arrays (exact integer sum,
+/// float sum, float sum of squares, non-null count) and the sparse table of
+/// `min`/`max`. Cleared and refilled per partition, never reallocated.
+#[derive(Default)]
+struct FrameBufs {
+    sum_i: Vec<i128>,
+    sum_f: Vec<f64>,
+    sum_sq: Vec<f64>,
+    cnt: Vec<i64>,
+    extrema: SparseExtrema,
+}
+
+/// Evaluate a frame reader over the partition's resolved frame `ranges`.
 fn eval_framed(
-    rows: &[Row],
-    lo: usize,
-    hi: usize,
-    wok_cmp: &RowComparator,
-    wok: &SortSpec,
-    func: &WindowFunction,
-    frame: &FrameSpec,
+    part: &[Row],
+    call: &Call,
+    ranges: &[(usize, usize)],
+    bufs: &mut FrameBufs,
     env: &OpEnv,
-    peers: &mut PeerResolver<'_>,
-) -> Result<Vec<Value>> {
-    // Running-accumulator fast path for the SQL-default frame.
-    if frame.units == FrameUnits::Range
-        && frame.start == Bound::UnboundedPreceding
-        && frame.end == Bound::CurrentRow
-    {
-        if let Some(vals) = running_default_frame(rows, lo, hi, wok_cmp, func, env, peers)? {
-            return Ok(vals);
-        }
-    }
-    let part = &rows[lo..hi];
+    out: &mut Vec<Value>,
+) -> Result<()> {
     let n = part.len();
-    let ranges = frame_ranges(rows, lo, hi, wok_cmp, wok, frame, env, peers)?;
-    match func {
-        WindowFunction::FirstValue(col) => Ok(ranges
-            .iter()
-            .map(|&(s, e)| {
-                if s < e {
-                    part[s].get(*col).clone()
-                } else {
-                    Value::Null
-                }
-            })
-            .collect()),
-        WindowFunction::LastValue(col) => Ok(ranges
-            .iter()
-            .map(|&(s, e)| {
-                if s < e {
-                    part[e - 1].get(*col).clone()
-                } else {
-                    Value::Null
-                }
-            })
-            .collect()),
+    let rows_frame = call.frame.units == FrameUnits::Rows;
+    let value_at = |col: AttrId, idx: usize, e: usize| {
+        if idx < e {
+            part[idx].get(col).clone()
+        } else {
+            Value::Null
+        }
+    };
+    match &call.func {
+        WindowFunction::FirstValue(col) => {
+            out.extend(ranges.iter().map(|&(s, e)| value_at(*col, s, e)))
+        }
+        WindowFunction::LastValue(col) => out.extend(ranges.iter().map(|&(s, e)| {
+            if s < e {
+                part[e - 1].get(*col).clone()
+            } else {
+                Value::Null
+            }
+        })),
         WindowFunction::NthValue(col, k) => {
             let k = (*k).max(1) as usize;
-            Ok(ranges
-                .iter()
-                .map(|&(s, e)| {
-                    let idx = s + k - 1;
-                    if idx < e {
-                        part[idx].get(*col).clone()
-                    } else {
-                        Value::Null
-                    }
-                })
-                .collect())
+            out.extend(ranges.iter().map(|&(s, e)| value_at(*col, s + k - 1, e)))
         }
-        WindowFunction::Count(col) => {
-            let qualifies = |i: usize| -> i64 {
-                match col {
-                    None => 1,
-                    Some(c) => i64::from(!part[i].get(*c).is_null()),
-                }
-            };
-            if frame.units == FrameUnits::Rows {
+        WindowFunction::Count(None) => {
+            out.extend(ranges.iter().map(|&(s, e)| Value::Int((e - s) as i64)))
+        }
+        WindowFunction::Count(Some(col)) => {
+            let qualifies = |i: usize| i64::from(!part[i].get(*col).is_null());
+            if rows_frame {
                 // Incremental two-pointer count: ROWS-frame bounds are
                 // monotone in the row index, so the window slides — each
                 // row is added and removed exactly once, O(n) total with no
                 // prefix array.
-                return Ok(sliding_rows_agg(&ranges, 0i64, |cnt, i, add| {
-                    if add {
-                        *cnt += qualifies(i);
-                    } else {
-                        *cnt -= qualifies(i);
-                    }
-                })
-                .into_iter()
-                .map(Value::Int)
-                .collect());
+                sliding_rows_agg(
+                    ranges,
+                    0i64,
+                    |cnt, i, add| *cnt += if add { qualifies(i) } else { -qualifies(i) },
+                    |&cnt| out.push(Value::Int(cnt)),
+                );
+            } else {
+                // RANGE bounds come from peer groups / binary searches;
+                // answer from prefix counts instead.
+                let pref = &mut bufs.cnt;
+                pref.clear();
+                pref.push(0);
+                for i in 0..n {
+                    pref.push(pref[i] + qualifies(i));
+                }
+                out.extend(ranges.iter().map(|&(s, e)| Value::Int(pref[e] - pref[s])));
             }
-            // RANGE bounds come from peer groups / binary searches; answer
-            // from prefix counts instead.
-            let mut prefix = vec![0i64; n + 1];
-            for i in 0..n {
-                prefix[i + 1] = prefix[i] + qualifies(i);
-            }
-            Ok(ranges
-                .iter()
-                .map(|&(s, e)| Value::Int(prefix[e] - prefix[s]))
-                .collect())
         }
         WindowFunction::Sum(col) | WindowFunction::Avg(col) => {
             // Classify the column once: integer columns take the exact
-            // incremental path; any float falls back to prefix sums (see
-            // below).
-            let mut all_int = true;
-            for row in part {
-                match row.get(*col) {
-                    Value::Int(_) | Value::Null => {}
-                    Value::Float(_) => all_int = false,
-                    other => {
-                        return Err(Error::TypeMismatch {
-                            expected: "numeric".into(),
-                            found: other.type_name().into(),
-                        })
-                    }
-                }
-            }
-            let want_avg = matches!(func, WindowFunction::Avg(_));
+            // paths; any float falls back to float prefix sums (below).
+            let all_int = all_int(part, *col)?;
+            let want_avg = matches!(call.func, WindowFunction::Avg(_));
             let finish = |sum: i128, cnt: i64| -> Value {
                 if cnt == 0 {
                     Value::Null
@@ -2485,89 +2735,92 @@ fn eval_framed(
                     Value::Int(sum.clamp(i64::MIN as i128, i64::MAX as i128) as i64)
                 }
             };
-            if all_int && frame.units == FrameUnits::Rows {
+            if all_int && rows_frame {
                 // Incremental two-pointer running aggregate with *exact*
                 // integer accumulation (i128 — the frame-internal running
                 // sum cannot overflow): each row enters and leaves the
                 // running sum once, O(n) total and no f64 rounding on the
                 // int path.
-                let val = |i: usize| -> Option<i64> { part[i].get(*col).as_int() };
-                return Ok(
-                    sliding_rows_agg(&ranges, (0i128, 0i64), |(sum, cnt), i, add| {
-                        if let Some(x) = val(i) {
-                            if add {
-                                *sum += x as i128;
-                                *cnt += 1;
-                            } else {
-                                *sum -= x as i128;
-                                *cnt -= 1;
-                            }
+                sliding_rows_agg(
+                    ranges,
+                    (0i128, 0i64),
+                    |(sum, cnt), i, add| {
+                        if let Some(x) = part[i].get(*col).as_int() {
+                            let sign: i64 = if add { 1 } else { -1 };
+                            *sum += sign as i128 * x as i128;
+                            *cnt += sign;
                         }
-                    })
-                    .into_iter()
-                    .map(|(sum, cnt)| finish(sum, cnt))
-                    .collect(),
+                    },
+                    |&(sum, cnt)| out.push(finish(sum, cnt)),
                 );
+                return Ok(());
             }
+            let pref_cnt = &mut bufs.cnt;
+            pref_cnt.clear();
+            pref_cnt.push(0);
             if all_int {
                 // RANGE over an integer column: exact i128 prefix sums.
-                let mut pref_sum = vec![0i128; n + 1];
-                let mut pref_cnt = vec![0i64; n + 1];
+                let pref_sum = &mut bufs.sum_i;
+                pref_sum.clear();
+                pref_sum.push(0);
                 for i in 0..n {
                     let (add, cnt) = match part[i].get(*col).as_int() {
                         Some(x) => (x as i128, 1),
                         None => (0, 0),
                     };
-                    pref_sum[i + 1] = pref_sum[i] + add;
-                    pref_cnt[i + 1] = pref_cnt[i] + cnt;
+                    pref_sum.push(pref_sum[i] + add);
+                    pref_cnt.push(pref_cnt[i] + cnt);
                 }
-                return Ok(ranges
-                    .iter()
-                    .map(|&(s, e)| finish(pref_sum[e] - pref_sum[s], pref_cnt[e] - pref_cnt[s]))
-                    .collect());
+                out.extend(
+                    ranges.iter().map(|&(s, e)| {
+                        finish(pref_sum[e] - pref_sum[s], pref_cnt[e] - pref_cnt[s])
+                    }),
+                );
+                return Ok(());
             }
             // Numeric-safety fallback for floats: incremental add/remove
             // drifts under cancellation, so float frames are answered from
             // prefix sums (two reads per frame, no row revisits).
-            let mut pref_sum = vec![0f64; n + 1];
-            let mut pref_cnt = vec![0i64; n + 1];
+            let pref_sum = &mut bufs.sum_f;
+            pref_sum.clear();
+            pref_sum.push(0.0);
             for i in 0..n {
                 let (add, cnt) = match part[i].get(*col) {
                     Value::Int(x) => (*x as f64, 1),
                     Value::Float(x) => (*x, 1),
-                    Value::Null => (0.0, 0),
-                    _ => unreachable!("non-numeric rejected above"),
+                    _ => (0.0, 0),
                 };
-                pref_sum[i + 1] = pref_sum[i] + add;
-                pref_cnt[i + 1] = pref_cnt[i] + cnt;
+                pref_sum.push(pref_sum[i] + add);
+                pref_cnt.push(pref_cnt[i] + cnt);
             }
-            Ok(ranges
-                .iter()
-                .map(|&(s, e)| {
-                    let cnt = pref_cnt[e] - pref_cnt[s];
-                    if cnt == 0 {
-                        return Value::Null;
-                    }
-                    let sum = pref_sum[e] - pref_sum[s];
-                    if want_avg {
-                        Value::Float(sum / cnt as f64)
-                    } else {
-                        Value::Float(sum)
-                    }
-                })
-                .collect())
+            out.extend(ranges.iter().map(|&(s, e)| {
+                let cnt = pref_cnt[e] - pref_cnt[s];
+                if cnt == 0 {
+                    return Value::Null;
+                }
+                let sum = pref_sum[e] - pref_sum[s];
+                Value::Float(if want_avg { sum / cnt as f64 } else { sum })
+            }));
         }
         WindowFunction::VarPop(col)
         | WindowFunction::VarSamp(col)
         | WindowFunction::StddevPop(col)
         | WindowFunction::StddevSamp(col) => {
             // Prefix sums of x and x² give every frame's variance in O(1).
-            let mut pref_sum = vec![0f64; n + 1];
-            let mut pref_sq = vec![0f64; n + 1];
-            let mut pref_cnt = vec![0i64; n + 1];
+            let FrameBufs {
+                sum_f: pref_sum,
+                sum_sq: pref_sq,
+                cnt: pref_cnt,
+                ..
+            } = bufs;
+            pref_sum.clear();
+            pref_sum.push(0.0);
+            pref_sq.clear();
+            pref_sq.push(0.0);
+            pref_cnt.clear();
+            pref_cnt.push(0);
             for i in 0..n {
-                let v = part[i].get(*col);
-                let (x, cnt) = match v {
+                let (x, cnt) = match part[i].get(*col) {
                     Value::Int(x) => (*x as f64, 1),
                     Value::Float(x) => (*x, 1),
                     Value::Null => (0.0, 0),
@@ -2578,97 +2831,112 @@ fn eval_framed(
                         })
                     }
                 };
-                pref_sum[i + 1] = pref_sum[i] + x;
-                pref_sq[i + 1] = pref_sq[i] + x * x;
-                pref_cnt[i + 1] = pref_cnt[i] + cnt;
+                pref_sum.push(pref_sum[i] + x);
+                pref_sq.push(pref_sq[i] + x * x);
+                pref_cnt.push(pref_cnt[i] + cnt);
             }
             let sample = matches!(
-                func,
+                call.func,
                 WindowFunction::VarSamp(_) | WindowFunction::StddevSamp(_)
             );
             let sqrt = matches!(
-                func,
+                call.func,
                 WindowFunction::StddevPop(_) | WindowFunction::StddevSamp(_)
             );
-            Ok(ranges
-                .iter()
-                .map(|&(s, e)| {
-                    let cnt = (pref_cnt[e] - pref_cnt[s]) as f64;
-                    let min_n = if sample { 2.0 } else { 1.0 };
-                    if cnt < min_n {
-                        return Value::Null;
-                    }
-                    let sum = pref_sum[e] - pref_sum[s];
-                    let sq = pref_sq[e] - pref_sq[s];
-                    // Numerically clamped: catastrophic cancellation can
-                    // produce tiny negatives for constant frames.
-                    let ssd = (sq - sum * sum / cnt).max(0.0);
-                    let var = ssd / if sample { cnt - 1.0 } else { cnt };
-                    Value::Float(if sqrt { var.sqrt() } else { var })
-                })
-                .collect())
+            out.extend(ranges.iter().map(|&(s, e)| {
+                let cnt = (pref_cnt[e] - pref_cnt[s]) as f64;
+                let min_n = if sample { 2.0 } else { 1.0 };
+                if cnt < min_n {
+                    return Value::Null;
+                }
+                let sum = pref_sum[e] - pref_sum[s];
+                let sq = pref_sq[e] - pref_sq[s];
+                // Numerically clamped: catastrophic cancellation can
+                // produce tiny negatives for constant frames.
+                let ssd = (sq - sum * sum / cnt).max(0.0);
+                let var = ssd / if sample { cnt - 1.0 } else { cnt };
+                Value::Float(if sqrt { var.sqrt() } else { var })
+            }));
         }
         WindowFunction::Min(col) | WindowFunction::Max(col) => {
-            let want_min = matches!(func, WindowFunction::Min(_));
-            let table = SparseExtrema::build(part, *col, want_min, env);
-            Ok(ranges.iter().map(|&(s, e)| table.query(s, e)).collect())
+            let want_min = matches!(call.func, WindowFunction::Min(_));
+            let table = &mut bufs.extrema;
+            table.build(part, *col, want_min, env);
+            out.extend(ranges.iter().map(|&(s, e)| {
+                table
+                    .query(part, *col, want_min, s, e)
+                    .map_or(Value::Null, |i| part[i].get(*col).clone())
+            }));
         }
-        other => Err(Error::Execution(format!(
-            "{other:?} is not a framed function"
-        ))),
+        other => {
+            return Err(Error::Execution(format!(
+                "{other:?} is not a framed function"
+            )))
+        }
     }
+    Ok(())
 }
 
 /// Sparse table for O(1) min/max over arbitrary frames, skipping NULLs.
+/// Entries are row indices — `levels[j][i]` is the position of the extremum
+/// of `[i, i + 2^(j+1))`, level 0 (`[i, i + 1)`) being the identity — so a
+/// build clones no value, and the level buffers are reused across
+/// partitions.
+#[derive(Default)]
 struct SparseExtrema {
-    levels: Vec<Vec<Value>>, // levels[j][i] = extremum of [i, i + 2^j)
-    want_min: bool,
+    levels: Vec<Vec<usize>>,
 }
 
 impl SparseExtrema {
-    fn build(part: &[Row], col: AttrId, want_min: bool, env: &OpEnv) -> Self {
+    fn build(&mut self, part: &[Row], col: AttrId, want_min: bool, env: &OpEnv) {
         let n = part.len();
-        let base: Vec<Value> = part.iter().map(|r| r.get(col).clone()).collect();
-        let mut levels = vec![base];
         let mut width = 1usize;
+        let mut depth = 0usize;
         while width * 2 <= n {
-            let prev = levels.last().expect("at least base level");
-            let mut next = Vec::with_capacity(n - width * 2 + 1);
-            for i in 0..=(n - width * 2) {
-                env.tracker.compare(1);
-                next.push(Self::pick(&prev[i], &prev[i + width], want_min));
+            if self.levels.len() == depth {
+                self.levels.push(Vec::new());
             }
-            levels.push(next);
+            let (below, level) = self.levels.split_at_mut(depth);
+            let level = &mut level[0];
+            level.clear();
+            let at = |i: usize| below.last().map_or(i, |prev| prev[i]);
+            level.extend(
+                (0..=n - width * 2).map(|i| Self::pick(part, col, want_min, at(i), at(i + width))),
+            );
+            env.tracker.compare(level.len() as u64);
             width *= 2;
-        }
-        SparseExtrema { levels, want_min }
-    }
-
-    fn pick(a: &Value, b: &Value, want_min: bool) -> Value {
-        match (a.is_null(), b.is_null()) {
-            (true, true) => Value::Null,
-            (true, false) => b.clone(),
-            (false, true) => a.clone(),
-            (false, false) => {
-                let a_wins = if want_min { a <= b } else { a >= b };
-                if a_wins {
-                    a.clone()
-                } else {
-                    b.clone()
-                }
-            }
+            depth += 1;
         }
     }
 
-    fn query(&self, s: usize, e: usize) -> Value {
+    /// The position of the better of rows `a` and `b`, the earlier one on a
+    /// tie; a NULL loses to anything (two NULLs yield a NULL position).
+    fn pick(part: &[Row], col: AttrId, want_min: bool, a: usize, b: usize) -> usize {
+        let (va, vb) = (part[a].get(col), part[b].get(col));
+        let a_wins = vb.is_null() || (!va.is_null() && if want_min { va <= vb } else { va >= vb });
+        if a_wins {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// Position of the extremum of `[s, e)` (`None` for an empty frame; a
+    /// position holding NULL for an all-NULL one).
+    fn query(
+        &self,
+        part: &[Row],
+        col: AttrId,
+        want_min: bool,
+        s: usize,
+        e: usize,
+    ) -> Option<usize> {
         if s >= e {
-            return Value::Null;
+            return None;
         }
-        let len = e - s;
-        let j = (usize::BITS - 1 - len.leading_zeros()) as usize; // floor(log2)
-        let left = &self.levels[j][s];
-        let right = &self.levels[j][e - (1 << j)];
-        Self::pick(left, right, self.want_min)
+        let j = (usize::BITS - 1 - (e - s).leading_zeros()) as usize; // floor(log2)
+        let at = |i: usize| if j == 0 { i } else { self.levels[j - 1][i] };
+        Some(Self::pick(part, col, want_min, at(s), at(e - (1 << j))))
     }
 }
 
