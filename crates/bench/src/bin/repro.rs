@@ -45,7 +45,9 @@ fn usage() -> ! {
                      table (one SQL statement per line; `.stats`,\n\
                      `.shutdown`)\n\
            client \"SQL\"...  send statements to a running server; use\n\
-                     `.shutdown` as the last statement to stop it\n\
+                     `.shutdown` as the last statement to stop it; with\n\
+                     --time, print each reply's client latency_ms next\n\
+                     to the server's wall_ms\n\
            all       everything above (except regress, explain and serve)\n\
          options:\n\
            --rows N       table size (default 200000; paper ratio-preserving;\n\
@@ -53,7 +55,8 @@ fn usage() -> ! {
            --analyze      (explain) execute and print measured-vs-modeled\n\
            --trace PATH   (explain) record spans and write a Chrome trace\n\
            --port N       (serve/client) TCP port, default 7878\n\
-           --threads N    (serve) connection-handler threads, default 8"
+           --threads N    (serve) connection-handler threads, default 8\n\
+           --time         (client) print latency_ms / wall_ms per statement"
     );
     std::process::exit(2);
 }
@@ -71,6 +74,7 @@ fn main() {
     let mut trace: Option<String> = None;
     let mut port = 7878u16;
     let mut threads = 8usize;
+    let mut time = false;
     let mut statements: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -84,6 +88,7 @@ fn main() {
                 rows_set = true;
             }
             "--analyze" => analyze = true,
+            "--time" => time = true,
             "--trace" => {
                 i += 1;
                 trace = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
@@ -140,13 +145,13 @@ fn main() {
             }
         }
         Some("serve") => {
-            let opts = wf_bench::server::ServeOptions {
+            let opts = wfopt::server::ServeOptions {
                 port,
                 rows: if rows_set { rows } else { 8_000 },
                 threads,
                 ..Default::default()
             };
-            if !wf_bench::server::run_serve(&opts) {
+            if !wfopt::server::run_serve(&opts) {
                 std::process::exit(1);
             }
         }
@@ -154,7 +159,7 @@ fn main() {
             if statements.is_empty() {
                 usage();
             }
-            if !wf_bench::server::run_client(port, &statements) {
+            if !wfopt::server::run_client(port, &statements, time) {
                 std::process::exit(1);
             }
         }

@@ -16,7 +16,6 @@ pub mod microbench;
 pub mod queries;
 pub mod regress;
 pub mod report;
-pub mod server;
 
 /// The paper's table size in MB (14.3 GB), the anchor of the `M` mapping.
 pub const PAPER_TABLE_MB: f64 = 14_300.0;

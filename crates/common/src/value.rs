@@ -157,6 +157,40 @@ impl fmt::Display for Value {
     }
 }
 
+impl Value {
+    /// Append exactly the bytes [`Display`](fmt::Display) prints, without a
+    /// formatter call or an allocation on the common variants: an integer
+    /// goes through a stack digit buffer and a string is a byte copy.
+    pub fn write_text(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        match self {
+            Value::Null => out.extend_from_slice(b"NULL"),
+            Value::Int(v) => {
+                // 19 digits of `u64::MAX >> 1` plus the sign.
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut rest = v.unsigned_abs();
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                if *v < 0 {
+                    at -= 1;
+                    digits[at] = b'-';
+                }
+                out.extend_from_slice(&digits[at..]);
+            }
+            // Writing to a `Vec` cannot fail.
+            Value::Float(v) => write!(out, "{v}").expect("write to a Vec"),
+            Value::Str(s) => out.extend_from_slice(s.as_bytes()),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

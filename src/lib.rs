@@ -13,6 +13,10 @@
 //! * [`sql`] — a SQL front end for window queries,
 //! * [`datagen`] — TPC-DS-shaped data generators used by the benchmarks.
 //!
+//! On top of them sit the served front end — [`session`] ([`Database`],
+//! [`Session`], admission control) — and [`server`], the line-protocol TCP
+//! server and client behind `repro serve` / `repro client`.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -42,6 +46,7 @@
 //! ```
 
 pub mod db;
+pub mod server;
 pub mod session;
 pub use db::Database;
 pub use session::{DatabaseConfig, PreparedQuery, QueryOutcome, Session};
