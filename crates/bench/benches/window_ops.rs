@@ -1,17 +1,44 @@
 //! Micro-benchmarks of the window-function operator itself: ranking,
 //! frame-based aggregates and sliding frames over a matched input (100
-//! partitions of 500 rows: per-row cost), and the per-partition and
-//! per-segment cost the benchmark's `window_fanout` workload is made of —
-//! window groups of 1, 8 and 24 calls over two-row partitions in 1 024
-//! segments, and boundary reuse over one segment of 50 000 partitions.
+//! partitions of 500 rows: per-row cost) — each over a resident segment
+//! and, for one function per family, over the same rows as a spilled handle
+//! (`spilled_*`: what the row-at-a-time stream costs per row·call next to
+//! the resident pass) — and the per-partition and per-segment cost the
+//! benchmark's `window_fanout` workload is made of: window groups of 1, 8
+//! and 24 calls over two-row partitions in 1 024 segments, and boundary
+//! reuse over one segment of 50 000 partitions.
 
 use wf_bench::microbench::BenchGroup;
 use wf_common::AttrSet;
 use wf_common::{row, AttrId, OrdElem, Row, SortSpec};
 use wf_exec::{
-    drain, evaluate_window, Bound, FrameSpec, FrameUnits, OpEnv, SegmentBounds, SegmentSource,
-    SegmentedRows, WindowFunction, WindowOp,
+    drain, evaluate_window, Bound, FrameSpec, FrameUnits, OpEnv, Operator, Segment, SegmentBounds,
+    SegmentSource, SegmentedRows, WindowFunction, WindowOp,
 };
+
+/// A leaf handing out one prepared segment.
+struct Once(Option<Segment>);
+
+impl Operator for Once {
+    fn next_segment(&mut self) -> wf_common::Result<Option<Segment>> {
+        Ok(self.0.take())
+    }
+}
+
+/// `rows` admitted into a pool that something else fills for the moment: a
+/// spilled handle, in an environment whose pool (8 blocks) is then free for
+/// the evaluation's own stage and output.
+fn spilled_segment(rows: Vec<Row>) -> (Segment, OpEnv) {
+    let env = OpEnv::with_memory_blocks(8);
+    let full = env.store.hold(8 * wf_storage::BLOCK_SIZE, 0);
+    let handle = env
+        .store
+        .admit(rows)
+        .expect("spill to the in-memory backend");
+    drop(full);
+    assert!(handle.is_spilled());
+    (Segment::from_handle(handle, SegmentBounds::none()), env)
+}
 
 fn matched_input(n: usize) -> SegmentedRows {
     // Sorted on (g, v): 100 partitions.
@@ -139,10 +166,20 @@ fn main() {
     ];
 
     let mut group = BenchGroup::new("window_ops");
-    for (name, func, frame) in cases {
+    for (name, func, frame) in &cases {
         group.bench(name, || {
             let env = OpEnv::with_memory_blocks(1024);
-            evaluate_window(input.clone(), &wpk, &wok, &func, frame, &env).unwrap();
+            evaluate_window(input.clone(), &wpk, &wok, func, *frame, &env).unwrap();
+        });
+    }
+    // The same calls over a spilled handle (`dense_rank` runs `rank`'s code).
+    for (name, func, frame) in cases.iter().filter(|c| c.0 != "dense_rank") {
+        group.bench(&format!("spilled_{name}"), || {
+            let (seg, env) = spilled_segment(input.rows().to_vec());
+            let (wpk, wok) = (wpk.clone(), wok.clone());
+            let mut op = WindowOp::new(Once(Some(seg)), wpk, wok, func.clone(), *frame, env);
+            let out = op.next_segment().unwrap().expect("one segment");
+            assert_eq!(out.len(), n);
         });
     }
 

@@ -13,8 +13,7 @@ use wf_core::query::WindowQuery;
 use wf_core::runtime::{execute_plan, ExecEnv};
 use wf_core::spec::WindowSpec;
 use wf_datagen::{random_specs, WsColumn, WsConfig};
-use wf_exec::parallel::parallel_partitioned;
-use wf_exec::{evaluate_window, full_sort, SegmentedRows};
+use wf_exec::{evaluate_window, SegmentedRows};
 use wf_storage::Table;
 
 /// Harness configuration (row count scales every experiment together).
@@ -426,12 +425,14 @@ pub fn run_ablate_ss(h: &Harness) {
     t.emit("ablate_ss_units");
 }
 
-/// §3.5: parallel evaluation speedup.
+/// §3.5: parallel evaluation speedup — the path the engine runs: the
+/// planner weighs `Par` reorders under a worker budget and the scheduler
+/// executes the chain it chose.
 pub fn run_parallel(h: &Harness) {
     let cfg = h.ws_config();
     let table = cfg.generate();
-    let spec = queries::q1();
-    let key = wf_core::plan::default_fs_key(&spec);
+    let stats = TableStats::from_table(&table);
+    let query = WindowQuery::new(cfg.schema(), vec![queries::q1()]);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -444,21 +445,10 @@ pub fn run_parallel(h: &Harness) {
     );
     let mut base = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let env = ExecEnv::with_memory_blocks(64);
-        let t0 = Instant::now();
-        let out = parallel_partitioned(
-            SegmentedRows::single_segment(table.rows().to_vec()),
-            spec.wpk(),
-            workers,
-            env.op_env(),
-            |_, part, worker_env| {
-                let sorted = full_sort(part, &key, worker_env)?;
-                evaluate_window(sorted, spec.wpk(), spec.wok(), &spec.func, None, worker_env)
-            },
-        )
-        .unwrap();
-        assert_eq!(out.len(), table.row_count());
-        let wall = t0.elapsed().as_secs_f64() * 1000.0;
+        let env = ExecEnv::with_memory_blocks(64).with_par_workers(workers);
+        let plan = optimize(&query, &stats, Scheme::Cso, &env).expect("planning");
+        let report = execute_plan(&plan, &table, &env).expect("execution");
+        let wall = report.wall.as_secs_f64() * 1000.0;
         if workers == 1 {
             base = wall;
         }

@@ -18,7 +18,6 @@
 //!   detection, ranking / distribution / reference / aggregate functions
 //!   with ROWS and RANGE frames; fully streaming,
 //! * [`relational`] — filter and hash/sort GROUP BY upstream operators,
-//! * [`parallel`] — hash-partitioned parallel evaluation (paper §3.5),
 //! * [`scheduler`] — the planner-driven parallel execution subsystem:
 //!   partition-sharded worker pool, per-worker ledger sub-accounts, whole
 //!   chain-parallel spans (in-worker window evaluation behind the
@@ -40,7 +39,6 @@ pub mod env;
 pub mod full_sort;
 pub mod hashed_sort;
 pub mod operator;
-pub mod parallel;
 pub mod relational;
 pub mod scheduler;
 pub mod segment;
@@ -53,7 +51,6 @@ pub use env::OpEnv;
 pub use full_sort::{full_sort, FullSortOp};
 pub use hashed_sort::{hashed_sort, HashedSortOp, HsOptions};
 pub use operator::{drain, Operator, SegStream, Segment, SegmentSource, TableScan};
-pub use parallel::ParallelOp;
 pub use relational::{
     filter, group_by_hash, group_by_hash_par, group_by_sort, group_by_sort_par, FilterOp, GroupAgg,
     GroupByHashOp, GroupBySortOp, Predicate,

@@ -35,12 +35,13 @@
 //!   one unit at a time even for spilled segments,
 //! * [`crate::window::WindowOp`] — fully streaming; evaluates every window
 //!   call sharing a `(WPK, WOK)` in one pass per segment; spilled segments
-//!   are evaluated partition-at-a-time (Shi & Wang-style spilling
-//!   aggregation for the SQL-default frame) instead of materialized,
+//!   are streamed through the same evaluators within the residency of each
+//!   call's class (Shi & Wang-style spilling aggregation for the SQL-default
+//!   frame) instead of materialized,
 //! * [`crate::relational::FilterOp`], [`crate::relational::GroupByHashOp`],
 //!   [`crate::relational::GroupBySortOp`] — the upstream relational ops,
-//! * [`crate::parallel::ParallelOp`] — scatter on first pull, then worker
-//!   outputs segment by segment.
+//! * [`crate::scheduler::ParallelSortOp`], [`crate::scheduler::ParallelChainOp`]
+//!   — scatter on first pull, then the workers' outputs segment by segment.
 //!
 //! Cost accounting is unchanged by construction: operators charge the same
 //! [`wf_storage::CostTracker`] counters at the same granularity as the

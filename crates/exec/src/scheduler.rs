@@ -7,8 +7,7 @@
 //! 1. **Scatter** — the upstream row stream is hash-partitioned on the
 //!    shard key (a subset of the window partition key, so every window
 //!    partition lands wholly inside one shard) into `workers` store-managed
-//!    shard buffers, charging one hash per row exactly like
-//!    [`crate::parallel::parallel_partitioned`]. Shard assignment is a pure
+//!    shard buffers, charging one hash per row. Shard assignment is a pure
 //!    function of the row values — never of timing.
 //! 2. **Parallel sort** — each shard is sorted by the shared
 //!    [`sort machinery`](crate::sorter) inside its own worker environment:
@@ -87,13 +86,12 @@ pub fn per_worker_blocks(mem_blocks: u64, workers: usize) -> u64 {
 
 /// Run shard-indexed `jobs` over at most `threads` scoped worker threads
 /// with the fixed shard→worker assignment (worker `t` takes jobs
-/// `t, t + threads, …`) — the one orchestration both
-/// [`ParallelSortOp`] and [`crate::parallel::parallel_partitioned`] use,
-/// so the determinism choreography cannot drift between them. Returns one
-/// slot per shard in `0..shards`: `Some(result)` for jobs that ran, `None`
-/// where the owning thread panicked (a panicking thread loses its whole
-/// batch, completed siblings included — callers should report the panic,
-/// not blame a specific unaccounted shard).
+/// `t, t + threads, …`) — the one orchestration every parallel operator
+/// here uses, so the determinism choreography cannot drift between them.
+/// Returns one slot per shard in `0..shards`: `Some(result)` for jobs that
+/// ran, `None` where the owning thread panicked (a panicking thread loses
+/// its whole batch, completed siblings included — callers should report the
+/// panic, not blame a specific unaccounted shard).
 pub(crate) fn run_sharded<J, R>(
     shards: usize,
     threads: usize,
@@ -138,8 +136,7 @@ where
 
 /// Fold the workers' private trackers into the chain's tracker **in
 /// worker order** — the counter half of the deterministic reassembly
-/// choreography (shared by [`ParallelSortOp`] and
-/// [`crate::parallel::parallel_partitioned`]).
+/// choreography.
 pub(crate) fn absorb_worker_trackers(env: &OpEnv, worker_envs: &[OpEnv]) {
     for w in worker_envs {
         env.tracker.absorb(&w.tracker.snapshot());

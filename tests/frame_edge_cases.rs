@@ -331,24 +331,48 @@ fn range_unbounded_following_with_peers() {
     assert_eq!(sums, vec![8, 7, 7, 3]);
 }
 
+/// A frame that starts at `UNBOUNDED FOLLOWING` or ends at `UNBOUNDED
+/// PRECEDING` is invalid by its shape: whatever its units, and whether or
+/// not there is a row to evaluate it over.
 #[test]
 fn unbounded_following_as_start_is_rejected() {
-    let rows = vec![row![1], row![2]];
     let env = OpEnv::with_memory_blocks(8);
-    let frame = FrameSpec {
-        units: FrameUnits::Range,
-        start: Bound::UnboundedFollowing,
-        end: Bound::UnboundedFollowing,
-    };
-    let r = evaluate_window(
-        SegmentedRows::single_segment(rows),
-        &AttrSet::empty(),
-        &asc(&[0]),
-        &WindowFunction::Sum(a(0)),
-        Some(frame),
-        &env,
-    );
-    assert!(r.is_err(), "frame start UNBOUNDED FOLLOWING must error");
+    for units in [FrameUnits::Rows, FrameUnits::Range] {
+        for (start, end, message) in [
+            (
+                Bound::UnboundedFollowing,
+                Bound::UnboundedFollowing,
+                "frame start cannot be UNBOUNDED FOLLOWING",
+            ),
+            (
+                Bound::UnboundedFollowing,
+                Bound::CurrentRow,
+                "frame start cannot be UNBOUNDED FOLLOWING",
+            ),
+            (
+                Bound::CurrentRow,
+                Bound::UnboundedPreceding,
+                "frame end cannot be UNBOUNDED PRECEDING",
+            ),
+        ] {
+            for rows in [vec![row![1], row![2]], vec![]] {
+                let populated = !rows.is_empty();
+                let r = evaluate_window(
+                    SegmentedRows::single_segment(rows),
+                    &AttrSet::empty(),
+                    &asc(&[0]),
+                    &WindowFunction::Sum(a(0)),
+                    Some(FrameSpec { units, start, end }),
+                    &env,
+                );
+                assert_eq!(
+                    r.unwrap_err(),
+                    Error::InvalidQuery(message.into()),
+                    "{units:?} {start:?}..{end:?}, populated: {populated}"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

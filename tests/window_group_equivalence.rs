@@ -667,41 +667,61 @@ fn one_row_partitions(n: usize, layers: &[AttrSet]) -> SegmentedRows {
     SegmentedRows::from_parts_with_bounds(rows, vec![0], vec![bounds])
 }
 
-/// Boundary reuse is linear in the partitions of a resident segment: each
-/// partition's peer query reads its own slice of the carried layer
-/// (`partition_point`), not the whole layer. Quadratic would be 16× from
-/// 10 000 to 40 000 partitions.
-#[test]
-fn rank_over_one_row_partitions_scales_linearly() {
+/// Rank over `n` one-row partitions carrying `layers`: the ranks, the exact
+/// comparison count, and how long the evaluation took.
+fn rank_one_row_partitions(n: usize, layers: &[AttrSet], comparisons: u64) -> Duration {
     let wpk = AttrSet::from_iter([a(0)]);
     let wok = SortSpec::new(vec![OrdElem::asc(a(1))]);
-    let union = wpk.union(&wok.attr_set());
+    let input = one_row_partitions(n, layers);
+    let env = OpEnv::with_memory_blocks(1 << 16);
+    let t = Instant::now();
+    let out = evaluate_window(input, &wpk, &wok, &WindowFunction::Rank, None, &env).unwrap();
+    let took = t.elapsed();
+    assert!(out.rows().iter().all(|r| r.get(a(2)) == &Value::Int(1)));
+    assert_eq!(env.tracker.snapshot().comparisons, comparisons, "n={n}");
+    took
+}
+
+/// The layers of [`rank_one_row_partitions`]: exact ones for `WPK` and
+/// `WPK ∪ WOK`, or the superset layer alone.
+fn one_row_layers() -> ([AttrSet; 2], [AttrSet; 1]) {
+    let wpk = AttrSet::from_iter([a(0)]);
+    let union = wpk.union(&AttrSet::from_iter([a(1)]));
+    ([wpk, union.clone()], [union])
+}
+
+/// Boundary reuse over a resident segment of one-row partitions costs what
+/// the layers leave to verify: exact layers answer partition and peer
+/// detection with no comparison; a superset layer alone has each of its
+/// `n − 1` candidate boundaries verified once for the partitions, and none
+/// lies inside a one-row partition.
+#[test]
+fn rank_over_one_row_partitions_scales_linearly() {
+    let (exact, superset) = one_row_layers();
+    for n in [10_000usize, 40_000] {
+        rank_one_row_partitions(n, &exact, 0);
+        rank_one_row_partitions(n, &superset, n as u64 - 1);
+    }
+}
+
+/// The same in wall time: each partition's peer query reads its own slice of
+/// the carried layer (`partition_point`), not the whole layer. Quadratic
+/// would be 16× from 10 000 to 40 000 partitions.
+#[test]
+#[ignore = "wall-clock ratio; run by CI's release leg"]
+fn rank_over_one_row_partitions_scales_linearly_on_the_wall() {
+    let (exact, superset) = one_row_layers();
     let best_of_3 = |n: usize, layers: &[AttrSet], comparisons: u64| -> Duration {
         (0..3)
-            .map(|_| {
-                let input = one_row_partitions(n, layers);
-                let env = OpEnv::with_memory_blocks(1 << 16);
-                let t = Instant::now();
-                let out =
-                    evaluate_window(input, &wpk, &wok, &WindowFunction::Rank, None, &env).unwrap();
-                let took = t.elapsed();
-                assert!(out.rows().iter().all(|r| r.get(a(2)) == &Value::Int(1)));
-                assert_eq!(env.tracker.snapshot().comparisons, comparisons, "n={n}");
-                took
-            })
+            .map(|_| rank_one_row_partitions(n, layers, comparisons))
             .min()
             .unwrap()
     };
-    // Exact layers answer partition and peer detection with no comparison.
-    let exact = [wpk.clone(), union.clone()];
     let (small, large) = (best_of_3(10_000, &exact, 0), best_of_3(40_000, &exact, 0));
     assert!(
         large < small * 6,
         "exact layers: 10k partitions {small:?}, 40k partitions {large:?}"
     );
-    // A superset layer alone: each of its n − 1 candidate boundaries is
-    // verified once for the partitions, none lies inside a one-row partition.
-    let superset = [union];
     let (small, large) = (
         best_of_3(10_000, &superset, 9_999),
         best_of_3(40_000, &superset, 39_999),
