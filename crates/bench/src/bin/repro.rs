@@ -36,11 +36,6 @@ fn usage() -> ! {
                      in chrome://tracing or Perfetto) plus PATH.folded\n\
                      flamegraph stacks, self-validated (exit 1 on an\n\
                      invalid trace)\n\
-           regress   fixed workloads → results/BENCH_9.json; exits 1 on a\n\
-                     >2x modeled-cost or peak-residency regression vs\n\
-                     BENCH_9.baseline.json (set WF_REGRESS_MIN_WALL_SPEEDUP /\n\
-                     WF_REGRESS_MIN_GROUPBY_WALL_SPEEDUP on multi-core hosts\n\
-                     to also gate parallel wall speedups)\n\
            serve     line-protocol TCP server over a generated web_sales\n\
                      table (one SQL statement per line; `.stats`,\n\
                      `.shutdown`)\n\
@@ -48,7 +43,7 @@ fn usage() -> ! {
                      `.shutdown` as the last statement to stop it; with\n\
                      --time, print each reply's client latency_ms next\n\
                      to the server's wall_ms\n\
-           all       everything above (except regress, explain and serve)\n\
+           all       everything above (except explain, serve and client)\n\
          options:\n\
            --rows N       table size (default 200000; paper ratio-preserving;\n\
                           serve defaults to 8000)\n\
@@ -133,14 +128,6 @@ fn main() {
         Some("explain") => {
             let which = sub.as_deref().unwrap_or("par");
             if !wf_bench::explain::run_explain(&h, which, analyze, trace.as_deref()) {
-                std::process::exit(1);
-            }
-        }
-        Some("regress") => {
-            // Row count is pinned inside the module so the checked-in
-            // baseline stays comparable across machines and invocations.
-            if !wf_bench::regress::run_regress() {
-                eprintln!("\n(total harness time: {:.1?})", started.elapsed());
                 std::process::exit(1);
             }
         }

@@ -463,14 +463,10 @@ pub fn run_parallel(h: &Harness) {
 
 /// §5: integrated optimization over GROUP BY variants — the tightly
 /// integrated approach must never lose to either fixed upstream plan.
-/// The GROUP BY setup runs through the parallel scatter/merge path
-/// (4 workers), which emits the same rows in the same order as the
-/// serial operators.
 pub fn run_integrated(h: &Harness) {
     use wf_core::integrated::{optimize_integrated, InputVariant};
-    use wf_exec::{group_by_hash_par, group_by_sort_par, GroupAgg};
+    use wf_exec::{group_by_hash, group_by_sort, GroupAgg};
 
-    const GB_WORKERS: usize = 4;
     let cfg = h.ws_config();
     let base = cfg.generate();
     let item = WsColumn::Item.attr();
@@ -492,14 +488,12 @@ pub fn run_integrated(h: &Harness) {
         let m = paper_mb_to_blocks(m_mb, base.block_count());
 
         let env_hash = ExecEnv::with_memory_blocks(m);
-        let by_hash =
-            group_by_hash_par(&base, &keys, &aggs, GB_WORKERS, env_hash.op_env()).unwrap();
+        let by_hash = group_by_hash(&base, &keys, &aggs, env_hash.op_env()).unwrap();
         let hash_cost = env_hash
             .weights()
             .modeled_ms(&env_hash.tracker().snapshot());
         let env_sort = ExecEnv::with_memory_blocks(m);
-        let _by_sort =
-            group_by_sort_par(&base, &keys, &aggs, GB_WORKERS, env_sort.op_env()).unwrap();
+        let _by_sort = group_by_sort(&base, &keys, &aggs, env_sort.op_env()).unwrap();
         let sort_cost = env_sort
             .weights()
             .modeled_ms(&env_sort.tracker().snapshot());

@@ -8,14 +8,14 @@
 //! writes the execution's timeline as Chrome trace-event JSON (load in
 //! `chrome://tracing` or Perfetto) plus a `PATH.folded` folded-stacks file
 //! for flamegraphs, then self-validates the file: it must parse with the
-//! in-tree JSON parser, contain at least one `step` span per chain step,
-//! and — for the parallel workload — interleave at least two thread lanes.
+//! in-tree JSON parser, contain a `step` span for every chain step that
+//! reports wall time, and — for the parallel workload — interleave at least
+//! two thread lanes.
 //! CI runs exactly that as its trace-validity smoke step.
 
 use crate::experiments::Harness;
 use crate::paper_mb_to_blocks;
 use crate::queries;
-use crate::regress::{par_chain_query, PAR_WORKERS};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use wf_common::{Json, TraceSink};
@@ -36,7 +36,7 @@ pub fn run_explain(h: &Harness, which: &str, analyze: bool, trace_path: Option<&
         "q7" => (queries::q7(&cfg), 1),
         "q8" => (queries::q8(&cfg), 1),
         "q9" => (queries::q9(&cfg), 1),
-        "par" => (par_chain_query(table.schema().clone()), PAR_WORKERS),
+        "par" => (queries::par_chain_query(&cfg), queries::PAR_WORKERS),
         other => {
             eprintln!("unknown explain workload {other:?} (expected q6|q7|q8|q9|par)");
             return false;
@@ -55,9 +55,14 @@ pub fn run_explain(h: &Harness, which: &str, analyze: bool, trace_path: Option<&
     let mut step_labels: Vec<String> = Vec::new();
     if analyze || sink.is_some() {
         let (report, text) = explain_analyze(&plan, &table, &env).expect("explain analyze");
+        // The runtime opens one `step` span per operator, under the label of
+        // the first step it covers: the other steps of a window group or of
+        // a `PAR→` span have a report row — with no wall of their own — but
+        // no span.
         step_labels = report
             .step_metrics
             .iter()
+            .filter(|s| !s.wall.is_zero())
             .map(|s| s.label.clone())
             .collect();
         if analyze {
@@ -149,6 +154,19 @@ pub fn validate_trace_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `repro explain par --trace` end to end: the second window is fused
+    /// into the `PAR→` span and traces under the head's label.
+    #[test]
+    fn traced_par_chain_validates() {
+        let path = std::env::temp_dir().join(format!("wf-explain-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp dir");
+        let ok = run_explain(&Harness { rows: 6_000 }, "par", false, Some(path));
+        for file in [path.to_string(), format!("{path}.folded")] {
+            std::fs::remove_file(file).expect("both trace files written");
+        }
+        assert!(ok, "trace validation failed");
+    }
 
     #[test]
     fn validator_checks_steps_and_lanes() {

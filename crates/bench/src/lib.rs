@@ -14,7 +14,6 @@ pub mod experiments;
 pub mod explain;
 pub mod microbench;
 pub mod queries;
-pub mod regress;
 pub mod report;
 
 /// The paper's table size in MB (14.3 GB), the anchor of the `M` mapping.

@@ -5,11 +5,12 @@
 //! * Tables 3/5/7/9: the window-function sets of Q6–Q9. Attribute
 //!   abbreviations per Table 2: `date = ws_sold_date_sk`,
 //!   `time = ws_sold_time_sk`, `ship = ws_ship_date_sk`,
-//!   `item = ws_item_sk`, `bill = ws_bill_customer_sk`.
+//!   `item = ws_item_sk`, `bill = ws_bill_customer_sk`,
+//! * the two-window parallel chain `repro explain par` plans and traces.
 
 use wf_common::{OrdElem, SortSpec};
 use wf_core::query::WindowQuery;
-use wf_core::spec::WindowSpec;
+use wf_core::spec::{WindowFunction, WindowSpec};
 use wf_datagen::{WsColumn, WsConfig};
 
 fn spec(name: &str, wpk: &[WsColumn], wok: &[WsColumn]) -> WindowSpec {
@@ -95,6 +96,27 @@ pub fn q9(cfg: &WsConfig) -> WindowQuery {
             spec("wf6", &[Bill], &[Time]),
             spec("wf7", &[Date, Time], &[]),
             spec("wf8", &[], &[Time]),
+        ],
+    )
+}
+
+/// Worker budget `repro explain par` plans [`par_chain_query`] under.
+pub const PAR_WORKERS: usize = 4;
+
+/// The parallel chain: a rank and a one-pass SUM sharing the partition key,
+/// so the planner can run both inside one `Par` span (the benchmark's
+/// `par_chain` statement is the same query as SQL).
+pub fn par_chain_query(cfg: &WsConfig) -> WindowQuery {
+    WindowQuery::new(
+        cfg.schema(),
+        vec![
+            spec("r", &[Item], &[Time]),
+            WindowSpec::new(
+                "s",
+                WindowFunction::Sum(Quantity.attr()),
+                vec![Item.attr()],
+                SortSpec::new(vec![OrdElem::asc(Warehouse.attr())]),
+            ),
         ],
     )
 }

@@ -1,10 +1,10 @@
 //! Minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace hand-rolls every serialized artifact (BENCH JSON, Chrome
-//! trace events) instead of pulling a serde stack, so it also needs a small
-//! reader to validate those artifacts round-trip: the regress baseline gate,
-//! the `repro --trace` self-check, and the exporter tests all parse with
-//! this module. It is a strict-enough subset of RFC 8259 for machine-written
+//! The workspace hand-rolls every serialized artifact (Chrome trace events,
+//! the benchmark's result files) instead of pulling a serde stack, so it
+//! also needs a small reader to validate those artifacts round-trip: the
+//! `repro --trace` self-check, the exporter tests and the benchmark harness
+//! all parse with this module. It is a strict-enough subset of RFC 8259 for machine-written
 //! JSON: objects, arrays, strings with `\uXXXX` escapes, numbers parsed as
 //! `f64`, booleans, and `null`. Object keys keep their document order (the
 //! trace exporter's output is deterministic, and tests pin it).

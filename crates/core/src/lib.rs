@@ -39,6 +39,6 @@ pub use plan::{Plan, PlanStep, ReorderOp};
 pub use planner::{optimize, Scheme};
 pub use props::SegProps;
 pub use query::{QueryBuilder, WindowQuery};
-pub use runtime::{execute_plan, explain_analyze, ExecEnv, ExecMetrics, ExecReport, StepMetrics};
+pub use runtime::{execute_plan, explain_analyze, ExecEnv, ExecReport, StepMetrics};
 pub use spec::WindowSpec;
 pub use wf_exec::Predicate;

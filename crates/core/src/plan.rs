@@ -107,7 +107,7 @@ pub struct Plan {
     pub filter: Option<wf_exec::Predicate>,
     /// Per-step spilled-segment evaluation class (one-pass / ring-buffer /
     /// buffered), recorded at finalize time — one entry per `steps` entry —
-    /// so EXPLAIN output and `repro regress` can report which residency
+    /// so EXPLAIN output and the execution report can say which residency
     /// discipline each window call takes.
     pub eval_classes: Vec<wf_exec::StreamableEval>,
 }

@@ -19,7 +19,7 @@
 //! Cost attribution: every reorder-plus-group subtree is wrapped in a
 //! `Metered` shim that charges the shared tracker delta of each pull to its
 //! slots, minus whatever nested upstream slots charged during the same pull
-//! — so the per-step breakdown in [`ExecReport::steps`] is exact even though
+//! — so the per-step breakdown in [`ExecReport::step_metrics`] is exact even though
 //! the steps' work interleaves in time. The report keeps **one slot per plan
 //! step**: work and wall of a group (as of a `PAR→` span) are not separable
 //! per function and land on the head's slot, while every member slot counts
@@ -32,7 +32,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wf_common::{json, Field, Result, Row, TraceSink};
+use wf_common::{Field, Result, Row, TraceSink};
 use wf_exec::{
     FilterOp, FullSortOp, HashedSortOp, HsOptions, OpEnv, Operator, Segment, SegmentedSortOp,
     TableScan, WindowOp,
@@ -206,13 +206,11 @@ pub struct ExecReport {
     /// Wall-clock time (secondary metric; the simulated device makes I/O
     /// free in wall time).
     pub wall: Duration,
-    /// Per-step `(label, work)` breakdown.
-    pub steps: Vec<(String, CostSnapshot)>,
-    /// Per-step measured execution metrics in chain order. Unlike
-    /// [`ExecReport::steps`] this includes slot 0 (the table scan plus any
-    /// WHERE filter) and carries the measured side — own wall time, rows
-    /// and segments emitted — that EXPLAIN ANALYZE compares against the
-    /// modeled counters.
+    /// Per-step execution metrics in chain order: slot 0 is the table scan
+    /// plus any WHERE filter, slot `k + 1` is plan step `k`. Each carries
+    /// the modeled work counters and the measured side — own wall time,
+    /// rows and segments emitted — that EXPLAIN ANALYZE compares them
+    /// against.
     pub step_metrics: Vec<StepMetrics>,
     /// Peak resident pool blocks per parallel worker shard, recorded when
     /// scheduler phases absorb their workers (empty for serial plans).
@@ -258,110 +256,6 @@ pub struct StepMetrics {
     /// Residency class of the step's window evaluation (`None` for the
     /// scan slot).
     pub eval_class: Option<wf_exec::StreamableEval>,
-}
-
-/// One execution's three metric domains — modeled cost, pool traffic and
-/// measured wall — flattened into a single serializable record. This is
-/// what `repro regress` embeds per workload in BENCH JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecMetrics {
-    /// Modeled execution time under the environment's weights.
-    pub modeled_ms: f64,
-    /// Measured wall-clock time.
-    pub wall_ms: f64,
-    /// Modeled work counters (tracker delta of the execution).
-    pub blocks_read: u64,
-    pub blocks_written: u64,
-    pub comparisons: u64,
-    pub hashes: u64,
-    pub rows_moved: u64,
-    pub key_encodes: u64,
-    /// Segment-pool residency and traffic (never part of the modeled cost).
-    pub peak_resident_blocks: u64,
-    pub peak_resident_rows: u64,
-    pub pool_spill_blocks_written: u64,
-    pub pool_spill_blocks_read: u64,
-    /// Peak resident pool blocks per parallel worker shard (empty when the
-    /// plan ran serially).
-    pub worker_peak_blocks: Vec<u64>,
-}
-
-impl ExecMetrics {
-    /// Snapshot a finished execution's report.
-    pub fn from_report(report: &ExecReport) -> Self {
-        ExecMetrics {
-            modeled_ms: report.modeled_ms,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-            blocks_read: report.work.blocks_read,
-            blocks_written: report.work.blocks_written,
-            comparisons: report.work.comparisons,
-            hashes: report.work.hashes,
-            rows_moved: report.work.rows_moved,
-            key_encodes: report.work.key_encodes,
-            peak_resident_blocks: report.store.peak_resident_blocks(),
-            peak_resident_rows: report.store.peak_resident_rows as u64,
-            pool_spill_blocks_written: report.store.spill_blocks_written,
-            pool_spill_blocks_read: report.store.spill_blocks_read,
-            worker_peak_blocks: report.worker_peak_blocks.clone(),
-        }
-    }
-
-    /// Single-line JSON object (hand-rolled; field order is stable).
-    pub fn to_json(&self) -> String {
-        let peaks = self
-            .worker_peak_blocks
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"modeled_ms\":{:.3},\"wall_ms\":{:.3},\"blocks_read\":{},\
-             \"blocks_written\":{},\"comparisons\":{},\"hashes\":{},\
-             \"rows_moved\":{},\"key_encodes\":{},\"peak_resident_blocks\":{},\
-             \"peak_resident_rows\":{},\"pool_spill_blocks_written\":{},\
-             \"pool_spill_blocks_read\":{},\"worker_peak_blocks\":[{}]}}",
-            self.modeled_ms,
-            self.wall_ms,
-            self.blocks_read,
-            self.blocks_written,
-            self.comparisons,
-            self.hashes,
-            self.rows_moved,
-            self.key_encodes,
-            self.peak_resident_blocks,
-            self.peak_resident_rows,
-            self.pool_spill_blocks_written,
-            self.pool_spill_blocks_read,
-            peaks,
-        )
-    }
-
-    /// Parse a value produced by [`ExecMetrics::to_json`]. Returns `None`
-    /// when a field is missing or mistyped (old baselines degrade
-    /// gracefully).
-    pub fn from_json(v: &json::Json) -> Option<Self> {
-        let u = |k: &str| v.get(k)?.as_u64();
-        Some(ExecMetrics {
-            modeled_ms: v.get("modeled_ms")?.as_f64()?,
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            blocks_read: u("blocks_read")?,
-            blocks_written: u("blocks_written")?,
-            comparisons: u("comparisons")?,
-            hashes: u("hashes")?,
-            rows_moved: u("rows_moved")?,
-            key_encodes: u("key_encodes")?,
-            peak_resident_blocks: u("peak_resident_blocks")?,
-            peak_resident_rows: u("peak_resident_rows")?,
-            pool_spill_blocks_written: u("pool_spill_blocks_written")?,
-            pool_spill_blocks_read: u("pool_spill_blocks_read")?,
-            worker_peak_blocks: v
-                .get("worker_peak_blocks")?
-                .as_array()?
-                .iter()
-                .map(|p| p.as_u64())
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
 }
 
 /// Execute a finalized plan over `table`.
@@ -667,12 +561,6 @@ pub fn execute_plan_with_specs(
     }
     drop(op);
 
-    let steps_report: Vec<(String, CostSnapshot)> = plan
-        .steps
-        .iter()
-        .zip(cells.borrow().iter().skip(1))
-        .map(|(step, exec)| (step_label(step, specs), exec.work))
-        .collect();
     // Measured per-step metrics, scan slot included. A step's residency
     // class comes from the plan (recorded at finalize time, same source as
     // `eval_classes` below).
@@ -740,7 +628,6 @@ pub fn execute_plan_with_specs(
         modeled_ms: env.weights.modeled_ms(&work),
         work,
         wall: start.elapsed(),
-        steps: steps_report,
         step_metrics,
         worker_peak_blocks: env.op_env().store.worker_peak_blocks(),
         store: env.store_snapshot(),
@@ -1001,7 +888,7 @@ mod tests {
         let env = ExecEnv::with_memory_blocks(64);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
         let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
-        assert_eq!(report.steps.len(), 1);
+        assert_eq!(report.step_metrics.len(), 2, "the scan and one step");
         assert!(report.modeled_ms > 0.0);
         assert!(report.work.rows_moved > 0);
     }
@@ -1028,10 +915,10 @@ mod tests {
         assert_eq!(report.weakest_eval_class(), wf_exec::StreamableEval::Ring);
     }
 
-    /// `step_metrics` carries one slot per chain stage plus the scan, its
-    /// work column agrees with `steps`, and the totals reconcile.
+    /// `step_metrics` carries the scan slot plus one slot per plan step
+    /// under the step's label, and the slots' work sums to the total.
     #[test]
-    fn step_metrics_cover_scan_and_reconcile_with_steps() {
+    fn step_metrics_cover_scan_and_reconcile_with_the_total() {
         let table = sample_table();
         let schema = table.schema().clone();
         let query = QueryBuilder::new(&schema)
@@ -1043,14 +930,18 @@ mod tests {
         let env = ExecEnv::with_memory_blocks(64).with_par_workers(1);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
         let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
-        assert_eq!(report.step_metrics.len(), report.steps.len() + 1);
+        assert_eq!(report.step_metrics.len(), plan.steps.len() + 1);
         assert_eq!(report.step_metrics[0].label, "scan+filter");
         assert_eq!(report.step_metrics[0].eval_class, None);
-        for (m, (label, work)) in report.step_metrics[1..].iter().zip(&report.steps) {
-            assert_eq!(&m.label, label);
-            assert_eq!(m.work, *work);
+        for (m, step) in report.step_metrics[1..].iter().zip(&plan.steps) {
+            assert_eq!(m.label, step_label(step, &query.specs));
             assert!(m.eval_class.is_some());
         }
+        let slots_work = report
+            .step_metrics
+            .iter()
+            .fold(CostSnapshot::default(), |sum, m| sum.plus(&m.work));
+        assert_eq!(slots_work, report.work);
         // The last step emits the chain's output rows.
         assert_eq!(report.step_metrics.last().unwrap().rows, 10);
         assert!(report.step_metrics.iter().all(|m| m.segments >= 1));
@@ -1091,28 +982,6 @@ mod tests {
             .filter(|l| l.starts_with("scan+filter") || l.contains('→') && l.contains('.'))
             .count();
         assert!(table_lines >= report.step_metrics.len(), "{text}");
-    }
-
-    #[test]
-    fn exec_metrics_roundtrip_through_json() {
-        let table = sample_table();
-        let schema = table.schema().clone();
-        let query = QueryBuilder::new(&schema)
-            .rank("r", &["dept"], &[("salary", false)])
-            .build()
-            .unwrap();
-        let stats = TableStats::from_table(&table);
-        let env = ExecEnv::with_memory_blocks(64);
-        let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
-        let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
-        let metrics = ExecMetrics::from_report(&report);
-        let parsed = json::Json::parse(&metrics.to_json()).unwrap();
-        let back = ExecMetrics::from_json(&parsed).unwrap();
-        assert_eq!(back.comparisons, metrics.comparisons);
-        assert_eq!(back.rows_moved, metrics.rows_moved);
-        assert_eq!(back.peak_resident_blocks, metrics.peak_resident_blocks);
-        assert_eq!(back.worker_peak_blocks, metrics.worker_peak_blocks);
-        assert!((back.modeled_ms - metrics.modeled_ms).abs() < 1e-3);
     }
 
     #[test]

@@ -52,12 +52,10 @@ pub use full_sort::{full_sort, FullSortOp};
 pub use hashed_sort::{hashed_sort, HashedSortOp, HsOptions};
 pub use operator::{drain, Operator, SegStream, Segment, SegmentSource, TableScan};
 pub use relational::{
-    filter, group_by_hash, group_by_hash_par, group_by_sort, group_by_sort_par, FilterOp, GroupAgg,
-    GroupByHashOp, GroupBySortOp, Predicate,
+    filter, group_by_hash, group_by_sort, FilterOp, GroupAgg, GroupByHashOp, GroupBySortOp,
+    Predicate,
 };
-pub use scheduler::{
-    per_worker_blocks, resolve_threads, ChainStage, ParInner, ParallelChainOp, ParallelSortOp,
-};
+pub use scheduler::{per_worker_blocks, resolve_threads, ChainStage, ParInner, ParallelChainOp};
 pub use segment::{BoundaryLayer, RunSplitter, SegmentBounds, SegmentedRows};
 pub use segmented_sort::{segmented_sort, SegmentedSortOp};
 pub use sorter::SortKey;

@@ -40,8 +40,8 @@
 //!   frame) instead of materialized,
 //! * [`crate::relational::FilterOp`], [`crate::relational::GroupByHashOp`],
 //!   [`crate::relational::GroupBySortOp`] — the upstream relational ops,
-//! * [`crate::scheduler::ParallelSortOp`], [`crate::scheduler::ParallelChainOp`]
-//!   — scatter on first pull, then the workers' outputs segment by segment.
+//! * [`crate::scheduler::ParallelChainOp`] — scatter and worker chains on
+//!   first pull, then the workers' finished output segment by segment.
 //!
 //! Cost accounting is unchanged by construction: operators charge the same
 //! [`wf_storage::CostTracker`] counters at the same granularity as the

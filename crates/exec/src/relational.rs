@@ -16,19 +16,13 @@
 
 use crate::env::OpEnv;
 use crate::operator::{Operator, Segment, TableScan};
-use crate::scheduler::{
-    absorb_worker_stores, absorb_worker_trackers, per_worker_blocks, resolve_threads, run_sharded,
-    HandleSource,
-};
 use crate::segment::SegmentBounds;
 use crate::sorter::SortKey;
 use crate::util::hash_row_on;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use wf_common::{
-    AttrId, AttrSet, DataType, Error, Field, Result, Row, RowComparator, Schema, SortSpec, Value,
-};
-use wf_storage::{ColumnVec, RowBatch, SegmentHandle, Table};
+use wf_common::{AttrId, AttrSet, DataType, Error, Field, Result, Row, Schema, SortSpec, Value};
+use wf_storage::{ColumnVec, RowBatch, Table};
 
 /// A simple column-vs-literal predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -476,62 +470,44 @@ impl<I: Operator> GroupByHashOp<I> {
         }
     }
 
+    /// Consume the input; queue the finished group rows in ascending key
+    /// hash, then insertion order.
     fn aggregate(&mut self, mut input: I) -> Result<()> {
-        let rows = crate::full_sort::UpstreamRows::new(&mut input);
-        for (_, row) in hash_aggregate(rows, &self.keys, &self.aggs, &self.env)? {
-            self.out.push_back(row);
+        let (keys, aggs) = (&self.keys, &self.aggs);
+        let key_set = AttrSet::from_iter(keys.iter().copied());
+        // Hash → collided groups, each (key values, aggregate states).
+        type GroupBucket = Vec<(Vec<Value>, Vec<AggState>)>;
+        let mut groups: HashMap<u64, GroupBucket> = HashMap::new();
+        for row in crate::full_sort::UpstreamRows::new(&mut input) {
+            let row = row?;
+            self.env.tracker.hash(1);
+            let h = hash_row_on(&row, &key_set);
+            let key_vals: Vec<Value> = keys.iter().map(|&a| row.get(a).clone()).collect();
+            let bucket = groups.entry(h).or_default();
+            let state = match bucket.iter_mut().find(|(k, _)| *k == key_vals) {
+                Some((_, s)) => s,
+                None => {
+                    bucket.push((key_vals.clone(), vec![AggState::new(); aggs.len()]));
+                    &mut bucket.last_mut().expect("just pushed").1
+                }
+            };
+            for (agg, st) in aggs.iter().zip(state.iter_mut()) {
+                st.update(agg, &row)?;
+            }
+        }
+        let mut hashes: Vec<u64> = groups.keys().copied().collect();
+        hashes.sort_unstable(); // deterministic (but not key-ordered) output
+        for h in hashes {
+            for (key_vals, states) in &groups[&h] {
+                let mut vals = key_vals.clone();
+                for (agg, st) in aggs.iter().zip(states) {
+                    vals.push(st.finish(agg));
+                }
+                self.out.push_back(Row::new(vals));
+            }
         }
         Ok(())
     }
-}
-
-/// The hash-aggregation core: consume a row stream, return the finished
-/// group rows as `(key hash, row)` pairs in ascending hash then insertion
-/// order — exactly the emission order [`GroupByHashOp`] uses, exposed so
-/// the parallel scatter/merge ([`group_by_hash_par`]) can reproduce the
-/// serial output bit for bit (groups with equal hashes always live in one
-/// worker, so merging per-worker outputs by ascending head hash restores
-/// the serial sequence).
-fn hash_aggregate(
-    rows: impl Iterator<Item = Result<Row>>,
-    keys: &[AttrId],
-    aggs: &[GroupAgg],
-    env: &OpEnv,
-) -> Result<Vec<(u64, Row)>> {
-    let key_set = AttrSet::from_iter(keys.iter().copied());
-    // Hash → collided groups, each (key values, aggregate states).
-    type GroupBucket = Vec<(Vec<Value>, Vec<AggState>)>;
-    let mut groups: HashMap<u64, GroupBucket> = HashMap::new();
-    for row in rows {
-        let row = row?;
-        env.tracker.hash(1);
-        let h = hash_row_on(&row, &key_set);
-        let key_vals: Vec<Value> = keys.iter().map(|&a| row.get(a).clone()).collect();
-        let bucket = groups.entry(h).or_default();
-        let state = match bucket.iter_mut().find(|(k, _)| *k == key_vals) {
-            Some((_, s)) => s,
-            None => {
-                bucket.push((key_vals.clone(), vec![AggState::new(); aggs.len()]));
-                &mut bucket.last_mut().expect("just pushed").1
-            }
-        };
-        for (agg, st) in aggs.iter().zip(state.iter_mut()) {
-            st.update(agg, &row)?;
-        }
-    }
-    let mut hashes: Vec<u64> = groups.keys().copied().collect();
-    hashes.sort_unstable(); // deterministic (but not key-ordered) output
-    let mut out = Vec::new();
-    for h in hashes {
-        for (key_vals, states) in &groups[&h] {
-            let mut vals = key_vals.clone();
-            for (agg, st) in aggs.iter().zip(states) {
-                vals.push(st.finish(agg));
-            }
-            out.push((h, Row::new(vals)));
-        }
-    }
-    Ok(out)
 }
 
 impl<I: Operator> Operator for GroupByHashOp<I> {
@@ -682,186 +658,6 @@ pub fn group_by_sort(
             out.push(row);
         }
     }
-    Ok(out)
-}
-
-/// Scatter the table's rows into `workers` store-managed shard buffers by
-/// `hash % workers` on the key set — the GROUP BY twin of the chain
-/// scheduler's scatter. Charges one scan plus one hash per row; equal keys
-/// always land in one shard, which is what lets both parallel GROUP BYs
-/// merge without cross-worker ties.
-fn scatter_by_key(
-    table: &Table,
-    key_set: &AttrSet,
-    workers: usize,
-    env: &OpEnv,
-) -> Result<Vec<(usize, (SegmentHandle, OpEnv))>> {
-    table.charge_scan(&env.tracker);
-    let mut builders: Vec<_> = (0..workers).map(|_| env.store.builder()).collect();
-    for row in table.rows() {
-        env.tracker.hash(1);
-        let w = (hash_row_on(row, key_set) % workers as u64) as usize;
-        builders[w].push(row.clone())?;
-    }
-    let m_w = per_worker_blocks(env.mem_blocks, workers);
-    let mut jobs = Vec::with_capacity(workers);
-    for (i, b) in builders.into_iter().enumerate() {
-        jobs.push((i, (b.finish()?, env.shard_env(m_w))));
-    }
-    Ok(jobs)
-}
-
-/// Unwrap `run_sharded`'s per-shard slots, surfacing the first worker error
-/// (by shard index) or a panic.
-fn collect_worker_outputs<R>(slots: Vec<Option<Result<R>>>) -> Result<Vec<R>> {
-    let mut out = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(Error::Execution(format!(
-                    "a parallel GROUP BY worker thread panicked (shard {i} unaccounted)"
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel hash GROUP BY: scatter rows by `hash % workers` on the keys
-/// into store-managed shard buffers, run the serial hash-aggregation core
-/// in every worker (fresh tracker, ledger sub-account at `M_w`), then merge
-/// the per-worker outputs by **ascending head hash** — since a group's
-/// worker is a function of its hash, the merged sequence is bit-identical
-/// to [`group_by_hash`]'s ascending-hash emission. Modeled counters charge
-/// the scatter's extra `t` hashes (2 per row total) whatever the worker
-/// count; `workers <= 1` delegates to the serial operator.
-pub fn group_by_hash_par(
-    table: &Table,
-    keys: &[AttrId],
-    aggs: &[GroupAgg],
-    workers: usize,
-    env: &OpEnv,
-) -> Result<Table> {
-    if workers <= 1 {
-        return group_by_hash(table, keys, aggs, env);
-    }
-    let schema = group_by_schema(table.schema(), keys, aggs)?;
-    env.store.begin_concurrent_phase();
-    let key_set = AttrSet::from_iter(keys.iter().copied());
-    let jobs = scatter_by_key(table, &key_set, workers, env)?;
-    let shard_envs: Vec<OpEnv> = jobs.iter().map(|(_, (_, e))| e.clone()).collect();
-    let threads = resolve_threads(env, workers, workers);
-    let grouped = run_sharded(workers, threads, jobs, |i, (shard, shard_env)| {
-        let _span = shard_env
-            .trace
-            .span_with("worker", || format!("groupby_hash_worker shard={i}"));
-        let mut source = HandleSource::new(shard);
-        let rows = crate::full_sort::UpstreamRows::new(&mut source);
-        hash_aggregate(rows, keys, aggs, &shard_env)
-    });
-    absorb_worker_trackers(env, &shard_envs);
-    let mut per_worker: Vec<VecDeque<(u64, Row)>> = collect_worker_outputs(grouped)?
-        .into_iter()
-        .map(Into::into)
-        .collect();
-
-    // Merge by ascending head hash. Group hashes never tie across workers
-    // (worker = hash % workers), so the pick is unambiguous.
-    let mut out = Table::new(schema);
-    loop {
-        let mut best: Option<(usize, u64)> = None;
-        for (w, q) in per_worker.iter().enumerate() {
-            if let Some((h, _)) = q.front() {
-                if best.is_none_or(|(_, bh)| *h < bh) {
-                    best = Some((w, *h));
-                }
-            }
-        }
-        let Some((w, _)) = best else { break };
-        let (_, row) = per_worker[w].pop_front().expect("non-empty head");
-        env.tracker.move_rows(1);
-        out.push(row);
-    }
-    absorb_worker_stores(env, &shard_envs);
-    Ok(out)
-}
-
-/// Parallel sort GROUP BY: the same scatter as [`group_by_hash_par`], a
-/// full [`GroupBySortOp`] per worker, and a k-way ordered merge of the
-/// per-worker group rows on the output key columns. Equal keys share a
-/// shard, so the merge restores exactly [`group_by_sort`]'s total key
-/// order; `workers <= 1` delegates to the serial operator.
-pub fn group_by_sort_par(
-    table: &Table,
-    keys: &[AttrId],
-    aggs: &[GroupAgg],
-    workers: usize,
-    env: &OpEnv,
-) -> Result<Table> {
-    if workers <= 1 {
-        return group_by_sort(table, keys, aggs, env);
-    }
-    let schema = group_by_schema(table.schema(), keys, aggs)?;
-    env.store.begin_concurrent_phase();
-    let key_set = AttrSet::from_iter(keys.iter().copied());
-    let jobs = scatter_by_key(table, &key_set, workers, env)?;
-    let shard_envs: Vec<OpEnv> = jobs.iter().map(|(_, (_, e))| e.clone()).collect();
-    let threads = resolve_threads(env, workers, workers);
-    let grouped = run_sharded(workers, threads, jobs, |i, (shard, shard_env)| {
-        let trace = Arc::clone(&shard_env.trace);
-        let _span = trace.span_with("worker", || format!("groupby_sort_worker shard={i}"));
-        let mut op = GroupBySortOp::new(
-            HandleSource::new(shard),
-            keys.to_vec(),
-            aggs.to_vec(),
-            shard_env,
-        );
-        let mut rows = Vec::new();
-        while let Some(seg) = op.next_segment()? {
-            rows.extend(seg.into_rows()?);
-        }
-        Ok(rows)
-    });
-    absorb_worker_trackers(env, &shard_envs);
-    let mut per_worker: Vec<VecDeque<Row>> = collect_worker_outputs(grouped)?
-        .into_iter()
-        .map(Into::into)
-        .collect();
-
-    // K-way merge on the *output* key columns (keys come first in the
-    // GROUP BY schema). Equal keys never straddle workers, so worker index
-    // only breaks ties that cannot occur.
-    let out_key = SortSpec::new(
-        (0..keys.len())
-            .map(|i| wf_common::OrdElem::asc(AttrId::new(i)))
-            .collect(),
-    );
-    let cmp = RowComparator::new(&out_key);
-    let mut out = Table::new(schema);
-    loop {
-        let mut best: Option<usize> = None;
-        for (w, q) in per_worker.iter().enumerate() {
-            let Some(head) = q.front() else { continue };
-            match best {
-                None => best = Some(w),
-                Some(b) => {
-                    env.tracker.compare(1);
-                    if cmp.compare(head, per_worker[b].front().expect("tracked head"))
-                        == std::cmp::Ordering::Less
-                    {
-                        best = Some(w);
-                    }
-                }
-            }
-        }
-        let Some(w) = best else { break };
-        let row = per_worker[w].pop_front().expect("non-empty head");
-        env.tracker.move_rows(1);
-        out.push(row);
-    }
-    absorb_worker_stores(env, &shard_envs);
     Ok(out)
 }
 
@@ -1065,96 +861,5 @@ mod tests {
         assert!(group_by_sort(&t, &[a(0)], &aggs(), &env)
             .unwrap()
             .is_empty());
-        for f in [group_by_hash_par, group_by_sort_par] {
-            assert!(f(&t, &[a(0)], &aggs(), 4, &env).unwrap().is_empty());
-        }
-    }
-
-    /// A bigger table so groups actually spread over the workers.
-    fn big(n: usize) -> Table {
-        let schema = Schema::of(&[("g", DataType::Int), ("v", DataType::Int)]);
-        let mut t = Table::new(schema);
-        let mut x = 41u64;
-        for _ in 0..n {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            t.push(row![(x >> 33) as i64 % 97, (x >> 13) as i64 % 1000]);
-        }
-        t
-    }
-
-    /// Parallel hash GROUP BY reproduces the serial operator's rows **in
-    /// order** for every worker count, and its modeled counters (scatter +
-    /// worker hashes) are invariant across worker counts > 1.
-    #[test]
-    fn hash_par_matches_serial_rows_in_order() {
-        let t = big(5_000);
-        let keys = [a(0)];
-        let aggs = aggs();
-        let serial_env = OpEnv::with_memory_blocks(8);
-        let serial = group_by_hash(&t, &keys, &aggs, &serial_env).unwrap();
-        let mut par_counters = None;
-        for workers in [1usize, 2, 4] {
-            let env = OpEnv::with_memory_blocks(8);
-            let par = group_by_hash_par(&t, &keys, &aggs, workers, &env).unwrap();
-            assert_eq!(par.rows(), serial.rows(), "workers={workers}");
-            if workers > 1 {
-                let snap = env.tracker.snapshot();
-                match &par_counters {
-                    None => par_counters = Some(snap),
-                    Some(r) => assert_eq!(&snap, r, "workers={workers}: counters drifted"),
-                }
-            }
-        }
-    }
-
-    /// Parallel sort GROUP BY restores the serial total key order exactly,
-    /// for every worker and thread count.
-    #[test]
-    fn sort_par_matches_serial_rows_in_order() {
-        let t = big(5_000);
-        let keys = [a(0)];
-        let aggs = aggs();
-        let serial_env = OpEnv::with_memory_blocks(8);
-        let serial = group_by_sort(&t, &keys, &aggs, &serial_env).unwrap();
-        for workers in [1usize, 2, 4] {
-            for threads in [1usize, 3] {
-                let env = OpEnv::with_memory_blocks(8).with_worker_threads(threads);
-                let par = group_by_sort_par(&t, &keys, &aggs, workers, &env).unwrap();
-                assert_eq!(
-                    par.rows(),
-                    serial.rows(),
-                    "workers={workers} threads={threads}"
-                );
-            }
-        }
-    }
-
-    /// Thread count and pool boundedness are invisible to the parallel
-    /// GROUP BY's rows and modeled counters.
-    #[test]
-    fn hash_par_counters_invariant_across_threads_and_pools() {
-        let t = big(4_000);
-        let keys = [a(0)];
-        let aggs = [GroupAgg::CountStar, GroupAgg::Sum(a(1))];
-        let mut reference = None;
-        for threads in [1usize, 2, 4] {
-            for unbounded in [false, true] {
-                let mut env = OpEnv::with_memory_blocks(2).with_worker_threads(threads);
-                if unbounded {
-                    env = env.with_unbounded_pool();
-                }
-                let out = group_by_hash_par(&t, &keys, &aggs, 4, &env).unwrap();
-                let snap = env.tracker.snapshot();
-                match &reference {
-                    None => reference = Some((out, snap)),
-                    Some((r_out, r_snap)) => {
-                        assert_eq!(out.rows(), r_out.rows(), "threads={threads}");
-                        assert_eq!(&snap, r_snap, "threads={threads} unbounded={unbounded}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,32 +1,33 @@
-//! The parallel execution scheduler — partition-sharded reordering over a
+//! The parallel execution scheduler — a partition-sharded chain span over a
 //! worker pool (paper §3.5, made planner-visible by `ReorderOp::Par`).
 //!
-//! [`ParallelSortOp`] is the physical operator behind a planned
-//! `Par { inner: Fs, workers }` node. One pull runs four phases:
+//! [`ParallelChainOp`] is the physical operator behind a planned `Par` span:
+//! the head reorder (FS *or* HS — [`ParInner`]), its window call, and any
+//! follow-up SS + window stages whose partition keys cover the shard key
+//! ([`ChainStage`]). One span runs four phases:
 //!
 //! 1. **Scatter** — the upstream row stream is hash-partitioned on the
 //!    shard key (a subset of the window partition key, so every window
 //!    partition lands wholly inside one shard) into `workers` store-managed
 //!    shard buffers, charging one hash per row. Shard assignment is a pure
 //!    function of the row values — never of timing.
-//! 2. **Parallel sort** — each shard is sorted by the shared
-//!    [`sort machinery`](crate::sorter) inside its own worker environment:
-//!    a **fresh tracker** and a **ledger sub-account** of the chain's
-//!    [`wf_storage::SegmentStore`] sized to the per-worker unit reorder
-//!    memory `M_w = ⌊M / workers⌋`. Shards are distributed over at most
-//!    `threads` OS threads (`std::thread::scope`) with a fixed shard →
-//!    worker assignment (worker `t` takes shards `t, t + threads, …`);
-//!    because every shard's work happens against shard-private state, the
-//!    thread count changes wall clock and nothing else.
+//! 2. **Parallel chains** — each shard runs the whole span chain inside its
+//!    own worker environment: a **fresh tracker** and a **ledger
+//!    sub-account** of the chain's [`wf_storage::SegmentStore`] sized to
+//!    the per-worker unit reorder memory `M_w = ⌊M / workers⌋`. Shards are
+//!    distributed over at most `threads` OS threads (`std::thread::scope`)
+//!    with a fixed shard → worker assignment (worker `t` takes shards
+//!    `t, t + threads, …`); because every shard's work happens against
+//!    shard-private state, the thread count changes wall clock and nothing
+//!    else.
 //! 3. **Deterministic reassembly** — the workers' private trackers are
-//!    absorbed into the chain's tracker **in shard order**, and the sorted
-//!    shards are k-way **ordered-merged** by the full sort key into one
-//!    totally ordered, store-managed output segment. Rows equal on the
-//!    whole key always share a shard (the shard key is a subset of the key
-//!    and each shard preserves input order through a stable sort), so the
-//!    merged output is bit-identical to a serial Full Sort of the same
-//!    input — including the boundary layers recorded for free during the
-//!    merge.
+//!    absorbed into the chain's tracker **in shard order**, and only
+//!    *finished rows* are reassembled: a k-way **ordered merge** on the
+//!    span's final ordering for an FS head (rows equal on the whole key
+//!    always share a shard and each shard preserves input order through a
+//!    stable sort, so the merged output is bit-identical to the serial
+//!    chain's — including the boundary layers, re-recorded for free during
+//!    the merge), an ascending-global-bucket interleave for an HS head.
 //! 4. **Residency fold-back** — the workers' high-water marks are folded
 //!    into the chain store with
 //!    [`wf_storage::SegmentStore::absorb_concurrent`], so a parallel
@@ -34,21 +35,13 @@
 //!    reported deterministically (sum of worker peaks, independent of how
 //!    worker lifetimes overlapped).
 //!
-//! [`ParallelChainOp`] generalizes the same choreography to a **chain
-//! span**: after the per-worker reorder (FS *or* HS — [`ParInner`]), the
-//! worker keeps going — it runs the window call itself and any follow-up
-//! SS + window stages whose partition keys cover the shard key
-//! ([`ChainStage`]) — and only *finished rows* are reassembled: a k-way
-//! ordered merge for an FS head, an ascending-global-bucket interleave for
-//! an HS head.
-//!
 //! **Determinism contract.** For a fixed plan (fixed `workers`), output
 //! rows, boundary layers, modeled counters *and* pool counters are
 //! bit-identical whatever `threads` resolves to — the scheduler only ever
 //! parallelizes work that lives in shard-private state. Output rows and
-//! layers additionally equal the serial `Fs` node's; modeled counters of
-//! the `Par` step itself differ from `Fs` (that difference is exactly what
-//! the planner's cost decision weighs).
+//! layers additionally equal the serial chain's; modeled counters of the
+//! `Par` span itself differ from the serial steps' (that difference is
+//! exactly what the planner's cost decision weighs).
 
 use crate::env::OpEnv;
 use crate::full_sort::FullSortOp;
@@ -56,7 +49,7 @@ use crate::hashed_sort::{HashedSortOp, HsOptions};
 use crate::operator::{Operator, Segment};
 use crate::segment::SegmentBounds;
 use crate::segmented_sort::SegmentedSortOp;
-use crate::sorter::{merge_sorted_handles, sort_stream_to_handle, SortKey};
+use crate::sorter::{merge_sorted_handles, SortKey};
 use crate::util::hash_row_on;
 use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
@@ -86,13 +79,12 @@ pub fn per_worker_blocks(mem_blocks: u64, workers: usize) -> u64 {
 
 /// Run shard-indexed `jobs` over at most `threads` scoped worker threads
 /// with the fixed shard→worker assignment (worker `t` takes jobs
-/// `t, t + threads, …`) — the one orchestration every parallel operator
-/// here uses, so the determinism choreography cannot drift between them.
-/// Returns one slot per shard in `0..shards`: `Some(result)` for jobs that
-/// ran, `None` where the owning thread panicked (a panicking thread loses
-/// its whole batch, completed siblings included — callers should report the
-/// panic, not blame a specific unaccounted shard).
-pub(crate) fn run_sharded<J, R>(
+/// `t, t + threads, …`). Returns one slot per shard in `0..shards`:
+/// `Some(result)` for jobs that ran, `None` where the owning thread
+/// panicked (a panicking thread loses its whole batch, completed siblings
+/// included — callers should report the panic, not blame a specific
+/// unaccounted shard).
+fn run_sharded<J, R>(
     shards: usize,
     threads: usize,
     jobs: Vec<(usize, J)>,
@@ -137,7 +129,7 @@ where
 /// Fold the workers' private trackers into the chain's tracker **in
 /// worker order** — the counter half of the deterministic reassembly
 /// choreography.
-pub(crate) fn absorb_worker_trackers(env: &OpEnv, worker_envs: &[OpEnv]) {
+fn absorb_worker_trackers(env: &OpEnv, worker_envs: &[OpEnv]) {
     for w in worker_envs {
         env.tracker.absorb(&w.tracker.snapshot());
     }
@@ -147,169 +139,19 @@ pub(crate) fn absorb_worker_trackers(env: &OpEnv, worker_envs: &[OpEnv]) {
 /// the residency half of the reassembly choreography. Call once the
 /// workers' output handles have been consumed (their sub-account peaks are
 /// final).
-pub(crate) fn absorb_worker_stores(env: &OpEnv, worker_envs: &[OpEnv]) {
+fn absorb_worker_stores(env: &OpEnv, worker_envs: &[OpEnv]) {
     let snaps: Vec<_> = worker_envs.iter().map(|e| e.store.snapshot()).collect();
     env.store.absorb_concurrent(&snaps);
 }
 
-/// The parallel reordering operator: shard on `shard_attrs`, sort every
-/// shard on `key` concurrently, ordered-merge back into one totally
-/// ordered segment. Blocking, like the serial Full Sort it replaces.
-pub struct ParallelSortOp<I> {
-    input: I,
-    key_spec: SortSpec,
-    key: SortKey,
-    shard_attrs: AttrSet,
-    workers: usize,
-    record: Vec<AttrSet>,
-    env: OpEnv,
-    done: bool,
-}
-
-impl<I: Operator> ParallelSortOp<I> {
-    /// Sort everything `input` yields on `key`, sharded on `shard_attrs`
-    /// (must be a subset of `key`'s attributes for the merge to restore the
-    /// serial order; an empty set degenerates to one shard's worth of work
-    /// in shard 0). `workers` is the plan's shard count — the determinism
-    /// domain — not the thread count, which [`resolve_threads`] picks at
-    /// run time.
-    pub fn new(input: I, key: SortSpec, shard_attrs: AttrSet, workers: usize, env: OpEnv) -> Self {
-        debug_assert!(
-            shard_attrs.is_subset(&key.attr_set()),
-            "shard key must be a subset of the sort key"
-        );
-        ParallelSortOp {
-            input,
-            key: SortKey::new(&key),
-            key_spec: key,
-            shard_attrs,
-            workers: workers.max(1),
-            record: Vec::new(),
-            env,
-            done: false,
-        }
-    }
-
-    /// Record boundary layers for these attribute-set prefixes of the sort
-    /// key during the ordered merge — same contract (and same free price)
-    /// as [`crate::full_sort::FullSortOp::with_recorded_prefixes`].
-    pub fn with_recorded_prefixes(mut self, sets: Vec<AttrSet>) -> Self {
-        self.record = sets;
-        self
-    }
-
-    /// The sort key (tests, diagnostics).
-    pub fn key_spec(&self) -> &SortSpec {
-        &self.key_spec
-    }
-}
-
-impl<I: Operator> Operator for ParallelSortOp<I> {
-    fn next_segment(&mut self) -> Result<Option<Segment>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let shards = self.workers;
-        let env = &self.env;
-        // Everything from the scatter on belongs to one concurrent phase:
-        // the fold-back in phase 4 bounds the combined peak against the
-        // parent's in-phase watermark.
-        env.store.begin_concurrent_phase();
-
-        // Phase 1 — scatter the upstream stream into shard buffers (store-
-        // managed: they spill past the pool budget, so the scatter holds
-        // O(pool), never the relation).
-        let scatter_span = env
-            .trace
-            .span_with("par", || format!("scatter shards={shards}"));
-        let mut builders: Vec<_> = (0..shards).map(|_| env.store.builder()).collect();
-        while let Some(seg) = self.input.next_segment()? {
-            let batch = if env.columnar {
-                seg.shared_batch().map(Arc::clone)
-            } else {
-                None
-            };
-            if let Some(batch) = batch {
-                // Per-lane scatter: hash rows straight off the column lanes
-                // (bit-identical u64s to `hash_row_on` on the row shim).
-                env.tracker.hash(batch.len() as u64);
-                for i in 0..batch.len() {
-                    let idx = (batch.hash_row(i, &self.shard_attrs) % shards as u64) as usize;
-                    builders[idx].push(batch.row(i))?;
-                }
-            } else {
-                let (_, mut stream, _) = seg.into_stream();
-                while let Some(row) = stream.next_row()? {
-                    env.tracker.hash(1);
-                    let idx = (hash_row_on(&row, &self.shard_attrs) % shards as u64) as usize;
-                    builders[idx].push(row)?;
-                }
-            }
-        }
-        let total: usize = builders.iter().map(|b| b.len()).sum();
-        if total == 0 {
-            return Ok(None);
-        }
-        drop(scatter_span);
-
-        // Phase 2 — per-shard environments (fresh tracker + ledger
-        // sub-account at M_w) and the scoped worker pool.
-        let m_w = per_worker_blocks(env.mem_blocks, shards);
-        let mut jobs: Vec<(usize, (SegmentHandle, OpEnv))> = Vec::with_capacity(shards);
-        for (i, b) in builders.into_iter().enumerate() {
-            jobs.push((i, (b.finish()?, env.shard_env(m_w))));
-        }
-        let shard_envs: Vec<OpEnv> = jobs.iter().map(|(_, (_, e))| e.clone()).collect();
-        let threads = resolve_threads(env, shards, shards);
-        let key = &self.key;
-        let sorted = run_sharded(shards, threads, jobs, |i, (shard, shard_env)| {
-            // The worker span opens on the worker's own OS thread, so each
-            // worker lands on its own timeline lane.
-            let _span = shard_env
-                .trace
-                .span_with("worker", || format!("sort_worker shard={i}"));
-            sort_stream_to_handle(shard.read(), key, &shard_env, &[]).map(|(handle, _, _)| handle)
-        });
-
-        // Phase 3 — deterministic reassembly: absorb worker trackers in
-        // shard order, surface the first error (by shard index), then
-        // ordered-merge the sorted shards into one output segment.
-        absorb_worker_trackers(env, &shard_envs);
-        let mut shard_handles = Vec::with_capacity(shards);
-        for (i, slot) in sorted.into_iter().enumerate() {
-            match slot {
-                Some(Ok(h)) => shard_handles.push(h),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(Error::Execution(format!(
-                        "a parallel sort worker thread panicked (shard {i} unaccounted)"
-                    )))
-                }
-            }
-        }
-        let merge_span = env.trace.span("par", "merge");
-        let (out, bounds, n) = merge_sorted_handles(shard_handles, key, env, &self.record)?;
-        debug_assert_eq!(n, total, "merge must reassemble every scattered row");
-        drop(merge_span);
-
-        // Phase 4 — fold the workers' high-water marks into the chain's
-        // store (handles were consumed by the merge, so the sub-accounts'
-        // peaks are final).
-        absorb_worker_stores(env, &shard_envs);
-        Ok(Some(Segment::from_handle(out, bounds)))
-    }
-}
-
 /// Leaf operator yielding exactly one store-managed segment — the input of
-/// an in-worker chain (its shard buffer) and of the parallel GROUP BY
-/// workers.
-pub(crate) struct HandleSource {
+/// an in-worker chain (its shard buffer).
+struct HandleSource {
     seg: Option<Segment>,
 }
 
 impl HandleSource {
-    pub(crate) fn new(handle: SegmentHandle) -> Self {
+    fn new(handle: SegmentHandle) -> Self {
         HandleSource {
             seg: Some(Segment::from_handle(handle, SegmentBounds::none())),
         }
@@ -462,8 +304,8 @@ enum ChainState {
 ///   permutation of the serial `Hs` chain's segments, invariant across
 ///   worker, thread and pool configurations.
 ///
-/// Counter and residency choreography is [`ParallelSortOp`]'s: fresh
-/// per-worker trackers absorbed in shard order, ledger sub-accounts at
+/// Counter and residency choreography (module docs): fresh per-worker
+/// trackers absorbed in shard order, ledger sub-accounts at
 /// `M_w = ⌊M / workers⌋` folded back via `absorb_concurrent` — so for a
 /// fixed plan, modeled and pool counters are invariant under the thread
 /// count and the residency stays governed at `O(M + Σ_w (M_w + unit_w))`.
@@ -718,7 +560,7 @@ mod tests {
     use crate::full_sort::FullSortOp;
     use crate::operator::SegmentSource;
     use crate::segment::SegmentedRows;
-    use wf_common::{row, AttrId, OrdElem, Row, RowComparator};
+    use wf_common::{row, AttrId, OrdElem, Row};
 
     fn key(ids: &[usize]) -> SortSpec {
         SortSpec::new(ids.iter().map(|&i| OrdElem::asc(AttrId::new(i))).collect())
@@ -737,150 +579,6 @@ mod tests {
                 ]
             })
             .collect()
-    }
-
-    fn run_par(rows: Vec<Row>, workers: usize, threads: usize, m: u64) -> (Vec<Row>, OpEnv) {
-        let env = OpEnv::with_memory_blocks(m).with_worker_threads(threads);
-        let mut op = ParallelSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
-            key(&[0, 1]),
-            aset(&[0]),
-            workers,
-            env.clone(),
-        )
-        .with_recorded_prefixes(vec![aset(&[0])]);
-        let seg = op.next_segment().unwrap().unwrap();
-        assert!(op.next_segment().unwrap().is_none(), "blocking single emit");
-        (seg.into_rows().unwrap(), env)
-    }
-
-    /// The merged output equals a serial Full Sort's output bit for bit —
-    /// including tie order (shards preserve input order, stable sorts).
-    #[test]
-    fn matches_serial_full_sort_rows() {
-        let rows = sample(3000);
-        let env = OpEnv::with_memory_blocks(4);
-        let mut fs = FullSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
-            key(&[0, 1]),
-            env.clone(),
-        );
-        let serial = fs.next_segment().unwrap().unwrap().into_rows().unwrap();
-        for workers in [1usize, 2, 4] {
-            let (par, _) = run_par(rows.clone(), workers, workers, 4);
-            assert_eq!(par, serial, "workers={workers}");
-        }
-        let cmp = RowComparator::new(&key(&[0, 1]));
-        assert!(serial
-            .windows(2)
-            .all(|w| cmp.compare(&w[0], &w[1]) != std::cmp::Ordering::Greater));
-    }
-
-    /// Thread count changes nothing but wall clock: rows, boundary layers,
-    /// modeled counters and pool counters are identical across overrides.
-    #[test]
-    fn thread_count_is_invisible_to_counters() {
-        let rows = sample(2500);
-        let mut reference: Option<(Vec<Row>, wf_storage::CostSnapshot, u64)> = None;
-        for threads in [1usize, 2, 4] {
-            let env = OpEnv::with_memory_blocks(2).with_worker_threads(threads);
-            let mut op = ParallelSortOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
-                key(&[0, 1]),
-                aset(&[0]),
-                4,
-                env.clone(),
-            );
-            let seg = op.next_segment().unwrap().unwrap();
-            let layers = seg.bounds.layers().to_vec();
-            let out = seg.into_rows().unwrap();
-            let snap = env.tracker.snapshot();
-            let pool_writes = env.store.snapshot().spill_blocks_written;
-            match &reference {
-                None => reference = Some((out, snap, pool_writes)),
-                Some((r_rows, r_snap, r_pool)) => {
-                    assert_eq!(&out, r_rows, "threads={threads}");
-                    assert_eq!(&snap, r_snap, "threads={threads}");
-                    assert_eq!(pool_writes, *r_pool, "threads={threads}");
-                }
-            }
-            let _ = layers;
-        }
-    }
-
-    /// Recorded prefix layers equal the serial sort's (same output order,
-    /// same change positions).
-    #[test]
-    fn records_same_layers_as_serial_sort() {
-        let rows = sample(1200);
-        let env = OpEnv::with_memory_blocks(4);
-        let mut fs = FullSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
-            key(&[0, 1]),
-            env.clone(),
-        )
-        .with_recorded_prefixes(vec![aset(&[0])]);
-        let serial = fs.next_segment().unwrap().unwrap();
-        let serial_layer = serial
-            .bounds
-            .layers()
-            .iter()
-            .find(|l| l.attrs == aset(&[0]))
-            .unwrap()
-            .clone();
-
-        let env2 = OpEnv::with_memory_blocks(4);
-        let mut par = ParallelSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
-            key(&[0, 1]),
-            aset(&[0]),
-            4,
-            env2.clone(),
-        )
-        .with_recorded_prefixes(vec![aset(&[0])]);
-        let seg = par.next_segment().unwrap().unwrap();
-        let par_layer = seg
-            .bounds
-            .layers()
-            .iter()
-            .find(|l| l.attrs == aset(&[0]))
-            .unwrap()
-            .clone();
-        assert_eq!(par_layer, serial_layer);
-    }
-
-    /// Bounded vs unbounded pool: identical rows and identical modeled
-    /// counters — the parallel path preserves the store invariant.
-    #[test]
-    fn bounded_and_unbounded_pools_agree() {
-        let rows = sample(2000);
-        let (bounded, env_b) = run_par(rows.clone(), 4, 4, 2);
-        let env_u = OpEnv::with_memory_blocks(2).with_unbounded_pool();
-        let mut op = ParallelSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
-            key(&[0, 1]),
-            aset(&[0]),
-            4,
-            env_u.clone(),
-        )
-        .with_recorded_prefixes(vec![aset(&[0])]);
-        let unbounded = op.next_segment().unwrap().unwrap().into_rows().unwrap();
-        assert_eq!(bounded, unbounded);
-        assert_eq!(env_b.tracker.snapshot(), env_u.tracker.snapshot());
-        assert_eq!(env_u.store.snapshot().spill_blocks_written, 0);
-    }
-
-    #[test]
-    fn empty_input_yields_nothing() {
-        let env = OpEnv::with_memory_blocks(2);
-        let mut op = ParallelSortOp::new(
-            SegmentSource::new(SegmentedRows::empty()),
-            key(&[0]),
-            aset(&[0]),
-            4,
-            env,
-        );
-        assert!(op.next_segment().unwrap().is_none());
     }
 
     #[test]
@@ -917,6 +615,64 @@ mod tests {
             func: WindowFunction::Rank,
             frame: None,
         }
+    }
+
+    /// A one-stage FS span over `rows` in `env`: shard on column 0, sort on
+    /// `(0, 1)`, rank inside the workers. Returns rows and boundary layers.
+    fn run_rank_span(
+        rows: Vec<Row>,
+        env: &OpEnv,
+    ) -> (Vec<Row>, Vec<crate::segment::BoundaryLayer>) {
+        let mut op = ParallelChainOp::new(
+            SegmentSource::new(SegmentedRows::single_segment(rows)),
+            ParInner::Fs { key: key(&[0, 1]) },
+            aset(&[0]),
+            4,
+            vec![rank_stage(&[0], &[1])],
+            env.clone(),
+        )
+        .with_recorded_prefixes(vec![aset(&[0])]);
+        let seg = op.next_segment().unwrap().unwrap();
+        assert!(op.next_segment().unwrap().is_none(), "blocking single emit");
+        let layers = seg.bounds.layers().to_vec();
+        (seg.into_rows().unwrap(), layers)
+    }
+
+    /// Thread count changes nothing but wall clock: rows, boundary layers,
+    /// modeled counters and pool counters are identical across overrides.
+    #[test]
+    fn thread_count_is_invisible_to_counters() {
+        let rows = sample(2500);
+        let run = |threads: usize| {
+            let env = OpEnv::with_memory_blocks(2).with_worker_threads(threads);
+            let out = run_rank_span(rows.clone(), &env);
+            let pool = env.store.snapshot();
+            (
+                out,
+                env.tracker.snapshot(),
+                (pool.spill_blocks_written, pool.peak_resident_bytes),
+            )
+        };
+        let reference = run(1);
+        assert!(reference.2 .0 > 0, "a 2-block pool must spill");
+        for threads in [2usize, 4] {
+            assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+
+    /// Bounded vs unbounded pool: identical rows, layers and modeled
+    /// counters — the parallel path preserves the store invariant.
+    #[test]
+    fn bounded_and_unbounded_pools_agree() {
+        let rows = sample(2000);
+        let env_b = OpEnv::with_memory_blocks(2);
+        let env_u = OpEnv::with_memory_blocks(2).with_unbounded_pool();
+        assert_eq!(
+            run_rank_span(rows.clone(), &env_b),
+            run_rank_span(rows, &env_u)
+        );
+        assert_eq!(env_b.tracker.snapshot(), env_u.tracker.snapshot());
+        assert_eq!(env_u.store.snapshot().spill_blocks_written, 0);
     }
 
     /// Rows with heavy ties on the sort key `(0, 1)` and a distinguishing

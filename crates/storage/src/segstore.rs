@@ -321,7 +321,7 @@ impl SegmentStore {
         s.phase_peak_bytes = s.used_bytes;
         s.phase_peak_rows = s.used_rows;
         // Keep the per-shard peaks visible for observability (EXPLAIN
-        // ANALYZE / regress): elementwise max across phases by shard index.
+        // ANALYZE): elementwise max across phases by shard index.
         if s.worker_peak_bytes.len() < workers.len() {
             s.worker_peak_bytes.resize(workers.len(), 0);
         }
@@ -334,7 +334,7 @@ impl SegmentStore {
     /// blocks by shard index (empty when no parallel phase ran). The fold in
     /// [`SegmentStore::absorb_concurrent`] sums these onto the parent's
     /// in-phase watermark; this accessor exposes the addends so EXPLAIN
-    /// ANALYZE and the regress table can show how evenly the pool budget was
+    /// ANALYZE and the benchmark can show how evenly the pool budget was
     /// used across workers.
     pub fn worker_peak_blocks(&self) -> Vec<u64> {
         self.state

@@ -45,11 +45,9 @@
 //! assert_eq!(result.table.row_count(), 4);
 //! ```
 
-pub mod db;
 pub mod server;
 pub mod session;
-pub use db::Database;
-pub use session::{DatabaseConfig, PreparedQuery, QueryOutcome, Session};
+pub use session::{Database, DatabaseConfig, PreparedQuery, QueryOutcome, Session};
 
 pub use wf_common as common;
 pub use wf_core as core;
@@ -68,9 +66,7 @@ pub mod prelude {
     pub use wf_core::plan::{Plan, PlanStep, ReorderOp};
     pub use wf_core::planner::{optimize, Scheme};
     pub use wf_core::query::{QueryBuilder, WindowQuery};
-    pub use wf_core::runtime::{
-        execute_plan, explain_analyze, ExecEnv, ExecMetrics, ExecReport, StepMetrics,
-    };
+    pub use wf_core::runtime::{execute_plan, explain_analyze, ExecEnv, ExecReport, StepMetrics};
     pub use wf_core::spec::{WindowFunction, WindowSpec};
     pub use wf_storage::table::Table;
     pub use wf_storage::{BackendStats, ObjectStoreConfig, SpillBackendKind, SpillConfig};

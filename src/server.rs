@@ -185,6 +185,12 @@ fn handle_connection(stream: &TcpStream, db: &Database, shutdown: &AtomicBool) {
                     return;
                 }
                 Ok(".stats") => frame_stats(db, &mut reply),
+                // The accepted end's socket option, for the test that pins it.
+                #[cfg(test)]
+                Ok(".nodelay") => reply.line(format_args!(
+                    "nodelay {}",
+                    stream.nodelay().unwrap_or(false)
+                )),
                 Ok(sql) => {
                     if frame_statement(db, sql, &mut reply, &mut sock).is_err() {
                         return;

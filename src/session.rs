@@ -18,13 +18,12 @@
 //! | old                                  | new                                                        |
 //! |--------------------------------------|------------------------------------------------------------|
 //! | `Database::new()`                    | `DatabaseConfig::new().open()`                             |
-//! | `.with_scheme(s)`                    | `DatabaseConfig::new().scheme(s).open()`                   |
-//! | `.with_memory_blocks(m)`             | `DatabaseConfig::new().per_query_blocks(m).open()`         |
 //! | `db.query_detailed(sql)` 3-tuple     | [`QueryOutcome`] named fields                              |
 //! | `db.query(sql)`                      | unchanged (or `db.session().query(sql)`)                   |
 //!
-//! The deprecated builder methods still compile (they rebuild the database
-//! with an equivalent config) but new code should open via the config.
+//! Scheme and memory are fixed when the database is opened
+//! ([`DatabaseConfig::scheme`], [`DatabaseConfig::per_query_blocks`]): every
+//! handle of one database plans the way its [`Database::config`] says.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -216,7 +215,6 @@ impl DatabaseConfig {
                 catalog: RwLock::new(Catalog::new()),
                 tables: RwLock::new(HashMap::new()),
                 stats: RwLock::new(HashMap::new()),
-                scheme: RwLock::new(self.scheme),
                 governor,
                 cfg: self,
             }),
@@ -228,7 +226,6 @@ struct DbInner {
     catalog: RwLock<Catalog>,
     tables: RwLock<HashMap<String, Table>>,
     stats: RwLock<HashMap<String, TableStats>>,
-    scheme: RwLock<Scheme>,
     governor: Arc<QueryGovernor>,
     cfg: DatabaseConfig,
 }
@@ -272,46 +269,6 @@ impl Database {
     /// [`DatabaseConfig::default`]).
     pub fn new() -> Self {
         Database::default()
-    }
-
-    /// Change the optimization scheme.
-    #[deprecated(since = "0.1.0", note = "use DatabaseConfig::new().scheme(..).open()")]
-    pub fn with_scheme(self, scheme: Scheme) -> Self {
-        *self.inner.scheme.write().expect("scheme lock") = scheme;
-        self
-    }
-
-    /// Change the unit reorder memory (the paper's `M`, in blocks).
-    ///
-    /// The session equivalent is the **per-query** budget:
-    /// `DatabaseConfig::new().per_query_blocks(blocks).open()`. This shim
-    /// rebuilds the database (same tables) with that configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DatabaseConfig::new().per_query_blocks(..).open()"
-    )]
-    pub fn with_memory_blocks(self, blocks: u64) -> Self {
-        let blocks = blocks.max(1);
-        let cfg = DatabaseConfig {
-            memory_blocks: blocks * self.inner.cfg.max_concurrent as u64,
-            per_query_blocks: Some(blocks),
-            scheme: *self.inner.scheme.read().expect("scheme lock"),
-            ..self.inner.cfg.clone()
-        };
-        let db = cfg.open();
-        {
-            let mut tables = db.inner.tables.write().expect("tables lock");
-            let mut stats = db.inner.stats.write().expect("stats lock");
-            let mut catalog = db.inner.catalog.write().expect("catalog lock");
-            for (name, table) in self.inner.tables.read().expect("tables lock").iter() {
-                catalog.register(name, table.schema().clone());
-                tables.insert(name.clone(), table.clone());
-            }
-            for (name, st) in self.inner.stats.read().expect("stats lock").iter() {
-                stats.insert(name.clone(), st.clone());
-            }
-        }
-        db
     }
 
     /// The configuration this database was opened with.
@@ -514,9 +471,8 @@ impl Session {
         // Resolve the table now so errors surface at prepare time.
         self.db.table(&canonical)?;
         let stats = self.db.stats_for(&canonical)?;
-        let scheme = *self.db.inner.scheme.read().expect("scheme lock");
         let env = self.db.plan_env();
-        let plan = optimize(&query, &stats, scheme, &env)?;
+        let plan = optimize(&query, &stats, self.db.inner.cfg.scheme, &env)?;
         Ok(PreparedQuery {
             session: self.clone(),
             table_name: canonical,
@@ -768,12 +724,13 @@ mod tests {
         assert_eq!(again.row_count(), 4);
     }
 
+    /// What the removed `Database` builder shims did, through the config.
     #[test]
     fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let db = Database::new()
-            .with_scheme(Scheme::Psql)
-            .with_memory_blocks(64);
+        let db = DatabaseConfig::new()
+            .scheme(Scheme::Psql)
+            .per_query_blocks(64)
+            .open();
         assert_eq!(db.config().resolved_per_query_blocks(), 64);
         let schema = Schema::of(&[("v", DataType::Int)]);
         let mut t = Table::new(schema);

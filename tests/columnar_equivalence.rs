@@ -21,7 +21,9 @@ use wfopt::core::plan::{finalize_chain, PlanContext, PlanStep, ReorderOp};
 use wfopt::core::props::SegProps;
 use wfopt::core::runtime::{execute_plan, ExecEnv};
 use wfopt::core::spec::WindowSpec;
-use wfopt::exec::{drain, FullSortOp, Operator, ParallelSortOp, TableScan, WindowOp};
+use wfopt::exec::{
+    drain, ChainStage, FullSortOp, Operator, ParInner, ParallelChainOp, TableScan, WindowOp,
+};
 use wfopt::prelude::*;
 
 fn a(i: usize) -> AttrId {
@@ -218,9 +220,10 @@ fn columnar_toggle_is_invisible_to_rows_and_counters() {
 
 /// Boundary layers recorded through the columnar sorters equal the row
 /// path's, at the operator level where segments are visible — for both
-/// the serial FS and the parallel sort — and are non-vacuous.
+/// the serial FS chain and a one-stage parallel span — and are non-vacuous.
 #[test]
 fn columnar_boundary_layers_match_row_path() {
+    use wfopt::exec::window::WindowFunction;
     let table = build_table(4_000);
     let wpk = aset(&[0]);
     let wok = key(&[1]);
@@ -230,26 +233,32 @@ fn columnar_boundary_layers_match_row_path() {
         let env = ExecEnv::with_memory_blocks(4).with_columnar(columnar);
         let op_env = env.op_env().clone();
         let scan = TableScan::new(&table, op_env.clone());
-        let sort: Box<dyn Operator> = if parallel {
+        let mut chain: Box<dyn Operator> = if parallel {
+            let stage = ChainStage {
+                ss: None,
+                wpk: wpk.clone(),
+                wok: wok.clone(),
+                func: WindowFunction::Rank,
+                frame: None,
+            };
+            let inner = ParInner::Fs { key: key(&[0, 1]) };
             Box::new(
-                ParallelSortOp::new(scan, key(&[0, 1]), wpk.clone(), 4, op_env.clone())
+                ParallelChainOp::new(scan, inner, wpk.clone(), 4, vec![stage], op_env)
                     .with_recorded_prefixes(record.clone()),
             )
         } else {
-            Box::new(
-                FullSortOp::new(scan, key(&[0, 1]), op_env.clone())
-                    .with_recorded_prefixes(record.clone()),
-            )
+            let sort = FullSortOp::new(scan, key(&[0, 1]), op_env.clone())
+                .with_recorded_prefixes(record.clone());
+            Box::new(WindowOp::new(
+                sort,
+                wpk.clone(),
+                wok.clone(),
+                WindowFunction::Rank,
+                None,
+                op_env,
+            ))
         };
-        let mut win = WindowOp::new(
-            sort,
-            wpk.clone(),
-            wok.clone(),
-            wfopt::exec::window::WindowFunction::Rank,
-            None,
-            op_env,
-        );
-        let out = drain(&mut win).unwrap();
+        let out = drain(chain.as_mut()).unwrap();
         let bounds: Vec<_> = (0..out.segment_count())
             .map(|i| out.segment_bounds(i))
             .collect();

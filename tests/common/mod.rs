@@ -76,3 +76,56 @@ pub fn random_table(rows: usize, distincts: &[u64], seed: u64) -> Table {
     }
     table
 }
+
+// The benchmark's in-process statements — text of `benchmark/src/spec.rs`,
+// which no test can import (the harness is a workspace of its own).
+
+/// `inmem_chain` / `spill_chain`: four windows over three partition keys.
+pub const CHAIN_SQL: &str = "SELECT *, \
+    rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r1, \
+    rank() OVER (PARTITION BY ws_item_sk, ws_bill_customer_sk ORDER BY ws_sold_date_sk) AS r2, \
+    rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_ship_date_sk) AS r3, \
+    sum(ws_quantity) OVER (PARTITION BY ws_bill_customer_sk ORDER BY ws_sold_date_sk) AS s4 \
+    FROM web_sales";
+
+/// `window_fanout`: 24 functions in four named windows over one partitioning
+/// and order.
+pub const FANOUT_SQL: &str = "SELECT *, \
+    rank() OVER w AS f_rank, \
+    row_number() OVER w AS f_rn, \
+    dense_rank() OVER w AS f_dr, \
+    sum(ws_quantity) OVER w AS f_rsum, \
+    count(*) OVER w AS f_cnt, \
+    lag(ws_quantity, 1) OVER w AS f_lag, \
+    lead(ws_quantity, 2) OVER w AS f_lead, \
+    cume_dist() OVER w AS f_cd, \
+    ntile(4) OVER w AS f_nt, \
+    avg(ws_quantity) OVER w_ring AS f_mavg, \
+    min(ws_quantity) OVER w_ring AS f_mmin, \
+    max(ws_quantity) OVER w_ring AS f_mmax, \
+    stddev_samp(ws_quantity) OVER w_ring AS f_msd, \
+    first_value(ws_quantity) OVER w_ring AS f_first, \
+    var_samp(ws_quantity) OVER w_ring AS f_mvar, \
+    sum(ws_quantity) OVER w_range AS f_rgsum, \
+    count(*) OVER w_range AS f_rgcnt, \
+    min(ws_quantity) OVER w_range AS f_rgmin, \
+    max(ws_quantity) OVER w_range AS f_rgmax, \
+    avg(ws_quantity) OVER w_range AS f_rgavg, \
+    sum(ws_quantity) OVER w_tail AS f_tail, \
+    max(ws_quantity) OVER w_tail AS f_tmax, \
+    last_value(ws_quantity) OVER w_tail AS f_tlast, \
+    count(*) OVER w_tail AS f_tcnt \
+    FROM web_sales \
+    WINDOW w AS (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk), \
+    w_ring AS (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk \
+        ROWS BETWEEN 3 PRECEDING AND 1 FOLLOWING), \
+    w_range AS (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk \
+        RANGE BETWEEN 3600 PRECEDING AND 3600 FOLLOWING), \
+    w_tail AS (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk \
+        ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING)";
+
+/// `par_chain`: a rank and a one-pass sum sharing the partition key.
+pub const PAR_SQL: &str = "SELECT *, \
+    rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS r, \
+    sum(ws_quantity) OVER (PARTITION BY ws_item_sk ORDER BY ws_warehouse_sk) AS s \
+    FROM web_sales";

@@ -242,16 +242,46 @@ fn register_is_case_insensitive_like_the_catalog() {
     assert_eq!(out.row_count(), 6);
 }
 
+/// What the removed `Database::with_*` builder shims did, through the config.
 #[test]
 fn deprecated_builder_shims_still_compile_and_run() {
-    #![allow(deprecated)]
-    let db = Database::new()
-        .with_scheme(Scheme::Psql)
-        .with_memory_blocks(8);
+    let db = DatabaseConfig::new()
+        .scheme(Scheme::Psql)
+        .per_query_blocks(8)
+        .open();
     db.register("sales", sales_table()).unwrap();
     assert_eq!(db.config().resolved_per_query_blocks(), 8);
     let out = db
         .query("SELECT *, rank() OVER (ORDER BY revenue) AS r FROM sales")
         .unwrap();
     assert_eq!(out.row_count(), 6);
+}
+
+/// The scheme is fixed when a database is opened, not state its handles
+/// share and can rewrite: two databases over the same table plan the same
+/// statement each by its own config, interleaved, and every handle's
+/// EXPLAIN names the scheme its `config()` reports.
+#[test]
+fn databases_with_different_schemes_plan_independently() {
+    // Two windows on one partition key: CSO sorts once and re-sorts within
+    // partitions, PSQL sorts once per function.
+    let sql = "SELECT *, rank() OVER (PARTITION BY store ORDER BY revenue) AS r1, \
+               rank() OVER (PARTITION BY store ORDER BY day) AS r2 FROM sales";
+    let cso_cfg = DatabaseConfig::new().scheme(Scheme::Cso);
+    let psql_cfg = DatabaseConfig::new().scheme(Scheme::Psql);
+    let cso = sales_db_with(cso_cfg.clone());
+    let cso_handle = cso.clone();
+    let psql = sales_db_with(psql_cfg.clone());
+    for _ in 0..2 {
+        for (db, cfg, scheme) in [
+            (&cso, &cso_cfg, Scheme::Cso),
+            (&psql, &psql_cfg, Scheme::Psql),
+            (&cso_handle, &cso_cfg, Scheme::Cso),
+        ] {
+            assert_eq!(db.config(), cfg);
+            let explain = db.explain(sql).unwrap();
+            assert!(explain.contains(&format!("[{scheme};")), "{explain}");
+        }
+    }
+    assert_ne!(cso.explain(sql).unwrap(), psql.explain(sql).unwrap());
 }

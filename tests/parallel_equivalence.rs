@@ -23,7 +23,9 @@ use wfopt::core::props::SegProps;
 use wfopt::core::query::WindowQuery;
 use wfopt::core::runtime::{execute_plan, ExecEnv};
 use wfopt::core::spec::WindowSpec;
-use wfopt::exec::{drain, FullSortOp, Operator, ParallelSortOp, TableScan, WindowOp};
+use wfopt::exec::{
+    drain, ChainStage, FullSortOp, Operator, ParInner, ParallelChainOp, TableScan, WindowOp,
+};
 use wfopt::prelude::*;
 
 fn a(i: usize) -> AttrId {
@@ -206,12 +208,13 @@ fn par_chain_bit_identity_across_workers_threads_and_pools() {
     }
 }
 
-/// Boundary layers: the parallel sort records the same layers as the
-/// serial sort and the downstream window step consumes and re-emits
-/// identical bounds — compared at the operator level where segments are
-/// visible.
+/// Boundary layers: a one-stage parallel span (sort and rank inside the
+/// workers, ordered merge) emits the same rows under the same layers as
+/// the serial sort feeding the serial window step — compared at the
+/// operator level where segments are visible.
 #[test]
 fn par_chain_layers_match_serial() {
+    use wfopt::exec::window::WindowFunction;
     let table = build_table(4_000);
     let wpk = aset(&[0]);
     let wok = key(&[1]);
@@ -222,26 +225,32 @@ fn par_chain_layers_match_serial() {
         let env = ExecEnv::with_memory_blocks(4);
         let op_env = env.op_env().clone();
         let scan = TableScan::new(&table, op_env.clone());
-        let sort: Box<dyn Operator> = if parallel {
+        let mut chain: Box<dyn Operator> = if parallel {
+            let stage = ChainStage {
+                ss: None,
+                wpk: wpk.clone(),
+                wok: wok.clone(),
+                func: WindowFunction::Rank,
+                frame: None,
+            };
+            let inner = ParInner::Fs { key: key(&[0, 1]) };
             Box::new(
-                ParallelSortOp::new(scan, key(&[0, 1]), wpk.clone(), 4, op_env.clone())
+                ParallelChainOp::new(scan, inner, wpk.clone(), 4, vec![stage], op_env)
                     .with_recorded_prefixes(record.clone()),
             )
         } else {
-            Box::new(
-                FullSortOp::new(scan, key(&[0, 1]), op_env.clone())
-                    .with_recorded_prefixes(record.clone()),
-            )
+            let sort = FullSortOp::new(scan, key(&[0, 1]), op_env.clone())
+                .with_recorded_prefixes(record.clone());
+            Box::new(WindowOp::new(
+                sort,
+                wpk.clone(),
+                wok.clone(),
+                WindowFunction::Rank,
+                None,
+                op_env,
+            ))
         };
-        let mut win = WindowOp::new(
-            sort,
-            wpk.clone(),
-            wok.clone(),
-            wfopt::exec::window::WindowFunction::Rank,
-            None,
-            op_env,
-        );
-        let out = drain(&mut win).unwrap();
+        let out = drain(chain.as_mut()).unwrap();
         let bounds: Vec<_> = (0..out.segment_count())
             .map(|i| out.segment_bounds(i))
             .collect();
@@ -490,49 +499,10 @@ fn par_hs_chain_matrix() {
     }
 }
 
-/// Parallel GROUP BY (hash and sort variants) matches the serial
-/// operators row-for-row, in order, across workers {1, 2, 4} × pools
-/// {M = 2, large, unbounded}.
-#[test]
-fn groupby_par_end_to_end_matrix() {
-    use wfopt::exec::{
-        group_by_hash, group_by_hash_par, group_by_sort, group_by_sort_par, GroupAgg, OpEnv,
-    };
-    let table = build_table(5_000);
-    let keys = [a(0)];
-    let aggs = [GroupAgg::CountStar, GroupAgg::Sum(a(2))];
-    for m in [2u64, 256] {
-        let env = OpEnv::with_memory_blocks(m);
-        let serial_hash = group_by_hash(&table, &keys, &aggs, &env).unwrap();
-        let serial_sort = group_by_sort(&table, &keys, &aggs, &env).unwrap();
-        assert!(serial_hash.row_count() > 1);
-        for workers in [1usize, 2, 4] {
-            for unbounded in [false, true] {
-                let env_p = if unbounded {
-                    OpEnv::with_memory_blocks(m).with_unbounded_pool()
-                } else {
-                    OpEnv::with_memory_blocks(m)
-                };
-                let h = group_by_hash_par(&table, &keys, &aggs, workers, &env_p).unwrap();
-                let s = group_by_sort_par(&table, &keys, &aggs, workers, &env_p).unwrap();
-                assert_eq!(
-                    h.rows(),
-                    serial_hash.rows(),
-                    "hash M={m} workers={workers} unbounded={unbounded}"
-                );
-                assert_eq!(
-                    s.rows(),
-                    serial_sort.rows(),
-                    "sort M={m} workers={workers} unbounded={unbounded}"
-                );
-            }
-        }
-    }
-}
-
 /// End-to-end through the planner: with a worker budget the optimizer
-/// emits the Par node, the report labels the step, and the output equals
-/// the serial plan's output.
+/// emits the Par node — because its own model prices that plan below the
+/// serial one — the report labels the step, and the output equals the
+/// serial plan's output.
 #[test]
 fn planned_par_chain_end_to_end() {
     let table = build_table(6_000);
@@ -550,7 +520,7 @@ fn planned_par_chain_end_to_end() {
     );
     assert!(plan.chain_string().contains("PAR→"));
     let report = execute_plan(&plan, &table, &env_par).unwrap();
-    assert!(report.steps.iter().any(|(label, _)| label.contains("PAR→")));
+    assert!(report.step_metrics.iter().any(|m| m.label.contains("PAR→")));
 
     let env_serial = ExecEnv::with_memory_blocks(4).with_par_workers(1);
     let serial_plan = optimize(&query, &stats, Scheme::Cso, &env_serial).unwrap();
@@ -558,6 +528,15 @@ fn planned_par_chain_end_to_end() {
         .steps
         .iter()
         .all(|s| !matches!(s.reorder, ReorderOp::Par { .. })));
+    let w = env_par.weights();
+    let (par_est, serial_est) = (plan.est_cost.ms(&w), serial_plan.est_cost.ms(&w));
+    assert!(
+        par_est < serial_est,
+        "the planner emits Par only where its model prices it cheaper: \
+         {par_est:.3} ms ({}) vs {serial_est:.3} ms ({})",
+        plan.chain_string(),
+        serial_plan.chain_string()
+    );
     let serial = execute_plan(&serial_plan, &table, &env_serial).unwrap();
     // Same SELECT-ordered output multiset; chains may order rows
     // differently (different reorder shapes), so compare sorted.

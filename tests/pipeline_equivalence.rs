@@ -224,11 +224,11 @@ fn execute_plan_step_breakdown_sums_to_total() {
         let env = ExecEnv::with_memory_blocks(mem);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
         let report = execute_plan(&plan, &table, &env).unwrap();
-        assert_eq!(report.steps.len(), plan.steps.len());
+        assert_eq!(report.step_metrics.len(), plan.steps.len() + 1);
 
         let mut steps_sum = wfopt::storage::CostSnapshot::default();
-        for (_, w) in &report.steps {
-            steps_sum = steps_sum.plus(w);
+        for step in &report.step_metrics[1..] {
+            steps_sum = steps_sum.plus(&step.work);
         }
         // total = scan + steps; the scan is the only unattributed work.
         let scan = wfopt::storage::CostSnapshot {
