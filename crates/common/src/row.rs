@@ -3,18 +3,34 @@
 use crate::attrs::AttrId;
 use crate::value::Value;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A tuple. Window-function evaluation appends derived columns, so rows grow
 /// by one column per evaluated function (the paper's evaluation model).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A row **carries its encoded length** — what `wf_storage::codec` writes
+/// for it: a 2-byte arity header plus each value's encoding — because every
+/// hand-off between operators asks for it (pool charges, sort budgets, spill
+/// block accounting) and the answer only changes when the row does. The
+/// values are private and change only in [`Row::new`] and [`Row::push`],
+/// the two places that keep the cached length true
+/// ([`Row::swap_columns`] moves values without changing their sum);
+/// anything that adds another way to change a row's values must update the
+/// length there as well.
+#[derive(Debug, Clone)]
 pub struct Row {
     values: Vec<Value>,
+    encoded_len: usize,
 }
 
 impl Row {
     /// Build a row from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Row { values }
+        let encoded_len = 2 + values.iter().map(Value::encoded_len).sum::<usize>();
+        Row {
+            values,
+            encoded_len,
+        }
     }
 
     /// Number of columns.
@@ -35,7 +51,14 @@ impl Row {
 
     /// Append a derived column (window-function output).
     pub fn push(&mut self, v: Value) {
+        self.encoded_len += v.encoded_len();
         self.values.push(v);
+    }
+
+    /// Exchange the values of columns `a` and `b` (a projection reordering
+    /// derived columns; the row's encoding keeps its length).
+    pub fn swap_columns(&mut self, a: usize, b: usize) {
+        self.values.swap(a, b);
     }
 
     /// Make room for `additional` more derived columns, so that a row
@@ -51,9 +74,26 @@ impl Row {
 
     /// Bytes this row occupies in the storage codec (2-byte arity header plus
     /// each value's encoding). Keeps block accounting honest without
-    /// serializing on the hot path.
+    /// serializing on the hot path; a field read (see the type's docs).
+    #[inline]
     pub fn encoded_len(&self) -> usize {
-        2 + self.values.iter().map(Value::encoded_len).sum::<usize>()
+        self.encoded_len
+    }
+}
+
+// Equality and hashing are over the values alone: the cached length is a
+// function of them (equal values encode to equal lengths).
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for Row {}
+
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values.hash(state);
     }
 }
 
@@ -107,9 +147,16 @@ mod tests {
 
     #[test]
     fn encoded_len_sums_values() {
-        let r = row![1, "ab"];
+        let mut r = row![1, "ab"];
         // 2 header + 9 int + (1+4+2) str
         assert_eq!(r.encoded_len(), 2 + 9 + 7);
+        // The cached length follows every push and survives a swap.
+        r.push(Value::Null);
+        r.push(Value::str("xyz"));
+        r.swap_columns(0, 3);
+        assert_eq!(r.encoded_len(), 2 + 9 + 7 + 1 + 8);
+        assert_eq!(r, row!["xyz", "ab", Value::Null, 1]);
+        assert_eq!(Row::new(vec![]).encoded_len(), 2);
     }
 
     #[test]

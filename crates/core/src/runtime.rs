@@ -587,21 +587,26 @@ pub fn execute_plan_with_specs(
         let dt = spec.func.result_type(table.schema());
         schema = schema.with_appended(Field::new(spec.name.clone(), dt))?;
     }
-    // Project appended columns from evaluation order back to SELECT order.
-    let identity = eval_order.iter().copied().eq(0..specs.len());
-    if !identity {
-        // position_of_spec[s] = which appended slot holds spec s's values.
-        let mut position_of_spec = vec![usize::MAX; specs.len()];
-        for (k, &s) in eval_order.iter().enumerate() {
-            position_of_spec[s] = k;
+    // Project appended columns from evaluation order back to SELECT order:
+    // the permutation is worked out once, as swaps, and every row's values
+    // are swapped in place.
+    let mut slots = eval_order; // slots[k] = the spec whose values sit in appended slot k
+    let mut swaps: Vec<(usize, usize)> = Vec::new();
+    for s in 0..slots.len() {
+        let k = s + slots[s..]
+            .iter()
+            .position(|&spec| spec == s)
+            .expect("every spec is evaluated once");
+        if k != s {
+            slots.swap(s, k);
+            swaps.push((base_len + s, base_len + k));
         }
+    }
+    if !swaps.is_empty() {
         for row in &mut rows {
-            let mut vals = std::mem::replace(row, wf_common::Row::new(vec![])).into_values();
-            let tail = vals.split_off(base_len);
-            for &pos in &position_of_spec {
-                vals.push(tail[pos].clone());
+            for &(a, b) in &swaps {
+                row.swap_columns(a, b);
             }
-            *row = wf_common::Row::new(vals);
         }
     }
 

@@ -158,6 +158,10 @@ impl<I: Operator> HashedSortOp<I> {
             };
             let (_, mut stream, _) = seg.into_stream();
             let mut next_idx = 0usize;
+            // Every row of the segment is hashed; every one that is not an
+            // MFV row moves once, into its bucket or its bucket's file.
+            // Both are charged per segment, below.
+            let (mut hashed, mut moved) = (0u64, 0u64);
             loop {
                 // Batch segments hash per-lane (identical u64s to
                 // `hash_row_on`); everything else streams row-at-a-time.
@@ -178,7 +182,7 @@ impl<I: Operator> HashedSortOp<I> {
                         None => break,
                     },
                 };
-                env.tracker.hash(1);
+                hashed += 1;
                 if !mfv.is_empty() {
                     let key_val: Vec<Value> = self.whk.iter().map(|a| row.get(a).clone()).collect();
                     if mfv.contains(&key_val) {
@@ -193,10 +197,7 @@ impl<I: Operator> HashedSortOp<I> {
                     idx_hint.unwrap_or_else(|| (hash_row_on(&row, &self.whk) % n as u64) as usize);
                 let bytes = row.encoded_len();
                 match &mut buckets[idx] {
-                    Bucket::Spilled { file } => {
-                        file.push(&row)?;
-                        env.tracker.move_rows(1);
-                    }
+                    Bucket::Spilled { file } => file.push(&row)?,
                     Bucket::Mem { .. } => {
                         while !ledger.fits(bytes) {
                             if !spill_victim(&mut buckets, &mut ledger, env, idx)? {
@@ -208,17 +209,16 @@ impl<I: Operator> HashedSortOp<I> {
                                 ledger.charge(bytes);
                                 *b += bytes;
                                 rows.push(row);
-                                env.tracker.move_rows(1);
                             }
-                            Bucket::Spilled { file } => {
-                                // The current bucket itself became the victim.
-                                file.push(&row)?;
-                                env.tracker.move_rows(1);
-                            }
+                            // The current bucket itself became the victim.
+                            Bucket::Spilled { file } => file.push(&row)?,
                         }
                     }
                 }
+                moved += 1;
             }
+            env.tracker.hash(hashed);
+            env.tracker.move_rows(moved);
         }
 
         // Emission order: MFV first, then — by default — memory-resident

@@ -50,6 +50,18 @@
 //! `tests/pipeline_equivalence.rs` and `tests/memory_stress.rs` assert
 //! exact equality of outputs *and* work counters across both the
 //! batch/streaming and the bounded/unbounded-pool axes.
+//!
+//! **The segment is the grain of a hand-off.** A resident segment is
+//! charged, sized and moved once, not once per row: rows carry their
+//! encoded length ([`Row::encoded_len`] is a field read),
+//! [`SegmentStore::admit`] makes one charge for the whole `Vec` and adopts
+//! it as the handle, operators move rows out of a materialized segment
+//! instead of copying them, and a counter that grows by one per row is
+//! charged once per segment with the count. §3.5 prices the reorders and
+//! takes the hand-off between them as free; this is what keeps it close to
+//! that. The spilled paths — the builder loop past the pool, the streaming
+//! SS, the window stream — stay row-at-a-time, because there each row
+//! crosses the device boundary by itself.
 
 use crate::env::OpEnv;
 use crate::segment::{SegmentBounds, SegmentedRows};

@@ -91,12 +91,23 @@ impl<I: Operator> SegmentedSortOp<I> {
             &mut unit_starts,
         );
 
+        // The units leave the segment front to back, by move; every row is
+        // in exactly one of them.
+        env.tracker.move_rows(end as u64);
+        let mut rows = rows.into_iter();
         let mut out: Vec<Row> = Vec::with_capacity(end);
+        let mut unit: Vec<Row> = Vec::new();
         for (k, &start) in unit_starts.iter().enumerate() {
             let stop = unit_starts.get(k + 1).copied().unwrap_or(end);
-            let unit: Vec<Row> = rows[start..stop].to_vec();
-            env.tracker.move_rows(unit.len() as u64);
-            out.extend(sort_rows(unit, &self.beta, env)?);
+            if stop - start == 1 {
+                // Sorted as it stands: no budget to ask for, nothing to
+                // charge.
+                out.extend(rows.next());
+                continue;
+            }
+            unit.extend(rows.by_ref().take(stop - start));
+            unit = sort_rows(unit, &self.beta, env)?;
+            out.append(&mut unit);
         }
         // Within-unit permutation preserves exactly the layers whose runs
         // are unions of units.
@@ -383,5 +394,72 @@ mod tests {
         assert!(ss.io_blocks() == 0, "small units should not spill");
         assert!(fs.io_blocks() > 0, "full sort at tiny M must spill");
         assert!(ss.comparisons < fs.comparisons);
+    }
+
+    /// Units leave the segment by move — one-row units without a sort —
+    /// and are charged what the model says, over plain and store-backed
+    /// segments alike: rows against a stable per-unit sort, `rows_moved`,
+    /// `comparisons` (boundary scan + `len·⌈log₂ len⌉` per unit) and
+    /// `key_encodes` (rows of the units that needed sorting), and no copy of
+    /// a row left behind.
+    #[test]
+    fn units_are_moved_and_charged_per_the_model() {
+        use std::sync::Arc;
+        use wf_common::Value;
+
+        struct Once(Option<Segment>);
+        impl Operator for Once {
+            fn next_segment(&mut self) -> Result<Option<Segment>> {
+                Ok(self.0.take())
+            }
+        }
+
+        let payload: Arc<str> = Arc::from("shared-payload");
+        let sizes = [1usize, 1, 3, 1, 25, 2, 1, 40];
+        let mut rows: Vec<Row> = Vec::new();
+        let (mut sort_cmp, mut sorted_rows) = (0u64, 0u64);
+        for (unit, &len) in sizes.iter().cycle().take(120).enumerate() {
+            for j in 0..len {
+                rows.push(Row::new(vec![
+                    Value::Int(unit as i64),
+                    Value::Int(((j * 7919) % 13) as i64),
+                    Value::Str(Arc::clone(&payload)),
+                ]));
+            }
+            if len > 1 {
+                sort_cmp += len as u64 * (usize::BITS - (len - 1).leading_zeros()) as u64;
+                sorted_rows += len as u64;
+            }
+        }
+        let n = rows.len();
+        let mut expect = rows.clone();
+        expect.sort_by_key(|r| {
+            let int = |i| r.get(AttrId::new(i)).as_int().unwrap();
+            (int(0), int(1))
+        });
+        for store_backed in [false, true] {
+            let env = OpEnv::with_memory_blocks(64);
+            let seg = if store_backed {
+                let handle = env.store.admit(rows.clone()).unwrap();
+                Segment::from_handle(handle, crate::segment::SegmentBounds::none())
+            } else {
+                Segment::plain(rows.clone())
+            };
+            let mut op = SegmentedSortOp::new(Once(Some(seg)), key(&[0]), key(&[1]), env.clone());
+            let out = op.next_segment().unwrap().unwrap();
+            assert_eq!(out.is_store_backed(), store_backed);
+            assert_eq!(
+                env.store.snapshot().resident_rows,
+                n * usize::from(store_backed)
+            );
+            let out = out.into_rows().unwrap();
+            assert_eq!(out, expect, "store_backed={store_backed}");
+            // Input, expectation, output and the local handle — nothing else.
+            assert_eq!(Arc::strong_count(&payload), 3 * n + 1);
+            let work = env.tracker.snapshot();
+            assert_eq!(work.rows_moved, n as u64);
+            assert_eq!(work.comparisons, (n as u64 - 1) + sort_cmp);
+            assert_eq!(work.key_encodes, sorted_rows);
+        }
     }
 }

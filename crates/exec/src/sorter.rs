@@ -67,7 +67,7 @@ use crate::env::OpEnv;
 use crate::segment::SegmentBounds;
 use crate::util::HeapBy;
 use std::cmp::Ordering;
-use wf_common::{AttrSet, KeyNormalizer, Result, Row, RowComparator, SortSpec};
+use wf_common::{AttrSet, KeyNormalizer, Result, Row, RowComparator, SortSpec, Value};
 use wf_storage::{IoMeter, MemoryLedger, SegmentHandle, SpillFile, SpillReader};
 
 /// A sort key: the comparator plus the normalized-key encoder for the same
@@ -188,6 +188,9 @@ impl KeyedRow {
 ///   input; equal-prefix runs (keys longer than the prefix, or genuinely
 ///   tied) are resolved by the full arena slices with the original index as
 ///   the final tie-break. No comparator callbacks at all in the common case.
+///   Below `RADIX_MIN_ROWS` rows the same `(prefix, index)` pairs are
+///   ordered by comparing them — the same permutation for less than the
+///   passes' fixed cost.
 /// * **Comparator fallback** (normalization off, or any lossy value):
 ///   `sort_unstable_by` over `(prefix, index)` exactly as before.
 ///
@@ -252,7 +255,13 @@ pub fn sort_in_memory(rows: &mut [Row], key: &SortKey, env: &OpEnv) {
         let _span = env
             .trace
             .span_with("sort", || format!("in_memory.radix n={n}"));
-        radix_sort_prefixes(&mut perm);
+        if n < RADIX_MIN_ROWS {
+            // `(prefix, index)` in tuple order is what the stable radix
+            // passes arrive at from index order.
+            perm.sort_unstable();
+        } else {
+            radix_sort_prefixes(&mut perm);
+        }
         // Radix is stable and `perm` started in index order, so equal-prefix
         // runs are already index-ordered; only runs whose *full* keys may
         // still differ (key longer than the prefix) need the slice compare.
@@ -288,8 +297,16 @@ pub fn sort_in_memory(rows: &mut [Row], key: &SortKey, env: &OpEnv) {
                 .then(ia.cmp(&ib))
         });
     }
-    apply_permutation(rows, perm.into_iter().map(|(_, i)| i).collect());
+    apply_permutation(rows, &mut perm);
 }
+
+/// Inputs shorter than this order their `(prefix, index)` pairs by
+/// comparison instead of by radix passes: a pass costs a 256-counter
+/// histogram whatever `n` is, and a hash bucket or an SS unit is often a
+/// couple of dozen rows. Both produce the same permutation, so this is a
+/// wall-clock cutover only; the value is where the two cross in
+/// `benches/segment_handoff.rs` (`sort_in_memory` at n = 2 … 1 560).
+const RADIX_MIN_ROWS: usize = 128;
 
 /// LSD radix sort of `(prefix, index)` pairs on the 8 prefix bytes: one
 /// stable counting-sort pass per byte, least significant first, skipping
@@ -337,16 +354,16 @@ fn radix_sort_prefixes(perm: &mut [(u64, u32)]) {
 }
 
 /// Rearrange `rows` so that position `i` holds the row previously at
-/// `perm[i]` (in-place cycle walk; consumes the permutation).
-fn apply_permutation(rows: &mut [Row], mut perm: Vec<u32>) {
+/// `perm[i].1` (in-place cycle walk; consumes the permutation).
+fn apply_permutation(rows: &mut [Row], perm: &mut [(u64, u32)]) {
     for i in 0..rows.len() {
-        if perm[i] as usize == i {
+        if perm[i].1 as usize == i {
             continue;
         }
         let mut cur = i;
         loop {
-            let src = perm[cur] as usize;
-            perm[cur] = cur as u32;
+            let src = perm[cur].1 as usize;
+            perm[cur].1 = cur as u32;
             if src == i {
                 break;
             }
@@ -450,9 +467,17 @@ pub(crate) fn record_prefix_layers(rows: &[Row], record: &[AttrSet], env: &OpEnv
 /// Shared with the parallel scheduler's ordered merge, which records the
 /// same layers at the same (free) price.
 pub(crate) struct PrefixRecorder {
-    sets: Vec<(AttrSet, Vec<usize>)>,
-    prev: Option<Row>,
+    sets: Vec<WatchedPrefix>,
     idx: usize,
+}
+
+/// One watched attribute set: its run starts so far and the previous row's
+/// values on it — all a boundary check reads, kept in a buffer that is
+/// overwritten row by row, so observing a row never copies it.
+struct WatchedPrefix {
+    attrs: AttrSet,
+    starts: Vec<usize>,
+    prev: Vec<Value>,
 }
 
 impl PrefixRecorder {
@@ -461,40 +486,38 @@ impl PrefixRecorder {
             record
                 .iter()
                 .filter(|a| !a.is_empty())
-                .map(|a| (a.clone(), Vec::new()))
+                .map(|a| WatchedPrefix {
+                    attrs: a.clone(),
+                    starts: Vec::new(),
+                    prev: Vec::new(),
+                })
                 .collect()
         } else {
             Vec::new()
         };
-        PrefixRecorder {
-            sets,
-            prev: None,
-            idx: 0,
-        }
+        PrefixRecorder { sets, idx: 0 }
     }
 
     pub(crate) fn observe(&mut self, row: &Row) {
-        if self.sets.is_empty() {
-            return;
-        }
-        for (attrs, starts) in &mut self.sets {
-            let boundary = match &self.prev {
-                None => true,
-                Some(p) => !attrs.iter().all(|a| p.get(a) == row.get(a)),
-            };
-            if boundary {
-                starts.push(self.idx);
+        for set in &mut self.sets {
+            let here = || set.attrs.iter().map(|a| row.get(a));
+            if self.idx == 0 || !here().eq(&set.prev) {
+                set.starts.push(self.idx);
             }
+            // Every row, not only at a boundary: the slice scan compares
+            // neighbours, and value equality is not transitive where an
+            // `Int` meets a `Float` past 2^53.
+            set.prev.clear();
+            set.prev.extend(here().cloned());
         }
-        self.prev = Some(row.clone());
         self.idx += 1;
     }
 
     pub(crate) fn finish(self) -> SegmentBounds {
         let mut bounds = SegmentBounds::none();
-        for (attrs, starts) in self.sets {
-            if !starts.is_empty() {
-                bounds.add_layer(attrs, starts);
+        for set in self.sets {
+            if !set.starts.is_empty() {
+                bounds.add_layer(set.attrs, set.starts);
             }
         }
         bounds
@@ -680,10 +703,7 @@ fn reduce_runs(mut runs: Vec<Run>, key: &SortKey, env: &OpEnv) -> Result<Vec<Run
             }
             let rank = batch.iter().map(|r| r.rank).min().unwrap_or(0);
             let mut out = SpillFile::with_config(&env.spill, IoMeter::Model(env.tracker.clone()))?;
-            merge_into(batch, key, env, |key, row| {
-                out.push_keyed(key, row)?;
-                Ok(())
-            })?;
+            merge_into(batch, key, env, |key, row| out.push_keyed(key, &row))?;
             next.push(Run {
                 reader: out.into_reader()?,
                 rank,
@@ -701,7 +721,7 @@ fn merge_runs(runs: Vec<Run>, key: &SortKey, env: &OpEnv) -> Result<Vec<Row>> {
     let _span = env.trace.span("sort", "final_merge");
     let mut result = Vec::new();
     merge_into(runs, key, env, |_, row| {
-        result.push(row.clone());
+        result.push(row);
         Ok(())
     })?;
     Ok(result)
@@ -721,15 +741,15 @@ fn merge_runs_to_handle(
     let mut recorder = PrefixRecorder::new(record, env);
     let mut n = 0usize;
     merge_into(runs, key, env, |_, row| {
-        recorder.observe(row);
-        builder.push(row.clone())?;
+        recorder.observe(&row);
+        builder.push(row)?;
         n += 1;
         Ok(())
     })?;
     Ok((builder.finish()?, recorder.finish(), n))
 }
 
-/// Core k-way merge over run readers; `emit` receives each row in order
+/// Core k-way merge over run readers; `emit` is handed each row in order
 /// together with its stored normalized key (so intermediate passes can
 /// re-spill the key without re-encoding). Runs carry their keys on the
 /// spill device — read-back rebuilds each `KeyedRow` from the stored bytes
@@ -742,7 +762,7 @@ fn merge_into(
     runs: Vec<Run>,
     key: &SortKey,
     env: &OpEnv,
-    mut emit: impl FnMut(Option<&[u8]>, &Row) -> Result<()>,
+    mut emit: impl FnMut(Option<&[u8]>, Row) -> Result<()>,
 ) -> Result<()> {
     let ranks: Vec<u64> = runs.iter().map(|r| r.rank).collect();
     let mut readers: Vec<SpillReader> = runs.into_iter().map(|r| r.reader).collect();
@@ -755,8 +775,8 @@ fn merge_into(
             heap.push((KeyedRow::from_stored(stored, row), i));
         }
     }
-    while let Some((keyed, i)) = heap.pop() {
-        emit(keyed.key.as_ref().map(InlineKey::as_slice), &keyed.row)?;
+    while let Some((KeyedRow { key, row }, i)) = heap.pop() {
+        emit(key.as_ref().map(InlineKey::as_slice), row)?;
         env.tracker.move_rows(1);
         if let Some((stored, next)) = readers[i].next_keyed()? {
             heap.push((KeyedRow::from_stored(stored, next), i));
@@ -1237,5 +1257,108 @@ mod tests {
         // Boundary: exactly the inline capacity stays inline.
         let edge = InlineKey::from_slice(&[7u8; INLINE_KEY_CAP]);
         assert!(matches!(edge, InlineKey::Inline { .. }));
+    }
+
+    /// One permutation whichever backend orders the pairs: every length
+    /// from 0 across the radix cutover, duplicate keys, keys that tie on the
+    /// 8-byte prefix and differ after it, and (every other round) a row
+    /// whose key does not normalize, which sends the whole input to the
+    /// comparator — against a stable comparator sort, with the model's
+    /// counters.
+    #[test]
+    fn in_memory_sort_is_one_permutation_across_the_cutover() {
+        assert!((2..300).contains(&RADIX_MIN_ROWS), "lengths straddle it");
+        let sk = SortKey::new(&SortSpec::new(vec![
+            OrdElem::asc(AttrId::new(0)),
+            OrdElem::desc(AttrId::new(1)),
+        ]));
+        let mut st = 99u64;
+        for n in 0..=300usize {
+            let lossy = n % 2 == 1;
+            let mut rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    let r = splitmix64(&mut st);
+                    // The first key column fills the prefix by itself, so
+                    // the second only ever shows in the full-key compare.
+                    row![
+                        (r % 7) as i64,
+                        format!("longer-than-the-prefix-{}", (r >> 8) % 5),
+                        i as i64
+                    ]
+                })
+                .collect();
+            if lossy {
+                rows[n / 2] = row![(1i64 << 53) + 1, "x", (n / 2) as i64];
+            }
+            let mut expect = rows.clone();
+            expect.sort_by(|a, b| sk.comparator().compare(a, b));
+            let charge = |n: usize| match n {
+                0 | 1 => 0,
+                n => n as u64 * (usize::BITS - (n - 1).leading_zeros()) as u64,
+            };
+            for norm in [true, false] {
+                let env = OpEnv::with_memory_blocks(1 << 20).with_toggles(norm, true);
+                let mut sorted = rows.clone();
+                sort_in_memory(&mut sorted, &sk, &env);
+                assert_eq!(sorted, expect, "n={n} norm={norm}");
+                let work = env.tracker.snapshot();
+                assert_eq!(work.comparisons, charge(n), "n={n} norm={norm}");
+                let encodable = if norm && n > 1 {
+                    n - usize::from(lossy)
+                } else {
+                    0
+                };
+                assert_eq!(work.key_encodes, encodable as u64, "n={n} norm={norm}");
+            }
+            // The pairs themselves: tuple order is what the radix passes
+            // reach from index order.
+            let pairs: Vec<(u64, u32)> = (0..n as u32)
+                .map(|i| ((splitmix64(&mut st) % 5) << (8 * (i % 8)), i))
+                .collect();
+            let (mut by_radix, mut by_compare) = (pairs.clone(), pairs);
+            radix_sort_prefixes(&mut by_radix);
+            by_compare.sort_unstable();
+            assert_eq!(by_radix, by_compare, "n={n}");
+        }
+    }
+
+    /// The streaming recorder marks the boundaries the slice scan marks —
+    /// values equal across types (`2` and `2.0`) included — and holds no
+    /// copy of a row it was shown.
+    #[test]
+    fn prefix_recorder_matches_the_slice_scan_without_copying_rows() {
+        use std::sync::Arc;
+        use wf_common::Value;
+        let env = OpEnv::with_memory_blocks(4);
+        let payload: Arc<str> = Arc::from("payload-no-boundary-check-reads");
+        let mut st = 5u64;
+        let rows: Vec<Row> = (0..400)
+            .map(|i| {
+                let a = (i / 40) as i64;
+                let b = if splitmix64(&mut st).is_multiple_of(2) {
+                    Value::Int((i / 8) as i64)
+                } else {
+                    Value::Float((i / 8) as f64)
+                };
+                Row::new(vec![Value::Int(a), b, Value::Str(Arc::clone(&payload))])
+            })
+            .collect();
+        let sets = [
+            AttrSet::from_iter([AttrId::new(0)]),
+            AttrSet::from_iter([AttrId::new(0), AttrId::new(1)]),
+        ];
+        let mut recorder = PrefixRecorder::new(&sets, &env);
+        for row in &rows {
+            recorder.observe(row);
+            assert_eq!(Arc::strong_count(&payload), rows.len() + 1);
+        }
+        let streamed = recorder.finish();
+        let scanned = record_prefix_layers(&rows, &sets, &env);
+        assert_eq!(streamed.layers().len(), 2);
+        for (a, b) in streamed.layers().iter().zip(scanned.layers()) {
+            assert_eq!((&a.attrs, &a.starts), (&b.attrs, &b.starts));
+        }
+        assert_eq!(streamed.layers()[0].starts.len(), 10);
+        assert_eq!(streamed.layers()[1].starts.len(), 50);
     }
 }

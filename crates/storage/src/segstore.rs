@@ -359,7 +359,28 @@ impl SegmentStore {
 
     /// Admit an already-materialized segment: resident if it fits the pool,
     /// spilled otherwise.
+    ///
+    /// The segment is the unit of accounting: its rows' encoded lengths are
+    /// summed, **one** charge is made — this ledger locked once, a pooled
+    /// parent once — and the `Vec` becomes the resident handle as it is.
+    /// This is the decision, and the ledger state, of pushing the rows
+    /// through a [`SegmentBuilder`] one by one: the running charge of that
+    /// loop only grows, so it keeps every row exactly when the total fits,
+    /// and `n` small charges end at the `used` and `peak` of one charge of
+    /// their sum. A segment that does not fit takes the builder loop itself,
+    /// which fills the pool with the prefix that fits, releases it and
+    /// spills — so the transient peak and the pool traffic of an overflow
+    /// are the builder's, not an imitation of them.
     pub fn admit(self: &Arc<Self>, rows: Vec<Row>) -> Result<SegmentHandle> {
+        let bytes = rows.iter().map(Row::encoded_len).sum();
+        if self.try_charge(bytes, rows.len()) {
+            return Ok(SegmentHandle::Resident(ResidentSeg {
+                store: Arc::clone(self),
+                bytes,
+                row_count: rows.len(),
+                rows,
+            }));
+        }
         let mut b = self.builder();
         for row in rows {
             b.push(row)?;
@@ -368,9 +389,8 @@ impl SegmentStore {
     }
 
     /// Whether a segment of `bytes` encoded bytes would be admitted resident
-    /// right now — the decision [`SegmentStore::admit`] reaches row by row
-    /// (the running charge only grows, so it overflows exactly when the
-    /// total does), asked up front and without charging anything.
+    /// right now — the decision [`SegmentStore::admit`] makes, asked up front
+    /// and without charging anything.
     pub fn fits(&self, bytes: usize) -> bool {
         self.budget
             .is_none_or(|b| self.state.lock().expect("store lock").used_bytes + bytes <= b)
@@ -1108,6 +1128,76 @@ mod tests {
         }
         assert_eq!(pool.snapshot().resident_bytes, 0);
         assert_eq!(pool.snapshot().peak_resident_bytes, 3 * BLOCK_SIZE);
+    }
+
+    /// `admit` is the builder loop, charged once: the same segments through
+    /// `admit` and through `builder()/push/finish` leave the ledger — the
+    /// account's own and a pooled parent's — in the same state after every
+    /// step, the segments that overflow included.
+    #[test]
+    fn admit_matches_the_builder_loop_step_by_step() {
+        type Setup = fn() -> (Arc<SegmentStore>, Arc<SegmentStore>, Option<ResidencyHold>);
+        let setups: [(&str, Setup); 3] = [
+            ("bounded store", || {
+                let s = SegmentStore::with_spill(Some(3), SpillConfig::mem());
+                (Arc::clone(&s), s, None)
+            }),
+            ("pooled sub-store", || {
+                let pool = SegmentStore::with_spill(Some(64), SpillConfig::mem());
+                (pool.pooled_sub_store(Some(3)), pool, None)
+            }),
+            ("store pre-filled by a hold", || {
+                let s = SegmentStore::with_spill(Some(4), SpillConfig::mem());
+                let hold = s.hold(2 * BLOCK_SIZE + 100, 7);
+                (Arc::clone(&s), s, Some(hold))
+            }),
+        ];
+        for (name, setup) in setups {
+            let (fast, fast_parent, _fast_hold) = setup();
+            let (slow, slow_parent, _slow_hold) = setup();
+            let mut live: Vec<(SegmentHandle, SegmentHandle)> = Vec::new();
+            let mut state = 0x5EED_u64;
+            let mut spilled = 0;
+            for step in 0..60 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Mixed sizes: empty, a few rows, up to twice the budget.
+                let n = match (state >> 33) % 5 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 24,
+                    3 => 150,
+                    _ => 1200,
+                };
+                let a = fast.admit(rows(n)).unwrap();
+                let mut b = slow.builder();
+                for r in rows(n) {
+                    b.push(r).unwrap();
+                }
+                let b = b.finish().unwrap();
+                assert_eq!(a.is_spilled(), b.is_spilled(), "{name} step {step} n={n}");
+                spilled += usize::from(a.is_spilled());
+                live.push((a, b));
+                // Hold a few segments at a time, so that the pool is partly
+                // full when the next one arrives.
+                if (state >> 40).is_multiple_of(3) {
+                    live.remove(0);
+                }
+                assert_eq!(fast.snapshot(), slow.snapshot(), "{name} step {step}");
+                assert_eq!(
+                    fast_parent.snapshot(),
+                    slow_parent.snapshot(),
+                    "{name} step {step} (parent)"
+                );
+            }
+            assert!(spilled > 0 && spilled < 60, "{name}: both halves ran");
+            for (a, b) in live.drain(..) {
+                assert_eq!(a.into_rows().unwrap(), b.into_rows().unwrap(), "{name}");
+            }
+            assert_eq!(fast.snapshot(), slow.snapshot(), "{name} drained");
+            assert_eq!(fast_parent.snapshot(), slow_parent.snapshot(), "{name}");
+        }
     }
 
     #[test]

@@ -15,14 +15,17 @@ use wf_common::{Error, Result, Row, Schema};
 /// A schema plus rows. Rows live behind an `Arc` so a table scan can hand
 /// out zero-copy shared views ([`Table::shared_rows`]) instead of cloning
 /// the relation; mutation goes through copy-on-write (`Arc::make_mut`).
-/// The columnar view ([`Table::shared_batch`]) is built lazily and cached;
-/// any mutation invalidates it.
+/// The columnar view ([`Table::shared_batch`]) is built lazily and cached
+/// in a cell that **clones share**, so whichever handle scans first builds
+/// it for all of them (a catalog hands every statement a clone); a mutation
+/// gives the mutated handle a fresh cell and leaves the others' intact —
+/// the same copy-on-write the rows get.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: Arc<Vec<Row>>,
     bytes: usize,
-    batch: OnceLock<Arc<RowBatch>>,
+    batch: Arc<OnceLock<Arc<RowBatch>>>,
 }
 
 impl Table {
@@ -32,17 +35,24 @@ impl Table {
             schema,
             rows: Arc::new(Vec::new()),
             bytes: 0,
-            batch: OnceLock::new(),
+            batch: Arc::default(),
         }
     }
 
-    /// Build from parts, validating arity.
+    /// Build from parts, validating arity: one pass over the rows, then the
+    /// `Vec` is adopted as it is.
     pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Result<Self> {
-        let mut t = Table::new(schema);
-        for r in rows {
-            t.try_push(r)?;
+        let mut bytes = 0;
+        for row in &rows {
+            check_arity(row, &schema)?;
+            bytes += row.encoded_len();
         }
-        Ok(t)
+        Ok(Table {
+            schema,
+            rows: Arc::new(rows),
+            bytes,
+            batch: Arc::default(),
+        })
     }
 
     /// The schema.
@@ -73,8 +83,17 @@ impl Table {
     /// Mutable row access (used by in-place sorters in tests;
     /// copy-on-write when the rows are shared).
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        self.batch.take();
+        self.invalidate_batch();
         Arc::make_mut(&mut self.rows)
+    }
+
+    /// Forget the columnar view of this handle only: clear the cell when no
+    /// clone shares it, swap in a fresh one when some do.
+    fn invalidate_batch(&mut self) {
+        match Arc::get_mut(&mut self.batch) {
+            Some(cell) => drop(cell.take()),
+            None => self.batch = Arc::default(),
+        }
     }
 
     /// Consume into rows.
@@ -106,19 +125,13 @@ impl Table {
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.arity(), self.schema.len(), "row arity mismatch");
         self.bytes += row.encoded_len();
-        self.batch.take();
+        self.invalidate_batch();
         Arc::make_mut(&mut self.rows).push(row);
     }
 
     /// Append a row, checking arity.
     pub fn try_push(&mut self, row: Row) -> Result<()> {
-        if row.arity() != self.schema.len() {
-            return Err(Error::SchemaMismatch(format!(
-                "row arity {} does not match schema arity {}",
-                row.arity(),
-                self.schema.len()
-            )));
-        }
+        check_arity(&row, &self.schema)?;
         self.push(row);
         Ok(())
     }
@@ -137,6 +150,17 @@ impl Table {
             self.bytes / self.rows.len()
         }
     }
+}
+
+fn check_arity(row: &Row, schema: &Schema) -> Result<()> {
+    if row.arity() == schema.len() {
+        return Ok(());
+    }
+    Err(Error::SchemaMismatch(format!(
+        "row arity {} does not match schema arity {}",
+        row.arity(),
+        schema.len()
+    )))
 }
 
 #[cfg(test)]
@@ -211,5 +235,30 @@ mod tests {
         assert_eq!(b2.to_rows(), t.rows());
         t.rows_mut()[0] = row![9, "w"];
         assert_eq!(t.shared_batch().row(0), row![9, "w"]);
+    }
+
+    /// Clones share the columnar cache — whichever handle scans first builds
+    /// it for all — and a mutation detaches only the handle it goes through.
+    #[test]
+    fn clones_share_the_batch_until_one_is_mutated() {
+        let original = Table::from_rows(schema2(), vec![row![1, "x"], row![2, "y"]]).unwrap();
+        // Taken before first use, as a catalog hands a table to a statement.
+        let mut clone = original.clone();
+        let batch = clone.shared_batch();
+        assert!(Arc::ptr_eq(&batch, &original.shared_batch()));
+        assert!(Arc::ptr_eq(&batch, &original.clone().shared_batch()));
+
+        clone.push(row![3, "z"]);
+        assert!(Arc::ptr_eq(&batch, &original.shared_batch()), "original");
+        assert_eq!(original.shared_batch().to_rows(), original.rows());
+        let rebuilt = clone.shared_batch();
+        assert!(!Arc::ptr_eq(&batch, &rebuilt));
+        assert_eq!(rebuilt.to_rows(), clone.rows());
+
+        let mut other = original.clone();
+        other.rows_mut()[0] = row![9, "w"];
+        assert!(Arc::ptr_eq(&batch, &original.shared_batch()), "original");
+        assert_eq!(other.shared_batch().row(0), row![9, "w"]);
+        assert_eq!(original.shared_batch().row(0), row![1, "x"]);
     }
 }

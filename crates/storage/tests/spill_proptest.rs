@@ -43,12 +43,27 @@ impl Rng {
         let arity = (self.next() % 8) as usize;
         Row::new((0..arity).map(|_| self.value()).collect())
     }
+
+    /// A row that grew the way window evaluation grows one: `new`, then a
+    /// few `push`es (with a `reserve` or a column swap in between).
+    fn grown_row(&mut self) -> Row {
+        let mut row = self.row();
+        for _ in 0..self.next() % 6 {
+            row.reserve((self.next() % 3) as usize);
+            row.push(self.value());
+            if row.arity() >= 2 {
+                row.swap_columns(0, row.arity() - 1);
+            }
+        }
+        row
+    }
 }
 
 #[test]
 fn codec_round_trips_and_encoded_len_is_exact() {
     let mut rng = Rng(1);
     let mut cases: Vec<Row> = (0..64).map(|_| rng.row()).collect();
+    cases.extend((0..64).map(|_| rng.grown_row()));
     cases.push(Row::new(vec![]));
     cases.push(Row::new(vec![
         Value::Int(i64::MIN),
@@ -65,6 +80,10 @@ fn codec_round_trips_and_encoded_len_is_exact() {
             row.encoded_len(),
             "encoded_len must match codec: {row:?}"
         );
+        // The length a row carries is the one its values add up to, however
+        // the row came to hold them.
+        let summed: usize = row.values().iter().map(Value::encoded_len).sum();
+        assert_eq!(row.encoded_len(), 2 + summed, "{row:?}");
         let mut cursor = buf.as_slice();
         let back = decode_row(&mut cursor).unwrap();
         assert!(cursor.is_empty());
