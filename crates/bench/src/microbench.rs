@@ -22,7 +22,15 @@ pub fn iterations() -> usize {
 pub struct BenchGroup {
     name: String,
     iters: usize,
-    results: Vec<(String, f64, f64)>, // (case, best ms, mean ms)
+    results: Vec<CaseResult>,
+}
+
+struct CaseResult {
+    id: String,
+    best_ms: f64,
+    mean_ms: f64,
+    /// `(amount per run, unit)` for cases reported as a rate as well.
+    volume: Option<(f64, &'static str)>,
 }
 
 impl BenchGroup {
@@ -43,7 +51,18 @@ impl BenchGroup {
     }
 
     /// Run one case: warm up once, then time the configured iterations.
-    pub fn bench<F: FnMut()>(&mut self, id: &str, mut f: F) {
+    pub fn bench<F: FnMut()>(&mut self, id: &str, f: F) {
+        self.run(id, None, f);
+    }
+
+    /// [`Self::bench`] for a case that processes `amount` `unit`s per run
+    /// (`"MB"`, `"rows"`): the table also shows `amount` per second of the
+    /// best run.
+    pub fn bench_rate<F: FnMut()>(&mut self, id: &str, amount: f64, unit: &'static str, f: F) {
+        self.run(id, Some((amount, unit)), f);
+    }
+
+    fn run<F: FnMut()>(&mut self, id: &str, volume: Option<(f64, &'static str)>, mut f: F) {
         f(); // warm-up
         let mut total = 0.0f64;
         let mut best = f64::INFINITY;
@@ -54,8 +73,12 @@ impl BenchGroup {
             total += ms;
             best = best.min(ms);
         }
-        self.results
-            .push((id.to_string(), best, total / self.iters as f64));
+        self.results.push(CaseResult {
+            id: id.to_string(),
+            best_ms: best,
+            mean_ms: total / self.iters as f64,
+            volume,
+        });
     }
 
     /// Print the group's results table.
@@ -63,14 +86,20 @@ impl BenchGroup {
         let width = self
             .results
             .iter()
-            .map(|(id, ..)| id.len())
+            .map(|r| r.id.len())
             .max()
             .unwrap_or(4)
             .max(4);
         println!("\n== {} ==", self.name);
         println!("{:width$}  {:>10}  {:>10}", "case", "best ms", "mean ms");
-        for (id, best, mean) in &self.results {
-            println!("{id:width$}  {best:>10.2}  {mean:>10.2}");
+        for r in &self.results {
+            let rate = r.volume.map_or(String::new(), |(amount, unit)| {
+                format!("  {:>12.1} {unit}/s", amount / (r.best_ms / 1000.0))
+            });
+            println!(
+                "{:width$}  {:>10.2}  {:>10.2}{rate}",
+                r.id, r.best_ms, r.mean_ms
+            );
         }
     }
 }
@@ -85,7 +114,10 @@ mod tests {
         let mut count = 0u32;
         g.bench("case", || count += 1);
         assert_eq!(count, 3, "one warm-up plus two timed iterations");
-        assert_eq!(g.results.len(), 1);
+        g.bench_rate("rated", 3.0, "MB", || count += 1);
+        assert_eq!(count, 6);
+        assert_eq!(g.results.len(), 2);
+        assert_eq!(g.results[1].volume, Some((3.0, "MB")));
         g.finish();
     }
 }

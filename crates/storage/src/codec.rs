@@ -14,8 +14,10 @@
 //! can be computed without serializing.
 //!
 //! Decoding reads from a `&mut &[u8]` cursor: on success the slice is
-//! advanced past the row; on error the cursor state is unspecified and the
-//! caller should treat the buffer as truncated.
+//! advanced past the row; on error the cursor state is unspecified. A buffer
+//! that ends inside a row and bytes that cannot be a row are different
+//! failures (`RowError`): the spill reader tops up on the first and stops
+//! on the second.
 
 use crate::bytebuf::ByteBuf;
 use wf_common::{Error, Result, Row, Value};
@@ -48,9 +50,33 @@ pub fn encode_row(row: &Row, buf: &mut ByteBuf) {
     }
 }
 
-fn take<'a>(cursor: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+/// Why a row failed to decode. The spill reader decodes against whatever
+/// prefix of the file it holds, so it must tell "the row continues in the
+/// next block" (top up and retry) from "these bytes are no row" (stop).
+#[derive(Debug)]
+pub(crate) enum RowError {
+    /// The buffer ended inside the named field.
+    Truncated(&'static str),
+    /// The bytes present cannot start any row.
+    Corrupt(String),
+}
+
+impl From<RowError> for Error {
+    fn from(e: RowError) -> Error {
+        match e {
+            RowError::Truncated(what) => corrupt(&format!("truncated {what}")),
+            RowError::Corrupt(msg) => corrupt(&msg),
+        }
+    }
+}
+
+fn take<'a>(
+    cursor: &mut &'a [u8],
+    n: usize,
+    what: &'static str,
+) -> std::result::Result<&'a [u8], RowError> {
     if cursor.len() < n {
-        return Err(corrupt(&format!("truncated {what}")));
+        return Err(RowError::Truncated(what));
     }
     let (head, tail) = cursor.split_at(n);
     *cursor = tail;
@@ -60,6 +86,11 @@ fn take<'a>(cursor: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
 /// Decode one row from the front of `cursor`, advancing it. Returns an error
 /// on truncated or corrupt input.
 pub fn decode_row(cursor: &mut &[u8]) -> Result<Row> {
+    Ok(try_decode_row(cursor)?)
+}
+
+/// [`decode_row`] with the two failure kinds kept apart.
+pub(crate) fn try_decode_row(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
     let arity_bytes = take(cursor, 2, "arity")?;
     let arity = u16::from_le_bytes([arity_bytes[0], arity_bytes[1]]) as usize;
     let mut values = Vec::with_capacity(arity);
@@ -82,10 +113,10 @@ pub fn decode_row(cursor: &mut &[u8]) -> Result<Row> {
                 let len = u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
                 let body = take(cursor, len, "string body")?;
                 let s = std::str::from_utf8(body)
-                    .map_err(|_| corrupt("invalid utf-8 in string value"))?;
-                Value::str(s.to_string())
+                    .map_err(|_| RowError::Corrupt("invalid utf-8 in string value".into()))?;
+                Value::str(s)
             }
-            other => return Err(corrupt(&format!("unknown value tag {other:#x}"))),
+            other => return Err(RowError::Corrupt(format!("unknown value tag {other:#x}"))),
         };
         values.push(v);
     }
@@ -121,6 +152,13 @@ pub fn encode_keyed_row(key: Option<&[u8]>, row: &Row, buf: &mut ByteBuf) {
 
 /// Decode one key-carrying entry from the front of `cursor`, advancing it.
 pub fn decode_keyed_row(cursor: &mut &[u8]) -> Result<(Option<Vec<u8>>, Row)> {
+    Ok(try_decode_keyed_row(cursor)?)
+}
+
+/// [`decode_keyed_row`] with the two failure kinds kept apart.
+pub(crate) fn try_decode_keyed_row(
+    cursor: &mut &[u8],
+) -> std::result::Result<(Option<Vec<u8>>, Row), RowError> {
     let klen_bytes = take(cursor, 2, "key length")?;
     let klen = u16::from_le_bytes([klen_bytes[0], klen_bytes[1]]);
     let key = if klen == NO_KEY {
@@ -128,7 +166,7 @@ pub fn decode_keyed_row(cursor: &mut &[u8]) -> Result<(Option<Vec<u8>>, Row)> {
     } else {
         Some(take(cursor, klen as usize, "key bytes")?.to_vec())
     };
-    let row = decode_row(cursor)?;
+    let row = try_decode_row(cursor)?;
     Ok((key, row))
 }
 
@@ -152,8 +190,51 @@ pub fn keyed_overhead(key: Option<&[u8]>) -> usize {
 //                                       `dist` bytes back (dist ≥ 1)
 //            | 0lllllll byte{l+1}    -- run of l+1 literal bytes
 //
-// Every compressed block decodes to exactly `raw_len` bytes; anything else
-// is a corruption error.
+// The compressor. One greedy pass: hash the four bytes at `i`, look at the
+// one earlier position the table remembers for that hash, overwrite the slot
+// with `i`, and — when those four bytes really are equal and within a u16
+// distance — take the longest match up to MAX_MATCH, emit pending literals
+// and the copy token, and jump past it (positions inside a match are never
+// entered). That *parse* fixes the frame: which position a slot holds, when a
+// probe succeeds and how far a match runs are functions of the input alone,
+// and `tests::reference` spells them out a byte at a time. The kernels answer
+// the same questions with fewer instructions:
+//   * a slot holds `position + 1` in the narrowest integer that fits the
+//     input (u16 for anything under 65 535 bytes, i.e. every spill block; u32
+//     otherwise), 0 meaning empty — a 16 KiB table to clear per 8 KiB block,
+//     and it stays in L1;
+//   * the four-byte probe is one u32 load and compare, and the same load
+//     feeds the hash;
+//   * a match is extended eight bytes per step: xor the two words, and the
+//     first differing byte is `trailing_zeros / 8` (little-endian loads);
+//   * tokens are written by index into a buffer sized for the worst case (all
+//     literals) up front, so a literal run of a few bytes — the common one —
+//     is one fixed-width copy (below), not a `memcpy` call.
+// None of this can move a byte of the frame, and the frame is a contract:
+// every backend's physical bytes, the arena's slot use and the request
+// counters are functions of it. `frames_are_the_reference_compressors_byte_
+// for_byte` holds the kernels to it — run `cargo test -p wf-storage codec`
+// after touching this section.
+//
+// Fixed-width copies. Most tokens move under ten bytes, and a copy of
+// unknown length is a library call. Where source and destination both have
+// WIDE_COPY bytes available, both kernels copy exactly WIDE_COPY bytes and
+// advance by the true length: the surplus lands on bytes that the next token
+// overwrites (and that nothing reads before then — a match only reaches back
+// over finished output). Near either end of a buffer the exact-length copy
+// runs instead.
+//
+// The decoder trusts nothing in the frame. Every compressed block decodes to
+// exactly `raw_len` bytes, and two bounds hold *before* memory is committed:
+//   * `raw_len` may not exceed what the payload could honestly yield — a
+//     token is at least 3 bytes for at most MAX_MATCH of output — so a
+//     hostile header cannot make the decoder reserve more than ~44× the bytes
+//     it was handed;
+//   * a token that would carry the output past `raw_len` fails there, not
+//     after the whole stream has been expanded.
+// A match that overlaps its own output (`dist < len`, i.e. RLE) is copied in
+// doubling steps: whatever has been written since the match's source starts
+// repeats with period `dist`, so each step can append all of it again.
 
 /// Bytes of framing (`mode:u8 raw_len:u32le`) ahead of every payload — also
 /// the most a frame can exceed its raw block by (the stored-raw fallback).
@@ -171,66 +252,158 @@ const MAX_LITERAL_RUN: usize = 0x80;
 /// Farthest back a u16 distance can reach.
 const MAX_DISTANCE: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 13;
+/// Bytes of a copy token (`1lllllll dist:u16le`), the densest a payload gets.
+const COPY_TOKEN: usize = 3;
 
-#[inline]
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+/// Width of the fixed-width copies (see *Fixed-width copies* above).
+const WIDE_COPY: usize = 16;
+
+/// A hash-table slot: `position + 1`, 0 for "never seen".
+trait Slot: Copy + Default {
+    fn holding(position: usize) -> Self;
+    /// The position held plus one.
+    fn get(self) -> usize;
 }
 
-fn flush_literals(src: &[u8], start: usize, end: usize, out: &mut Vec<u8>) {
-    let mut at = start;
-    while at < end {
-        let run = (end - at).min(MAX_LITERAL_RUN);
-        out.push((run - 1) as u8);
-        out.extend_from_slice(&src[at..at + run]);
-        at += run;
+impl Slot for u16 {
+    #[inline]
+    fn holding(position: usize) -> Self {
+        (position + 1) as u16
+    }
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
     }
 }
 
-/// Compress one spill block. Always produces a valid frame: if the LZ pass
-/// doesn't beat storing the block raw, the raw frame is emitted instead.
-pub fn compress_block(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() / 2 + 16);
-    out.push(MODE_LZ);
-    out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+impl Slot for u32 {
+    #[inline]
+    fn holding(position: usize) -> Self {
+        (position + 1) as u32
+    }
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+}
 
-    let mut table = [usize::MAX; 1 << HASH_BITS];
+#[inline]
+fn load_u32(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Length of the common prefix of `a` and `b` (equal lengths), a word at a
+/// time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let mut words_a = a.chunks_exact(8);
+    let mut words_b = b.chunks_exact(8);
+    let mut len = 0;
+    for (wa, wb) in words_a.by_ref().zip(words_b.by_ref()) {
+        let diff = u64::from_le_bytes(wa.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(wb.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    let tail = words_a
+        .remainder()
+        .iter()
+        .zip(words_b.remainder())
+        .take_while(|(x, y)| x == y)
+        .count();
+    len + tail
+}
+
+/// Append `src[start..end]` as literal tokens at `out[o..]`; returns the new
+/// end of output. `out` has [`WIDE_COPY`] bytes of slack past the worst case.
+#[inline]
+fn flush_literals(src: &[u8], start: usize, end: usize, out: &mut [u8], mut o: usize) -> usize {
+    let mut at = start;
+    while at < end {
+        let run = (end - at).min(MAX_LITERAL_RUN);
+        out[o] = (run - 1) as u8;
+        o += 1;
+        if run <= WIDE_COPY && at + WIDE_COPY <= src.len() {
+            out[o..o + WIDE_COPY].copy_from_slice(&src[at..at + WIDE_COPY]);
+        } else {
+            out[o..o + run].copy_from_slice(&src[at..at + run]);
+        }
+        o += run;
+        at += run;
+    }
+    o
+}
+
+/// The greedy LZ pass over `raw`, writing tokens from `out[o..]`; returns the
+/// end of output. `S` must be able to hold `raw.len()`.
+fn lz_pass<S: Slot>(raw: &[u8], out: &mut [u8], mut o: usize) -> usize {
+    let mut table = [S::default(); 1 << HASH_BITS];
     let mut i = 0usize;
     let mut literal_start = 0usize;
     while i + MIN_MATCH <= raw.len() {
-        let h = hash4(raw, i);
-        let candidate = table[h];
-        table[h] = i;
-        let matched = candidate != usize::MAX
-            && i - candidate <= MAX_DISTANCE
-            && raw[candidate..candidate + MIN_MATCH] == raw[i..i + MIN_MATCH];
-        if matched {
-            let mut len = MIN_MATCH;
+        let word = load_u32(raw, i);
+        let h = (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize;
+        let seen = table[h].get();
+        table[h] = S::holding(i);
+        // `seen` is candidate + 1, so the distance is `i + 1 - seen`.
+        if seen != 0 && i + 1 - seen <= MAX_DISTANCE && load_u32(raw, seen - 1) == word {
+            let candidate = seen - 1;
             let limit = (raw.len() - i).min(MAX_MATCH);
-            while len < limit && raw[candidate + len] == raw[i + len] {
-                len += 1;
-            }
-            flush_literals(raw, literal_start, i, &mut out);
-            out.push(0x80 | (len - MIN_MATCH) as u8);
-            out.extend_from_slice(&((i - candidate) as u16).to_le_bytes());
+            let len = MIN_MATCH
+                + common_prefix(
+                    &raw[candidate + MIN_MATCH..candidate + limit],
+                    &raw[i + MIN_MATCH..i + limit],
+                );
+            o = flush_literals(raw, literal_start, i, out, o);
+            let dist = ((i - candidate) as u16).to_le_bytes();
+            out[o..o + COPY_TOKEN].copy_from_slice(&[
+                0x80 | (len - MIN_MATCH) as u8,
+                dist[0],
+                dist[1],
+            ]);
+            o += COPY_TOKEN;
             i += len;
             literal_start = i;
         } else {
             i += 1;
         }
     }
-    flush_literals(raw, literal_start, raw.len(), &mut out);
+    flush_literals(raw, literal_start, raw.len(), out, o)
+}
 
-    if out.len() < FRAME_HEADER + raw.len() {
-        out
+/// Compress one spill block. Always produces a valid frame: if the LZ pass
+/// doesn't beat storing the block raw, the raw frame is emitted instead.
+pub fn compress_block(raw: &[u8]) -> Vec<u8> {
+    // All literals: one token byte per MAX_LITERAL_RUN. A copy token is
+    // shorter than the bytes it stands for, so no parse emits more.
+    let worst = FRAME_HEADER + raw.len() + raw.len().div_ceil(MAX_LITERAL_RUN);
+    let mut out = vec![0u8; worst + WIDE_COPY];
+    out[0] = MODE_LZ;
+    out[1..FRAME_HEADER].copy_from_slice(&(raw.len() as u32).to_le_bytes());
+
+    let end = if raw.len() < u16::MAX as usize {
+        lz_pass::<u16>(raw, &mut out, FRAME_HEADER)
     } else {
-        let mut stored = Vec::with_capacity(FRAME_HEADER + raw.len());
-        stored.push(MODE_RAW);
-        stored.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        stored.extend_from_slice(raw);
-        stored
+        lz_pass::<u32>(raw, &mut out, FRAME_HEADER)
+    };
+
+    if end < FRAME_HEADER + raw.len() {
+        out.truncate(end);
+    } else {
+        out[0] = MODE_RAW;
+        out[FRAME_HEADER..FRAME_HEADER + raw.len()].copy_from_slice(raw);
+        out.truncate(FRAME_HEADER + raw.len());
     }
+    out
+}
+
+/// The most output a payload of `payload_len` bytes can honestly encode:
+/// all copy tokens, all of the longest match.
+fn max_decoded_len(payload_len: usize) -> usize {
+    payload_len.div_ceil(COPY_TOKEN).saturating_mul(MAX_MATCH)
 }
 
 /// Decompress one frame produced by [`compress_block`].
@@ -248,37 +421,73 @@ pub fn decompress_block(frame: &[u8]) -> Result<Vec<u8>> {
             }
             Ok(payload.to_vec())
         }
-        MODE_LZ => {
-            let mut out = Vec::with_capacity(raw_len);
-            let mut cursor = payload;
-            while !cursor.is_empty() {
-                let tok = take(&mut cursor, 1, "compression token")?[0];
-                if tok & 0x80 != 0 {
-                    let len = (tok & 0x7f) as usize + MIN_MATCH;
-                    let d = take(&mut cursor, 2, "match distance")?;
-                    let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
-                    if dist == 0 || dist > out.len() {
-                        return Err(corrupt("match distance out of range"));
-                    }
-                    // Byte-at-a-time: a distance shorter than the match
-                    // length means the copy overlaps its own output (RLE).
-                    let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
-                    }
-                } else {
-                    let run = (tok & 0x7f) as usize + 1;
-                    out.extend_from_slice(take(&mut cursor, run, "literal run")?);
-                }
-            }
-            if out.len() != raw_len {
-                return Err(corrupt("decompressed length mismatch"));
-            }
-            Ok(out)
-        }
+        MODE_LZ => lz_decode(payload, raw_len),
         other => Err(corrupt(&format!("unknown compression mode {other:#x}"))),
     }
+}
+
+/// Expand an LZ token stream into exactly `raw_len` bytes.
+fn lz_decode(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+    if raw_len > max_decoded_len(payload.len()) {
+        return Err(corrupt("block length exceeds what its payload can encode"));
+    }
+    let overrun = || corrupt("decompressed length mismatch");
+    let mut out = vec![0u8; raw_len];
+    let mut pos = 0usize;
+    let mut at = 0usize;
+    while at < payload.len() {
+        let tok = payload[at];
+        let room = raw_len - pos;
+        if tok & 0x80 != 0 {
+            let len = (tok & 0x7f) as usize + MIN_MATCH;
+            let Some(d) = payload.get(at + 1..at + COPY_TOKEN) else {
+                return Err(corrupt("truncated match distance"));
+            };
+            let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
+            if dist == 0 || dist > pos {
+                return Err(corrupt("match distance out of range"));
+            }
+            if len > room {
+                return Err(overrun());
+            }
+            let start = pos - dist;
+            if len <= WIDE_COPY && dist >= WIDE_COPY && room >= WIDE_COPY {
+                let (done, rest) = out.split_at_mut(pos);
+                rest[..WIDE_COPY].copy_from_slice(&done[start..start + WIDE_COPY]);
+            } else if dist >= len {
+                out.copy_within(start..start + len, pos);
+            } else {
+                let mut copied = 0;
+                while copied < len {
+                    let n = (dist + copied).min(len - copied);
+                    out.copy_within(start..start + n, pos + copied);
+                    copied += n;
+                }
+            }
+            at += COPY_TOKEN;
+            pos += len;
+        } else {
+            let run = tok as usize + 1;
+            let body = at + 1;
+            if run <= WIDE_COPY && room >= WIDE_COPY && body + WIDE_COPY <= payload.len() {
+                out[pos..pos + WIDE_COPY].copy_from_slice(&payload[body..body + WIDE_COPY]);
+            } else {
+                let Some(literals) = payload.get(body..body + run) else {
+                    return Err(corrupt("truncated literal run"));
+                };
+                if run > room {
+                    return Err(overrun());
+                }
+                out[pos..pos + run].copy_from_slice(literals);
+            }
+            at = body + run;
+            pos += run;
+        }
+    }
+    if pos != raw_len {
+        return Err(overrun());
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -339,6 +548,11 @@ mod tests {
             let full = buf.as_slice();
             let mut short = &full[..full.len() - cut];
             assert!(decode_row(&mut short).is_err());
+            let mut short = &full[..full.len() - cut];
+            assert!(matches!(
+                try_decode_row(&mut short),
+                Err(RowError::Truncated(_))
+            ));
         }
     }
 
@@ -391,6 +605,11 @@ mod tests {
         buf.put_u8(0x7f);
         let mut cursor = buf.as_slice();
         assert!(decode_row(&mut cursor).is_err());
+        let mut cursor = buf.as_slice();
+        assert!(matches!(
+            try_decode_row(&mut cursor),
+            Err(RowError::Corrupt(_))
+        ));
     }
 
     fn compress_round_trip(raw: &[u8]) -> usize {
@@ -426,22 +645,325 @@ mod tests {
         assert!(size < 200);
     }
 
-    #[test]
-    fn incompressible_blocks_are_stored_raw() {
-        // A SplitMix64 byte stream has no 4-byte repeats to speak of.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut raw = Vec::with_capacity(4096);
-        while raw.len() < 4096 {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
+    /// SplitMix64, the generator `wf_datagen` uses (this crate sits below it).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            raw.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+            z ^ (z >> 31)
         }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+
+        /// `len` bytes with no 4-byte repeats to speak of.
+        fn noise(&mut self, len: usize) -> Vec<u8> {
+            let mut out = Vec::with_capacity(len + 8);
+            while out.len() < len {
+                out.extend_from_slice(&self.next().to_le_bytes());
+            }
+            out.truncate(len);
+            out
+        }
+    }
+
+    #[test]
+    fn incompressible_blocks_are_stored_raw() {
+        let raw = SplitMix(0x1234_5678_9abc_def0).noise(4096);
         let frame = compress_block(&raw);
         assert_eq!(frame[0], MODE_RAW);
         assert_eq!(frame.len(), raw.len() + 5);
         assert_eq!(decompress_block(&frame).unwrap(), raw);
+    }
+
+    /// The codec as it was first written, one byte at a time. It *defines*
+    /// the frame: [`compress_block`] must produce these bytes for every
+    /// input, and both decoders must read them back.
+    mod reference {
+        use super::super::*;
+
+        pub fn compress(raw: &[u8]) -> Vec<u8> {
+            let mut out = vec![MODE_LZ];
+            out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+            let hash = |i: usize| {
+                let v = u32::from_le_bytes([raw[i], raw[i + 1], raw[i + 2], raw[i + 3]]);
+                (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+            };
+            let literals = |from: usize, to: usize, out: &mut Vec<u8>| {
+                for run in raw[from..to].chunks(MAX_LITERAL_RUN) {
+                    out.push((run.len() - 1) as u8);
+                    out.extend_from_slice(run);
+                }
+            };
+            let mut table = vec![None::<usize>; 1 << HASH_BITS];
+            let mut i = 0usize;
+            let mut literal_start = 0usize;
+            while i + MIN_MATCH <= raw.len() {
+                let h = hash(i);
+                let earlier = table[h].replace(i).filter(|&c| {
+                    i - c <= MAX_DISTANCE && raw[c..c + MIN_MATCH] == raw[i..i + MIN_MATCH]
+                });
+                if let Some(candidate) = earlier {
+                    let mut len = MIN_MATCH;
+                    let limit = (raw.len() - i).min(MAX_MATCH);
+                    while len < limit && raw[candidate + len] == raw[i + len] {
+                        len += 1;
+                    }
+                    literals(literal_start, i, &mut out);
+                    out.push(0x80 | (len - MIN_MATCH) as u8);
+                    out.extend_from_slice(&((i - candidate) as u16).to_le_bytes());
+                    i += len;
+                    literal_start = i;
+                } else {
+                    i += 1;
+                }
+            }
+            literals(literal_start, raw.len(), &mut out);
+            if out.len() < FRAME_HEADER + raw.len() {
+                return out;
+            }
+            let mut stored = vec![MODE_RAW];
+            stored.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+            stored.extend_from_slice(raw);
+            stored
+        }
+
+        /// `None` for any frame that is not exactly one block.
+        pub fn decompress(frame: &[u8]) -> Option<Vec<u8>> {
+            let raw_len = u32::from_le_bytes(frame.get(1..FRAME_HEADER)?.try_into().ok()?) as usize;
+            let mut payload = &frame[FRAME_HEADER..];
+            if frame[0] == MODE_RAW {
+                return (payload.len() == raw_len).then(|| payload.to_vec());
+            }
+            if frame[0] != MODE_LZ {
+                return None;
+            }
+            let mut out = Vec::new();
+            while let Some((&tok, rest)) = payload.split_first() {
+                if tok & 0x80 != 0 {
+                    let len = (tok & 0x7f) as usize + MIN_MATCH;
+                    let dist = u16::from_le_bytes([*rest.first()?, *rest.get(1)?]) as usize;
+                    if dist == 0 || dist > out.len() {
+                        return None;
+                    }
+                    let start = out.len() - dist;
+                    for k in 0..len {
+                        out.push(out[start + k]);
+                    }
+                    payload = &rest[2..];
+                } else {
+                    let run = tok as usize + 1;
+                    out.extend_from_slice(rest.get(..run)?);
+                    payload = &rest[run..];
+                }
+            }
+            (out.len() == raw_len).then_some(out)
+        }
+    }
+
+    /// `(distance, length)` of every copy token in an LZ frame.
+    fn copy_tokens(frame: &[u8]) -> Vec<(usize, usize)> {
+        let mut tokens = Vec::new();
+        if frame[0] != MODE_LZ {
+            return tokens;
+        }
+        let payload = &frame[FRAME_HEADER..];
+        let mut at = 0;
+        while at < payload.len() {
+            let tok = payload[at];
+            if tok & 0x80 != 0 {
+                let dist = u16::from_le_bytes([payload[at + 1], payload[at + 2]]) as usize;
+                tokens.push((dist, (tok & 0x7f) as usize + MIN_MATCH));
+                at += COPY_TOKEN;
+            } else {
+                at += 2 + tok as usize;
+            }
+        }
+        tokens
+    }
+
+    /// `web_sales`-shaped rows in the spill encoding, with the normalized
+    /// `(item, sold_time)` key in front of each when `keyed`.
+    fn web_sales_bytes(rows: usize, keyed: bool, rng: &mut SplitMix) -> Vec<u8> {
+        let padding = "x".repeat(135);
+        let mut buf = ByteBuf::new();
+        for order in 0..rows {
+            let (time, item) = (rng.below(43_200) as i64, rng.below(20_000) as i64);
+            let r = row![
+                rng.below(1_800) as i64,
+                time,
+                rng.below(1_800) as i64,
+                item,
+                rng.below(40_000) as i64,
+                rng.below(16) as i64,
+                1 + rng.below(100) as i64,
+                order as i64,
+                padding.as_str()
+            ];
+            if keyed {
+                let mut key = vec![1u8];
+                key.extend_from_slice(&((item as u64) ^ (1 << 63)).to_be_bytes());
+                key.push(1);
+                key.extend_from_slice(&((time as u64) ^ (1 << 63)).to_be_bytes());
+                encode_keyed_row(Some(&key), &r, &mut buf);
+            } else {
+                encode_row(&r, &mut buf);
+            }
+        }
+        buf.as_slice().to_vec()
+    }
+
+    /// `marker`, `gap` zero bytes, `marker` again, a zero tail: the second
+    /// marker's probe finds the first exactly `marker.len() + gap` back (the
+    /// zeros between are swallowed by matches, which enter no positions).
+    fn far_apart(gap: usize) -> Vec<u8> {
+        let marker = b"spill-codec-marker";
+        let mut raw = marker.to_vec();
+        raw.resize(raw.len() + gap, 0);
+        raw.extend_from_slice(marker);
+        raw.resize(raw.len() + 100, 0);
+        raw
+    }
+
+    fn same_frames_inputs() -> Vec<Vec<u8>> {
+        let mut rng = SplitMix(42);
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for keyed in [false, true] {
+            let bytes = web_sales_bytes(600, keyed, &mut rng);
+            inputs.extend(bytes.chunks(8192).map(<[u8]>::to_vec));
+            // The same bytes as one large block: the wide-slot pass.
+            inputs.push(bytes);
+        }
+        for len in (0..=12).chain([8191, 8192, 8193, 65_534, 65_535, 65_536, 70_000]) {
+            inputs.push(vec![7u8; len]);
+            inputs.push(rng.noise(len));
+            // Mixed: noise, a repeat of it, a run, text, more noise.
+            let mut mixed = Vec::with_capacity(len);
+            while mixed.len() < len {
+                let piece_len = 1 + rng.below(300) as usize;
+                let piece = rng.noise(piece_len);
+                mixed.extend_from_slice(&piece);
+                mixed.extend_from_slice(&piece[..piece.len() / 2]);
+                mixed.resize(mixed.len() + rng.below(400) as usize, rng.below(4) as u8);
+                mixed.extend_from_slice(b"the quick brown fox jumps over the lazy dog");
+            }
+            mixed.truncate(len);
+            inputs.push(mixed);
+        }
+        let marker = 18;
+        for distance in [MAX_DISTANCE - 1, MAX_DISTANCE, MAX_DISTANCE + 1] {
+            inputs.push(far_apart(distance - marker));
+        }
+        inputs
+    }
+
+    #[test]
+    fn frames_are_the_reference_compressors_byte_for_byte() {
+        let mut longest = 0;
+        let mut farthest = 0;
+        let mut lz_frames = 0;
+        for raw in same_frames_inputs() {
+            let frame = compress_block(&raw);
+            assert!(
+                frame == reference::compress(&raw),
+                "frame differs for an input of {} bytes",
+                raw.len()
+            );
+            assert!(decompress_block(&frame).unwrap() == raw, "{}", raw.len());
+            assert!(reference::decompress(&frame).unwrap() == raw);
+            for (dist, len) in copy_tokens(&frame) {
+                farthest = farthest.max(dist);
+                longest = longest.max(len);
+            }
+            lz_frames += (frame[0] == MODE_LZ) as usize;
+        }
+        assert!(lz_frames >= 50, "{lz_frames} inputs compressed at all");
+        assert_eq!(longest, MAX_MATCH);
+        assert_eq!(farthest, MAX_DISTANCE, "and never one byte farther");
+    }
+
+    #[test]
+    fn hostile_headers_reserve_nothing_and_overlong_streams_stop_early() {
+        // 2 GiB claimed by a 2-byte payload.
+        let err = decompress_block(&[MODE_LZ, 0xff, 0xff, 0xff, 0x7f, 0x00, b'a']).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("exceeds what its payload can encode"));
+        // 4 bytes claimed, then 1 000 maximal matches: fails on the first.
+        let mut frame = vec![MODE_LZ, 4, 0, 0, 0, 0x00, b'a'];
+        for _ in 0..1000 {
+            frame.extend_from_slice(&[0xff, 1, 0]);
+        }
+        let err = decompress_block(&frame).unwrap_err();
+        assert!(err.to_string().contains("length mismatch"), "{err}");
+        // The bound itself is reachable: one literal, then maximal matches.
+        let mut frame = vec![MODE_LZ, 0, 0, 0, 0, 0x00, b'a'];
+        for _ in 0..10 {
+            frame.extend_from_slice(&[0xff, 1, 0]);
+        }
+        let raw_len = 1 + 10 * MAX_MATCH;
+        frame[1..FRAME_HEADER].copy_from_slice(&(raw_len as u32).to_le_bytes());
+        assert_eq!(decompress_block(&frame).unwrap(), vec![b'a'; raw_len]);
+    }
+
+    #[test]
+    fn garbage_frames_never_panic_or_over_allocate() {
+        let mut rng = SplitMix(977);
+        let valid: Vec<Vec<u8>> = same_frames_inputs()
+            .iter()
+            .filter(|raw| raw.len() <= 8193)
+            .map(|raw| compress_block(raw))
+            .collect();
+        let mut accepted = 0;
+        for round in 0..10_000 {
+            let mut frame = match round % 4 {
+                0 => {
+                    let len = rng.below(200) as usize;
+                    let mut f = rng.noise(len);
+                    if let Some(mode) = f.first_mut() {
+                        *mode %= 3;
+                    }
+                    f
+                }
+                _ => valid[rng.below(valid.len() as u64) as usize].clone(),
+            };
+            match round % 4 {
+                1 if !frame.is_empty() => {
+                    let at = rng.below(frame.len() as u64) as usize;
+                    frame[at] ^= 1 << rng.below(8);
+                }
+                2 => frame.truncate(rng.below(frame.len() as u64 + 1) as usize),
+                3 if frame.len() >= FRAME_HEADER => {
+                    let claimed = match rng.below(3) {
+                        0 => rng.next() as u32,
+                        1 => rng.below(1 << 20) as u32,
+                        _ => max_decoded_len(frame.len() - FRAME_HEADER) as u32 + 1,
+                    };
+                    frame[1..FRAME_HEADER].copy_from_slice(&claimed.to_le_bytes());
+                }
+                _ => {}
+            }
+            let decoded = decompress_block(&frame);
+            if frame.len() >= FRAME_HEADER {
+                // Both decoders accept the same frames and agree on them.
+                assert_eq!(
+                    decoded.as_ref().ok(),
+                    reference::decompress(&frame).as_ref()
+                );
+            }
+            if let Ok(v) = decoded {
+                let raw_len = u32::from_le_bytes(frame[1..FRAME_HEADER].try_into().unwrap());
+                assert_eq!(v.len(), raw_len as usize);
+                assert!(v.capacity() <= max_decoded_len(frame.len() - FRAME_HEADER));
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 100, "{accepted} damaged frames still decoded");
     }
 
     #[test]

@@ -1,0 +1,116 @@
+//! A fault-injecting [`SpillBackend`] wrapper for tests: every object opened
+//! through it behaves like the wrapped backend's, except that the n-th read
+//! request the backend serves (0-based, counted across its objects) fails or
+//! comes back altered. Everything else — capabilities, counters, deletion on
+//! drop — is the wrapped backend's own, so leak and traffic assertions read
+//! the real thing.
+
+use crate::backend::{BackendCaps, BackendCounters, BackendFile, SpillBackend};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use wf_common::{Error, Result};
+
+/// Rewrites a block payload in place.
+pub(crate) type Rewrite = Box<dyn Fn(&mut Vec<u8>) + Send + Sync>;
+
+/// What happens to the chosen read request.
+pub(crate) enum Fault {
+    /// The request returns an I/O-style error.
+    Fail,
+    /// The request succeeds with its payload rewritten.
+    Corrupt(Rewrite),
+}
+
+struct Plan {
+    nth_read: u64,
+    fault: Fault,
+    reads: AtomicU64,
+}
+
+pub(crate) struct FaultyBackend {
+    inner: Arc<dyn SpillBackend>,
+    plan: Arc<Plan>,
+}
+
+impl FaultyBackend {
+    /// Wrap `inner`, applying `fault` to its `nth_read`-th read request.
+    pub(crate) fn on_read(inner: Arc<dyn SpillBackend>, nth_read: u64, fault: Fault) -> Arc<Self> {
+        Arc::new(FaultyBackend {
+            inner,
+            plan: Arc::new(Plan {
+                nth_read,
+                fault,
+                reads: AtomicU64::new(0),
+            }),
+        })
+    }
+
+    /// Read requests issued so far, the faulted one included.
+    pub(crate) fn reads(&self) -> u64 {
+        self.plan.reads.load(Ordering::SeqCst)
+    }
+}
+
+impl SpillBackend for FaultyBackend {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn caps(&self) -> BackendCaps {
+        self.inner.caps()
+    }
+
+    fn open(&self) -> Result<Box<dyn BackendFile>> {
+        Ok(Box::new(FaultyFile {
+            inner: self.inner.open()?,
+            plan: Arc::clone(&self.plan),
+        }))
+    }
+
+    fn counters(&self) -> &Arc<BackendCounters> {
+        self.inner.counters()
+    }
+
+    fn footprint_bytes(&self) -> u64 {
+        self.inner.footprint_bytes()
+    }
+}
+
+struct FaultyFile {
+    inner: Box<dyn BackendFile>,
+    plan: Arc<Plan>,
+}
+
+impl BackendFile for FaultyFile {
+    fn append_block(&mut self, block: &[u8]) -> Result<()> {
+        self.inner.append_block(block)
+    }
+
+    fn read_block(&self, idx: u64) -> Result<Vec<u8>> {
+        let request = self.plan.reads.fetch_add(1, Ordering::SeqCst);
+        let mut block = self.inner.read_block(idx)?;
+        if request == self.plan.nth_read {
+            match &self.plan.fault {
+                Fault::Fail => {
+                    return Err(Error::Execution(format!(
+                        "injected fault: read request {request} failed"
+                    )))
+                }
+                Fault::Corrupt(rewrite) => rewrite(&mut block),
+            }
+        }
+        Ok(block)
+    }
+
+    fn block_count(&self) -> u64 {
+        self.inner.block_count()
+    }
+
+    fn delete(&self) {
+        self.inner.delete();
+    }
+
+    fn counters(&self) -> &Arc<BackendCounters> {
+        self.inner.counters()
+    }
+}

@@ -38,6 +38,8 @@ pub mod bytebuf;
 pub mod codec;
 pub mod colblock;
 pub mod cost;
+#[cfg(test)]
+mod faulty;
 pub mod mem;
 pub mod prefetch;
 pub mod segstore;

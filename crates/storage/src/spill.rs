@@ -19,7 +19,8 @@ use crate::backend::{BackendFile, SpillConfig};
 use crate::block::{blocks_for_bytes, BLOCK_SIZE};
 use crate::bytebuf::ByteBuf;
 use crate::codec::{
-    compress_block, decode_keyed_row, decode_row, decompress_block, encode_keyed_row, encode_row,
+    compress_block, decompress_block, encode_keyed_row, encode_row, try_decode_keyed_row,
+    try_decode_row, RowError,
 };
 use crate::cost::{CostTracker, PoolCounters};
 use crate::prefetch::Prefetcher;
@@ -284,7 +285,7 @@ impl SpillReader {
         }
         loop {
             // Try to decode from what we have; top up a block at a time.
-            if let Some(row) = self.try_decode()? {
+            if let Some(row) = self.decode_pending(try_decode_row)? {
                 self.remaining_rows -= 1;
                 return Ok(Some(row));
             }
@@ -305,7 +306,7 @@ impl SpillReader {
             return Ok(None);
         }
         loop {
-            if let Some((key, row)) = self.try_decode_keyed()? {
+            if let Some((key, row)) = self.decode_pending(try_decode_keyed_row)? {
                 self.remaining_rows -= 1;
                 self.modeled_consumed += row.encoded_len() as u64;
                 let due = if self.remaining_rows == 0 {
@@ -347,37 +348,23 @@ impl SpillReader {
         Ok(())
     }
 
-    /// Attempt to decode a full row from the pending buffer without
-    /// consuming on failure.
-    fn try_decode(&mut self) -> Result<Option<Row>> {
-        if self.pending.len() < 2 {
-            return Ok(None);
-        }
-        // Peek: decode against a cursor; only commit if a full row decodes.
+    /// Decode one entry from the front of the pending buffer, consuming its
+    /// bytes. `None` when the entry continues past what has been read — the
+    /// caller tops up and retries; bytes that cannot start an entry are an
+    /// error here, at the row they occur in, and nothing more is read.
+    fn decode_pending<T>(
+        &mut self,
+        decode: fn(&mut &[u8]) -> std::result::Result<T, RowError>,
+    ) -> Result<Option<T>> {
         let mut cursor: &[u8] = self.pending.as_slice();
-        match decode_row(&mut cursor) {
-            Ok(row) => {
-                let used = self.pending.len() - cursor.len();
-                self.pending.advance(used);
-                Ok(Some(row))
-            }
-            Err(_) => Ok(None), // presumed truncated; caller tops up
-        }
-    }
-
-    /// Keyed-entry twin of [`Self::try_decode`].
-    fn try_decode_keyed(&mut self) -> Result<Option<(Option<Vec<u8>>, Row)>> {
-        if self.pending.len() < 2 {
-            return Ok(None);
-        }
-        let mut cursor: &[u8] = self.pending.as_slice();
-        match decode_keyed_row(&mut cursor) {
+        match decode(&mut cursor) {
             Ok(entry) => {
                 let used = self.pending.len() - cursor.len();
                 self.pending.advance(used);
                 Ok(Some(entry))
             }
-            Err(_) => Ok(None), // presumed truncated; caller tops up
+            Err(RowError::Truncated(_)) => Ok(None),
+            Err(corrupt) => Err(corrupt.into()),
         }
     }
 
@@ -395,6 +382,7 @@ impl SpillReader {
 mod tests {
     use super::*;
     use crate::backend::{LocalFileBackend, ObjectStoreConfig, SpillBackendKind};
+    use crate::faulty::{Fault, FaultyBackend};
     use wf_common::row;
 
     fn sample_rows(n: usize) -> Vec<Row> {
@@ -569,6 +557,145 @@ mod tests {
         let s = tracker.snapshot();
         assert_eq!(s.blocks_written, 1);
         assert_eq!(s.blocks_read, 1);
+    }
+
+    /// Bytes of one entry written by [`fixed_width_file`]: a power of two, so
+    /// every block of the file starts at an entry boundary.
+    const ENTRY: usize = 128;
+    const KEY: [u8; 8] = [7; 8];
+
+    /// Offset of the first value tag of an entry.
+    fn first_tag(keyed: bool) -> usize {
+        if keyed {
+            2 + KEY.len() + 2
+        } else {
+            2
+        }
+    }
+
+    /// `blocks` full blocks of [`ENTRY`]-byte entries on `cfg`.
+    fn fixed_width_file(cfg: &SpillConfig, keyed: bool, blocks: usize) -> SpillReader {
+        let tracker = Arc::new(CostTracker::new());
+        let mut f = SpillFile::with_config(cfg, IoMeter::Model(tracker)).unwrap();
+        let fill = "p".repeat(ENTRY - first_tag(keyed) - 9 - 5);
+        for i in 0..blocks * BLOCK_SIZE / ENTRY {
+            let r = row![i as i64, fill.as_str()];
+            if keyed {
+                f.push_keyed(Some(&KEY), &r).unwrap();
+            } else {
+                f.push(&r).unwrap();
+            }
+        }
+        f.into_reader().unwrap()
+    }
+
+    /// Read until the first error; `(rows read before it, the error)`.
+    fn read_until_error(reader: &mut SpillReader) -> (usize, Error) {
+        let mut rows = 0;
+        loop {
+            match reader.next_keyed() {
+                Ok(Some(_)) => rows += 1,
+                Ok(None) => panic!("the injected fault never surfaced"),
+                Err(e) => return (rows, e),
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_block_surfaces_at_its_row_and_stops_the_reader() {
+        const BLOCKS: usize = 40;
+        const BAD: u64 = 2;
+        for keyed in [false, true] {
+            for compress in [false, true] {
+                for prefetch in [0usize, 2] {
+                    let at = first_tag(keyed);
+                    let flip_tag = move |block: &mut Vec<u8>| {
+                        if compress {
+                            let mut raw = decompress_block(block).unwrap();
+                            raw[at] = 0x7f;
+                            *block = compress_block(&raw);
+                        } else {
+                            block[at] = 0x7f;
+                        }
+                    };
+                    let backend = FaultyBackend::on_read(
+                        LocalFileBackend::new(),
+                        BAD,
+                        Fault::Corrupt(Box::new(flip_tag)),
+                    );
+                    let cfg = SpillConfig {
+                        backend: backend.clone(),
+                        compress,
+                        prefetch_blocks: prefetch,
+                    };
+                    let mut reader = fixed_width_file(&cfg, keyed, BLOCKS);
+                    assert_eq!(cfg.stats().put_requests, BLOCKS as u64);
+
+                    let (rows, err) = read_until_error(&mut reader);
+                    let case = format!("keyed={keyed} compress={compress} prefetch={prefetch}");
+                    assert_eq!(rows, BAD as usize * BLOCK_SIZE / ENTRY, "{case}");
+                    match &err {
+                        Error::Execution(msg) => {
+                            assert!(msg.contains("unknown value tag 0x7f"), "{case}: {msg}")
+                        }
+                        other => panic!("{case}: {other:?}"),
+                    }
+                    // The corrupted block is the last one asked for (plus
+                    // whatever the read-ahead window already held).
+                    assert!(backend.reads() <= BAD + 1 + prefetch as u64, "{case}");
+                    assert!(reader.pending.len() <= BLOCK_SIZE, "{case}");
+                    drop(reader);
+                    assert_eq!(cfg.stats().live_objects, 0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_and_damaged_frames_are_corruption_not_truncation() {
+        // Plain entry: arity, a 9-byte int, the string's tag and length, body.
+        const STRING_BODY: usize = 2 + 9 + 5;
+        type Damage = fn(&mut Vec<u8>);
+        let cases: [(bool, Damage, &str); 2] = [
+            (false, |b| b[STRING_BODY] = 0xff, "invalid utf-8"),
+            (true, |b| b[0] = 9, "unknown compression mode"),
+        ];
+        for (compress, damage, message) in cases {
+            let backend = FaultyBackend::on_read(
+                LocalFileBackend::new(),
+                1,
+                Fault::Corrupt(Box::new(damage)),
+            );
+            let cfg = SpillConfig {
+                backend: backend.clone(),
+                compress,
+                prefetch_blocks: 0,
+            };
+            let mut reader = fixed_width_file(&cfg, false, 8);
+            let (rows, err) = read_until_error(&mut reader);
+            assert_eq!(rows, BLOCK_SIZE / ENTRY);
+            assert!(err.to_string().contains(message), "{err}");
+            assert_eq!(backend.reads(), 2);
+            drop(reader);
+            assert_eq!(cfg.stats().live_objects, 0);
+        }
+    }
+
+    #[test]
+    fn failed_read_request_is_a_typed_error_and_releases_the_object() {
+        let backend = FaultyBackend::on_read(LocalFileBackend::new(), 3, Fault::Fail);
+        let cfg = SpillConfig {
+            backend: backend.clone(),
+            compress: true,
+            prefetch_blocks: 0,
+        };
+        let mut reader = fixed_width_file(&cfg, true, 8);
+        let (rows, err) = read_until_error(&mut reader);
+        assert_eq!(rows, 3 * BLOCK_SIZE / ENTRY);
+        assert!(matches!(&err, Error::Execution(m) if m.contains("injected fault")));
+        assert_eq!(backend.reads(), 4);
+        drop(reader);
+        assert_eq!(cfg.stats().live_objects, 0);
     }
 
     /// A file backend over a private directory. With the spill arena the

@@ -708,11 +708,16 @@ fn rank_over_one_row_partitions_scales_linearly() {
 }
 
 /// The same in wall time: each partition's peer query reads its own slice of
-/// the carried layer (`partition_point`), not the whole layer. Quadratic
-/// would be 16× from 10 000 to 40 000 partitions.
+/// the carried layer (`partition_point`), not the whole layer. From 10 000 to
+/// 160 000 partitions linear is 16× and quadratic 256×; the bound sits a
+/// factor of four from either, so that a noisy host separates the two
+/// hypotheses (the 2-core sandbox reads 20–26×: the larger input also
+/// leaves the cache).
 #[test]
 #[ignore = "wall-clock ratio; run by CI's release leg"]
 fn rank_over_one_row_partitions_scales_linearly_on_the_wall() {
+    const SMALL: usize = 10_000;
+    const LARGE: usize = 160_000;
     let (exact, superset) = one_row_layers();
     let best_of_3 = |n: usize, layers: &[AttrSet], comparisons: u64| -> Duration {
         (0..3)
@@ -720,18 +725,18 @@ fn rank_over_one_row_partitions_scales_linearly_on_the_wall() {
             .min()
             .unwrap()
     };
-    let (small, large) = (best_of_3(10_000, &exact, 0), best_of_3(40_000, &exact, 0));
+    let (small, large) = (best_of_3(SMALL, &exact, 0), best_of_3(LARGE, &exact, 0));
     assert!(
-        large < small * 6,
-        "exact layers: 10k partitions {small:?}, 40k partitions {large:?}"
+        large < small * 64,
+        "exact layers: {SMALL} partitions {small:?}, {LARGE} partitions {large:?}"
     );
     let (small, large) = (
-        best_of_3(10_000, &superset, 9_999),
-        best_of_3(40_000, &superset, 39_999),
+        best_of_3(SMALL, &superset, SMALL as u64 - 1),
+        best_of_3(LARGE, &superset, LARGE as u64 - 1),
     );
     assert!(
-        large < small * 6,
-        "superset layer: 10k partitions {small:?}, 40k partitions {large:?}"
+        large < small * 64,
+        "superset layer: {SMALL} partitions {small:?}, {LARGE} partitions {large:?}"
     );
 }
 
