@@ -3,23 +3,48 @@
 //! The fig3 sort workload runs twice: once as shipped (the sorter's own
 //! instrumentation already hits the disabled sink), and once with an
 //! artificially amplified span density — one extra disabled `span()` per
-//! row on top, far denser than any real instrumentation point. The
-//! amplified leg must stay within 2% of the baseline's best wall time,
-//! pinning the no-op fast path (no clock read, no lock, no allocation) as
-//! effectively free. Noise tolerance: interleaved best-of-N with up to
-//! three attempts before the assertion fires.
+//! row on top, far denser than any real instrumentation point. The wall
+//! ratio of the two legs (interleaved best-of-N) is printed, not asserted:
+//! at one iteration on a shared host it is noise. What is asserted is what
+//! makes the no-op path free by construction, counted rather than timed:
+//! the disabled sink records nothing, and opening a span on it allocates
+//! nothing (the counting allocator below, as in `fig3_fs_vs_hs`).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use wf_bench::experiments::Harness;
-use wf_bench::microbench::{iterations, BenchGroup};
+use wf_bench::microbench::iterations;
 use wf_bench::queries;
 use wf_common::TraceSink;
 use wf_exec::{sorter, OpEnv, SortKey};
 
-/// Maximum tolerated wall-time ratio of the amplified leg over baseline.
-const MAX_OVERHEAD: f64 = 1.02;
-const ATTEMPTS: usize = 3;
+/// Counts every heap allocation; delegates to the system allocator.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations performed by `f`.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
 
 fn sort_ms(table: &wf_storage::Table, key: &SortKey, spans_per_row: bool) -> f64 {
     let blocks = table.block_count();
@@ -46,43 +71,36 @@ fn main() {
     let key = SortKey::new(&fs_key);
     let iters = iterations();
 
-    let mut ratio = f64::INFINITY;
-    let mut baseline = f64::INFINITY;
-    let mut amplified = f64::INFINITY;
-    for attempt in 1..=ATTEMPTS {
-        // Interleave the legs so drift (thermal, scheduler) hits both.
-        let mut base_best = f64::INFINITY;
-        let mut amp_best = f64::INFINITY;
-        sort_ms(&table, &key, false); // warm-up
-        sort_ms(&table, &key, true);
-        for _ in 0..iters {
-            base_best = base_best.min(sort_ms(&table, &key, false));
-            amp_best = amp_best.min(sort_ms(&table, &key, true));
-        }
-        ratio = amp_best / base_best;
-        baseline = base_best;
-        amplified = amp_best;
-        eprintln!("attempt {attempt}: baseline {base_best:.3} ms, +1 span/row {amp_best:.3} ms, ratio {ratio:.4}");
-        if ratio <= MAX_OVERHEAD {
-            break;
-        }
+    // Interleave the legs so drift (thermal, scheduler) hits both.
+    let (mut baseline, mut amplified) = (f64::INFINITY, f64::INFINITY);
+    sort_ms(&table, &key, false); // warm-up
+    sort_ms(&table, &key, true);
+    for _ in 0..iters {
+        baseline = baseline.min(sort_ms(&table, &key, false));
+        amplified = amplified.min(sort_ms(&table, &key, true));
     }
 
-    let mut g = BenchGroup::with_iterations("trace_overhead (fig3 sort, 30k rows)", iters);
-    g.bench("sort_baseline", || {
-        sort_ms(&table, &key, false);
-    });
-    g.bench("sort_plus_noop_span_per_row", || {
-        sort_ms(&table, &key, true);
-    });
-    g.finish();
-    println!("disabled-sink overhead: {ratio:.4}x ({baseline:.3} ms -> {amplified:.3} ms)");
-
-    assert!(
-        ratio <= MAX_OVERHEAD,
-        "disabled trace sink added {:.2}% wall overhead on the fig3 sort \
-         (limit {:.0}%): baseline {baseline:.3} ms, amplified {amplified:.3} ms",
-        (ratio - 1.0) * 100.0,
-        (MAX_OVERHEAD - 1.0) * 100.0,
+    println!(
+        "disabled-sink overhead (fig3 sort, 30k rows, best of {iters}): {:.4}x \
+         ({baseline:.3} ms -> {amplified:.3} ms with a span per row)",
+        amplified / baseline
     );
+
+    // Every sort above ran against the shared disabled sink.
+    let sink = TraceSink::disabled();
+    assert!(
+        sink.records().is_empty(),
+        "the disabled sink recorded spans"
+    );
+    assert_eq!(sink.open_spans(), 0);
+
+    let spans = table.row_count() as u64;
+    let allocs = count_allocs(|| {
+        for i in 0..spans {
+            let _span = sink.span("bench", "noop");
+            let _lazy = sink.span_with("bench", || format!("noop {i}"));
+        }
+    });
+    println!("disabled-sink allocations: {allocs} over {spans} span() + span_with() pairs");
+    assert_eq!(allocs, 0, "a span on the disabled sink allocated");
 }

@@ -151,16 +151,6 @@ impl ExecEnv {
         }
     }
 
-    /// Same environment with the columnar block path toggled (default on).
-    /// `false` is the row-at-a-time reference configuration of the
-    /// columnar equivalence suite.
-    pub fn with_columnar(&self, columnar: bool) -> Self {
-        ExecEnv {
-            op_env: self.op_env.with_columnar(columnar),
-            ..self.clone()
-        }
-    }
-
     /// Same environment with an unbounded segment pool — the pre-store
     /// pipeline's residency behaviour, used as the reference side of the
     /// residency equivalence suite.

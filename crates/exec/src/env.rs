@@ -42,11 +42,6 @@ pub struct OpEnv {
     /// variable so CI can force a serial or 4-worker execution of the whole
     /// suite.
     pub worker_threads: usize,
-    /// Stream columnar batches from table scans and use per-column fast
-    /// paths in filters and scatter hashing (on by default). Off reproduces
-    /// the row-at-a-time pipeline; modeled counters are bit-identical either
-    /// way — vectorization changes wall time, never the cost model.
-    pub columnar: bool,
     /// Span recorder for the wall-clock metric domain (defaults to the
     /// shared no-op sink). Shard environments and rebudgeted environments
     /// inherit it, so every phase of a chain — including worker threads —
@@ -77,7 +72,6 @@ impl OpEnv {
             norm_keys: true,
             reuse_bounds: true,
             worker_threads: env_worker_threads(),
-            columnar: true,
             trace: TraceSink::disabled(),
         }
     }
@@ -100,7 +94,6 @@ impl OpEnv {
             norm_keys: true,
             reuse_bounds: true,
             worker_threads: env_worker_threads(),
-            columnar: true,
             trace: TraceSink::disabled(),
         }
     }
@@ -112,16 +105,6 @@ impl OpEnv {
         self.store.set_trace(Arc::clone(&trace));
         OpEnv {
             trace,
-            ..self.clone()
-        }
-    }
-
-    /// Same environment with the columnar fast paths toggled (the row
-    /// pipeline is the reference configuration for the columnar equivalence
-    /// suite).
-    pub fn with_columnar(&self, columnar: bool) -> Self {
-        OpEnv {
-            columnar,
             ..self.clone()
         }
     }

@@ -151,37 +151,12 @@ impl<I: Operator> HashedSortOp<I> {
             .collect();
 
         while let Some(seg) = input.next_segment()? {
-            let batch = if env.columnar {
-                seg.shared_batch().map(std::sync::Arc::clone)
-            } else {
-                None
-            };
             let (_, mut stream, _) = seg.into_stream();
-            let mut next_idx = 0usize;
             // Every row of the segment is hashed; every one that is not an
             // MFV row moves once, into its bucket or its bucket's file.
             // Both are charged per segment, below.
             let (mut hashed, mut moved) = (0u64, 0u64);
-            loop {
-                // Batch segments hash per-lane (identical u64s to
-                // `hash_row_on`); everything else streams row-at-a-time.
-                let (row, idx_hint) = match &batch {
-                    Some(b) => {
-                        if next_idx >= b.len() {
-                            break;
-                        }
-                        let i = next_idx;
-                        next_idx += 1;
-                        (
-                            b.row(i),
-                            Some((b.hash_row(i, &self.whk) % n as u64) as usize),
-                        )
-                    }
-                    None => match stream.next_row()? {
-                        Some(r) => (r, None),
-                        None => break,
-                    },
-                };
+            while let Some(row) = stream.next_row()? {
                 hashed += 1;
                 if !mfv.is_empty() {
                     let key_val: Vec<Value> = self.whk.iter().map(|a| row.get(a).clone()).collect();
@@ -193,8 +168,7 @@ impl<I: Operator> HashedSortOp<I> {
                         continue;
                     }
                 }
-                let idx =
-                    idx_hint.unwrap_or_else(|| (hash_row_on(&row, &self.whk) % n as u64) as usize);
+                let idx = (hash_row_on(&row, &self.whk) % n as u64) as usize;
                 let bytes = row.encoded_len();
                 match &mut buckets[idx] {
                     Bucket::Spilled { file } => file.push(&row)?,

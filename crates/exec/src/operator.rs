@@ -24,9 +24,11 @@
 //! Every physical operator implements it:
 //!
 //! * [`TableScan`] — leaf over a [`wf_storage::Table`]; one segment backed
-//!   by a zero-copy shared handle (a heap table is trivially `R_{∅,ε}`);
-//!   downstream operators stream it block-at-a-time instead of receiving a
-//!   clone of the relation. Scan I/O is charged on the first pull,
+//!   by a zero-copy handle over the table's own rows (a heap table is
+//!   trivially `R_{∅,ε}`); downstream operators stream it row by row, or —
+//!   the filter — read it by reference ([`Segment::shared_rows`]), instead
+//!   of receiving a clone of the relation. Scan I/O is charged on the first
+//!   pull,
 //! * [`crate::full_sort::FullSortOp`] — blocking; one totally ordered
 //!   segment, fed to the external sorter as a row stream,
 //! * [`crate::hashed_sort::HashedSortOp`] — partition phase on first pull,
@@ -68,7 +70,7 @@ use crate::segment::{SegmentBounds, SegmentedRows};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wf_common::{Result, Row};
-use wf_storage::{RowBatch, SegmentHandle, SegmentReader, SegmentStore, Table};
+use wf_storage::{SegmentHandle, SegmentReader, SegmentStore, Table};
 
 /// One segment flowing between operators: rows in order plus the boundary
 /// layers the chain has already proven over them (see [`SegmentBounds`]).
@@ -163,12 +165,12 @@ impl Segment {
         matches!(&self.data, SegData::Handle(_))
     }
 
-    /// The shared columnar batch behind this segment, if it carries one —
-    /// operators with per-column fast paths (filter masks, scatter hashing)
-    /// peek here before falling back to the row stream.
-    pub fn shared_batch(&self) -> Option<&Arc<RowBatch>> {
+    /// The table rows behind this segment when it is a scan's shared view
+    /// of them — a filter tests them by reference here and clones only the
+    /// rows it keeps.
+    pub fn shared_rows(&self) -> Option<&Arc<Vec<Row>>> {
         match &self.data {
-            SegData::Handle(h) => h.as_batch(),
+            SegData::Handle(h) => h.as_shared_rows(),
             SegData::Rows(_) => None,
         }
     }
@@ -310,12 +312,10 @@ impl Operator for TableScan<'_> {
         if self.table.is_empty() {
             return Ok(None);
         }
-        let handle = if self.env.columnar {
-            SegmentStore::shared_batch(self.table.shared_batch())
-        } else {
-            SegmentStore::shared(self.table.shared_rows())
-        };
-        Ok(Some(Segment::from_handle(handle, SegmentBounds::none())))
+        Ok(Some(Segment::from_handle(
+            SegmentStore::shared(self.table.shared_rows()),
+            SegmentBounds::none(),
+        )))
     }
 }
 

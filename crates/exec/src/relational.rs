@@ -19,10 +19,10 @@ use crate::operator::{Operator, Segment, TableScan};
 use crate::segment::SegmentBounds;
 use crate::sorter::SortKey;
 use crate::util::hash_row_on;
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use wf_common::{AttrId, AttrSet, DataType, Error, Field, Result, Row, Schema, SortSpec, Value};
-use wf_storage::{ColumnVec, RowBatch, Table};
+use wf_storage::Table;
 
 /// A simple column-vs-literal predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,128 +43,47 @@ impl Predicate {
     /// Evaluate against a row. SQL three-valued logic collapsed to boolean:
     /// comparisons with NULL are false.
     pub fn matches(&self, row: &Row) -> bool {
+        use std::cmp::Ordering::*;
         use Predicate::*;
-        let cmp = |a: &AttrId, v: &Value| -> Option<std::cmp::Ordering> {
-            let lhs = row.get(*a);
-            if lhs.is_null() || v.is_null() {
-                None
-            } else {
-                Some(lhs.cmp_nulls_first(v))
-            }
-        };
+        let cmp = |a: &AttrId, v: &Value| order(row.get(*a), v);
         match self {
-            Eq(a, v) => cmp(a, v) == Some(std::cmp::Ordering::Equal),
-            Ne(a, v) => matches!(cmp(a, v), Some(o) if o != std::cmp::Ordering::Equal),
-            Lt(a, v) => cmp(a, v) == Some(std::cmp::Ordering::Less),
-            Le(a, v) => matches!(cmp(a, v), Some(o) if o != std::cmp::Ordering::Greater),
-            Gt(a, v) => cmp(a, v) == Some(std::cmp::Ordering::Greater),
-            Ge(a, v) => matches!(cmp(a, v), Some(o) if o != std::cmp::Ordering::Less),
+            Eq(a, v) => cmp(a, v) == Some(Equal),
+            Ne(a, v) => matches!(cmp(a, v), Some(o) if o != Equal),
+            Lt(a, v) => cmp(a, v) == Some(Less),
+            Le(a, v) => matches!(cmp(a, v), Some(o) if o != Greater),
+            Gt(a, v) => cmp(a, v) == Some(Greater),
+            Ge(a, v) => matches!(cmp(a, v), Some(o) if o != Less),
             Between(a, lo, hi) => {
-                matches!(cmp(a, lo), Some(o) if o != std::cmp::Ordering::Less)
-                    && matches!(cmp(a, hi), Some(o) if o != std::cmp::Ordering::Greater)
+                let x = row.get(*a);
+                matches!(order(x, lo), Some(o) if o != Less)
+                    && matches!(order(x, hi), Some(o) if o != Greater)
             }
             And(l, r) => l.matches(row) && r.matches(row),
         }
     }
-
-    /// Evaluate against every row of a columnar batch in one pass, with a
-    /// typed per-lane loop per atom. `mask[i]` ⇔ `self.matches(&batch.row(i))`
-    /// — the vectorized and row paths are interchangeable by construction.
-    pub fn eval_mask(&self, batch: &RowBatch) -> Vec<bool> {
-        use std::cmp::Ordering::*;
-        use Predicate::*;
-        match self {
-            Eq(a, v) => atom_mask(batch.column(a.index()), v, |o| o == Equal),
-            Ne(a, v) => atom_mask(batch.column(a.index()), v, |o| o != Equal),
-            Lt(a, v) => atom_mask(batch.column(a.index()), v, |o| o == Less),
-            Le(a, v) => atom_mask(batch.column(a.index()), v, |o| o != Greater),
-            Gt(a, v) => atom_mask(batch.column(a.index()), v, |o| o == Greater),
-            Ge(a, v) => atom_mask(batch.column(a.index()), v, |o| o != Less),
-            Between(a, lo, hi) => {
-                let col = batch.column(a.index());
-                let mut m = atom_mask(col, lo, |o| o != Less);
-                let hi_m = atom_mask(col, hi, |o| o != Greater);
-                for (x, y) in m.iter_mut().zip(hi_m) {
-                    *x = *x && y;
-                }
-                m
-            }
-            And(l, r) => {
-                let mut m = l.eval_mask(batch);
-                let rm = r.eval_mask(batch);
-                for (x, y) in m.iter_mut().zip(rm) {
-                    *x = *x && y;
-                }
-                m
-            }
-        }
-    }
 }
 
-/// Column-vs-literal comparison mask: `ok` maps the ordering to the atom's
-/// truth value; NULL on either side is false (the same three-valued-logic
-/// collapse as `Predicate::matches`). The match hoists type dispatch out of
-/// the row loop — each arm is a tight monomorphic scan over one lane.
-fn atom_mask(col: &ColumnVec, v: &Value, ok: impl Fn(std::cmp::Ordering) -> bool) -> Vec<bool> {
-    use std::cmp::Ordering;
-    let n = col.len();
-    let mut out = vec![false; n];
-    match (col, v) {
-        (_, Value::Null) => {}
-        (ColumnVec::Int { vals, valid }, Value::Int(b)) => {
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && ok(vals[i].cmp(b));
-            }
-        }
-        (ColumnVec::Int { vals, valid }, Value::Float(b)) => {
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && ok((vals[i] as f64).total_cmp(b));
-            }
-        }
-        (ColumnVec::Float { vals, valid }, Value::Float(b)) => {
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && ok(vals[i].total_cmp(b));
-            }
-        }
-        (ColumnVec::Float { vals, valid }, Value::Int(b)) => {
-            let bf = *b as f64;
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && ok(vals[i].total_cmp(&bf));
-            }
-        }
-        (ColumnVec::Str { vals, valid }, Value::Str(b)) => {
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && ok(vals[i].as_ref().cmp(b.as_ref()));
-            }
-        }
-        // Fixed cross-type rank: numbers < strings (`Value::cmp_nulls_first`).
-        (ColumnVec::Int { valid, .. } | ColumnVec::Float { valid, .. }, Value::Str(_)) => {
-            let hit = ok(Ordering::Less);
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && hit;
-            }
-        }
-        (ColumnVec::Str { valid, .. }, Value::Int(_) | Value::Float(_)) => {
-            let hit = ok(Ordering::Greater);
-            for (i, m) in out.iter_mut().enumerate() {
-                *m = valid.get(i) && hit;
-            }
-        }
-        (ColumnVec::Mixed(vals), _) => {
-            for (i, m) in out.iter_mut().enumerate() {
-                let lhs = &vals[i];
-                *m = !lhs.is_null() && ok(lhs.cmp_nulls_first(v));
-            }
-        }
+/// `lhs` against a literal; `None` when either side is NULL. Int against
+/// Int — the common WHERE — is decided here without the general
+/// `Value::cmp_nulls_first` dispatch (the same order).
+#[inline]
+fn order(lhs: &Value, v: &Value) -> Option<std::cmp::Ordering> {
+    match (lhs, v) {
+        (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
+        (Value::Null, _) | (_, Value::Null) => None,
+        _ => Some(lhs.cmp_nulls_first(v)),
     }
-    out
 }
 
 /// The filter operator: streams segments through the predicate, preserving
 /// segmentation (a subset of a segment of complete partitions is still a
 /// run of complete partitions of the filtered relation). Charges one
-/// comparison per input row and one row move per surviving row; segments
-/// filtered down to nothing are skipped.
+/// comparison per input row and one row move per surviving row, once per
+/// segment; segments filtered down to nothing are skipped.
+///
+/// A table scan's segment is the table's own rows ([`Segment::shared_rows`]):
+/// those are tested by reference and only the survivors are cloned, so a
+/// selective predicate costs the rows it keeps, not the rows it reads.
 ///
 /// Carried boundary layers are **remapped** through the kept-row mapping
 /// instead of dropped: deleting rows inside a run keeps the remaining rows
@@ -225,12 +144,8 @@ impl<I: Operator> Operator for FilterOp<I> {
                 return Ok(None);
             };
             let store_backed = seg.is_store_backed();
-            let batch = if self.env.columnar {
-                seg.shared_batch().map(Arc::clone)
-            } else {
-                None
-            };
-            let (_, mut stream, bounds) = seg.into_stream();
+            let shared = seg.shared_rows().cloned();
+            let (n, stream, bounds) = seg.into_stream();
             let mut remaps: Vec<LayerRemap> = bounds
                 .layers()
                 .iter()
@@ -243,45 +158,26 @@ impl<I: Operator> Operator for FilterOp<I> {
                 .collect();
             let mut builder = store_backed.then(|| self.env.store.builder());
             let mut rows: Vec<Row> = Vec::new();
-            let mut kept = 0usize;
-            if let Some(batch) = batch {
-                // Vectorized: one typed mask pass over the lanes, then a
-                // gather of the kept rows. Charges are bulk but identical in
-                // total to the row loop below.
-                let mask = self.pred.eval_mask(&batch);
-                self.env.tracker.compare(batch.len() as u64);
-                for (idx, keep) in mask.iter().enumerate() {
-                    for r in &mut remaps {
-                        r.observe(idx, kept);
-                    }
-                    if *keep {
-                        self.env.tracker.move_rows(1);
-                        kept += 1;
-                        let row = batch.row(idx);
-                        match &mut builder {
-                            Some(b) => b.push(row)?,
-                            None => rows.push(row),
-                        }
-                    }
+            let mut sink = |row| {
+                match &mut builder {
+                    Some(b) => b.push(row)?,
+                    None => rows.push(row),
                 }
-            } else {
-                let mut idx = 0usize;
-                while let Some(row) = stream.next_row()? {
-                    for r in &mut remaps {
-                        r.observe(idx, kept);
-                    }
-                    idx += 1;
-                    self.env.tracker.compare(1);
-                    if self.pred.matches(&row) {
-                        self.env.tracker.move_rows(1);
-                        kept += 1;
-                        match &mut builder {
-                            Some(b) => b.push(row)?,
-                            None => rows.push(row),
-                        }
-                    }
-                }
-            }
+                Ok(())
+            };
+            // A scan's rows are tested where they lie and cloned only when
+            // kept; any other segment's rows are owned already.
+            let kept = match &shared {
+                Some(table_rows) => keep_matching(
+                    &self.pred,
+                    table_rows.iter().map(Ok),
+                    &mut remaps,
+                    |row: &Row| sink(row.clone()),
+                )?,
+                None => keep_matching(&self.pred, stream, &mut remaps, &mut sink)?,
+            };
+            self.env.tracker.compare(n as u64);
+            self.env.tracker.move_rows(kept as u64);
             if kept == 0 {
                 continue;
             }
@@ -298,6 +194,28 @@ impl<I: Operator> Operator for FilterOp<I> {
             }));
         }
     }
+}
+
+/// Hand the rows of `input` that match `pred` to `keep`, remapping the
+/// carried layers; returns how many were kept.
+fn keep_matching<R: Borrow<Row>>(
+    pred: &Predicate,
+    input: impl Iterator<Item = Result<R>>,
+    remaps: &mut [LayerRemap],
+    mut keep: impl FnMut(R) -> Result<()>,
+) -> Result<usize> {
+    let mut kept = 0;
+    for (idx, row) in input.enumerate() {
+        let row = row?;
+        for r in remaps.iter_mut() {
+            r.observe(idx, kept);
+        }
+        if pred.matches(row.borrow()) {
+            kept += 1;
+            keep(row)?;
+        }
+    }
+    Ok(kept)
 }
 
 /// Filter a table; charges one scan plus the output rows moved. Thin
@@ -664,6 +582,7 @@ pub fn group_by_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use wf_common::row;
 
     fn sample() -> Table {
@@ -706,56 +625,75 @@ mod tests {
             Box::new(Predicate::Lt(a(0), Value::Int(6))),
         );
         assert!(both.matches(&r));
-    }
 
-    #[test]
-    fn eval_mask_agrees_with_row_matches() {
-        let rows = vec![
+        // Truth per row: NULLs never match, Int and Float compare
+        // numerically, floats by total order (-0.0 < 0.0, NaN above every
+        // number and equal to itself), numbers rank below strings.
+        let rows = [
             row![1, 2.5, "a"],
             row![Value::Null, Value::Null, Value::Null],
             row![5, -0.0, ""],
             row![-3, f64::NAN, "zz"],
         ];
-        let batch = RowBatch::from_rows(&rows).unwrap();
-        let preds = vec![
-            Predicate::Eq(a(0), Value::Int(5)),
-            Predicate::Ne(a(0), Value::Int(1)),
-            Predicate::Lt(a(0), Value::Float(2.0)),
-            Predicate::Le(a(1), Value::Int(0)),
-            Predicate::Gt(a(1), Value::Float(0.0)),
-            Predicate::Ge(a(2), Value::str("a")),
-            Predicate::Between(a(0), Value::Int(-3), Value::Int(1)),
-            Predicate::Eq(a(0), Value::Null),
-            Predicate::Lt(a(0), Value::str("x")),
-            Predicate::Gt(a(2), Value::Int(100)),
-            Predicate::And(
-                Box::new(Predicate::Ge(a(0), Value::Int(-3))),
-                Box::new(Predicate::Lt(a(1), Value::Float(3.0))),
+        use Predicate::*;
+        let (int, float, s) = (Value::Int, Value::Float, Value::str);
+        let table: Vec<(Predicate, [bool; 4])> = vec![
+            (Eq(a(0), int(5)), [false, false, true, false]),
+            (Eq(a(0), float(5.0)), [false, false, true, false]),
+            (Ne(a(0), int(1)), [false, false, true, true]),
+            (Lt(a(0), float(2.0)), [true, false, false, true]),
+            (Le(a(1), int(0)), [false, false, true, false]),
+            (Gt(a(1), float(0.0)), [true, false, false, true]),
+            (Eq(a(1), float(-0.0)), [false, false, true, false]),
+            (Eq(a(1), float(0.0)), [false, false, false, false]),
+            (Eq(a(1), float(f64::NAN)), [false, false, false, true]),
+            (Ge(a(2), s("a")), [true, false, false, true]),
+            (Between(a(0), int(-3), int(1)), [true, false, false, true]),
+            (Between(a(2), s(""), s("a")), [true, false, true, false]),
+            (Eq(a(0), Value::Null), [false, false, false, false]),
+            (Ne(a(0), Value::Null), [false, false, false, false]),
+            (Lt(a(0), s("x")), [true, false, true, true]),
+            (Gt(a(2), int(100)), [true, false, true, true]),
+            (
+                And(Box::new(Ge(a(0), int(-3))), Box::new(Lt(a(1), float(3.0)))),
+                [true, false, true, false],
             ),
         ];
-        for p in preds {
-            let mask = p.eval_mask(&batch);
-            let want: Vec<bool> = rows.iter().map(|r| p.matches(r)).collect();
-            assert_eq!(mask, want, "predicate {p:?}");
+        for (p, want) in table {
+            let got: Vec<bool> = rows.iter().map(|r| p.matches(r)).collect();
+            assert_eq!(got, want, "predicate {p:?}");
         }
     }
 
+    /// Over a scan, the filter reads the table's rows by reference: a string
+    /// held only by discarded rows is never cloned, and the charges are one
+    /// comparison per row read and one move per row kept.
     #[test]
-    fn vectorized_filter_matches_row_filter_exactly() {
-        let t = sample();
-        let pred = Predicate::And(
-            Box::new(Predicate::Ge(a(1), Value::Int(5))),
-            Box::new(Predicate::Lt(a(2), Value::Float(3.0))),
-        );
-        let col_env = OpEnv::with_memory_blocks(8);
-        let col = filter(&t, &pred, &col_env).unwrap();
-        let row_env = OpEnv::with_memory_blocks(8).with_columnar(false);
-        let row = filter(&t, &pred, &row_env).unwrap();
-        assert_eq!(col.rows(), row.rows());
-        assert_eq!(
-            col_env.tracker.snapshot().modeled_counters(),
-            row_env.tracker.snapshot().modeled_counters()
-        );
+    fn filter_clones_only_the_rows_it_keeps() {
+        let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
+        let dropped: Arc<str> = Arc::from("dropped");
+        let kept: Arc<str> = Arc::from("kept");
+        let mut t = Table::new(schema);
+        for i in 0..100 {
+            let s = if i % 10 == 0 { &kept } else { &dropped };
+            t.push(Row::new(vec![Value::Int(i), Value::Str(Arc::clone(s))]));
+        }
+        let (dropped_refs, kept_refs) = (Arc::strong_count(&dropped), Arc::strong_count(&kept));
+
+        // The scan charges its own tracker, so `env` sees only the filter.
+        let env = OpEnv::with_memory_blocks(8);
+        let scan = TableScan::new(&t, OpEnv::with_memory_blocks(8));
+        let pred = Predicate::Eq(a(1), Value::str("kept"));
+        let mut op = FilterOp::new(scan, pred, env.clone());
+        let out = op.next_segment().unwrap().unwrap().into_rows().unwrap();
+        assert!(op.next_segment().unwrap().is_none());
+
+        assert_eq!(out.len(), 10);
+        assert_eq!(Arc::strong_count(&dropped), dropped_refs);
+        assert_eq!(Arc::strong_count(&kept), kept_refs + 10);
+        let work = env.tracker.snapshot();
+        assert_eq!(work.comparisons, 100);
+        assert_eq!(work.rows_moved, 10);
     }
 
     #[test]

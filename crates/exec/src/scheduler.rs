@@ -53,7 +53,6 @@ use crate::sorter::{merge_sorted_handles, SortKey};
 use crate::util::hash_row_on;
 use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use wf_common::{AttrSet, Error, Result, SortSpec};
 use wf_storage::SegmentHandle;
 
@@ -407,25 +406,13 @@ impl<I: Operator> ParallelChainOp<I> {
             }
         };
         while let Some(seg) = self.input.next_segment()? {
-            let batch = if env.columnar {
-                seg.shared_batch().map(Arc::clone)
-            } else {
-                None
-            };
-            if let Some(batch) = batch {
-                env.tracker.hash(batch.len() as u64);
-                for i in 0..batch.len() {
-                    let idx = route(batch.hash_row(i, &self.shard_attrs));
-                    builders[idx].push(batch.row(i))?;
-                }
-            } else {
-                let (_, mut stream, _) = seg.into_stream();
-                while let Some(row) = stream.next_row()? {
-                    env.tracker.hash(1);
-                    let idx = route(hash_row_on(&row, &self.shard_attrs));
-                    builders[idx].push(row)?;
-                }
+            // Every row is hashed once; charged once per segment.
+            let (n, mut stream, _) = seg.into_stream();
+            while let Some(row) = stream.next_row()? {
+                let idx = route(hash_row_on(&row, &self.shard_attrs));
+                builders[idx].push(row)?;
             }
+            env.tracker.hash(n as u64);
         }
         let total: usize = builders.iter().map(|b| b.len()).sum();
         if total == 0 {

@@ -197,8 +197,8 @@ impl KeyedRow {
 /// Because the radix backend makes no comparator callbacks, the comparison
 /// *charge* is the model's deterministic `n·⌈log₂n⌉` in **every**
 /// configuration — the count is a function of `n` alone, so equivalence
-/// suites that flip `norm_keys`/`columnar` or swap backends still see
-/// bit-identical modeled counters.
+/// suites that flip `norm_keys` or swap backends still see bit-identical
+/// modeled counters.
 pub fn sort_in_memory(rows: &mut [Row], key: &SortKey, env: &OpEnv) {
     let n = rows.len();
     if n <= 1 {

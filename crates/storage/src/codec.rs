@@ -55,8 +55,10 @@ pub fn encode_row(row: &Row, buf: &mut ByteBuf) {
 /// next block" (top up and retry) from "these bytes are no row" (stop).
 #[derive(Debug)]
 pub(crate) enum RowError {
-    /// The buffer ended inside the named field.
-    Truncated(&'static str),
+    /// The buffer ended inside the named field; the entry needs at least
+    /// `need` bytes, counted from its first byte. A reader that has fewer
+    /// than that left in the whole file holds a damaged length field.
+    Truncated { what: &'static str, need: usize },
     /// The bytes present cannot start any row.
     Corrupt(String),
 }
@@ -64,23 +66,41 @@ pub(crate) enum RowError {
 impl From<RowError> for Error {
     fn from(e: RowError) -> Error {
         match e {
-            RowError::Truncated(what) => corrupt(&format!("truncated {what}")),
+            RowError::Truncated { what, .. } => corrupt(&format!("truncated {what}")),
             RowError::Corrupt(msg) => corrupt(&msg),
         }
     }
 }
 
+/// Split `n` bytes off the cursor. A truncation's `need` is counted from
+/// the cursor here; [`entry`] rebases it to the start of the entry.
 fn take<'a>(
     cursor: &mut &'a [u8],
     n: usize,
     what: &'static str,
 ) -> std::result::Result<&'a [u8], RowError> {
     if cursor.len() < n {
-        return Err(RowError::Truncated(what));
+        return Err(RowError::Truncated { what, need: n });
     }
     let (head, tail) = cursor.split_at(n);
     *cursor = tail;
     Ok(head)
+}
+
+/// Decode one entry with `decode`, counting a truncation's `need` from the
+/// entry's first byte (`take` leaves the cursor at the field that failed).
+fn entry<T>(
+    cursor: &mut &[u8],
+    decode: impl FnOnce(&mut &[u8]) -> std::result::Result<T, RowError>,
+) -> std::result::Result<T, RowError> {
+    let start = cursor.len();
+    decode(cursor).map_err(|e| match e {
+        RowError::Truncated { what, need } => RowError::Truncated {
+            what,
+            need: start - cursor.len() + need,
+        },
+        corrupt => corrupt,
+    })
 }
 
 /// Decode one row from the front of `cursor`, advancing it. Returns an error
@@ -91,6 +111,10 @@ pub fn decode_row(cursor: &mut &[u8]) -> Result<Row> {
 
 /// [`decode_row`] with the two failure kinds kept apart.
 pub(crate) fn try_decode_row(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
+    entry(cursor, row_fields)
+}
+
+fn row_fields(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
     let arity_bytes = take(cursor, 2, "arity")?;
     let arity = u16::from_le_bytes([arity_bytes[0], arity_bytes[1]]) as usize;
     let mut values = Vec::with_capacity(arity);
@@ -159,15 +183,16 @@ pub fn decode_keyed_row(cursor: &mut &[u8]) -> Result<(Option<Vec<u8>>, Row)> {
 pub(crate) fn try_decode_keyed_row(
     cursor: &mut &[u8],
 ) -> std::result::Result<(Option<Vec<u8>>, Row), RowError> {
-    let klen_bytes = take(cursor, 2, "key length")?;
-    let klen = u16::from_le_bytes([klen_bytes[0], klen_bytes[1]]);
-    let key = if klen == NO_KEY {
-        None
-    } else {
-        Some(take(cursor, klen as usize, "key bytes")?.to_vec())
-    };
-    let row = try_decode_row(cursor)?;
-    Ok((key, row))
+    entry(cursor, |cursor| {
+        let klen_bytes = take(cursor, 2, "key length")?;
+        let klen = u16::from_le_bytes([klen_bytes[0], klen_bytes[1]]);
+        let key = if klen == NO_KEY {
+            None
+        } else {
+            Some(take(cursor, klen as usize, "key bytes")?.to_vec())
+        };
+        Ok((key, row_fields(cursor)?))
+    })
 }
 
 /// Bytes the keyed framing adds on top of [`Row::encoded_len`].
@@ -548,10 +573,12 @@ mod tests {
             let full = buf.as_slice();
             let mut short = &full[..full.len() - cut];
             assert!(decode_row(&mut short).is_err());
+            // The field that ran out is whole in `full`: the need it reports
+            // is past what is held and no later than the entry's end.
             let mut short = &full[..full.len() - cut];
             assert!(matches!(
                 try_decode_row(&mut short),
-                Err(RowError::Truncated(_))
+                Err(RowError::Truncated { need, .. }) if need > full.len() - cut && need <= full.len()
             ));
         }
     }
@@ -595,6 +622,11 @@ mod tests {
         for cut in [1, 5, full.len() - 1] {
             let mut short = &full[..full.len() - cut];
             assert!(decode_keyed_row(&mut short).is_err());
+            let mut short = &full[..full.len() - cut];
+            assert!(matches!(
+                try_decode_keyed_row(&mut short),
+                Err(RowError::Truncated { need, .. }) if need > full.len() - cut && need <= full.len()
+            ));
         }
     }
 

@@ -8,9 +8,6 @@
 //!   modeled time, see DESIGN.md §2),
 //! * [`codec`] — the row serialization format used by spill files, plus the
 //!   zero-dependency LZ block compressor backends may apply at rest,
-//! * [`colblock`] — columnar row batches: typed per-column lanes with
-//!   validity bitmaps and a row-view shim, the vectorized layout operators
-//!   stream between each other,
 //! * [`backend`] — pluggable spill media behind the
 //!   [`backend::SpillBackend`] adapter trait: in-memory, one local temp file
 //!   carved into slots (the spill arena), or a simulated object store with
@@ -25,7 +22,8 @@
 //!   operator chains keep their physical resident set at
 //!   `O(M + largest unit)` (pool spill traffic is metered separately from
 //!   modeled I/O — see the module docs),
-//! * [`table`] — an in-memory heap table with block accounting.
+//! * [`table`] — an in-memory heap table with block accounting; a scan
+//!   hands out the table's own rows, shared, never a copy.
 //!
 //! The paper ran on PostgreSQL over SATA disks; this crate substitutes a
 //! simulated block device that *counts* every block transferred, so the
@@ -36,7 +34,6 @@ pub mod backend;
 pub mod block;
 pub mod bytebuf;
 pub mod codec;
-pub mod colblock;
 pub mod cost;
 #[cfg(test)]
 mod faulty;
@@ -51,7 +48,6 @@ pub use backend::{
     ObjectStoreConfig, SpillBackend, SpillBackendKind, SpillConfig,
 };
 pub use block::{blocks_for_bytes, BLOCK_SIZE};
-pub use colblock::{Bitmap, ColumnVec, RowBatch};
 pub use cost::{CostSnapshot, CostTracker, CostWeights, PoolCounters};
 pub use mem::MemoryLedger;
 pub use prefetch::Prefetcher;

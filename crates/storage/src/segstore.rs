@@ -26,7 +26,6 @@
 
 use crate::backend::SpillConfig;
 use crate::block::blocks_for_bytes;
-use crate::colblock::RowBatch;
 use crate::cost::PoolCounters;
 use crate::spill::{IoMeter, SpillFile, SpillReader};
 use std::sync::{Arc, Mutex};
@@ -403,13 +402,6 @@ impl SegmentStore {
         SegmentHandle::Shared { rows }
     }
 
-    /// A handle over a shared columnar batch: zero-copy and uncharged for
-    /// the same reason as [`SegmentStore::shared`] — the base table is
-    /// modeled as on-disk, whatever its in-memory layout.
-    pub fn shared_batch(batch: Arc<RowBatch>) -> SegmentHandle {
-        SegmentHandle::SharedBatch { batch }
-    }
-
     /// Register `bytes`/`rows` of operator-held unit memory (e.g. one
     /// buffered window partition) with the residency ledger. The charge may
     /// exceed the budget — a unit must be held *somewhere* — and is released
@@ -615,11 +607,6 @@ pub enum SegmentHandle {
     /// A view over shared rows (the heap table; modeled as on-disk, never
     /// pool-charged).
     Shared { rows: Arc<Vec<Row>> },
-    /// A view over a shared columnar batch (the heap table's column cache;
-    /// modeled as on-disk like [`SegmentHandle::Shared`], never
-    /// pool-charged). Operators with per-column fast paths read the lanes
-    /// directly; everyone else goes through the row-view shim.
-    SharedBatch { batch: Arc<RowBatch> },
     /// Spilled to the pool device; read back block at a time.
     Spilled { reader: SpillReader, rows: u64 },
 }
@@ -630,7 +617,6 @@ impl SegmentHandle {
         match self {
             SegmentHandle::Resident(r) => r.rows.len(),
             SegmentHandle::Shared { rows } => rows.len(),
-            SegmentHandle::SharedBatch { batch } => batch.len(),
             SegmentHandle::Spilled { rows, .. } => *rows as usize,
         }
     }
@@ -645,12 +631,12 @@ impl SegmentHandle {
         matches!(self, SegmentHandle::Spilled { .. })
     }
 
-    /// The shared columnar batch behind this handle, if it has one —
-    /// operators with per-column fast paths peek here before falling back
-    /// to the row stream.
-    pub fn as_batch(&self) -> Option<&Arc<RowBatch>> {
+    /// The shared base-table rows behind this handle, if it is a view over
+    /// them — an operator that keeps few of them (a filter) reads them by
+    /// reference here instead of streaming a clone of every row.
+    pub fn as_shared_rows(&self) -> Option<&Arc<Vec<Row>>> {
         match self {
-            SegmentHandle::SharedBatch { batch } => Some(batch),
+            SegmentHandle::Shared { rows } => Some(rows),
             _ => None,
         }
     }
@@ -670,7 +656,6 @@ impl SegmentHandle {
             SegmentHandle::Shared { rows } => {
                 Ok(Arc::try_unwrap(rows).unwrap_or_else(|a| a.as_ref().clone()))
             }
-            SegmentHandle::SharedBatch { batch } => Ok(batch.to_rows()),
             SegmentHandle::Spilled { mut reader, .. } => reader.read_all(),
         }
     }
@@ -686,7 +671,6 @@ impl SegmentHandle {
                 }
             }
             SegmentHandle::Shared { rows } => SegmentReader::Shared { rows, next: 0 },
-            SegmentHandle::SharedBatch { batch } => SegmentReader::SharedBatch { batch, next: 0 },
             SegmentHandle::Spilled { reader, .. } => SegmentReader::Spilled(reader),
         }
     }
@@ -697,7 +681,6 @@ impl std::fmt::Debug for SegmentHandle {
         let kind = match self {
             SegmentHandle::Resident(_) => "resident",
             SegmentHandle::Shared { .. } => "shared",
-            SegmentHandle::SharedBatch { .. } => "shared-batch",
             SegmentHandle::Spilled { .. } => "spilled",
         };
         write!(f, "SegmentHandle<{kind}, {} rows>", self.len())
@@ -715,8 +698,6 @@ pub enum SegmentReader {
     },
     /// Shared base-table rows, cloned lazily.
     Shared { rows: Arc<Vec<Row>>, next: usize },
-    /// Shared columnar batch, materialized through the row-view shim.
-    SharedBatch { batch: Arc<RowBatch>, next: usize },
     /// Spilled rows decoded block at a time.
     Spilled(SpillReader),
 }
@@ -728,11 +709,6 @@ impl SegmentReader {
             SegmentReader::Resident { iter, .. } => Ok(iter.next()),
             SegmentReader::Shared { rows, next } => {
                 let out = rows.get(*next).cloned();
-                *next += 1;
-                Ok(out)
-            }
-            SegmentReader::SharedBatch { batch, next } => {
-                let out = (*next < batch.len()).then(|| batch.row(*next));
                 *next += 1;
                 Ok(out)
             }
@@ -828,27 +804,9 @@ mod tests {
         assert_eq!(h.len(), 100);
         assert!(!h.is_spilled());
         assert_eq!(store.snapshot().resident_bytes, 0);
+        assert!(Arc::ptr_eq(h.as_shared_rows().unwrap(), &base));
         assert_eq!(h.into_rows().unwrap(), *base);
-    }
-
-    #[test]
-    fn shared_batch_handle_is_uncharged_and_round_trips() {
-        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
-        let base = rows(100);
-        let batch = Arc::new(RowBatch::from_rows(&base).unwrap());
-        let h = SegmentStore::shared_batch(Arc::clone(&batch));
-        assert_eq!(h.len(), 100);
-        assert!(!h.is_spilled());
-        assert!(h.as_batch().is_some());
-        assert_eq!(store.snapshot().resident_bytes, 0);
-        let mut reader = h.read();
-        let mut streamed = Vec::new();
-        while let Some(r) = reader.next_row().unwrap() {
-            streamed.push(r);
-        }
-        assert_eq!(streamed, base);
-        let h2 = SegmentStore::shared_batch(batch);
-        assert_eq!(h2.into_rows().unwrap(), base);
+        assert!(store.admit(rows(3)).unwrap().as_shared_rows().is_none());
     }
 
     #[test]

@@ -350,8 +350,9 @@ impl SpillReader {
 
     /// Decode one entry from the front of the pending buffer, consuming its
     /// bytes. `None` when the entry continues past what has been read — the
-    /// caller tops up and retries; bytes that cannot start an entry are an
-    /// error here, at the row they occur in, and nothing more is read.
+    /// caller tops up and retries; bytes that cannot start an entry, and an
+    /// entry needing more bytes than the file has left, are an error here,
+    /// at the row they occur in, and nothing more is read.
     fn decode_pending<T>(
         &mut self,
         decode: fn(&mut &[u8]) -> std::result::Result<T, RowError>,
@@ -363,7 +364,16 @@ impl SpillReader {
                 self.pending.advance(used);
                 Ok(Some(entry))
             }
-            Err(RowError::Truncated(_)) => Ok(None),
+            Err(RowError::Truncated { what, need }) => {
+                let left = self.pending.len() as u64 + (self.total - self.offset);
+                if need as u64 > left {
+                    return Err(RowError::Corrupt(format!(
+                        "{what} runs past the end of the file ({need} bytes needed, {left} left)"
+                    ))
+                    .into());
+                }
+                Ok(None)
+            }
             Err(corrupt) => Err(corrupt.into()),
         }
     }
@@ -601,27 +611,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_block_surfaces_at_its_row_and_stops_the_reader() {
+    /// Overwrite the first entry of block 2 of a 40-block file at `offset`
+    /// (of `keyed`) with `patch`, on plain and keyed files, compressed and
+    /// not, with and without read-ahead: the reader fails at that row with
+    /// `message`, having read no further block than read-ahead already
+    /// held, and frees the file when dropped.
+    fn damage_block_two(offset: fn(bool) -> usize, patch: &'static [u8], message: &str) {
         const BLOCKS: usize = 40;
         const BAD: u64 = 2;
         for keyed in [false, true] {
             for compress in [false, true] {
                 for prefetch in [0usize, 2] {
-                    let at = first_tag(keyed);
-                    let flip_tag = move |block: &mut Vec<u8>| {
-                        if compress {
-                            let mut raw = decompress_block(block).unwrap();
-                            raw[at] = 0x7f;
-                            *block = compress_block(&raw);
-                        } else {
-                            block[at] = 0x7f;
-                        }
+                    let at = offset(keyed);
+                    let rewrite = move |block: &mut Vec<u8>| {
+                        let mut raw = match compress {
+                            true => decompress_block(block).unwrap(),
+                            false => block.clone(),
+                        };
+                        raw[at..at + patch.len()].copy_from_slice(patch);
+                        *block = if compress { compress_block(&raw) } else { raw };
                     };
                     let backend = FaultyBackend::on_read(
                         LocalFileBackend::new(),
                         BAD,
-                        Fault::Corrupt(Box::new(flip_tag)),
+                        Fault::Corrupt(Box::new(rewrite)),
                     );
                     let cfg = SpillConfig {
                         backend: backend.clone(),
@@ -635,13 +648,9 @@ mod tests {
                     let case = format!("keyed={keyed} compress={compress} prefetch={prefetch}");
                     assert_eq!(rows, BAD as usize * BLOCK_SIZE / ENTRY, "{case}");
                     match &err {
-                        Error::Execution(msg) => {
-                            assert!(msg.contains("unknown value tag 0x7f"), "{case}: {msg}")
-                        }
+                        Error::Execution(msg) => assert!(msg.contains(message), "{case}: {msg}"),
                         other => panic!("{case}: {other:?}"),
                     }
-                    // The corrupted block is the last one asked for (plus
-                    // whatever the read-ahead window already held).
                     assert!(backend.reads() <= BAD + 1 + prefetch as u64, "{case}");
                     assert!(reader.pending.len() <= BLOCK_SIZE, "{case}");
                     drop(reader);
@@ -649,6 +658,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn corrupt_block_surfaces_at_its_row_and_stops_the_reader() {
+        damage_block_two(first_tag, &[0x7f], "unknown value tag 0x7f");
+    }
+
+    /// A string length rewritten to `u32::MAX` asks for more than the file
+    /// holds: corruption at that row, not a reason to read to the end.
+    #[test]
+    fn damaged_length_field_surfaces_at_its_row_without_reading_on() {
+        // The length follows the int (tag + 8 bytes) and the string's tag.
+        let length = |keyed| first_tag(keyed) + 9 + 1;
+        let message = "string body runs past the end of the file";
+        damage_block_two(length, &[0xff; 4], message);
     }
 
     #[test]

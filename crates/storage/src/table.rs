@@ -7,25 +7,21 @@
 //! as reading it from the simulated device.
 
 use crate::block::blocks_for_bytes;
-use crate::colblock::RowBatch;
 use crate::cost::CostTracker;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wf_common::{Error, Result, Row, Schema};
 
 /// A schema plus rows. Rows live behind an `Arc` so a table scan can hand
 /// out zero-copy shared views ([`Table::shared_rows`]) instead of cloning
 /// the relation; mutation goes through copy-on-write (`Arc::make_mut`).
-/// The columnar view ([`Table::shared_batch`]) is built lazily and cached
-/// in a cell that **clones share**, so whichever handle scans first builds
-/// it for all of them (a catalog hands every statement a clone); a mutation
-/// gives the mutated handle a fresh cell and leaves the others' intact —
-/// the same copy-on-write the rows get.
+/// Clones share the rows, so every statement a catalog hands a clone to
+/// scans the same allocation; a mutation detaches only the handle it goes
+/// through.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: Arc<Vec<Row>>,
     bytes: usize,
-    batch: Arc<OnceLock<Arc<RowBatch>>>,
 }
 
 impl Table {
@@ -35,7 +31,6 @@ impl Table {
             schema,
             rows: Arc::new(Vec::new()),
             bytes: 0,
-            batch: Arc::default(),
         }
     }
 
@@ -51,7 +46,6 @@ impl Table {
             schema,
             rows: Arc::new(rows),
             bytes,
-            batch: Arc::default(),
         })
     }
 
@@ -71,29 +65,10 @@ impl Table {
         Arc::clone(&self.rows)
     }
 
-    /// Zero-copy shared columnar view of the rows, built on first use and
-    /// cached (table rows have uniform arity, so columnarization never
-    /// fails). This is what a columnar table scan hands downstream.
-    pub fn shared_batch(&self) -> Arc<RowBatch> {
-        Arc::clone(self.batch.get_or_init(|| {
-            Arc::new(RowBatch::from_rows(&self.rows).expect("uniform table arity"))
-        }))
-    }
-
     /// Mutable row access (used by in-place sorters in tests;
     /// copy-on-write when the rows are shared).
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        self.invalidate_batch();
         Arc::make_mut(&mut self.rows)
-    }
-
-    /// Forget the columnar view of this handle only: clear the cell when no
-    /// clone shares it, swap in a fresh one when some do.
-    fn invalidate_batch(&mut self) {
-        match Arc::get_mut(&mut self.batch) {
-            Some(cell) => drop(cell.take()),
-            None => self.batch = Arc::default(),
-        }
     }
 
     /// Consume into rows.
@@ -125,7 +100,6 @@ impl Table {
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.arity(), self.schema.len(), "row arity mismatch");
         self.bytes += row.encoded_len();
-        self.invalidate_batch();
         Arc::make_mut(&mut self.rows).push(row);
     }
 
@@ -222,43 +196,24 @@ mod tests {
         assert_eq!(Table::new(schema2()).avg_row_bytes(), 0);
     }
 
+    /// Clones share the rows — a scan of any of them hands out the same
+    /// allocation — and a mutation detaches only the handle it goes through.
     #[test]
-    fn shared_batch_caches_and_invalidates_on_mutation() {
-        let mut t = Table::from_rows(schema2(), vec![row![1, "x"], row![2, "y"]]).unwrap();
-        let b1 = t.shared_batch();
-        assert_eq!(b1.to_rows(), t.rows());
-        // Cached: same allocation on repeat.
-        assert!(Arc::ptr_eq(&b1, &t.shared_batch()));
-        t.push(row![3, "z"]);
-        let b2 = t.shared_batch();
-        assert!(!Arc::ptr_eq(&b1, &b2));
-        assert_eq!(b2.to_rows(), t.rows());
-        t.rows_mut()[0] = row![9, "w"];
-        assert_eq!(t.shared_batch().row(0), row![9, "w"]);
-    }
-
-    /// Clones share the columnar cache — whichever handle scans first builds
-    /// it for all — and a mutation detaches only the handle it goes through.
-    #[test]
-    fn clones_share_the_batch_until_one_is_mutated() {
+    fn clones_share_the_rows_until_one_is_mutated() {
         let original = Table::from_rows(schema2(), vec![row![1, "x"], row![2, "y"]]).unwrap();
-        // Taken before first use, as a catalog hands a table to a statement.
         let mut clone = original.clone();
-        let batch = clone.shared_batch();
-        assert!(Arc::ptr_eq(&batch, &original.shared_batch()));
-        assert!(Arc::ptr_eq(&batch, &original.clone().shared_batch()));
+        let rows = clone.shared_rows();
+        assert!(Arc::ptr_eq(&rows, &original.shared_rows()));
 
         clone.push(row![3, "z"]);
-        assert!(Arc::ptr_eq(&batch, &original.shared_batch()), "original");
-        assert_eq!(original.shared_batch().to_rows(), original.rows());
-        let rebuilt = clone.shared_batch();
-        assert!(!Arc::ptr_eq(&batch, &rebuilt));
-        assert_eq!(rebuilt.to_rows(), clone.rows());
+        assert!(Arc::ptr_eq(&rows, &original.shared_rows()), "original");
+        assert!(!Arc::ptr_eq(&rows, &clone.shared_rows()));
+        assert_eq!(clone.row_count(), 3);
 
         let mut other = original.clone();
         other.rows_mut()[0] = row![9, "w"];
-        assert!(Arc::ptr_eq(&batch, &original.shared_batch()), "original");
-        assert_eq!(other.shared_batch().row(0), row![9, "w"]);
-        assert_eq!(original.shared_batch().row(0), row![1, "x"]);
+        assert!(Arc::ptr_eq(&rows, &original.shared_rows()), "original");
+        assert_eq!(other.rows()[0], row![9, "w"]);
+        assert_eq!(original.rows()[0], row![1, "x"]);
     }
 }

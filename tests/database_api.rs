@@ -222,17 +222,17 @@ fn prepared_query_is_reusable() {
     // A handle taken before anything ran, as each statement is given one.
     let handle = db.table("sales").unwrap();
     let first = prepared.execute().unwrap();
-    let scanned = db.table("sales").unwrap().shared_batch();
+    let scanned = db.table("sales").unwrap().shared_rows();
     let second = prepared.execute().unwrap();
     assert_eq!(first.table.rows(), second.table.rows());
-    // One columnar batch per registered table: the first scan built it, the
-    // second execution and every other handle read the same one …
-    let again = db.table("sales").unwrap().shared_batch();
+    // One copy of the rows per registered table: both executions and every
+    // handle scan the same allocation …
+    let again = db.table("sales").unwrap().shared_rows();
     assert!(std::sync::Arc::ptr_eq(&scanned, &again));
-    assert!(std::sync::Arc::ptr_eq(&scanned, &handle.shared_batch()));
+    assert!(std::sync::Arc::ptr_eq(&scanned, &handle.shared_rows()));
     // … until the table is replaced.
     db.register("sales", sales_table()).unwrap();
-    let replaced = db.table("sales").unwrap().shared_batch();
+    let replaced = db.table("sales").unwrap().shared_rows();
     assert!(!std::sync::Arc::ptr_eq(&scanned, &replaced));
     assert_eq!(
         first.report.work, second.report.work,

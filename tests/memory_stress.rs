@@ -5,6 +5,8 @@
 mod common;
 
 use common::{column_by_key, random_table, reference_rank};
+use wfopt::core::plan::{finalize_chain, Plan, PlanContext, PlanStep, ReorderOp};
+use wfopt::core::props::SegProps;
 use wfopt::core::spec::WindowSpec;
 use wfopt::prelude::*;
 
@@ -126,6 +128,114 @@ fn peak_residency_is_bounded_and_counters_match_unbounded_pool() {
             snap.peak_resident_rows,
             report_ref.store.peak_resident_rows
         );
+    }
+}
+
+/// `(p, k, v, f, s)`: int partition and order keys, an int with NULLs, a
+/// float with NULLs and -0.0, low-cardinality strings with NULLs and "" —
+/// in scrambled order.
+fn mixed_table(rows_n: usize) -> Table {
+    let schema = Schema::of(&[
+        ("p", DataType::Int),
+        ("k", DataType::Int),
+        ("v", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+    ]);
+    let mut state = 0x243f6a8885a308d3u64;
+    let mut rows = Vec::new();
+    for _ in 0..rows_n {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = state >> 16;
+        let v = match r % 13 {
+            5 => Value::Null,
+            _ => Value::Int((r % 1000) as i64 - 500),
+        };
+        let f = match r % 11 {
+            0 => Value::Null,
+            1 => Value::Float(-0.0),
+            _ => Value::Float(((r >> 8) % 1000) as f64 / 8.0 - 60.0),
+        };
+        let s = match r % 9 {
+            0 => Value::Null,
+            1 => Value::str(""),
+            n => Value::str(format!("s{}", n % 7)),
+        };
+        let p = Value::Int((r % 24) as i64);
+        let k = Value::Int(((r >> 8) % 50) as i64);
+        rows.push((state, Row::new(vec![p, k, v, f, s])));
+    }
+    rows.sort_by_key(|(s, _)| *s);
+    Table::from_rows(schema, rows.into_iter().map(|(_, r)| r).collect()).unwrap()
+}
+
+/// `WHERE v > -350` under `reorder0 → rank(p ORDER BY k)  SS→ rank(p ORDER
+/// BY f)  HS→ rank(s ORDER BY k)`, with `reorder0` the serial FS or
+/// `Par{FS}`: a filter between the scan and the first reorder, and a hash
+/// partitioning over the string column.
+fn filtered_chain(stats: &TableStats, m: u64, workers: Option<usize>) -> Plan {
+    let a = AttrId::new;
+    let key = |ids: &[usize]| SortSpec::new(ids.iter().map(|&i| OrdElem::asc(a(i))).collect());
+    let specs = vec![
+        WindowSpec::rank("r_pk", vec![a(0)], key(&[1])),
+        WindowSpec::rank("r_pf", vec![a(0)], key(&[3])),
+        WindowSpec::rank("r_sk", vec![a(4)], key(&[1])),
+    ];
+    let fs = ReorderOp::Fs { key: key(&[0, 1]) };
+    let first = match workers {
+        None => fs,
+        Some(workers) => ReorderOp::Par {
+            inner: Box::new(fs),
+            workers,
+        },
+    };
+    let hs = ReorderOp::Hs {
+        whk: AttrSet::from_iter([a(4)]),
+        key: key(&[4, 1]),
+        n_buckets: 16,
+        mfv: vec![],
+    };
+    let ss = ReorderOp::Ss {
+        alpha: key(&[0]),
+        beta: key(&[3]),
+    };
+    let raw = [first, ss, hs]
+        .into_iter()
+        .enumerate()
+        .map(|(wf, reorder)| PlanStep { wf, reorder })
+        .collect();
+    let ctx = PlanContext::new(stats, m);
+    let mut plan = finalize_chain("filtered", &specs, &SegProps::unordered(), 1, raw, &ctx);
+    assert_eq!(plan.repairs, 0, "chain must be accepted as declared");
+    plan.filter = Some(wfopt::exec::Predicate::Gt(a(2), Value::Int(-350)));
+    plan
+}
+
+/// The filtered FS / `Par{FS}` → SS → HS chain at `M` ∈ {1, 2, 256}: rows
+/// and modeled counters on a bounded pool equal the unbounded pool's, and
+/// the tiny pools spill.
+#[test]
+fn filtered_chain_counters_match_unbounded_pool() {
+    let table = mixed_table(6_000);
+    let stats = TableStats::from_table(&table);
+    for workers in [None, Some(4usize)] {
+        for m in [1u64, 2, 256] {
+            let plan = filtered_chain(&stats, m, workers);
+            let bounded = ExecEnv::with_memory_blocks(m);
+            let unbounded = ExecEnv::with_memory_blocks(m).with_unbounded_pool();
+            let got = execute_plan(&plan, &table, &bounded).unwrap();
+            let want = execute_plan(&plan, &table, &unbounded).unwrap();
+            let case = format!("workers={workers:?} M={m}");
+            assert!(got.table.row_count() < table.row_count(), "{case}: filter");
+            assert_eq!(got.table.rows(), want.table.rows(), "{case}: rows");
+            assert_eq!(got.work, want.work, "{case}: modeled counters");
+            assert_eq!(want.store.spill_blocks_written, 0, "{case}");
+            if m <= 2 {
+                assert!(got.store.spill_blocks_written > 0, "{case}: must spill");
+            }
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! `WindowFunction` variant × frame class (SQL default, `ROWS k PRECEDING ..
 //! j FOLLOWING`, `RANGE ±d`, `CURRENT ROW .. UNBOUNDED FOLLOWING`, whole
 //! partition) × K ∈ {1, 2, 5, 24} × `M` ∈ {2 blocks, 16 blocks, unbounded} ×
-//! `reuse_bounds` on/off × `columnar` on/off, over partitioned, global
+//! `reuse_bounds` on/off, over partitioned, global
 //! (`WPK = ∅`) and all-one-row-partition inputs, behind a Full Sort or a
 //! Hashed Sort that records none, some or all of the boundary layers.
 //!
@@ -170,7 +170,6 @@ fn groups_of(k: usize, rng: &mut SplitMix64) -> Vec<Vec<Call>> {
 struct Config {
     mem: Option<u64>,
     reuse: bool,
-    columnar: bool,
 }
 
 impl Config {
@@ -178,13 +177,7 @@ impl Config {
         let mut out = Vec::new();
         for mem in [Some(2), Some(16), None] {
             for reuse in [true, false] {
-                for columnar in [true, false] {
-                    out.push(Config {
-                        mem,
-                        reuse,
-                        columnar,
-                    });
-                }
+                out.push(Config { mem, reuse });
             }
         }
         out
@@ -197,7 +190,6 @@ impl Config {
             None => OpEnv::with_memory_blocks(1 << 16).with_unbounded_pool(),
         }
         .with_toggles(true, self.reuse)
-        .with_columnar(self.columnar)
     }
 }
 
@@ -358,8 +350,8 @@ fn group_equals_chain_for_every_function_frame_k_and_config() {
             }
         }
     }
-    // 105 calls: 105 + 53 + 21 + 5 groups, 12 configurations each.
-    assert_eq!(cases, (105 + 53 + 21 + 5) * 12);
+    // 105 calls: 105 + 53 + 21 + 5 groups, 6 configurations each.
+    assert_eq!(cases, (105 + 53 + 21 + 5) * 6);
 }
 
 /// A global window (`WPK = ∅`: one partition per segment, no WPK layer to
