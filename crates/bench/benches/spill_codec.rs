@@ -2,10 +2,10 @@
 //! file's logical blocks and the backend's physical bytes. One function, one
 //! fixed batch per case:
 //!
-//! * `compress_keyed` / `decompress_keyed`: every 8 KiB block of a
-//!   50 000-row seed-42 `web_sales` in the key-carrying entry format on
-//!   `(item, sold_time)` — what run formation writes and the merges read in
-//!   the benchmark's `spill_chain` workload,
+//! * `compress_rows` / `decompress_rows`: every 8 KiB block of a 50 000-row
+//!   seed-42 `web_sales` in the spill row format — the entries run
+//!   formation writes and the merges read in the benchmark's `spill_chain`
+//!   workload,
 //! * `compress_noise` / `decompress_noise`: as many blocks of SplitMix64
 //!   bytes, which no LZ pass shrinks — the stored-raw path,
 //! * `sort_rows_spill_12_blocks`: `sort_rows` over the table's first 20 000
@@ -13,25 +13,21 @@
 //!   with the sorter, the reader and the arena around it.
 
 use wf_bench::microbench::BenchGroup;
-use wf_common::{KeyNormalizer, OrdElem, Row, SortSpec};
+use wf_common::{OrdElem, Row, SortSpec};
 use wf_datagen::rng::SplitMix64;
 use wf_datagen::{WsColumn, WsConfig};
 use wf_exec::sorter::sort_rows;
 use wf_exec::{OpEnv, SortKey};
 use wf_storage::bytebuf::ByteBuf;
-use wf_storage::codec::{compress_block, decompress_block, encode_keyed_row};
+use wf_storage::codec::{compress_block, decompress_block, encode_row};
 use wf_storage::{SpillConfig, BLOCK_SIZE};
 
 const SORT_BATCH: usize = 20_000;
 
-fn keyed_blocks(rows: &[Row], spec: &SortSpec) -> Vec<Vec<u8>> {
-    let norm = KeyNormalizer::new(spec);
+fn row_blocks(rows: &[Row]) -> Vec<Vec<u8>> {
     let mut buf = ByteBuf::new();
-    let mut key = Vec::new();
     for row in rows {
-        key.clear();
-        let keyed = norm.encode_into(row, &mut key);
-        encode_keyed_row(keyed.then_some(&key[..]), row, &mut buf);
+        encode_row(row, &mut buf);
     }
     buf.as_slice()
         .chunks(BLOCK_SIZE)
@@ -75,16 +71,14 @@ fn main() {
         ..WsConfig::default()
     }
     .generate();
-    let spec = SortSpec::new(vec![
+    let rows = row_blocks(table.rows());
+    bench_codec(&mut g, "rows", &rows);
+    bench_codec(&mut g, "noise", &noise_blocks(rows.len()));
+
+    let key = SortKey::new(&SortSpec::new(vec![
         OrdElem::asc(WsColumn::Item.attr()),
         OrdElem::asc(WsColumn::SoldTime.attr()),
-    ]);
-
-    let keyed = keyed_blocks(table.rows(), &spec);
-    bench_codec(&mut g, "keyed", &keyed);
-    bench_codec(&mut g, "noise", &noise_blocks(keyed.len()));
-
-    let key = SortKey::new(&spec);
+    ]));
     let env = OpEnv::with_memory_blocks(12).with_spill(SpillConfig::file().with_compress(true));
     let batch = &table.rows()[..SORT_BATCH];
     g.bench_rate(

@@ -31,11 +31,10 @@
 //! heaps are stored in a **fixed-width inline buffer** (`InlineKey`) when
 //! they fit (the common case: a handful of numeric key columns), so keying
 //! a row costs zero heap allocations; only oversized keys spill to a
-//! `Vec<u8>`. Run spills **carry their keys** (`SpillFile::push_keyed`):
-//! merge read-back rebuilds each heap entry from the stored bytes instead
-//! of re-normalizing, so a row's key is encoded exactly once per sort, and
-//! the keyed codec's modeled-byte accounting keeps block counters identical
-//! to a plain row file. The in-memory sort is an **LSD radix sort** over
+//! `Vec<u8>`. Keys live only in memory: a run spills plain rows
+//! (`SpillFile::push`), and every merge keys each row it reads back, so a
+//! row's key is encoded once per pass over it — at run formation and at
+//! each merge that reads it. The in-memory sort is an **LSD radix sort** over
 //! 8-byte big-endian key prefixes (comparator fallback for non-normalizable
 //! inputs, full-key resolution for prefix ties) with the row index as the
 //! final tie-break — stable output, no merge buffer, and in the common case
@@ -68,7 +67,7 @@ use crate::segment::SegmentBounds;
 use crate::util::HeapBy;
 use std::cmp::Ordering;
 use wf_common::{AttrSet, KeyNormalizer, Result, Row, RowComparator, SortSpec, Value};
-use wf_storage::{IoMeter, MemoryLedger, SegmentHandle, SpillFile, SpillReader};
+use wf_storage::{IoMeter, MemoryLedger, SegmentHandle, SegmentReader, SpillFile, SpillReader};
 
 /// A sort key: the comparator plus the normalized-key encoder for the same
 /// specification. Build once per operator, share across segments.
@@ -154,17 +153,6 @@ impl KeyedRow {
             None
         };
         KeyedRow { key, row }
-    }
-
-    /// Rebuild a keyed row from a key persisted alongside it in a spilled
-    /// run ("normalized keys, phase 2"): read-back reuses the bytes written
-    /// at run formation, so no re-encode happens and no `encode_keys` is
-    /// charged — each row's key is now encoded exactly once per sort.
-    fn from_stored(key: Option<Vec<u8>>, row: Row) -> Self {
-        KeyedRow {
-            key: key.map(|k| InlineKey::from_slice(&k)),
-            row,
-        }
     }
 
     /// Byte comparison when both sides are normalized, comparator
@@ -524,15 +512,19 @@ impl PrefixRecorder {
     }
 }
 
-/// One sorted run on the spill device. `rank` is the run's formation rank
+/// One input of a k-way merge: a sorted row stream and the rank its ties
+/// break on, lowest first.
+struct Source<S> {
+    stream: S,
+    rank: u64,
+}
+
+/// One sorted run on the spill device. Its rank is the formation rank
 /// (arrival precedence): replacement selection emits tied keys into the
 /// earliest-formed run that can take them, so merging ties rank-first
 /// reproduces input arrival order. Intermediate merge passes propagate the
 /// minimum rank of their inputs.
-struct Run {
-    reader: SpillReader,
-    rank: u64,
-}
+type Run = Source<SpillReader>;
 
 /// Replacement-selection run formation over a row stream.
 ///
@@ -615,7 +607,7 @@ fn drain_heap_with_input(
             if let Some(f) = current_file.take() {
                 let rank = runs.len() as u64;
                 runs.push(Run {
-                    reader: f.into_reader()?,
+                    stream: f.into_reader()?,
                     rank,
                 });
             }
@@ -626,7 +618,7 @@ fn drain_heap_with_input(
             current_tag = tag;
         }
         let file = current_file.as_mut().expect("file just ensured");
-        file.push_keyed(keyed.key.as_ref().map(InlineKey::as_slice), &keyed.row)?;
+        file.push(&keyed.row)?;
         env.tracker.move_rows(1);
         // `keyed` is now the last tuple written to the current run; incoming
         // tuples that precede it must wait for the next run. Ties join the
@@ -662,7 +654,7 @@ fn drain_heap_with_input(
     if let Some(f) = current_file.take() {
         let rank = runs.len() as u64;
         runs.push(Run {
-            reader: f.into_reader()?,
+            stream: f.into_reader()?,
             rank,
         });
     }
@@ -703,9 +695,9 @@ fn reduce_runs(mut runs: Vec<Run>, key: &SortKey, env: &OpEnv) -> Result<Vec<Run
             }
             let rank = batch.iter().map(|r| r.rank).min().unwrap_or(0);
             let mut out = SpillFile::with_config(&env.spill, IoMeter::Model(env.tracker.clone()))?;
-            merge_into(batch, key, env, |key, row| out.push_keyed(key, &row))?;
+            merge_into(batch, SpillReader::next_row, key, env, |row| out.push(&row))?;
             next.push(Run {
-                reader: out.into_reader()?,
+                stream: out.into_reader()?,
                 rank,
             });
         }
@@ -720,7 +712,7 @@ fn merge_runs(runs: Vec<Run>, key: &SortKey, env: &OpEnv) -> Result<Vec<Row>> {
     let runs = reduce_runs(runs, key, env)?;
     let _span = env.trace.span("sort", "final_merge");
     let mut result = Vec::new();
-    merge_into(runs, key, env, |_, row| {
+    merge_into(runs, SpillReader::next_row, key, env, |row| {
         result.push(row);
         Ok(())
     })?;
@@ -737,53 +729,7 @@ fn merge_runs_to_handle(
 ) -> Result<(SegmentHandle, SegmentBounds, usize)> {
     let runs = reduce_runs(runs, key, env)?;
     let _span = env.trace.span("sort", "final_merge");
-    let mut builder = env.store.builder();
-    let mut recorder = PrefixRecorder::new(record, env);
-    let mut n = 0usize;
-    merge_into(runs, key, env, |_, row| {
-        recorder.observe(&row);
-        builder.push(row)?;
-        n += 1;
-        Ok(())
-    })?;
-    Ok((builder.finish()?, recorder.finish(), n))
-}
-
-/// Core k-way merge over run readers; `emit` is handed each row in order
-/// together with its stored normalized key (so intermediate passes can
-/// re-spill the key without re-encoding). Runs carry their keys on the
-/// spill device — read-back rebuilds each `KeyedRow` from the stored bytes
-/// instead of re-normalizing, and the keyed codec's modeled-byte accounting
-/// keeps block counts identical to a plain row file. Ties break by run
-/// formation rank: replacement selection puts tied keys into the current
-/// run in arrival order (never a later one), so rank order *is* arrival
-/// order for ties — the merge preserves the stable total order end to end.
-fn merge_into(
-    runs: Vec<Run>,
-    key: &SortKey,
-    env: &OpEnv,
-    mut emit: impl FnMut(Option<&[u8]>, Row) -> Result<()>,
-) -> Result<()> {
-    let ranks: Vec<u64> = runs.iter().map(|r| r.rank).collect();
-    let mut readers: Vec<SpillReader> = runs.into_iter().map(|r| r.reader).collect();
-    let cmp = key.cmp.clone();
-    let mut heap = HeapBy::new(move |a: &(KeyedRow, usize), b: &(KeyedRow, usize)| {
-        a.0.compare(&b.0, &cmp).then(ranks[a.1].cmp(&ranks[b.1]))
-    });
-    for (i, r) in readers.iter_mut().enumerate() {
-        if let Some((stored, row)) = r.next_keyed()? {
-            heap.push((KeyedRow::from_stored(stored, row), i));
-        }
-    }
-    while let Some((KeyedRow { key, row }, i)) = heap.pop() {
-        emit(key.as_ref().map(InlineKey::as_slice), row)?;
-        env.tracker.move_rows(1);
-        if let Some((stored, next)) = readers[i].next_keyed()? {
-            heap.push((KeyedRow::from_stored(stored, next), i));
-        }
-    }
-    env.tracker.compare(heap.take_comparisons());
-    Ok(())
+    merge_to_handle(runs, SpillReader::next_row, key, env, record)
 }
 
 /// K-way ordered merge of already-sorted, store-managed segments into one
@@ -805,37 +751,73 @@ pub(crate) fn merge_sorted_handles(
     let _span = env
         .trace
         .span_with("sort", || format!("merge_handles inputs={n_handles}"));
-    let mut readers: Vec<wf_storage::SegmentReader> =
-        handles.into_iter().map(|h| h.read()).collect();
-    let cmp = key.cmp.clone();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut heap = HeapBy::new(move |a: &(KeyedRow, usize), b: &(KeyedRow, usize)| {
-        a.0.compare(&b.0, &cmp).then(a.1.cmp(&b.1))
+    let sources = (0..).zip(handles).map(|(rank, h)| Source {
+        stream: h.read(),
+        rank,
     });
-    for (i, r) in readers.iter_mut().enumerate() {
-        if let Some(row) = r.next_row()? {
-            heap.push((KeyedRow::new(row, key, env, &mut scratch), i));
-        }
-    }
+    merge_to_handle(sources.collect(), SegmentReader::next_row, key, env, record)
+}
+
+/// [`merge_into`] streaming into a segment-store builder, recording the
+/// `record` prefixes' boundary layers on the way. Returns `(handle, bounds,
+/// row count)`.
+fn merge_to_handle<S>(
+    sources: Vec<Source<S>>,
+    next: impl FnMut(&mut S) -> Result<Option<Row>>,
+    key: &SortKey,
+    env: &OpEnv,
+    record: &[AttrSet],
+) -> Result<(SegmentHandle, SegmentBounds, usize)> {
     let mut builder = env.store.builder();
     let mut recorder = PrefixRecorder::new(record, env);
     let mut n = 0usize;
-    while let Some((keyed, i)) = heap.pop() {
-        recorder.observe(&keyed.row);
-        builder.push(keyed.row)?;
-        env.tracker.move_rows(1);
+    merge_into(sources, next, key, env, |row| {
+        recorder.observe(&row);
+        builder.push(row)?;
         n += 1;
-        if let Some(next) = readers[i].next_row()? {
-            heap.push((KeyedRow::new(next, key, env, &mut scratch), i));
-        }
-    }
-    env.tracker.compare(heap.take_comparisons());
+        Ok(())
+    })?;
     Ok((builder.finish()?, recorder.finish(), n))
 }
 
-/// External sort entry point (runs + merge). Public so HS can externally
-/// sort spilled buckets through the same code path.
-pub fn external_sort(
+/// The k-way merge: `next` reads each source's sorted rows, every row read
+/// is keyed on arrival (one `encode_keys` per normalizable row), and `emit`
+/// is handed the rows in order. Ties break by source rank. For runs that is
+/// formation rank: replacement selection puts tied keys into the current
+/// run in arrival order (never a later one), so rank order *is* arrival
+/// order for ties — the merge preserves the stable total order end to end.
+fn merge_into<S>(
+    sources: Vec<Source<S>>,
+    mut next: impl FnMut(&mut S) -> Result<Option<Row>>,
+    key: &SortKey,
+    env: &OpEnv,
+    mut emit: impl FnMut(Row) -> Result<()>,
+) -> Result<()> {
+    let (mut streams, ranks): (Vec<S>, Vec<u64>) =
+        sources.into_iter().map(|s| (s.stream, s.rank)).unzip();
+    let cmp = key.cmp.clone();
+    let mut scratch: Vec<u8> = Vec::new();
+    let mut heap = HeapBy::new(move |a: &(KeyedRow, usize), b: &(KeyedRow, usize)| {
+        a.0.compare(&b.0, &cmp).then(ranks[a.1].cmp(&ranks[b.1]))
+    });
+    for (i, s) in streams.iter_mut().enumerate() {
+        if let Some(row) = next(s)? {
+            heap.push((KeyedRow::new(row, key, env, &mut scratch), i));
+        }
+    }
+    while let Some((keyed, i)) = heap.pop() {
+        emit(keyed.row)?;
+        env.tracker.move_rows(1);
+        if let Some(row) = next(&mut streams[i])? {
+            heap.push((KeyedRow::new(row, key, env, &mut scratch), i));
+        }
+    }
+    env.tracker.compare(heap.take_comparisons());
+    Ok(())
+}
+
+/// External sort (run formation + merge) of rows that overflowed `ledger`.
+fn external_sort(
     rows: Vec<Row>,
     key: &SortKey,
     env: &OpEnv,
@@ -1175,7 +1157,8 @@ mod tests {
             for mem in [1024u64, 3] {
                 let rows = adversarial_rows(1200, seed, include_lossy);
                 let env_norm = OpEnv::with_memory_blocks(mem);
-                let env_cmp = env_norm.with_toggles(false, true);
+                // A tracker of its own: `with_toggles` shares the original's.
+                let env_cmp = OpEnv::with_memory_blocks(mem).with_toggles(false, true);
                 let a = sort_rows(rows.clone(), &sk, &env_norm).unwrap();
                 let b = sort_rows(rows, &sk, &env_cmp).unwrap();
                 assert_eq!(a, b, "seed={seed} lossy={include_lossy} M={mem}");
@@ -1226,23 +1209,60 @@ mod tests {
         assert_eq!(sorted, expect, "stable sort must preserve arrival order");
     }
 
-    /// External runs carry their normalized keys to the spill device and
-    /// back; outputs and modeled counters still match the comparator path.
+    /// An external sort on normalized keys returns the comparator path's
+    /// rows and modeled counters, and encodes one key per row per pass: at
+    /// run formation, then once more for every row a merge reads back from
+    /// a run.
     #[test]
-    fn keyed_runs_round_trip_through_external_sort() {
+    fn external_runs_match_the_comparator_path() {
         let spec = SortSpec::new(vec![OrdElem::asc(AttrId::new(0))]);
         let sk = SortKey::new(&spec);
         let rows = adversarial_rows(3000, 21, false);
         let env_norm = OpEnv::with_memory_blocks(2);
-        let env_cmp = env_norm.with_toggles(false, true);
+        let env_cmp = OpEnv::with_memory_blocks(2).with_toggles(false, true);
         let a = sort_rows(rows.clone(), &sk, &env_norm).unwrap();
-        let b = sort_rows(rows, &sk, &env_cmp).unwrap();
+        let b = sort_rows(rows.clone(), &sk, &env_cmp).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             env_norm.tracker.snapshot().modeled_counters(),
             env_cmp.tracker.snapshot().modeled_counters(),
-            "key-carrying spills must not change modeled I/O"
         );
+        // The rows the merges read back, from the runs' sizes and the
+        // passes `reduce_runs` makes over them (a lone run is not re-read
+        // until the final merge).
+        let n = rows.len() as u64;
+        let env = OpEnv::with_memory_blocks(2);
+        let runs = form_runs(rows, &sk, &env, &mut env.ledger().unwrap()).unwrap();
+        let mut sizes: Vec<u64> = runs.iter().map(|r| r.stream.remaining_rows()).collect();
+        let mut read_back = n; // the final merge
+        let f = merge_fan_in(env.mem_blocks);
+        while sizes.len() > f {
+            for batch in sizes.chunks(f).filter(|c| c.len() > 1) {
+                read_back += batch.iter().sum::<u64>();
+            }
+            sizes = sizes.chunks(f).map(|c| c.iter().sum()).collect();
+        }
+        assert!(read_back > n, "at least one intermediate pass");
+        assert_eq!(env_norm.tracker.snapshot().key_encodes, n + read_back);
+        assert_eq!(env_cmp.tracker.snapshot().key_encodes, 0);
+    }
+
+    /// A sort key far longer than any length field of the spill format
+    /// sorts externally like any other.
+    #[test]
+    fn wide_keys_sort_externally() {
+        let wide = |c: char| format!("{}{c}", "w".repeat(70_000));
+        let rows: Vec<Row> = ['d', 'b', 'a', 'c']
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| row![wide(c), i as i64])
+            .collect();
+        let env = OpEnv::with_memory_blocks(1);
+        let sorted = sort_rows(rows.clone(), &cmp_on0(), &env).unwrap();
+        assert!(env.tracker.snapshot().io_blocks() > 0, "must spill");
+        let mut expect = rows;
+        expect.sort_by(|a, b| cmp_on0().comparator().compare(a, b));
+        assert_eq!(sorted, expect);
     }
 
     #[test]

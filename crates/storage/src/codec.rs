@@ -73,7 +73,7 @@ impl From<RowError> for Error {
 }
 
 /// Split `n` bytes off the cursor. A truncation's `need` is counted from
-/// the cursor here; [`entry`] rebases it to the start of the entry.
+/// the cursor here; [`try_decode_row`] rebases it to the start of the row.
 fn take<'a>(
     cursor: &mut &'a [u8],
     n: usize,
@@ -87,31 +87,24 @@ fn take<'a>(
     Ok(head)
 }
 
-/// Decode one entry with `decode`, counting a truncation's `need` from the
-/// entry's first byte (`take` leaves the cursor at the field that failed).
-fn entry<T>(
-    cursor: &mut &[u8],
-    decode: impl FnOnce(&mut &[u8]) -> std::result::Result<T, RowError>,
-) -> std::result::Result<T, RowError> {
-    let start = cursor.len();
-    decode(cursor).map_err(|e| match e {
-        RowError::Truncated { what, need } => RowError::Truncated {
-            what,
-            need: start - cursor.len() + need,
-        },
-        corrupt => corrupt,
-    })
-}
-
 /// Decode one row from the front of `cursor`, advancing it. Returns an error
 /// on truncated or corrupt input.
 pub fn decode_row(cursor: &mut &[u8]) -> Result<Row> {
     Ok(try_decode_row(cursor)?)
 }
 
-/// [`decode_row`] with the two failure kinds kept apart.
+/// [`decode_row`] with the two failure kinds kept apart. A truncation's
+/// `need` counts from the row's first byte (`take` leaves the cursor at the
+/// field that failed).
 pub(crate) fn try_decode_row(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
-    entry(cursor, row_fields)
+    let start = cursor.len();
+    row_fields(cursor).map_err(|e| match e {
+        RowError::Truncated { what, need } => RowError::Truncated {
+            what,
+            need: start - cursor.len() + need,
+        },
+        corrupt => corrupt,
+    })
 }
 
 fn row_fields(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
@@ -151,61 +144,12 @@ fn corrupt(msg: &str) -> Error {
     Error::Execution(format!("spill codec: {msg}"))
 }
 
-/// Sentinel key length marking a keyless entry.
-const NO_KEY: u16 = u16::MAX;
-
-/// Append a key-carrying entry: `klen:u16 key-bytes row`. `klen = 0xFFFF`
-/// marks a keyless entry (the row failed normalized-key encoding and the
-/// reader must fall back to the comparator). Key bytes are the normalized
-/// byte-comparable sort key; persisting them alongside the row lets run
-/// read-back reuse the key instead of re-encoding it.
-pub fn encode_keyed_row(key: Option<&[u8]>, row: &Row, buf: &mut ByteBuf) {
-    match key {
-        Some(k) => {
-            assert!(
-                k.len() < NO_KEY as usize,
-                "normalized key longer than u16 framing"
-            );
-            buf.put_u16_le(k.len() as u16);
-            buf.put_slice(k);
-        }
-        None => buf.put_u16_le(NO_KEY),
-    }
-    encode_row(row, buf);
-}
-
-/// Decode one key-carrying entry from the front of `cursor`, advancing it.
-pub fn decode_keyed_row(cursor: &mut &[u8]) -> Result<(Option<Vec<u8>>, Row)> {
-    Ok(try_decode_keyed_row(cursor)?)
-}
-
-/// [`decode_keyed_row`] with the two failure kinds kept apart.
-pub(crate) fn try_decode_keyed_row(
-    cursor: &mut &[u8],
-) -> std::result::Result<(Option<Vec<u8>>, Row), RowError> {
-    entry(cursor, |cursor| {
-        let klen_bytes = take(cursor, 2, "key length")?;
-        let klen = u16::from_le_bytes([klen_bytes[0], klen_bytes[1]]);
-        let key = if klen == NO_KEY {
-            None
-        } else {
-            Some(take(cursor, klen as usize, "key bytes")?.to_vec())
-        };
-        Ok((key, row_fields(cursor)?))
-    })
-}
-
-/// Bytes the keyed framing adds on top of [`Row::encoded_len`].
-pub fn keyed_overhead(key: Option<&[u8]>) -> usize {
-    2 + key.map_or(0, <[u8]>::len)
-}
-
 // ---------------------------------------------------------------------------
 // Block compression (zero-dependency LZSS-style codec)
 // ---------------------------------------------------------------------------
 //
 // Spill blocks are highly self-similar — repeated arity headers, value tags,
-// and key prefixes — so a tiny greedy LZ with a single-probe hash table
+// and the shared prefixes of sorted neighbours — so a tiny greedy LZ with a single-probe hash table
 // recovers most of the easy redundancy without pulling in a dependency.
 //
 // Framing: `mode:u8 raw_len:u32le payload`.
@@ -518,6 +462,7 @@ fn lz_decode(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::SplitMix;
     use wf_common::row;
 
     fn round_trip(r: &Row) -> Row {
@@ -584,53 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_entries_round_trip() {
-        let mut buf = ByteBuf::new();
-        let r1 = row![1, "x"];
-        let r2 = row![2.5f64, Value::Null];
-        encode_keyed_row(Some(&[0x01, 0xFF, 0x00]), &r1, &mut buf);
-        encode_keyed_row(None, &r2, &mut buf);
-        encode_keyed_row(Some(&[]), &r1, &mut buf);
-        let mut cursor = buf.as_slice();
-        let (k1, back1) = decode_keyed_row(&mut cursor).unwrap();
-        assert_eq!(k1.as_deref(), Some(&[0x01, 0xFF, 0x00][..]));
-        assert_eq!(back1, r1);
-        let (k2, back2) = decode_keyed_row(&mut cursor).unwrap();
-        assert_eq!(k2, None);
-        assert_eq!(back2, r2);
-        let (k3, back3) = decode_keyed_row(&mut cursor).unwrap();
-        assert_eq!(k3.as_deref(), Some(&[][..]));
-        assert_eq!(back3, r1);
-        assert!(cursor.is_empty());
-    }
-
-    #[test]
-    fn keyed_overhead_matches_encoding() {
-        for key in [None, Some(&[1u8, 2, 3][..]), Some(&[][..])] {
-            let mut buf = ByteBuf::new();
-            let r = row![7, "abc"];
-            encode_keyed_row(key, &r, &mut buf);
-            assert_eq!(buf.len(), keyed_overhead(key) + r.encoded_len());
-        }
-    }
-
-    #[test]
-    fn truncated_keyed_entry_errors() {
-        let mut buf = ByteBuf::new();
-        encode_keyed_row(Some(&[9u8; 8]), &row![1], &mut buf);
-        let full = buf.as_slice();
-        for cut in [1, 5, full.len() - 1] {
-            let mut short = &full[..full.len() - cut];
-            assert!(decode_keyed_row(&mut short).is_err());
-            let mut short = &full[..full.len() - cut];
-            assert!(matches!(
-                try_decode_keyed_row(&mut short),
-                Err(RowError::Truncated { need, .. }) if need > full.len() - cut && need <= full.len()
-            ));
-        }
-    }
-
-    #[test]
     fn unknown_tag_errors() {
         let mut buf = ByteBuf::new();
         buf.put_u16_le(1);
@@ -675,33 +573,6 @@ mod tests {
         let raw = vec![7u8; 5000];
         let size = compress_round_trip(&raw);
         assert!(size < 200);
-    }
-
-    /// SplitMix64, the generator `wf_datagen` uses (this crate sits below it).
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, bound: u64) -> u64 {
-            self.next() % bound
-        }
-
-        /// `len` bytes with no 4-byte repeats to speak of.
-        fn noise(&mut self, len: usize) -> Vec<u8> {
-            let mut out = Vec::with_capacity(len + 8);
-            while out.len() < len {
-                out.extend_from_slice(&self.next().to_le_bytes());
-            }
-            out.truncate(len);
-            out
-        }
     }
 
     #[test]
@@ -819,8 +690,9 @@ mod tests {
         tokens
     }
 
-    /// `web_sales`-shaped rows in the spill encoding, with the normalized
-    /// `(item, sold_time)` key in front of each when `keyed`.
+    /// `web_sales`-shaped rows in the spill encoding. With `keyed`, each row
+    /// is preceded by a `u16` length and its normalized `(item, sold_time)`
+    /// key: bytes less regular than plain rows, for the compressor only.
     fn web_sales_bytes(rows: usize, keyed: bool, rng: &mut SplitMix) -> Vec<u8> {
         let padding = "x".repeat(135);
         let mut buf = ByteBuf::new();
@@ -842,10 +714,10 @@ mod tests {
                 key.extend_from_slice(&((item as u64) ^ (1 << 63)).to_be_bytes());
                 key.push(1);
                 key.extend_from_slice(&((time as u64) ^ (1 << 63)).to_be_bytes());
-                encode_keyed_row(Some(&key), &r, &mut buf);
-            } else {
-                encode_row(&r, &mut buf);
+                buf.put_u16_le(key.len() as u16);
+                buf.put_slice(&key);
             }
+            encode_row(&r, &mut buf);
         }
         buf.as_slice().to_vec()
     }

@@ -3,12 +3,39 @@
 //! request the backend serves (0-based, counted across its objects) fails or
 //! comes back altered. Everything else — capabilities, counters, deletion on
 //! drop — is the wrapped backend's own, so leak and traffic assertions read
-//! the real thing.
+//! the real thing. [`SplitMix`] seeds the damage.
 
 use crate::backend::{BackendCaps, BackendCounters, BackendFile, SpillBackend};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wf_common::{Error, Result};
+
+/// SplitMix64, the generator `wf_datagen` uses (this crate sits below it).
+pub(crate) struct SplitMix(pub(crate) u64);
+
+impl SplitMix {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// `len` bytes with no 4-byte repeats to speak of.
+    pub(crate) fn noise(&mut self, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            out.extend_from_slice(&self.next().to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+}
 
 /// Rewrites a block payload in place.
 pub(crate) type Rewrite = Box<dyn Fn(&mut Vec<u8>) + Send + Sync>;

@@ -16,12 +16,9 @@
 //! time.
 
 use crate::backend::{BackendFile, SpillConfig};
-use crate::block::{blocks_for_bytes, BLOCK_SIZE};
+use crate::block::BLOCK_SIZE;
 use crate::bytebuf::ByteBuf;
-use crate::codec::{
-    compress_block, decompress_block, encode_keyed_row, encode_row, try_decode_keyed_row,
-    try_decode_row, RowError,
-};
+use crate::codec::{compress_block, decompress_block, encode_row, try_decode_row, RowError};
 use crate::cost::{CostTracker, PoolCounters};
 use crate::prefetch::Prefetcher;
 use std::sync::Arc;
@@ -59,16 +56,12 @@ impl IoMeter {
     }
 }
 
-/// Writer for one spill file. Rows are encoded into a block-sized buffer and
-/// written out block by block; every logical block write is charged to the
-/// meter (compression may shrink the physical payload, never the charge).
-///
-/// A file is either *plain* ([`Self::push`]) or *key-carrying*
-/// ([`Self::push_keyed`]) — the two entry formats cannot mix. Key-carrying
-/// files persist the normalized sort key next to each row so read-back never
-/// re-encodes keys; their physical bytes grow by the key size, but I/O is
-/// charged against **modeled bytes** (the row-codec size alone), keeping
-/// block counts bit-identical to a plain file holding the same rows.
+/// Writer for one spill file. Rows are encoded back to back
+/// ([`crate::codec::encode_row`], the one entry format) into a block-sized
+/// buffer and written out block by block; every logical block write is
+/// charged to the meter (compression may shrink the physical payload, never
+/// the charge). A sorted run is such a file: its normalized keys live only
+/// in memory, and the merge that reads the run back encodes them again.
 pub struct SpillFile {
     file: Box<dyn BackendFile>,
     buffer: ByteBuf,
@@ -76,11 +69,6 @@ pub struct SpillFile {
     rows: u64,
     /// Logical (uncompressed) bytes flushed so far.
     bytes: u64,
-    keyed: bool,
-    /// Row-codec bytes appended (excludes keyed framing); the charging basis
-    /// for key-carrying files.
-    modeled_bytes: u64,
-    charged_writes: u64,
     /// Compress blocks at rest (already negotiated against the backend).
     compress: bool,
     /// Read-ahead depth the reader should use.
@@ -97,9 +85,6 @@ impl SpillFile {
             meter,
             rows: 0,
             bytes: 0,
-            keyed: false,
-            modeled_bytes: 0,
-            charged_writes: 0,
             compress: cfg.effective_compress(),
             prefetch: cfg.prefetch_blocks,
         })
@@ -117,43 +102,13 @@ impl SpillFile {
 
     /// Append one row.
     pub fn push(&mut self, row: &Row) -> Result<()> {
-        debug_assert!(!self.keyed, "plain push into a key-carrying spill file");
         encode_row(row, &mut self.buffer);
         self.rows += 1;
-        self.modeled_bytes += row.encoded_len() as u64;
         while self.buffer.len() >= BLOCK_SIZE {
             let block = self.buffer.split_to(BLOCK_SIZE);
             self.write_physical(&block)?;
             self.meter.write_blocks(1);
             self.bytes += BLOCK_SIZE as u64;
-        }
-        Ok(())
-    }
-
-    /// Append one row with its normalized sort key (or `None` when the row
-    /// has no byte-comparable encoding). Switches the file to the
-    /// key-carrying entry format; read it back with
-    /// [`SpillReader::next_keyed`]. Writes are charged as the *modeled*
-    /// (row-codec) bytes cross block boundaries, so the total block count is
-    /// identical to pushing the same rows without keys.
-    pub fn push_keyed(&mut self, key: Option<&[u8]>, row: &Row) -> Result<()> {
-        debug_assert!(
-            self.keyed || self.rows == 0,
-            "keyed push into a plain spill file"
-        );
-        self.keyed = true;
-        encode_keyed_row(key, row, &mut self.buffer);
-        self.rows += 1;
-        self.modeled_bytes += row.encoded_len() as u64;
-        while self.buffer.len() >= BLOCK_SIZE {
-            let block = self.buffer.split_to(BLOCK_SIZE);
-            self.write_physical(&block)?;
-            self.bytes += BLOCK_SIZE as u64;
-        }
-        let due = self.modeled_bytes / BLOCK_SIZE as u64;
-        if due > self.charged_writes {
-            self.meter.write_blocks(due - self.charged_writes);
-            self.charged_writes = due;
         }
         Ok(())
     }
@@ -171,18 +126,8 @@ impl SpillFile {
         if !self.buffer.is_empty() {
             let block = self.buffer.split_to(self.buffer.len());
             self.write_physical(&block)?;
-            if !self.keyed {
-                self.meter.write_blocks(1);
-            }
+            self.meter.write_blocks(1);
             self.bytes += block.len() as u64;
-        }
-        if self.keyed {
-            // Settle the trailing partial modeled block.
-            let due = blocks_for_bytes(self.modeled_bytes as usize);
-            if due > self.charged_writes {
-                self.meter.write_blocks(due - self.charged_writes);
-                self.charged_writes = due;
-            }
         }
         let blocks = self.file.block_count();
         // Read-ahead only pays off with something to read ahead *to*; a
@@ -211,10 +156,6 @@ impl SpillFile {
             total: self.bytes,
             pending: ByteBuf::new(),
             remaining_rows: self.rows,
-            keyed: self.keyed,
-            modeled_total: self.modeled_bytes,
-            modeled_consumed: 0,
-            charged_reads: 0,
         })
     }
 }
@@ -251,7 +192,8 @@ impl BlockSource {
     }
 }
 
-/// Streaming reader over a finished spill file. Owns the backend handle;
+/// Streaming reader over a finished spill file: decodes its rows in order
+/// and charges each logical block as it arrives. Owns the backend handle;
 /// drop deletes the underlying storage.
 pub struct SpillReader {
     source: BlockSource,
@@ -262,10 +204,6 @@ pub struct SpillReader {
     total: u64,
     pending: ByteBuf,
     remaining_rows: u64,
-    keyed: bool,
-    modeled_total: u64,
-    modeled_consumed: u64,
-    charged_reads: u64,
 }
 
 impl SpillReader {
@@ -274,95 +212,59 @@ impl SpillReader {
         self.remaining_rows
     }
 
-    /// Read the next row, or `None` at end of file. On key-carrying files
-    /// the persisted key is decoded and dropped.
+    /// Read the next row, or `None` at end of file.
     pub fn next_row(&mut self) -> Result<Option<Row>> {
-        if self.keyed {
-            return Ok(self.next_keyed()?.map(|(_, row)| row));
-        }
         if self.remaining_rows == 0 {
             return Ok(None);
         }
         loop {
             // Try to decode from what we have; top up a block at a time.
-            if let Some(row) = self.decode_pending(try_decode_row)? {
+            if let Some(row) = self.decode_pending()? {
                 self.remaining_rows -= 1;
                 return Ok(Some(row));
             }
-            self.fill_pending(true)?;
+            self.fill_pending()?;
         }
     }
 
-    /// Read the next row together with its persisted normalized key. Valid
-    /// on any file; plain files yield `None` keys. On key-carrying files
-    /// reads are charged as modeled (row-codec) byte consumption crosses
-    /// block boundaries — total reads equal total writes, exactly as on a
-    /// plain file holding the same rows.
-    pub fn next_keyed(&mut self) -> Result<Option<(Option<Vec<u8>>, Row)>> {
-        if !self.keyed {
-            return Ok(self.next_row()?.map(|row| (None, row)));
-        }
-        if self.remaining_rows == 0 {
-            return Ok(None);
-        }
-        loop {
-            if let Some((key, row)) = self.decode_pending(try_decode_keyed_row)? {
-                self.remaining_rows -= 1;
-                self.modeled_consumed += row.encoded_len() as u64;
-                let due = if self.remaining_rows == 0 {
-                    // Settle the trailing partial modeled block.
-                    blocks_for_bytes(self.modeled_total as usize)
-                } else {
-                    self.modeled_consumed / BLOCK_SIZE as u64
-                };
-                if due > self.charged_reads {
-                    self.meter.read_blocks(due - self.charged_reads);
-                    self.charged_reads = due;
-                }
-                return Ok(Some((key, row)));
-            }
-            self.fill_pending(false)?;
-        }
-    }
-
-    /// Top up the pending buffer with one logical block, optionally
-    /// charging the meter (key-carrying files charge by modeled bytes in
-    /// the decode loop instead). Charging happens here — at consumption —
-    /// whether the block came from a cold read or was already prefetched,
-    /// which is what keeps counters identical across read pipelines.
-    fn fill_pending(&mut self, charge: bool) -> Result<()> {
+    /// Top up the pending buffer with one logical block and charge it.
+    /// Charging happens here — at consumption — whether the block came from
+    /// a cold read or was already prefetched, which is what keeps counters
+    /// identical across read pipelines. Every block but the last was written
+    /// full, so a block of any other length is damage, and the reader stops
+    /// there rather than reading past the file's last block.
+    fn fill_pending(&mut self) -> Result<()> {
         if self.offset >= self.total {
             return Err(Error::Execution(
                 "spill file ended with rows still expected".into(),
             ));
         }
         let block = self.source.next_block()?;
-        if block.is_empty() {
-            return Err(Error::Execution("short read from spill store".into()));
+        let written = (self.total - self.offset).min(BLOCK_SIZE as u64);
+        if block.len() as u64 != written {
+            return Err(Error::Execution(format!(
+                "spill block of {} bytes where {written} were written",
+                block.len()
+            )));
         }
         self.offset += block.len() as u64;
-        if charge {
-            self.meter.read_blocks(1);
-        }
+        self.meter.read_blocks(1);
         self.pending.extend_from_slice(&block);
         Ok(())
     }
 
-    /// Decode one entry from the front of the pending buffer, consuming its
-    /// bytes. `None` when the entry continues past what has been read — the
-    /// caller tops up and retries; bytes that cannot start an entry, and an
-    /// entry needing more bytes than the file has left, are an error here,
-    /// at the row they occur in, and nothing more is read.
-    fn decode_pending<T>(
-        &mut self,
-        decode: fn(&mut &[u8]) -> std::result::Result<T, RowError>,
-    ) -> Result<Option<T>> {
+    /// Decode one row from the front of the pending buffer, consuming its
+    /// bytes. `None` when the row continues past what has been read — the
+    /// caller tops up and retries; bytes that cannot start a row, and a row
+    /// needing more bytes than the file has left, are an error here, at the
+    /// row they occur in, and nothing more is read.
+    fn decode_pending(&mut self) -> Result<Option<Row>> {
         let mut cursor: &[u8] = self.pending.as_slice();
-        match decode(&mut cursor) {
-            Ok(entry) => {
+        match try_decode_row(&mut cursor) {
+            Ok(row) => {
                 let used = self.pending.len() - cursor.len();
                 self.pending.advance(used);
-                Ok(Some(entry))
+                Ok(Some(row))
             }
             Err(RowError::Truncated { what, need }) => {
                 let left = self.pending.len() as u64 + (self.total - self.offset);
@@ -392,8 +294,8 @@ impl SpillReader {
 mod tests {
     use super::*;
     use crate::backend::{LocalFileBackend, ObjectStoreConfig, SpillBackendKind};
-    use crate::faulty::{Fault, FaultyBackend};
-    use wf_common::row;
+    use crate::faulty::{Fault, FaultyBackend, SplitMix};
+    use wf_common::{row, Value};
 
     fn sample_rows(n: usize) -> Vec<Row> {
         (0..n)
@@ -499,102 +401,19 @@ mod tests {
         assert_eq!(back, rows);
     }
 
-    #[test]
-    fn keyed_spill_round_trips_keys_and_rows() {
-        let tracker = Arc::new(CostTracker::new());
-        let mut f = mem_spill(&tracker);
-        let rows: Vec<Row> = (0..100).map(|i| row![i as i64, format!("r{i}")]).collect();
-        for (i, r) in rows.iter().enumerate() {
-            let key = (i as u64).to_be_bytes();
-            let k = if i % 7 == 0 { None } else { Some(&key[..]) };
-            f.push_keyed(k, r).unwrap();
-        }
-        let mut reader = f.into_reader().unwrap();
-        for (i, r) in rows.iter().enumerate() {
-            let (key, back) = reader.next_keyed().unwrap().unwrap();
-            assert_eq!(&back, r);
-            if i % 7 == 0 {
-                assert_eq!(key, None);
-            } else {
-                assert_eq!(key.as_deref(), Some(&(i as u64).to_be_bytes()[..]));
-            }
-        }
-        assert!(reader.next_keyed().unwrap().is_none());
-    }
-
-    #[test]
-    fn keyed_spill_charges_modeled_blocks_exactly_like_plain() {
-        // Keys inflate the physical file but must not change charged I/O.
-        let rows = sample_rows(3000);
-        let plain = Arc::new(CostTracker::new());
-        let mut pf = mem_spill(&plain);
-        for r in &rows {
-            pf.push(r).unwrap();
-        }
-        pf.into_reader().unwrap().read_all().unwrap();
-
-        let keyed = Arc::new(CostTracker::new());
-        let mut kf = mem_spill(&keyed);
-        let wide_key = [0xABu8; 32];
-        for r in &rows {
-            kf.push_keyed(Some(&wide_key), r).unwrap();
-        }
-        let mut reader = kf.into_reader().unwrap();
-        while reader.next_keyed().unwrap().is_some() {}
-
-        assert_eq!(
-            plain.snapshot().modeled_counters(),
-            keyed.snapshot().modeled_counters()
-        );
-        let s = keyed.snapshot();
-        let bytes: usize = rows.iter().map(|r| r.encoded_len()).sum();
-        assert_eq!(s.blocks_written, crate::block::blocks_for_bytes(bytes));
-        assert_eq!(s.blocks_read, s.blocks_written);
-    }
-
-    #[test]
-    fn keyed_spill_via_next_row_drops_keys() {
-        let tracker = Arc::new(CostTracker::new());
-        let mut f = mem_spill(&tracker);
-        let rows = vec![row![1, "a"], row![2, "b"]];
-        for r in &rows {
-            f.push_keyed(Some(b"key"), r).unwrap();
-        }
-        let mut reader = f.into_reader().unwrap();
-        assert_eq!(reader.next_row().unwrap().as_ref(), Some(&rows[0]));
-        assert_eq!(reader.next_row().unwrap().as_ref(), Some(&rows[1]));
-        assert!(reader.next_row().unwrap().is_none());
-        let s = tracker.snapshot();
-        assert_eq!(s.blocks_written, 1);
-        assert_eq!(s.blocks_read, 1);
-    }
-
-    /// Bytes of one entry written by [`fixed_width_file`]: a power of two, so
-    /// every block of the file starts at an entry boundary.
+    /// Bytes of one row written by [`fixed_width_file`]: a power of two, so
+    /// every block of the file starts at a row boundary.
     const ENTRY: usize = 128;
-    const KEY: [u8; 8] = [7; 8];
+    /// Offset of a row's first value tag (after its `u16` arity).
+    const FIRST_TAG: usize = 2;
 
-    /// Offset of the first value tag of an entry.
-    fn first_tag(keyed: bool) -> usize {
-        if keyed {
-            2 + KEY.len() + 2
-        } else {
-            2
-        }
-    }
-
-    /// `blocks` full blocks of [`ENTRY`]-byte entries on `cfg`.
-    fn fixed_width_file(cfg: &SpillConfig, keyed: bool, blocks: usize) -> SpillReader {
+    /// `blocks` full blocks of [`ENTRY`]-byte rows on `cfg`.
+    fn fixed_width_file(cfg: &SpillConfig, blocks: usize) -> SpillReader {
         let tracker = Arc::new(CostTracker::new());
         let mut f = SpillFile::with_config(cfg, IoMeter::Model(tracker)).unwrap();
-        let fill = "p".repeat(ENTRY - first_tag(keyed) - 9 - 5);
+        let fill = "p".repeat(ENTRY - FIRST_TAG - 9 - 5);
         for i in 0..blocks * BLOCK_SIZE / ENTRY {
-            let r = row![i as i64, fill.as_str()];
-            if keyed {
-                f.push_keyed(Some(&KEY), &r).unwrap();
-            } else {
-                f.push(&r).unwrap();
-            }
+            f.push(&row![i as i64, fill.as_str()]).unwrap();
         }
         f.into_reader().unwrap()
     }
@@ -603,7 +422,7 @@ mod tests {
     fn read_until_error(reader: &mut SpillReader) -> (usize, Error) {
         let mut rows = 0;
         loop {
-            match reader.next_keyed() {
+            match reader.next_row() {
                 Ok(Some(_)) => rows += 1,
                 Ok(None) => panic!("the injected fault never surfaced"),
                 Err(e) => return (rows, e),
@@ -611,58 +430,54 @@ mod tests {
         }
     }
 
-    /// Overwrite the first entry of block 2 of a 40-block file at `offset`
-    /// (of `keyed`) with `patch`, on plain and keyed files, compressed and
-    /// not, with and without read-ahead: the reader fails at that row with
-    /// `message`, having read no further block than read-ahead already
-    /// held, and frees the file when dropped.
-    fn damage_block_two(offset: fn(bool) -> usize, patch: &'static [u8], message: &str) {
+    /// Overwrite the first row of block 2 of a 40-block file at `at` with
+    /// `patch`, compressed and not, with and without read-ahead: the reader
+    /// fails at that row with `message`, having read no further block than
+    /// read-ahead already held, and frees the file when dropped.
+    fn damage_block_two(at: usize, patch: &'static [u8], message: &str) {
         const BLOCKS: usize = 40;
         const BAD: u64 = 2;
-        for keyed in [false, true] {
-            for compress in [false, true] {
-                for prefetch in [0usize, 2] {
-                    let at = offset(keyed);
-                    let rewrite = move |block: &mut Vec<u8>| {
-                        let mut raw = match compress {
-                            true => decompress_block(block).unwrap(),
-                            false => block.clone(),
-                        };
-                        raw[at..at + patch.len()].copy_from_slice(patch);
-                        *block = if compress { compress_block(&raw) } else { raw };
+        for compress in [false, true] {
+            for prefetch in [0usize, 2] {
+                let rewrite = move |block: &mut Vec<u8>| {
+                    let mut raw = match compress {
+                        true => decompress_block(block).unwrap(),
+                        false => block.clone(),
                     };
-                    let backend = FaultyBackend::on_read(
-                        LocalFileBackend::new(),
-                        BAD,
-                        Fault::Corrupt(Box::new(rewrite)),
-                    );
-                    let cfg = SpillConfig {
-                        backend: backend.clone(),
-                        compress,
-                        prefetch_blocks: prefetch,
-                    };
-                    let mut reader = fixed_width_file(&cfg, keyed, BLOCKS);
-                    assert_eq!(cfg.stats().put_requests, BLOCKS as u64);
+                    raw[at..at + patch.len()].copy_from_slice(patch);
+                    *block = if compress { compress_block(&raw) } else { raw };
+                };
+                let backend = FaultyBackend::on_read(
+                    LocalFileBackend::new(),
+                    BAD,
+                    Fault::Corrupt(Box::new(rewrite)),
+                );
+                let cfg = SpillConfig {
+                    backend: backend.clone(),
+                    compress,
+                    prefetch_blocks: prefetch,
+                };
+                let mut reader = fixed_width_file(&cfg, BLOCKS);
+                assert_eq!(cfg.stats().put_requests, BLOCKS as u64);
 
-                    let (rows, err) = read_until_error(&mut reader);
-                    let case = format!("keyed={keyed} compress={compress} prefetch={prefetch}");
-                    assert_eq!(rows, BAD as usize * BLOCK_SIZE / ENTRY, "{case}");
-                    match &err {
-                        Error::Execution(msg) => assert!(msg.contains(message), "{case}: {msg}"),
-                        other => panic!("{case}: {other:?}"),
-                    }
-                    assert!(backend.reads() <= BAD + 1 + prefetch as u64, "{case}");
-                    assert!(reader.pending.len() <= BLOCK_SIZE, "{case}");
-                    drop(reader);
-                    assert_eq!(cfg.stats().live_objects, 0, "{case}");
+                let (rows, err) = read_until_error(&mut reader);
+                let case = format!("compress={compress} prefetch={prefetch}");
+                assert_eq!(rows, BAD as usize * BLOCK_SIZE / ENTRY, "{case}");
+                match &err {
+                    Error::Execution(msg) => assert!(msg.contains(message), "{case}: {msg}"),
+                    other => panic!("{case}: {other:?}"),
                 }
+                assert!(backend.reads() <= BAD + 1 + prefetch as u64, "{case}");
+                assert!(reader.pending.len() <= BLOCK_SIZE, "{case}");
+                drop(reader);
+                assert_eq!(cfg.stats().live_objects, 0, "{case}");
             }
         }
     }
 
     #[test]
     fn corrupt_block_surfaces_at_its_row_and_stops_the_reader() {
-        damage_block_two(first_tag, &[0x7f], "unknown value tag 0x7f");
+        damage_block_two(FIRST_TAG, &[0x7f], "unknown value tag 0x7f");
     }
 
     /// A string length rewritten to `u32::MAX` asks for more than the file
@@ -670,9 +485,82 @@ mod tests {
     #[test]
     fn damaged_length_field_surfaces_at_its_row_without_reading_on() {
         // The length follows the int (tag + 8 bytes) and the string's tag.
-        let length = |keyed| first_tag(keyed) + 9 + 1;
         let message = "string body runs past the end of the file";
-        damage_block_two(length, &[0xff; 4], message);
+        damage_block_two(FIRST_TAG + 9 + 1, &[0xff; 4], message);
+    }
+
+    /// 1 000 seeded files of 1–8 blocks, raw or compressed, with and
+    /// without read-ahead, one block of each replaced by noise, given a
+    /// flipped bit or truncated on its way back: every read is a row, the
+    /// end once every row was read, or a typed error, at which reading
+    /// stops — never a panic, never a read past the file's blocks, and the
+    /// file is freed on drop.
+    #[test]
+    fn garbage_spill_files_never_panic_the_reader() {
+        let mut rng = SplitMix(27);
+        let mut outcomes = [0usize; 2]; // [read to the end, stopped at an error]
+        for case in 0..1_000u64 {
+            let (compress, prefetch) = (case % 2 == 1, 2 * (case / 2 % 2) as usize);
+            // Mixed rows (none near a block long), into the last block.
+            let blocks = 1 + rng.below(8);
+            let mut rows = Vec::new();
+            let mut bytes = 0;
+            while bytes <= (blocks as usize - 1) * BLOCK_SIZE {
+                let text = "v".repeat(rng.below(300) as usize);
+                let r = match rng.below(3) {
+                    0 => row![rng.next() as i64, text.as_str()],
+                    1 => row![Value::Null, (rng.next() >> 11) as f64],
+                    _ => row![text.as_str(), rng.below(9) as i64, Value::Null],
+                };
+                bytes += r.encoded_len();
+                rows.push(r);
+            }
+            let (damage, seed, bad) = (rng.below(3), rng.next(), rng.below(blocks));
+            let rewrite = move |block: &mut Vec<u8>| {
+                let mut noise = SplitMix(seed);
+                match damage {
+                    0 => *block = noise.noise(block.len()),
+                    1 if !block.is_empty() => {
+                        let at = noise.below(block.len() as u64) as usize;
+                        block[at] ^= 1 << noise.below(8);
+                    }
+                    _ => block.truncate(noise.below(block.len() as u64 + 1) as usize),
+                }
+            };
+            let backend = FaultyBackend::on_read(
+                LocalFileBackend::new(),
+                bad,
+                Fault::Corrupt(Box::new(rewrite)),
+            );
+            let cfg = SpillConfig {
+                backend: backend.clone(),
+                compress,
+                prefetch_blocks: prefetch,
+            };
+            let tracker = Arc::new(CostTracker::new());
+            let mut f = SpillFile::with_config(&cfg, IoMeter::Model(tracker)).unwrap();
+            for r in &rows {
+                f.push(r).unwrap();
+            }
+            let mut reader = f.into_reader().unwrap();
+            assert_eq!(cfg.stats().put_requests, blocks, "case {case}");
+            let mut read = 0;
+            let stopped = loop {
+                match reader.next_row() {
+                    Ok(Some(_)) => read += 1,
+                    Ok(None) => break false,
+                    Err(Error::Execution(_)) => break true,
+                    Err(other) => panic!("case {case}: untyped error {other:?}"),
+                }
+                assert!(read <= rows.len(), "case {case}");
+            };
+            assert!(stopped || read == rows.len(), "case {case}");
+            assert!(backend.reads() <= blocks + prefetch as u64, "case {case}");
+            outcomes[stopped as usize] += 1;
+            drop(reader);
+            assert_eq!(cfg.stats().live_objects, 0, "case {case}");
+        }
+        assert!(outcomes.iter().all(|&n| n > 50), "{outcomes:?}");
     }
 
     #[test]
@@ -695,7 +583,7 @@ mod tests {
                 compress,
                 prefetch_blocks: 0,
             };
-            let mut reader = fixed_width_file(&cfg, false, 8);
+            let mut reader = fixed_width_file(&cfg, 8);
             let (rows, err) = read_until_error(&mut reader);
             assert_eq!(rows, BLOCK_SIZE / ENTRY);
             assert!(err.to_string().contains(message), "{err}");
@@ -713,7 +601,7 @@ mod tests {
             compress: true,
             prefetch_blocks: 0,
         };
-        let mut reader = fixed_width_file(&cfg, true, 8);
+        let mut reader = fixed_width_file(&cfg, 8);
         let (rows, err) = read_until_error(&mut reader);
         assert_eq!(rows, 3 * BLOCK_SIZE / ENTRY);
         assert!(matches!(&err, Error::Execution(m) if m.contains("injected fault")));

@@ -5,6 +5,7 @@
 mod common;
 
 use common::{column_by_key, random_table, reference_rank};
+use wfopt::common::row;
 use wfopt::core::plan::{finalize_chain, Plan, PlanContext, PlanStep, ReorderOp};
 use wfopt::core::props::SegProps;
 use wfopt::core::spec::WindowSpec;
@@ -236,6 +237,35 @@ fn filtered_chain_counters_match_unbounded_pool() {
                 assert!(got.store.spill_blocks_written > 0, "{case}: must spill");
             }
         }
+    }
+}
+
+/// Sort keys of 70 000 bytes — wider than a block and than any length
+/// field of the spill format — ranked through SQL in a database whose pool
+/// is two blocks: the sort runs externally and ranks them like short keys.
+#[test]
+fn wide_sort_keys_rank_through_sql_in_a_tiny_pool() {
+    let db = DatabaseConfig::new()
+        .memory_blocks(2)
+        .max_concurrent(1)
+        .per_query_blocks(1)
+        .open();
+    let schema = Schema::of(&[("id", DataType::Int), ("s", DataType::Str)]);
+    let wide = "w".repeat(70_000);
+    let rows = ['d', 'b', 'a', 'c']
+        .into_iter()
+        .enumerate()
+        .map(|(id, c)| row![id as i64, format!("{wide}{c}")])
+        .collect();
+    db.register("t", Table::from_rows(schema, rows).unwrap())
+        .unwrap();
+    let out = db
+        .query("SELECT *, rank() OVER (ORDER BY s) AS r FROM t")
+        .unwrap();
+    let r = out.schema().resolve("r").unwrap();
+    let ranks = column_by_key(&out, AttrId::new(0), r);
+    for (id, rank) in [(0, 4), (1, 2), (2, 1), (3, 3)] {
+        assert_eq!(ranks[&id].as_int(), Some(rank), "id {id}");
     }
 }
 

@@ -23,9 +23,7 @@ use wfopt::prelude::*;
 use wfopt::sql::{parse_window_query, Catalog};
 use wfopt::storage::backend::SLOT_SIZE;
 use wfopt::storage::bytebuf::ByteBuf;
-use wfopt::storage::codec::{
-    compress_block, decode_keyed_row, decode_row, decompress_block, encode_keyed_row, encode_row,
-};
+use wfopt::storage::codec::{compress_block, decode_row, decompress_block, encode_row};
 use wfopt::storage::{
     CostTracker, IoMeter, LocalFileBackend, SegmentStore, SpillFile, StoreSnapshot,
 };
@@ -437,6 +435,21 @@ fn random_row(rng: &mut SplitMix64) -> Row {
     Row::new(values)
 }
 
+fn compressed_round_trip(rows: &[Row], trial: usize) {
+    let mut buf = ByteBuf::new();
+    for r in rows {
+        encode_row(r, &mut buf);
+    }
+    let frame = compress_block(buf.as_slice());
+    let raw = decompress_block(&frame).unwrap();
+    assert_eq!(raw, buf.as_slice(), "trial {trial}: payload mismatch");
+    let mut cursor: &[u8] = &raw;
+    for r in rows {
+        assert_eq!(&decode_row(&mut cursor).unwrap(), r, "trial {trial}");
+    }
+    assert!(cursor.is_empty());
+}
+
 #[test]
 fn compressed_row_blocks_round_trip() {
     let mut rng = SplitMix64(0xC0FFEE);
@@ -444,47 +457,37 @@ fn compressed_row_blocks_round_trip() {
         let rows: Vec<Row> = (0..(rng.next() % 200))
             .map(|_| random_row(&mut rng))
             .collect();
-        let mut buf = ByteBuf::new();
-        for r in &rows {
-            encode_row(r, &mut buf);
-        }
-        let frame = compress_block(buf.as_slice());
-        let raw = decompress_block(&frame).unwrap();
-        assert_eq!(raw, buf.as_slice(), "trial {trial}: payload mismatch");
-        let mut cursor: &[u8] = &raw;
-        for r in &rows {
-            assert_eq!(&decode_row(&mut cursor).unwrap(), r, "trial {trial}");
-        }
-        assert!(cursor.is_empty());
+        compressed_round_trip(&rows, trial);
     }
 }
 
+/// A sorted run's blocks through the compressor and back. Runs hold plain
+/// rows and key them again on read-back, so a run block is rows in key order
+/// with the key among the columns: here a leading key of up to 24
+/// high-entropy characters (NULL one time in five) ahead of random values.
 #[test]
 fn compressed_keyed_blocks_round_trip() {
     let mut rng = SplitMix64(0xBEEF);
     for trial in 0..30 {
-        let entries: Vec<(Option<Vec<u8>>, Row)> = (0..(rng.next() % 120))
+        let mut rows: Vec<Row> = (0..(rng.next() % 120))
             .map(|_| {
                 let key = if rng.next().is_multiple_of(5) {
-                    None
+                    Value::Null
                 } else {
                     let len = (rng.next() % 24) as usize;
-                    Some((0..len).map(|_| rng.next() as u8).collect())
+                    Value::str(
+                        (0..len)
+                            .map(|_| char::from(rng.next() as u8))
+                            .collect::<String>(),
+                    )
                 };
-                (key, random_row(&mut rng))
+                let mut values = vec![key];
+                values.extend(random_row(&mut rng).into_values());
+                Row::new(values)
             })
             .collect();
-        let mut buf = ByteBuf::new();
-        for (k, r) in &entries {
-            encode_keyed_row(k.as_deref(), r, &mut buf);
-        }
-        let raw = decompress_block(&compress_block(buf.as_slice())).unwrap();
-        let mut cursor: &[u8] = &raw;
-        for (k, r) in &entries {
-            let (bk, br) = decode_keyed_row(&mut cursor).unwrap();
-            assert_eq!((&bk, &br), (k, r), "trial {trial}");
-        }
-        assert!(cursor.is_empty());
+        rows.sort_by(|a, b| a.values()[0].cmp(&b.values()[0]));
+        compressed_round_trip(&rows, trial);
     }
 }
 
