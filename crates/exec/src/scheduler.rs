@@ -6,11 +6,18 @@
 //! follow-up SS + window stages whose partition keys cover the shard key
 //! ([`ChainStage`]). One span runs four phases:
 //!
-//! 1. **Scatter** — the upstream row stream is hash-partitioned on the
-//!    shard key (a subset of the window partition key, so every window
-//!    partition lands wholly inside one shard) into `workers` store-managed
-//!    shard buffers, charging one hash per row. Shard assignment is a pure
-//!    function of the row values — never of timing.
+//! 1. **Scatter** — every input row is hashed on the shard key (a subset of
+//!    the window partition key, so every window partition lands wholly
+//!    inside one shard) and routed to one of `workers` shards, charging one
+//!    hash per row. Shard assignment is a pure function of the row values —
+//!    never of timing. When the input is a table scan's shared view of the
+//!    table ([`Segment::shared_rows`]) the scatter routes row *indices*:
+//!    each worker reads an uncharged by-index view
+//!    ([`wf_storage::SegmentStore::shared_subset`]) that clones its rows in
+//!    scatter order, so no row is copied into the pool, encoded or decoded.
+//!    Any other input (a filter's rows, an earlier reorder's output) is
+//!    copied into one pool segment per shard, as the input's kind — not a
+//!    setting — decides.
 //! 2. **Parallel chains** — each shard runs the whole span chain inside its
 //!    own worker environment: a **fresh tracker** and a **ledger
 //!    sub-account** of the chain's [`wf_storage::SegmentStore`] sized to
@@ -19,7 +26,14 @@
 //!    with a fixed shard → worker assignment (worker `t` takes shards
 //!    `t, t + threads, …`); because every shard's work happens against
 //!    shard-private state, the thread count changes wall clock and nothing
-//!    else.
+//!    else. A worker's finished segments wait for the reassembly. When its
+//!    shard's encoded bytes fit `M_w` (or the pool is unbounded) they wait
+//!    resident. When they do not, the worker **parks** each finished segment
+//!    on the spill device as soon as it is done, through a one-block pooled
+//!    account of its own: otherwise finished buckets would fill `M_w` and
+//!    every later bucket would take the spilled window and SS paths. Parked
+//!    segments count in the worker's own snapshot (spilled segments,
+//!    peaks), so the fold of phase 4 reports them.
 //! 3. **Deterministic reassembly** — the workers' private trackers are
 //!    absorbed into the chain's tracker **in shard order**, and only
 //!    *finished rows* are reassembled: a k-way **ordered merge** on the
@@ -30,10 +44,15 @@
 //!    the merge), an ascending-global-bucket interleave for an HS head.
 //! 4. **Residency fold-back** — the workers' high-water marks are folded
 //!    into the chain store with
-//!    [`wf_storage::SegmentStore::absorb_concurrent`], so a parallel
-//!    chain's tracked residency is governed at `O(Σ_w (M_w + unit_w))` and
-//!    reported deterministically (sum of worker peaks, independent of how
-//!    worker lifetimes overlapped).
+//!    [`wf_storage::SegmentStore::absorb_concurrent`] and reported
+//!    deterministically (sum of worker peaks, independent of how worker
+//!    lifetimes overlapped).
+//!
+//! **Residency bound.** A worker holds the bucket (or unit) it is working
+//! on within `M_w`, plus at most one block of parked segments when it
+//! parks, so a span's tracked residency is `O(P + Σ_w (M_w + unit_w))`,
+//! where `P` is what the chain held while the workers ran: nothing for a
+//! scanned table, the shard segments (at most `M`) otherwise.
 //!
 //! **Determinism contract.** For a fixed plan (fixed `workers`), output
 //! rows, boundary layers, modeled counters *and* pool counters are
@@ -53,8 +72,9 @@ use crate::sorter::{merge_sorted_handles, SortKey};
 use crate::util::hash_row_on;
 use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use wf_common::{AttrSet, Error, Result, SortSpec};
-use wf_storage::SegmentHandle;
+use wf_storage::{SegmentBuilder, SegmentHandle, SegmentStore};
 
 /// Resolve how many OS threads a parallel operator may use: the
 /// environment's [`OpEnv::worker_threads`] override when set (the
@@ -143,23 +163,52 @@ fn absorb_worker_stores(env: &OpEnv, worker_envs: &[OpEnv]) {
     env.store.absorb_concurrent(&snaps);
 }
 
-/// Leaf operator yielding exactly one store-managed segment — the input of
-/// an in-worker chain (its shard buffer).
-struct HandleSource {
-    seg: Option<Segment>,
+/// One worker's input as the scatter leaves it: its rows in input order,
+/// as by-index views of a scanned table and pool segments of anything
+/// else, and their encoded size — what tells the worker whether its
+/// finished segments can stay in its budget.
+#[derive(Default)]
+struct Shard {
+    pieces: Vec<SegmentHandle>,
+    building: Option<SegmentBuilder>,
+    bytes: usize,
 }
 
-impl HandleSource {
-    fn new(handle: SegmentHandle) -> Self {
-        HandleSource {
-            seg: Some(Segment::from_handle(handle, SegmentBounds::none())),
+impl Shard {
+    /// Close the pool segment being built, if any, so that a piece routed
+    /// after it follows it.
+    fn seal(&mut self) -> Result<()> {
+        if let Some(b) = self.building.take().filter(|b| !b.is_empty()) {
+            self.pieces.push(b.finish()?);
         }
+        Ok(())
     }
+
+    fn len(&self) -> usize {
+        self.pieces.iter().map(SegmentHandle::len).sum()
+    }
+}
+
+/// What phase 1 hands to phase 2: one [`Shard`] per worker and, for an HS
+/// head, which global buckets are non-empty — the interleave order of the
+/// final emission.
+struct Scatter {
+    shards: Vec<Shard>,
+    bucket_nonempty: Vec<bool>,
+}
+
+/// Leaf operator yielding a shard's pieces in order — the input of an
+/// in-worker chain.
+struct HandleSource {
+    pieces: std::vec::IntoIter<SegmentHandle>,
 }
 
 impl Operator for HandleSource {
     fn next_segment(&mut self) -> Result<Option<Segment>> {
-        Ok(self.seg.take())
+        Ok(self
+            .pieces
+            .next()
+            .map(|h| Segment::from_handle(h, SegmentBounds::none())))
     }
 }
 
@@ -212,14 +261,21 @@ pub struct ChainStage {
 /// HS), then every fused stage's SS + window. Returns the finished
 /// segments in emission order — at most one for an FS head, one per
 /// non-empty bucket (ascending bucket id) for an HS head.
+///
+/// With `park`, each finished segment still in memory is written to the
+/// spill device at once (module docs, phase 2) instead of being held in the
+/// budget the worker's next bucket needs.
 fn run_worker_chain(
-    shard: SegmentHandle,
+    shard: Vec<SegmentHandle>,
+    park: bool,
     inner: &ParInner,
     head_record: &[AttrSet],
     stages: &[ChainStage],
     env: &OpEnv,
 ) -> Result<Vec<(SegmentHandle, SegmentBounds)>> {
-    let source = HandleSource::new(shard);
+    let source = HandleSource {
+        pieces: shard.into_iter(),
+    };
     let mut op: Box<dyn Operator> = match inner {
         ParInner::Fs { key } => Box::new(
             FullSortOp::new(source, key.clone(), env.clone())
@@ -267,9 +323,20 @@ fn run_worker_chain(
         ));
         rest = tail;
     }
+    // A pooled one-block account of the worker's: what it parks counts in
+    // the worker's own snapshot (spilled segments, peaks), and at most one
+    // block of it — small segments it keeps resident — counts against the
+    // worker's budget.
+    let park = park.then(|| env.store.pooled_sub_store(Some(1)));
     let mut out = Vec::new();
     while let Some(seg) = op.next_segment()? {
-        out.push(seg.into_handle(&env.store)?);
+        out.push(match &park {
+            Some(park) if !seg.is_spilled() => {
+                let (rows, bounds) = seg.into_parts()?;
+                (park.admit(rows)?, bounds)
+            }
+            _ => seg.into_handle(&env.store)?,
+        });
     }
     Ok(out)
 }
@@ -377,25 +444,21 @@ impl<I: Operator> ParallelChainOp<I> {
         order
     }
 
-    /// Scatter, workers, and (for FS) the final merge — everything up to
-    /// the first emission.
-    fn run_span(&mut self) -> Result<ChainState> {
+    /// Phase 1: hash every input row on the shard key and route it to its
+    /// worker. A scan's shared view of the table is routed by row index —
+    /// each worker gets an uncharged by-index view, no row is copied — and
+    /// any other input is copied into pool segments, one per worker.
+    fn scatter(&mut self) -> Result<Scatter> {
         let shards = self.workers;
         let env = &self.env;
-        env.store.begin_concurrent_phase();
-
-        // Scatter the upstream stream into per-worker shard buffers. An HS
-        // head additionally notes which global buckets are non-empty — the
-        // interleave order of the final emission.
         let n_buckets = match &self.inner {
             ParInner::Hs { n_buckets, .. } => (*n_buckets).max(1),
             ParInner::Fs { .. } => 0,
         };
         let mut bucket_nonempty = vec![false; n_buckets];
-        let scatter_span = env
+        let _span = env
             .trace
             .span_with("par", || format!("scatter shards={shards}"));
-        let mut builders: Vec<_> = (0..shards).map(|_| env.store.builder()).collect();
         let mut route = |h: u64| -> usize {
             if n_buckets == 0 {
                 (h % shards as u64) as usize
@@ -405,58 +468,120 @@ impl<I: Operator> ParallelChainOp<I> {
                 b % shards
             }
         };
+        let mut out: Vec<Shard> = (0..shards).map(|_| Shard::default()).collect();
         while let Some(seg) = self.input.next_segment()? {
             // Every row is hashed once; charged once per segment.
-            let (n, mut stream, _) = seg.into_stream();
-            while let Some(row) = stream.next_row()? {
-                let idx = route(hash_row_on(&row, &self.shard_attrs));
-                builders[idx].push(row)?;
+            let n = seg.len();
+            if let Some(table) = seg.shared_rows() {
+                let mut idx: Vec<Vec<usize>> = vec![Vec::new(); shards];
+                for (i, row) in table.iter().enumerate() {
+                    let s = route(hash_row_on(row, &self.shard_attrs));
+                    idx[s].push(i);
+                    out[s].bytes += row.encoded_len();
+                }
+                for (shard, idx) in out.iter_mut().zip(idx) {
+                    shard.seal()?;
+                    if !idx.is_empty() {
+                        let view = SegmentStore::shared_subset(Arc::clone(table), idx);
+                        shard.pieces.push(view);
+                    }
+                }
+            } else {
+                let (_, mut stream, _) = seg.into_stream();
+                while let Some(row) = stream.next_row()? {
+                    let shard = &mut out[route(hash_row_on(&row, &self.shard_attrs))];
+                    shard.bytes += row.encoded_len();
+                    shard
+                        .building
+                        .get_or_insert_with(|| env.store.builder())
+                        .push(row)?;
+                }
             }
             env.tracker.hash(n as u64);
         }
-        let total: usize = builders.iter().map(|b| b.len()).sum();
+        for shard in &mut out {
+            shard.seal()?;
+        }
+        Ok(Scatter {
+            shards: out,
+            bucket_nonempty,
+        })
+    }
+
+    /// One environment per worker: a fresh tracker and a ledger sub-account
+    /// of `M_w = ⌊M / workers⌋` blocks.
+    fn shard_envs(&self) -> Vec<OpEnv> {
+        let m_w = per_worker_blocks(self.env.mem_blocks, self.workers);
+        (0..self.workers).map(|_| self.env.shard_env(m_w)).collect()
+    }
+
+    /// Phase 2: every worker runs the whole span chain over its shard on the
+    /// scoped pool; then their trackers are absorbed in shard order and the
+    /// first error, by shard index, is returned. A worker whose shard does
+    /// not fit its budget parks its finished segments.
+    fn run_workers(
+        &self,
+        shards: Vec<Shard>,
+        shard_envs: &[OpEnv],
+    ) -> Result<Vec<VecDeque<(SegmentHandle, SegmentBounds)>>> {
+        let env = &self.env;
+        let jobs: Vec<_> = shards
+            .into_iter()
+            .zip(shard_envs)
+            .enumerate()
+            .map(|(i, (shard, shard_env))| {
+                let park = shard_env
+                    .store
+                    .budget_bytes()
+                    .is_some_and(|b| shard.bytes > b);
+                (i, (shard.pieces, park, shard_env.clone()))
+            })
+            .collect();
+        let threads = resolve_threads(env, self.workers, self.workers);
+        let (inner, head_record, stages) = (&self.inner, &self.head_record, &self.stages);
+        let finished = run_sharded(
+            self.workers,
+            threads,
+            jobs,
+            |i, (shard, park, shard_env)| {
+                // Opened on the worker's OS thread → one timeline lane per
+                // worker, with the whole in-worker chain nested beneath it.
+                let _span = shard_env
+                    .trace
+                    .span_with("worker", || format!("chain_worker shard={i}"));
+                run_worker_chain(shard, park, inner, head_record, stages, &shard_env)
+            },
+        );
+        absorb_worker_trackers(env, shard_envs);
+        finished
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Some(segs) => segs.map(VecDeque::from),
+                None => Err(Error::Execution(format!(
+                    "a parallel chain worker thread panicked (shard {i} unaccounted)"
+                ))),
+            })
+            .collect()
+    }
+
+    /// Scatter, workers, and (for FS) the final merge — everything up to
+    /// the first emission.
+    fn run_span(&mut self) -> Result<ChainState> {
+        self.env.store.begin_concurrent_phase();
+        let Scatter {
+            shards,
+            bucket_nonempty,
+        } = self.scatter()?;
+        let env = &self.env;
+        let total: usize = shards.iter().map(Shard::len).sum();
         if total == 0 {
             return Ok(ChainState::Done);
         }
-        drop(scatter_span);
+        let shard_envs = self.shard_envs();
+        let mut per_worker = self.run_workers(shards, &shard_envs)?;
 
-        // Per-worker environments and the scoped pool: every worker runs the
-        // whole span chain over its shard.
-        let m_w = per_worker_blocks(env.mem_blocks, shards);
-        let mut jobs: Vec<(usize, (SegmentHandle, OpEnv))> = Vec::with_capacity(shards);
-        for (i, b) in builders.into_iter().enumerate() {
-            jobs.push((i, (b.finish()?, env.shard_env(m_w))));
-        }
-        let shard_envs: Vec<OpEnv> = jobs.iter().map(|(_, (_, e))| e.clone()).collect();
-        let threads = resolve_threads(env, shards, shards);
-        let (inner, head_record, stages) = (&self.inner, &self.head_record, &self.stages);
-        let finished = run_sharded(shards, threads, jobs, |i, (shard, shard_env)| {
-            // Opened on the worker's OS thread → one timeline lane per
-            // worker, with the whole in-worker chain nested beneath it.
-            let _span = shard_env
-                .trace
-                .span_with("worker", || format!("chain_worker shard={i}"));
-            run_worker_chain(shard, inner, head_record, stages, &shard_env)
-        });
-
-        // Deterministic reassembly: trackers in shard order, first error by
-        // shard index.
-        absorb_worker_trackers(env, &shard_envs);
-        let mut per_worker: Vec<VecDeque<(SegmentHandle, SegmentBounds)>> =
-            Vec::with_capacity(shards);
-        for (i, slot) in finished.into_iter().enumerate() {
-            match slot {
-                Some(Ok(segs)) => per_worker.push(segs.into()),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(Error::Execution(format!(
-                        "a parallel chain worker thread panicked (shard {i} unaccounted)"
-                    )))
-                }
-            }
-        }
-
-        if n_buckets == 0 {
+        if matches!(self.inner, ParInner::Fs { .. }) {
             // FS head: merge the non-empty workers' finished rows on the
             // span's final ordering, re-recording exactly the boundary
             // layers every worker proved (their attribute sets agree by
@@ -498,7 +623,7 @@ impl<I: Operator> ParallelChainOp<I> {
         let mut queue = VecDeque::new();
         for (b, nonempty) in bucket_nonempty.iter().enumerate() {
             if *nonempty {
-                let w = b % shards;
+                let w = b % self.workers;
                 let seg = per_worker[w].pop_front().ok_or_else(|| {
                     Error::Execution(format!(
                         "parallel chain bucket {b} missing from worker {w}'s output"
@@ -862,6 +987,157 @@ mod tests {
             }
             assert_eq!(par, serial, "workers={workers}");
         }
+    }
+
+    /// Leaf yielding prepared segments in order.
+    struct Segments(VecDeque<Segment>);
+
+    impl Operator for Segments {
+        fn next_segment(&mut self) -> Result<Option<Segment>> {
+            Ok(self.0.pop_front())
+        }
+    }
+
+    /// An input that is partly a table's shared view and partly pool rows
+    /// reaches each worker in input order: by-index views and pool segments
+    /// interleave as they arrived, so the stable in-worker sort breaks ties
+    /// exactly as the serial sort does.
+    #[test]
+    fn mixed_input_keeps_arrival_order_in_every_shard() {
+        let rows = tied_sample(3000);
+        let (head, tail) = rows.split_at(1000);
+        for workers in [2usize, 4] {
+            let env = OpEnv::with_memory_blocks(4);
+            let input = Segments(VecDeque::from([
+                Segment::from_handle(
+                    SegmentStore::shared(Arc::new(head.to_vec())),
+                    SegmentBounds::none(),
+                ),
+                Segment::from_handle(
+                    env.store.admit(tail.to_vec()).unwrap(),
+                    SegmentBounds::none(),
+                ),
+                Segment::from_handle(
+                    SegmentStore::shared(Arc::new(head.to_vec())),
+                    SegmentBounds::none(),
+                ),
+            ]));
+            let mut want = rows.clone();
+            want.extend_from_slice(head);
+            let mut op = ParallelChainOp::new(
+                input,
+                ParInner::Fs { key: key(&[0, 1]) },
+                aset(&[0]),
+                workers,
+                vec![rank_stage(&[0], &[1])],
+                env.clone(),
+            )
+            .with_recorded_prefixes(vec![aset(&[0]), aset(&[0, 1])]);
+            let out = op.next_segment().unwrap().unwrap().into_rows().unwrap();
+            assert_eq!(out, serial_fs_chain(want, &env)[0].0, "workers={workers}");
+            drop(op);
+            assert_eq!(env.store.snapshot().resident_bytes, 0);
+        }
+    }
+
+    /// A worker that fails partway through its buckets leaks nothing: the
+    /// span returns the typed error, and once it is dropped no ledger holds
+    /// a byte and the spill backend holds no object — neither the segments
+    /// the workers had parked nor anything of the shards.
+    #[test]
+    fn a_worker_error_mid_span_leaks_nothing() {
+        use wf_common::{DataType, Schema};
+        use wf_storage::{LocalFileBackend, SpillConfig, Table};
+
+        let n_buckets = 16usize;
+        let bucket_of = |r: &Row| (hash_row_on(r, &aset(&[0])) % n_buckets as u64) as usize;
+        let mut rows: Vec<Row> = (0..4000)
+            .map(|i| {
+                row![
+                    (i * 7 % 64) as i64,
+                    (i / 64) as i64,
+                    i as i64,
+                    "padding-padding-padding"
+                ]
+            })
+            .collect();
+        // `sum(v)` fails on the partition of the last bucket only, so the
+        // worker owning it has parked its earlier buckets by then.
+        let last = rows.iter().map(bucket_of).max().unwrap();
+        let bad = rows
+            .iter()
+            .find(|r| bucket_of(r) == last)
+            .unwrap()
+            .get(AttrId::new(0))
+            .clone();
+        for r in rows.iter_mut().filter(|r| *r.get(AttrId::new(0)) == bad) {
+            *r = row![bad.clone(), 0i64, "not a number", "padding-padding-padding"];
+        }
+        let schema = Schema::of(&[
+            ("p", DataType::Int),
+            ("k", DataType::Int),
+            ("v", DataType::Int),
+            ("pad", DataType::Str),
+        ]);
+        let table = Table::from_rows(schema, rows).unwrap();
+
+        let dir = std::env::temp_dir().join(format!("wfopt-par-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = SpillConfig {
+            backend: LocalFileBackend::in_dir(dir.clone()),
+            compress: false,
+            prefetch_blocks: 0,
+        };
+        // M_w = 4 blocks: each bucket fits, no shard does.
+        let env = OpEnv::with_memory_blocks(8).with_spill(cfg.clone());
+        let span = || {
+            ParallelChainOp::new(
+                crate::operator::TableScan::new(&table, env.clone()),
+                ParInner::Hs {
+                    whk: aset(&[0]),
+                    key: key(&[0, 1]),
+                    n_buckets,
+                },
+                aset(&[0]),
+                2,
+                vec![ChainStage {
+                    ss: None,
+                    wpk: aset(&[0]),
+                    wok: key(&[1]),
+                    func: WindowFunction::Sum(AttrId::new(2)),
+                    frame: None,
+                }],
+                env.clone(),
+            )
+        };
+        let is_type_mismatch = |e: &Error| matches!(e, Error::TypeMismatch { .. });
+
+        // Through the operator interface.
+        let mut op = span();
+        let err = op.next_segment().unwrap_err();
+        assert!(is_type_mismatch(&err), "{err:?}");
+        drop(op);
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
+        assert_eq!(cfg.stats().live_objects, 0);
+
+        // Phase by phase, to read every worker's ledger after the failure.
+        let mut op = span();
+        let scatter = op.scatter().unwrap();
+        let shard_envs = op.shard_envs();
+        let err = op.run_workers(scatter.shards, &shard_envs).unwrap_err();
+        assert!(is_type_mismatch(&err), "{err:?}");
+        let parked: u64 = shard_envs
+            .iter()
+            .map(|e| e.store.snapshot().spilled_segments)
+            .sum();
+        assert!(parked > 0, "buckets were parked before the error");
+        drop(op);
+        for (i, e) in shard_envs.iter().enumerate() {
+            assert_eq!(e.store.snapshot().resident_bytes, 0, "worker {i}");
+        }
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
+        assert_eq!(cfg.stats().live_objects, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -264,7 +264,10 @@ impl SegmentStore {
     /// counters stay bit-identical to a solo run under the same per-query
     /// budget. Do **not** use this for parallel workers *inside* a chain —
     /// those fold their peaks back via [`SegmentStore::absorb_concurrent`],
-    /// and forwarding would double-count them.
+    /// and forwarding would double-count them. A worker does use a one-block
+    /// pooled account of its own to park finished segments on the device:
+    /// they then count in the worker's ledger, and take at most one block of
+    /// its budget.
     ///
     /// The child's budget follows the requested `budget_blocks` verbatim
     /// (`None` = unbounded child) — an unbounded *parent* here only means
@@ -399,7 +402,19 @@ impl SegmentStore {
     /// nothing — the heap table is modeled as *on disk* (its scan is charged
     /// separately), so it never counts toward pipeline residency.
     pub fn shared(rows: Arc<Vec<Row>>) -> SegmentHandle {
-        SegmentHandle::Shared { rows }
+        SegmentHandle::Shared { rows, idx: None }
+    }
+
+    /// A by-index view over shared base-table rows: the rows at `idx`, in
+    /// that order, cloned as they are read. Uncharged for the reason
+    /// [`SegmentStore::shared`] is; the parallel scheduler hands each worker
+    /// its shard of a scanned table this way instead of copying the rows
+    /// through the pool.
+    pub fn shared_subset(rows: Arc<Vec<Row>>, idx: Vec<usize>) -> SegmentHandle {
+        SegmentHandle::Shared {
+            rows,
+            idx: Some(idx),
+        }
     }
 
     /// Register `bytes`/`rows` of operator-held unit memory (e.g. one
@@ -605,8 +620,11 @@ pub enum SegmentHandle {
     /// Resident in the pool (budget-charged; released on consumption/drop).
     Resident(ResidentSeg),
     /// A view over shared rows (the heap table; modeled as on-disk, never
-    /// pool-charged).
-    Shared { rows: Arc<Vec<Row>> },
+    /// pool-charged): all of them, or only those at `idx`, in that order.
+    Shared {
+        rows: Arc<Vec<Row>>,
+        idx: Option<Vec<usize>>,
+    },
     /// Spilled to the pool device; read back block at a time.
     Spilled { reader: SpillReader, rows: u64 },
 }
@@ -616,7 +634,7 @@ impl SegmentHandle {
     pub fn len(&self) -> usize {
         match self {
             SegmentHandle::Resident(r) => r.rows.len(),
-            SegmentHandle::Shared { rows } => rows.len(),
+            SegmentHandle::Shared { rows, idx } => idx.as_ref().map_or(rows.len(), Vec::len),
             SegmentHandle::Spilled { rows, .. } => *rows as usize,
         }
     }
@@ -632,11 +650,12 @@ impl SegmentHandle {
     }
 
     /// The shared base-table rows behind this handle, if it is a view over
-    /// them — an operator that keeps few of them (a filter) reads them by
-    /// reference here instead of streaming a clone of every row.
+    /// all of them — an operator that keeps few of them (a filter) reads them
+    /// by reference here instead of streaming a clone of every row. A
+    /// by-index view answers `None`: its rows are not the whole table.
     pub fn as_shared_rows(&self) -> Option<&Arc<Vec<Row>>> {
         match self {
-            SegmentHandle::Shared { rows } => Some(rows),
+            SegmentHandle::Shared { rows, idx: None } => Some(rows),
             _ => None,
         }
     }
@@ -653,9 +672,13 @@ impl SegmentHandle {
                 );
                 Ok(rows)
             }
-            SegmentHandle::Shared { rows } => {
+            SegmentHandle::Shared { rows, idx: None } => {
                 Ok(Arc::try_unwrap(rows).unwrap_or_else(|a| a.as_ref().clone()))
             }
+            SegmentHandle::Shared {
+                rows,
+                idx: Some(idx),
+            } => Ok(idx.iter().map(|&i| rows[i].clone()).collect()),
             SegmentHandle::Spilled { mut reader, .. } => reader.read_all(),
         }
     }
@@ -670,7 +693,7 @@ impl SegmentHandle {
                     _guard: r,
                 }
             }
-            SegmentHandle::Shared { rows } => SegmentReader::Shared { rows, next: 0 },
+            SegmentHandle::Shared { rows, idx } => SegmentReader::Shared { rows, idx, next: 0 },
             SegmentHandle::Spilled { reader, .. } => SegmentReader::Spilled(reader),
         }
     }
@@ -696,8 +719,12 @@ pub enum SegmentReader {
         iter: std::vec::IntoIter<Row>,
         _guard: ResidentSeg,
     },
-    /// Shared base-table rows, cloned lazily.
-    Shared { rows: Arc<Vec<Row>>, next: usize },
+    /// Shared base-table rows (all, or those at `idx`), cloned lazily.
+    Shared {
+        rows: Arc<Vec<Row>>,
+        idx: Option<Vec<usize>>,
+        next: usize,
+    },
     /// Spilled rows decoded block at a time.
     Spilled(SpillReader),
 }
@@ -707,10 +734,13 @@ impl SegmentReader {
     pub fn next_row(&mut self) -> Result<Option<Row>> {
         match self {
             SegmentReader::Resident { iter, .. } => Ok(iter.next()),
-            SegmentReader::Shared { rows, next } => {
-                let out = rows.get(*next).cloned();
+            SegmentReader::Shared { rows, idx, next } => {
+                let i = match idx {
+                    Some(idx) => idx.get(*next).copied(),
+                    None => Some(*next),
+                };
                 *next += 1;
-                Ok(out)
+                Ok(i.and_then(|i| rows.get(i)).cloned())
             }
             SegmentReader::Spilled(r) => r.next_row(),
         }
@@ -807,6 +837,24 @@ mod tests {
         assert!(Arc::ptr_eq(h.as_shared_rows().unwrap(), &base));
         assert_eq!(h.into_rows().unwrap(), *base);
         assert!(store.admit(rows(3)).unwrap().as_shared_rows().is_none());
+    }
+
+    /// A by-index view reads the chosen rows in the given order both ways
+    /// and never passes for the whole table.
+    #[test]
+    fn shared_subset_reads_the_chosen_rows_in_order() {
+        let base = Arc::new(rows(100));
+        let idx = vec![7, 3, 99, 3];
+        let want: Vec<Row> = idx.iter().map(|&i| base[i].clone()).collect();
+        let h = SegmentStore::shared_subset(Arc::clone(&base), idx.clone());
+        assert_eq!(h.len(), 4);
+        assert!(!h.is_spilled());
+        assert!(h.as_shared_rows().is_none(), "a subset is not the table");
+        let streamed: Vec<Row> = h.read().map(|r| r.unwrap()).collect();
+        assert_eq!(streamed, want);
+        let h = SegmentStore::shared_subset(Arc::clone(&base), idx);
+        assert_eq!(h.into_rows().unwrap(), want);
+        assert!(SegmentStore::shared_subset(base, Vec::new()).is_empty());
     }
 
     #[test]

@@ -31,7 +31,9 @@ struct Case {
     file_spill: bool,
     workers: usize,
     /// `report.modeled_ms` and `report.store.peak_resident_blocks()` at
-    /// commit `dc7da6e`.
+    /// commit `dc7da6e`; `par_chain`'s `peak_blocks` re-recorded on top of
+    /// `c9dc2c7`, when its scatter stopped copying the scanned table into
+    /// the pool and its workers started parking finished buckets.
     modeled_ms: f64,
     peak_blocks: u64,
 }
@@ -71,7 +73,7 @@ const CASES: [Case; 4] = [
         file_spill: false,
         workers: 4,
         modeled_ms: 151.03,
-        peak_blocks: 65,
+        peak_blocks: 7,
     },
 ];
 
@@ -131,6 +133,16 @@ fn benchmark_statements_stay_within_2x_of_their_recorded_cost_and_residency() {
             "{}",
             case.name
         );
+        if case.workers > 1 {
+            // The scatter holds nothing, but no shard fits its worker's
+            // budget, so the workers park finished buckets on the device:
+            // a residency in the band means the spilling still happens.
+            assert!(
+                report.store.spill_blocks_written > 0,
+                "{} must pool-spill",
+                case.name
+            );
+        }
         if case.file_spill {
             // The scan only reads: a block written is a block spilled.
             assert!(report.work.blocks_written > 0, "{} must spill", case.name);

@@ -551,3 +551,124 @@ fn planned_par_chain_end_to_end() {
     };
     assert_eq!(sort_all(&report.table), sort_all(&serial.table));
 }
+
+/// (p: partition key ~256 values, k: order key, v: value, pad) in
+/// scrambled order: many small partitions, so hash buckets are small next
+/// to a worker's shard.
+fn build_wide_table(rows_n: usize) -> Table {
+    let schema = Schema::of(&[
+        ("p", DataType::Int),
+        ("k", DataType::Int),
+        ("v", DataType::Int),
+        ("pad", DataType::Str),
+    ]);
+    let mut state = 0x2545f4914f6cdd1du64;
+    let rows = (0..rows_n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = state >> 16;
+            Row::new(vec![
+                Value::Int((r % 256) as i64),
+                Value::Int(((r >> 8) % 50) as i64),
+                Value::Int(((r >> 16) % 1000) as i64 - 500),
+                Value::Str(format!("pad-{:024}", r >> 20).into()),
+            ])
+        })
+        .collect();
+    Table::from_rows(schema, rows).unwrap()
+}
+
+/// A bounded `Par{Hs}` span over a table scan evaluates its buckets
+/// resident whenever a bucket fits the worker's budget `M_w`, even though
+/// no worker's shard does: the scatter hands each worker its rows by index,
+/// and a worker parks what it has finished on the spill device instead of
+/// keeping it in the budget its next bucket needs. So no window step takes
+/// its spilled path, the pool writes about what the span emits, the
+/// statement holds nothing resident beyond its workers' peaks, and rows and
+/// modeled counters equal the unbounded pool's.
+#[test]
+fn bounded_par_hs_span_evaluates_its_buckets_resident() {
+    let table = build_wide_table(12_000);
+    let stats = TableStats::from_table(&table);
+    // M_w = M/2 or M/4: above every bucket, below every shard.
+    let m = table.block_count() / 2;
+    let ctx = PlanContext::new(&stats, m);
+    let specs = vec![
+        WindowSpec::rank("r_pk", vec![a(0)], key(&[1])),
+        WindowSpec::new(
+            "pr_pv",
+            wfopt::core::spec::WindowFunction::PercentRank,
+            vec![a(0)],
+            key(&[2]),
+        ),
+    ];
+    for workers in [2usize, 4] {
+        let raw = vec![
+            PlanStep {
+                wf: 0,
+                reorder: ReorderOp::Par {
+                    inner: Box::new(ReorderOp::Hs {
+                        whk: aset(&[0]),
+                        key: key(&[0, 1]),
+                        n_buckets: 32,
+                        mfv: vec![],
+                    }),
+                    workers,
+                },
+            },
+            PlanStep {
+                wf: 1,
+                reorder: ReorderOp::Ss {
+                    alpha: key(&[0]),
+                    beta: key(&[2]),
+                },
+            },
+        ];
+        let plan = finalize_chain("par", &specs, &SegProps::unordered(), 1, raw, &ctx);
+        assert_eq!(plan.repairs, 0);
+        let sink = wfopt::common::TraceSink::enabled();
+        let env = ExecEnv::with_memory_blocks(m).with_trace(std::sync::Arc::clone(&sink));
+        let report = execute_plan(&plan, &table, &env).unwrap();
+
+        let spilled_evals = sink
+            .records()
+            .iter()
+            .filter(|r| r.cat == "window" && r.name == "eval_spilled")
+            .count();
+        assert_eq!(spilled_evals, 0, "workers={workers}: spilled window passes");
+        let written = report.store.spill_blocks_written;
+        assert!(
+            written > 0,
+            "workers={workers}: no shard fits M_w, so some segment is parked"
+        );
+        assert!(
+            written <= 2 * table.block_count(),
+            "workers={workers}: {written} pool blocks written for a {}-block table",
+            table.block_count()
+        );
+        let worker_peaks: u64 = report.worker_peak_blocks.iter().sum();
+        assert_eq!(report.worker_peak_blocks.len(), workers);
+        assert!(
+            report.store.peak_resident_blocks() <= worker_peaks,
+            "workers={workers}: statement peak {} above the workers' {:?}",
+            report.store.peak_resident_blocks(),
+            report.worker_peak_blocks
+        );
+
+        let unbounded = execute_plan(
+            &plan,
+            &table,
+            &ExecEnv::with_memory_blocks(m).with_unbounded_pool(),
+        )
+        .unwrap();
+        assert_eq!(unbounded.store.spill_blocks_written, 0);
+        assert_eq!(
+            report.table.rows(),
+            unbounded.table.rows(),
+            "workers={workers}"
+        );
+        assert_eq!(report.work, unbounded.work, "workers={workers}");
+    }
+}
