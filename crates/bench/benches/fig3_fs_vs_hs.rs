@@ -1,47 +1,12 @@
 //! Bench behind Fig. 3: FS vs HS reordering for Q1/Q2/Q3 at a small and a
 //! large memory budget (paper-MB equivalents).
-//!
-//! Also reports **heap allocation counts** for the external-sort hot path:
-//! the replacement-selection/merge heaps used to allocate one `Vec<u8>`
-//! per keyed row, which the fixed-width inline key removed. The counting
-//! allocator below makes the drop visible: with normalized keys on, the
-//! external sort's allocations-per-row now match the comparator path
-//! (which carries no keys at all) instead of exceeding it by ≥ 1.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use wf_bench::experiments::Harness;
 use wf_bench::microbench::BenchGroup;
 use wf_bench::{paper_mb_to_blocks, queries};
 use wf_core::cost::{hs_bucket_count, TableStats};
 use wf_core::plan::default_fs_key;
 use wf_exec::{full_sort, hashed_sort, HsOptions, OpEnv, SegmentedRows};
-
-/// Counts every heap allocation; delegates to the system allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations performed by `f`.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 fn main() {
     let h = Harness { rows: 30_000 };
@@ -73,32 +38,4 @@ fn main() {
         }
     }
     group.finish();
-
-    // Allocation counts on the spill-heavy external FS sort (q1 key at the
-    // small budget): normalized keys ride the heaps inline, so the keyed
-    // path allocates no more per row than the comparator reference.
-    let key = default_fs_key(&queries::q1());
-    let m = paper_mb_to_blocks(10.0, b);
-    let rows = table.row_count() as u64;
-    println!("\n== fig3 external-sort allocation counts ({rows} rows) ==");
-    let mut per_row = [0.0f64; 2];
-    for (i, (norm, name)) in [(true, "normkeys"), (false, "comparator")]
-        .into_iter()
-        .enumerate()
-    {
-        let env = OpEnv::with_memory_blocks(m).with_toggles(norm, true);
-        let input = SegmentedRows::single_segment(table.rows().to_vec());
-        let allocs = count_allocs(|| {
-            full_sort(input, &key, &env).unwrap();
-        });
-        per_row[i] = allocs as f64 / rows as f64;
-        println!(
-            "{name:>12}: {allocs:>10} allocs  ({:.2} per row)",
-            per_row[i]
-        );
-    }
-    println!(
-        "  key overhead: {:+.2} allocs per row (was ≥ +1.0 with one Vec<u8> per keyed row)",
-        per_row[0] - per_row[1]
-    );
 }

@@ -8,9 +8,7 @@
 //!   every operator to the next),
 //! * `ss_*`: Segmented Sort over one resident segment of 25 000 rows cut
 //!   into 25 000 one-row units and into 1 000 units of 25,
-//! * `sort_in_memory_n*`: ~25 000 rows sorted as buckets of `n` rows — the
-//!   table behind `sorter.rs`'s radix cutover (set the constant to 0 and to
-//!   `usize::MAX` to read the two backends side by side).
+//! * `sort_in_memory_n*`: ~25 000 rows sorted as buckets of `n` rows.
 
 use wf_bench::microbench::{iterations, BenchGroup};
 use wf_common::{row, AttrId, OrdElem, Row, SortSpec};

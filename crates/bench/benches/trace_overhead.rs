@@ -48,7 +48,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 fn sort_ms(table: &wf_storage::Table, key: &SortKey, spans_per_row: bool) -> f64 {
     let blocks = table.block_count();
-    let env = OpEnv::with_memory_blocks(blocks * 4).with_toggles(true, true);
+    let env = OpEnv::with_memory_blocks(blocks * 4);
     let rows = table.rows().to_vec();
     let sink = TraceSink::disabled();
     let t0 = Instant::now();

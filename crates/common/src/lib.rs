@@ -16,7 +16,6 @@
 pub mod attrs;
 pub mod error;
 pub mod json;
-pub mod normkey;
 pub mod ord;
 pub mod row;
 pub mod schema;
@@ -26,7 +25,6 @@ pub mod value;
 pub use attrs::{AttrId, AttrSeq, AttrSet};
 pub use error::{Error, Result};
 pub use json::Json;
-pub use normkey::KeyNormalizer;
 pub use ord::{Direction, NullOrder, OrdElem, RowComparator, SortSpec};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};

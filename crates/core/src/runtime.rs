@@ -69,7 +69,7 @@ impl ExecEnv {
     /// serving path: the admission governor budgets each admitted query with
     /// a pooled sub-account of the shared store, and this constructor turns
     /// that account into a full execution environment (`M` derived from the
-    /// account's budget, fresh tracker, default toggles).
+    /// account's budget, fresh tracker).
     pub fn with_store(store: Arc<wf_storage::SegmentStore>) -> Self {
         let op_env = OpEnv::with_store(store);
         ExecEnv {
@@ -137,16 +137,6 @@ impl ExecEnv {
     pub fn with_spill(&self, spill: wf_storage::SpillConfig) -> Self {
         ExecEnv {
             op_env: self.op_env.with_spill(spill),
-            ..self.clone()
-        }
-    }
-
-    /// Same environment with the executor fast paths toggled (normalized
-    /// byte keys; boundary-layer reuse). Reference configuration for the
-    /// equivalence suite and ablation benchmarks.
-    pub fn with_toggles(&self, norm_keys: bool, reuse_bounds: bool) -> Self {
-        ExecEnv {
-            op_env: self.op_env.with_toggles(norm_keys, reuse_bounds),
             ..self.clone()
         }
     }

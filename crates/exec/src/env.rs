@@ -19,15 +19,6 @@ pub struct OpEnv {
     pub spill: SpillConfig,
     /// Unit reorder memory in blocks.
     pub mem_blocks: u64,
-    /// Compare byte-comparable normalized sort keys instead of dispatching
-    /// through `RowComparator` (on by default; the comparator path remains
-    /// as the reference for equivalence tests and as the fallback for
-    /// non-normalizable values).
-    pub norm_keys: bool,
-    /// Let downstream operators reuse partition/peer boundary layers
-    /// carried on segments instead of re-running equality comparisons
-    /// (paper §3.3/§3.5 matched-prefix pipelining; on by default).
-    pub reuse_bounds: bool,
     /// The chain's segment store: every segment an operator emits lives in
     /// it, resident while the pool budget allows and spilled past it. The
     /// default pool budget equals `mem_blocks`; an unbounded pool
@@ -69,8 +60,6 @@ impl OpEnv {
             store: SegmentStore::with_spill(Some(mem_blocks.max(1)), spill.clone()),
             spill,
             mem_blocks,
-            norm_keys: true,
-            reuse_bounds: true,
             worker_threads: env_worker_threads(),
             trace: TraceSink::disabled(),
         }
@@ -91,8 +80,6 @@ impl OpEnv {
             spill: store.spill_config().clone(),
             store,
             mem_blocks,
-            norm_keys: true,
-            reuse_bounds: true,
             worker_threads: env_worker_threads(),
             trace: TraceSink::disabled(),
         }
@@ -122,9 +109,10 @@ impl OpEnv {
     /// A per-worker environment for one shard of a parallel operator: a
     /// **fresh tracker** (absorbed into the parent's in shard order when the
     /// workers finish), a ledger **sub-account** of the parent store sized
-    /// to `mem_blocks`, and the same toggles. The sub-account keeps the
-    /// worker's spill decisions independent of its siblings, which is what
-    /// makes parallel executions bit-identical across thread counts.
+    /// to `mem_blocks`, and everything else inherited. The sub-account
+    /// keeps the worker's spill decisions independent of its siblings,
+    /// which is what makes parallel executions bit-identical across thread
+    /// counts.
     pub fn shard_env(&self, mem_blocks: u64) -> Self {
         let mem_blocks = mem_blocks.max(1);
         OpEnv {
@@ -164,16 +152,6 @@ impl OpEnv {
         OpEnv {
             mem_blocks,
             store,
-            ..self.clone()
-        }
-    }
-
-    /// Same environment with the fast paths toggled (reference/ablation
-    /// configuration for equivalence tests and benchmarks).
-    pub fn with_toggles(&self, norm_keys: bool, reuse_bounds: bool) -> Self {
-        OpEnv {
-            norm_keys,
-            reuse_bounds,
             ..self.clone()
         }
     }
@@ -234,7 +212,6 @@ mod tests {
         assert!(traced.shard_env(2).trace.is_enabled());
         assert!(traced.with_blocks(8).trace.is_enabled());
         assert!(traced.with_unbounded_pool().trace.is_enabled());
-        assert!(traced.with_toggles(false, false).trace.is_enabled());
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl<I: Operator> Operator for HashedSortOp<I> {
             Some(PendingBucket::Mfv(rows)) => Ok(Some(self.emit_rows(rows)?)),
             Some(PendingBucket::Mem(mut rows)) => {
                 sort_in_memory(&mut rows, &self.key, &self.env);
-                let bounds = record_prefix_layers(&rows, &self.record, &self.env);
+                let bounds = record_prefix_layers(&rows, &self.record);
                 Ok(Some(Segment::from_handle(
                     self.env.store.admit(rows)?,
                     bounds,

@@ -78,7 +78,7 @@ use wf_storage::{SegmentBuilder, SegmentHandle, SegmentStore};
 
 /// Resolve how many OS threads a parallel operator may use: the
 /// environment's [`OpEnv::worker_threads`] override when set (the
-/// `WF_WORKERS` toggle), else the plan node's worker count — clamped to
+/// `WF_WORKERS` variable), else the plan node's worker count — clamped to
 /// `[1, shards]` since extra threads would idle.
 pub fn resolve_threads(env: &OpEnv, plan_workers: usize, shards: usize) -> usize {
     let t = if env.worker_threads > 0 {

@@ -194,9 +194,9 @@ enum SplitMode {
 
 impl RunSplitter {
     /// Splitter for runs equal on `target` over a segment of `n` rows with
-    /// the given carried bounds (ignored when `reuse` is off).
-    pub fn new(bounds: &SegmentBounds, target: &AttrSet, n: usize, reuse: bool) -> Self {
-        if reuse && target.is_empty() {
+    /// the given carried bounds.
+    pub fn new(bounds: &SegmentBounds, target: &AttrSet, n: usize) -> Self {
+        if target.is_empty() {
             // Trivially one run (see `runs_equal_on`): no boundaries, no
             // comparisons.
             return RunSplitter {
@@ -206,28 +206,26 @@ impl RunSplitter {
                 },
             };
         }
-        if reuse {
-            if let Some(layer) = bounds.layers.iter().find(|l| l.attrs == *target) {
-                return RunSplitter {
-                    mode: SplitMode::Exact {
-                        starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
-                        pos: 0,
-                    },
-                };
-            }
-            if let Some(layer) = bounds
-                .layers
-                .iter()
-                .filter(|l| target.is_subset(&l.attrs))
-                .min_by_key(|l| starts_inside(&l.starts, 0, n).len())
-            {
-                return RunSplitter {
-                    mode: SplitMode::Candidates {
-                        starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
-                        pos: 0,
-                    },
-                };
-            }
+        if let Some(layer) = bounds.layers.iter().find(|l| l.attrs == *target) {
+            return RunSplitter {
+                mode: SplitMode::Exact {
+                    starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
+                    pos: 0,
+                },
+            };
+        }
+        if let Some(layer) = bounds
+            .layers
+            .iter()
+            .filter(|l| target.is_subset(&l.attrs))
+            .min_by_key(|l| starts_inside(&l.starts, 0, n).len())
+        {
+            return RunSplitter {
+                mode: SplitMode::Candidates {
+                    starts: layer.starts.iter().copied().filter(|&s| s < n).collect(),
+                    pos: 0,
+                },
+            };
         }
         RunSplitter {
             mode: SplitMode::Scan,
@@ -303,14 +301,13 @@ pub fn scan_runs(
 }
 
 /// Run detection as every materialized operator path does it: from the
-/// carried layers when `reuse` is on and one applies
-/// ([`SegmentBounds::runs_equal_on`]), by scanning otherwise
-/// ([`scan_runs`]) — so run detection and its counter accounting live in
-/// one place. Appends the run starts of `rows[lo..hi]` to `out`.
+/// carried layers when one applies ([`SegmentBounds::runs_equal_on`]), by
+/// scanning otherwise ([`scan_runs`]) — so run detection and its counter
+/// accounting live in one place. Appends the run starts of `rows[lo..hi]`
+/// to `out`.
 #[allow(clippy::too_many_arguments)]
 pub fn detect_runs(
     bounds: &SegmentBounds,
-    reuse: bool,
     target: &AttrSet,
     rows: &[Row],
     lo: usize,
@@ -319,7 +316,7 @@ pub fn detect_runs(
     tracker: &CostTracker,
     out: &mut Vec<usize>,
 ) {
-    if !(reuse && bounds.runs_equal_on(target, rows, lo, hi, &mut eq, tracker, out)) {
+    if !bounds.runs_equal_on(target, rows, lo, hi, &mut eq, tracker, out) {
         scan_runs(rows, lo, hi, eq, tracker, out);
     }
 }

@@ -81,7 +81,6 @@ impl<I: Operator> SegmentedSortOp<I> {
         let mut unit_starts: Vec<usize> = Vec::new();
         crate::segment::detect_runs(
             &bounds,
-            env.reuse_bounds,
             &self.alpha_attrs,
             &rows,
             0,
@@ -138,7 +137,7 @@ impl<I: Operator> SegmentedSortOp<I> {
                 crate::segment::SegmentBounds::none(),
             ));
         }
-        let mut splitter = RunSplitter::new(&bounds, &self.alpha_attrs, n, env.reuse_bounds);
+        let mut splitter = RunSplitter::new(&bounds, &self.alpha_attrs, n);
         let mut out = env.store.builder();
         let mut unit_starts: Vec<usize> = Vec::new();
         let mut unit: Vec<Row> = Vec::new();
@@ -399,9 +398,8 @@ mod tests {
     /// Units leave the segment by move — one-row units without a sort —
     /// and are charged what the model says, over plain and store-backed
     /// segments alike: rows against a stable per-unit sort, `rows_moved`,
-    /// `comparisons` (boundary scan + `len·⌈log₂ len⌉` per unit) and
-    /// `key_encodes` (rows of the units that needed sorting), and no copy of
-    /// a row left behind.
+    /// `comparisons` (boundary scan + `len·⌈log₂ len⌉` per unit), no key
+    /// encoded, and no copy of a row left behind.
     #[test]
     fn units_are_moved_and_charged_per_the_model() {
         use std::sync::Arc;
@@ -417,7 +415,7 @@ mod tests {
         let payload: Arc<str> = Arc::from("shared-payload");
         let sizes = [1usize, 1, 3, 1, 25, 2, 1, 40];
         let mut rows: Vec<Row> = Vec::new();
-        let (mut sort_cmp, mut sorted_rows) = (0u64, 0u64);
+        let mut sort_cmp = 0u64;
         for (unit, &len) in sizes.iter().cycle().take(120).enumerate() {
             for j in 0..len {
                 rows.push(Row::new(vec![
@@ -428,7 +426,6 @@ mod tests {
             }
             if len > 1 {
                 sort_cmp += len as u64 * (usize::BITS - (len - 1).leading_zeros()) as u64;
-                sorted_rows += len as u64;
             }
         }
         let n = rows.len();
@@ -459,7 +456,7 @@ mod tests {
             let work = env.tracker.snapshot();
             assert_eq!(work.rows_moved, n as u64);
             assert_eq!(work.comparisons, (n as u64 - 1) + sort_cmp);
-            assert_eq!(work.key_encodes, sorted_rows);
+            assert_eq!(work.key_encodes, 0);
         }
     }
 }

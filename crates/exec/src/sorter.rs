@@ -19,30 +19,16 @@
 //! against the ledger overflows exactly when the total exceeds `M`), so
 //! both paths charge bit-identical counters on the same input.
 //!
-//! **Normalized keys.** Every sort path compares rows through a
-//! [`SortKey`], which pairs the [`RowComparator`] with a
-//! [`wf_common::KeyNormalizer`]. When the environment enables
-//! `norm_keys` (the default), each row's sort key is encoded once into a
-//! byte-comparable buffer and every subsequent comparison is a `memcmp` —
-//! the byte order is proven equal to the comparator order, so outputs,
-//! comparison *counts* and spill I/O are bit-identical to the comparator
-//! path (a row whose key cannot be normalized simply falls back to the
-//! comparator for its comparisons). Keys carried through the external-sort
-//! heaps are stored in a **fixed-width inline buffer** (`InlineKey`) when
-//! they fit (the common case: a handful of numeric key columns), so keying
-//! a row costs zero heap allocations; only oversized keys spill to a
-//! `Vec<u8>`. Keys live only in memory: a run spills plain rows
-//! (`SpillFile::push`), and every merge keys each row it reads back, so a
-//! row's key is encoded once per pass over it — at run formation and at
-//! each merge that reads it. The in-memory sort is an **LSD radix sort** over
-//! 8-byte big-endian key prefixes (comparator fallback for non-normalizable
-//! inputs, full-key resolution for prefix ties) with the row index as the
-//! final tie-break — stable output, no merge buffer, and in the common case
-//! no comparator dispatch at all. Its comparison charge is the model's
-//! deterministic `n·⌈log₂n⌉` in every configuration.
+//! **One key path.** Every sort compares rows through a [`SortKey`], the
+//! [`RowComparator`] of its specification: the in-memory sort is a stable
+//! `sort_by`, and the replacement-selection and merge heaps hold plain
+//! rows. Runs spill plain rows (`SpillFile::push`) and the merges read them
+//! back as rows. The paper prices a reorder in comparisons and block I/O,
+//! never in how a key is encoded, and the in-memory comparison charge is
+//! the model's deterministic `n·⌈log₂n⌉`.
 //!
-//! **Stability.** Every sort path is **stable**: the in-memory sort breaks
-//! ties on the original index, replacement selection breaks heap ties on
+//! **Stability.** Every sort path is **stable**: the in-memory sort keeps
+//! tied rows in input order, replacement selection breaks heap ties on
 //! arrival order (tied keys are never demoted to a later run, so runs hold
 //! ties in arrival order and later runs hold later ties), and the merges
 //! break ties on run formation rank. The engine's sorted output is
@@ -60,29 +46,27 @@
 //! [`SegmentBounds`] with one layer per prefix — the §3.3/§3.5 matched-
 //! prefix layers a downstream window step starts from without re-deriving.
 //! The equality checks are metadata derivation piggybacked on rows the
-//! merge already moved; like key encoding they never enter modeled time.
+//! merge already moved; they never enter modeled time.
 
 use crate::env::OpEnv;
 use crate::segment::SegmentBounds;
 use crate::util::HeapBy;
 use std::cmp::Ordering;
-use wf_common::{AttrSet, KeyNormalizer, Result, Row, RowComparator, SortSpec, Value};
+use wf_common::{AttrSet, Result, Row, RowComparator, SortSpec, Value};
 use wf_storage::{IoMeter, MemoryLedger, SegmentHandle, SegmentReader, SpillFile, SpillReader};
 
-/// A sort key: the comparator plus the normalized-key encoder for the same
-/// specification. Build once per operator, share across segments.
+/// A sort key: the comparator for one specification. Build once per
+/// operator, share across segments.
 #[derive(Clone)]
 pub struct SortKey {
     cmp: RowComparator,
-    norm: KeyNormalizer,
 }
 
 impl SortKey {
-    /// Key machinery for `spec`.
+    /// The key of `spec`.
     pub fn new(spec: &SortSpec) -> Self {
         SortKey {
             cmp: RowComparator::new(spec),
-            norm: KeyNormalizer::new(spec),
         }
     }
 
@@ -92,273 +76,22 @@ impl SortKey {
     }
 }
 
-/// Inline capacity of a carried normalized key. 23 bytes + 1 length byte
-/// keeps the enum at 24 bytes and covers two numeric key columns (9 bytes
-/// each) with room to spare; longer keys (strings, wide composites) fall
-/// back to one heap allocation.
-const INLINE_KEY_CAP: usize = 23;
-
-/// A normalized sort key as carried through the external-sort heaps:
-/// fixed-width inline storage for small keys, heap fallback for large ones.
-/// Replaces the one-`Vec<u8>`-per-keyed-row allocation the heaps used to
-/// make (see the fig3 microbench's allocation counts).
-pub(crate) enum InlineKey {
-    Inline { len: u8, buf: [u8; INLINE_KEY_CAP] },
-    Heap(Vec<u8>),
-}
-
-impl InlineKey {
-    fn from_slice(s: &[u8]) -> Self {
-        if s.len() <= INLINE_KEY_CAP {
-            let mut buf = [0u8; INLINE_KEY_CAP];
-            buf[..s.len()].copy_from_slice(s);
-            InlineKey::Inline {
-                len: s.len() as u8,
-                buf,
-            }
-        } else {
-            InlineKey::Heap(s.to_vec())
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            InlineKey::Inline { len, buf } => &buf[..*len as usize],
-            InlineKey::Heap(v) => v,
-        }
-    }
-}
-
-/// A row with its (optional) normalized key, as carried through the
-/// external-sort heaps.
-struct KeyedRow {
-    key: Option<InlineKey>,
-    row: Row,
-}
-
-impl KeyedRow {
-    /// Key `row`, encoding through `scratch` (reused across rows so small
-    /// keys never allocate).
-    fn new(row: Row, sk: &SortKey, env: &OpEnv, scratch: &mut Vec<u8>) -> Self {
-        let key = if env.norm_keys {
-            scratch.clear();
-            if sk.norm.encode_into(&row, scratch) {
-                env.tracker.encode_keys(1);
-                Some(InlineKey::from_slice(scratch))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        KeyedRow { key, row }
-    }
-
-    /// Byte comparison when both sides are normalized, comparator
-    /// otherwise. Both define the same total order, so mixing is sound.
-    #[inline]
-    fn compare(&self, other: &KeyedRow, cmp: &RowComparator) -> Ordering {
-        match (&self.key, &other.key) {
-            (Some(a), Some(b)) => a.as_slice().cmp(b.as_slice()),
-            _ => cmp.compare(&self.row, &other.row),
-        }
-    }
-}
-
 /// Sort a slice in memory, charging the model's `n·⌈log₂n⌉` comparisons.
 ///
-/// Two backends produce the identical stable permutation:
-///
-/// * **LSD radix** (taken whenever every row's key normalized): stable
-///   counting-sort passes over the 8-byte big-endian key prefix, least
-///   significant byte first, skipping bytes that are uniform across the
-///   input; equal-prefix runs (keys longer than the prefix, or genuinely
-///   tied) are resolved by the full arena slices with the original index as
-///   the final tie-break. No comparator callbacks at all in the common case.
-///   Below `RADIX_MIN_ROWS` rows the same `(prefix, index)` pairs are
-///   ordered by comparing them — the same permutation for less than the
-///   passes' fixed cost.
-/// * **Comparator fallback** (normalization off, or any lossy value):
-///   `sort_unstable_by` over `(prefix, index)` exactly as before.
-///
-/// Because the radix backend makes no comparator callbacks, the comparison
-/// *charge* is the model's deterministic `n·⌈log₂n⌉` in **every**
-/// configuration — the count is a function of `n` alone, so equivalence
-/// suites that flip `norm_keys` or swap backends still see bit-identical
-/// modeled counters.
+/// A stable `sort_by` on the comparator: tied rows keep their input order.
+/// The charge is the model's, a function of `n` alone, not a count of the
+/// comparator's calls.
 pub fn sort_in_memory(rows: &mut [Row], key: &SortKey, env: &OpEnv) {
     let n = rows.len();
     if n <= 1 {
         return;
     }
-    // Encode all keys into a shared arena; spans[i] = None → fallback row.
-    let (arena, spans) = if env.norm_keys {
-        let mut arena: Vec<u8> = Vec::with_capacity(n * 12);
-        let mut spans: Vec<Option<(u32, u32)>> = Vec::with_capacity(n);
-        let mut encoded = 0u64;
-        for row in rows.iter() {
-            let start = arena.len() as u32;
-            if key.norm.encode_into(row, &mut arena) {
-                spans.push(Some((start, arena.len() as u32)));
-                encoded += 1;
-            } else {
-                spans.push(None);
-            }
-        }
-        env.tracker.encode_keys(encoded);
-        (arena, spans)
-    } else {
-        (Vec::new(), vec![None; n])
-    };
-
-    // Decorate each index with the key's first 8 bytes (zero-padded,
-    // big-endian): the radix backend's digit source, and a register compare
-    // for most fallback comparisons. Zero padding is sound: two distinct
-    // keys of one spec differ at a byte before either ends, so a padded
-    // prefix never contradicts the full comparison — it can only tie.
-    let all_encoded = spans.iter().all(Option::is_some);
-    let mut perm: Vec<(u64, u32)> = spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let p = match s {
-                Some((start, end)) if all_encoded => {
-                    let k = &arena[*start as usize..*end as usize];
-                    let mut p = [0u8; 8];
-                    let take = k.len().min(8);
-                    p[..take].copy_from_slice(&k[..take]);
-                    u64::from_be_bytes(p)
-                }
-                _ => 0,
-            };
-            (p, i as u32)
-        })
-        .collect();
-    // Model charge: n·⌈log₂n⌉ — deterministic in n so both backends (and
-    // every toggle configuration) charge the same comparisons.
     let log2_ceil = (usize::BITS - (n - 1).leading_zeros()) as u64;
     env.tracker.compare(n as u64 * log2_ceil);
-    if all_encoded {
-        let _span = env
-            .trace
-            .span_with("sort", || format!("in_memory.radix n={n}"));
-        if n < RADIX_MIN_ROWS {
-            // `(prefix, index)` in tuple order is what the stable radix
-            // passes arrive at from index order.
-            perm.sort_unstable();
-        } else {
-            radix_sort_prefixes(&mut perm);
-        }
-        // Radix is stable and `perm` started in index order, so equal-prefix
-        // runs are already index-ordered; only runs whose *full* keys may
-        // still differ (key longer than the prefix) need the slice compare.
-        let full = |i: u32| {
-            let (s, e) = spans[i as usize].expect("all rows encoded on this path");
-            &arena[s as usize..e as usize]
-        };
-        let mut i = 0usize;
-        while i < n {
-            let mut j = i + 1;
-            while j < n && perm[j].0 == perm[i].0 {
-                j += 1;
-            }
-            if j - i > 1 && full(perm[i].1).len() > 8 {
-                perm[i..j].sort_unstable_by(|&(_, ia), &(_, ib)| {
-                    full(ia).cmp(full(ib)).then(ia.cmp(&ib))
-                });
-            }
-            i = j;
-        }
-    } else {
-        let _span = env
-            .trace
-            .span_with("sort", || format!("in_memory.comparator n={n}"));
-        perm.sort_unstable_by(|&(pa, ia), &(pb, ib)| {
-            pa.cmp(&pb)
-                .then_with(|| match (spans[ia as usize], spans[ib as usize]) {
-                    (Some((sa, ea)), Some((sb, eb))) => {
-                        arena[sa as usize..ea as usize].cmp(&arena[sb as usize..eb as usize])
-                    }
-                    _ => key.cmp.compare(&rows[ia as usize], &rows[ib as usize]),
-                })
-                .then(ia.cmp(&ib))
-        });
-    }
-    apply_permutation(rows, &mut perm);
-}
-
-/// Inputs shorter than this order their `(prefix, index)` pairs by
-/// comparison instead of by radix passes: a pass costs a 256-counter
-/// histogram whatever `n` is, and a hash bucket or an SS unit is often a
-/// couple of dozen rows. Both produce the same permutation, so this is a
-/// wall-clock cutover only; the value is where the two cross in
-/// `benches/segment_handoff.rs` (`sort_in_memory` at n = 2 … 1 560).
-const RADIX_MIN_ROWS: usize = 128;
-
-/// LSD radix sort of `(prefix, index)` pairs on the 8 prefix bytes: one
-/// stable counting-sort pass per byte, least significant first, skipping
-/// bytes that are uniform across the input (sorted data's high bytes, short
-/// keys' padding). Ping-pongs between two buffers; O(n) per pass.
-fn radix_sort_prefixes(perm: &mut [(u64, u32)]) {
-    let n = perm.len();
-    let mut aux: Vec<(u64, u32)> = vec![(0, 0); n];
-    let mut in_perm = true; // which buffer currently holds the data
-    for byte in 0..8u32 {
-        let shift = byte * 8;
-        let src: &[(u64, u32)] = if in_perm { perm } else { &aux };
-        let mut counts = [0usize; 256];
-        for &(p, _) in src {
-            counts[((p >> shift) & 0xFF) as usize] += 1;
-        }
-        if counts.contains(&n) {
-            continue; // every key shares this byte — the pass is a no-op
-        }
-        let mut sum = 0usize;
-        for c in counts.iter_mut() {
-            let here = *c;
-            *c = sum;
-            sum += here;
-        }
-        // Split borrows: counting-scatter from one buffer into the other.
-        if in_perm {
-            for &e in perm.iter() {
-                let b = ((e.0 >> shift) & 0xFF) as usize;
-                aux[counts[b]] = e;
-                counts[b] += 1;
-            }
-        } else {
-            for &e in aux.iter() {
-                let b = ((e.0 >> shift) & 0xFF) as usize;
-                perm[counts[b]] = e;
-                counts[b] += 1;
-            }
-        }
-        in_perm = !in_perm;
-    }
-    if !in_perm {
-        perm.copy_from_slice(&aux);
-    }
-}
-
-/// Rearrange `rows` so that position `i` holds the row previously at
-/// `perm[i].1` (in-place cycle walk; consumes the permutation).
-fn apply_permutation(rows: &mut [Row], perm: &mut [(u64, u32)]) {
-    for i in 0..rows.len() {
-        if perm[i].1 as usize == i {
-            continue;
-        }
-        let mut cur = i;
-        loop {
-            let src = perm[cur].1 as usize;
-            perm[cur].1 = cur as u32;
-            if src == i {
-                break;
-            }
-            rows.swap(cur, src);
-            cur = src;
-        }
-    }
+    let _span = env
+        .trace
+        .span_with("sort", || format!("in_memory.comparator n={n}"));
+    rows.sort_by(|a, b| key.cmp.compare(a, b));
 }
 
 /// Sort `rows` under `key` within the environment's memory budget.
@@ -387,7 +120,7 @@ pub fn sort_rows(rows: Vec<Row>, key: &SortKey, env: &OpEnv) -> Result<Vec<Row>>
 /// output goes through the environment's segment store — resident when it
 /// fits the pool, spilled when it does not — and `record` names the
 /// attribute-set prefixes whose change positions are recorded as boundary
-/// layers on the way out (gated on `env.reuse_bounds`; see module docs).
+/// layers on the way out (see module docs).
 ///
 /// Returns `(handle, bounds, row count)`.
 pub fn sort_stream_to_handle(
@@ -414,7 +147,7 @@ pub fn sort_stream_to_handle(
         // Everything fits `M`: in-memory sort, then hand to the store.
         sort_in_memory(&mut buf, key, env);
         let n = buf.len();
-        let bounds = record_prefix_layers(&buf, record, env);
+        let bounds = record_prefix_layers(&buf, record);
         return Ok((env.store.admit(buf)?, bounds, n));
     }
     // External path — the same decision point as `sort_rows`: the total
@@ -428,11 +161,10 @@ pub fn sort_stream_to_handle(
 
 /// Scan `rows` once and record, for every attribute set in `record`, the
 /// start positions of its maximal equal runs — the boundary layers a sort
-/// can emit for free. Uncharged metadata derivation (see module docs);
-/// disabled when boundary reuse is off.
-pub(crate) fn record_prefix_layers(rows: &[Row], record: &[AttrSet], env: &OpEnv) -> SegmentBounds {
+/// can emit for free. Uncharged metadata derivation (see module docs).
+pub(crate) fn record_prefix_layers(rows: &[Row], record: &[AttrSet]) -> SegmentBounds {
     let mut bounds = SegmentBounds::none();
-    if !env.reuse_bounds || rows.is_empty() {
+    if rows.is_empty() {
         return bounds;
     }
     for attrs in record {
@@ -469,20 +201,16 @@ struct WatchedPrefix {
 }
 
 impl PrefixRecorder {
-    pub(crate) fn new(record: &[AttrSet], env: &OpEnv) -> Self {
-        let sets = if env.reuse_bounds {
-            record
-                .iter()
-                .filter(|a| !a.is_empty())
-                .map(|a| WatchedPrefix {
-                    attrs: a.clone(),
-                    starts: Vec::new(),
-                    prev: Vec::new(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+    pub(crate) fn new(record: &[AttrSet]) -> Self {
+        let sets = record
+            .iter()
+            .filter(|a| !a.is_empty())
+            .map(|a| WatchedPrefix {
+                attrs: a.clone(),
+                starts: Vec::new(),
+                prev: Vec::new(),
+            })
+            .collect();
         PrefixRecorder { sets, idx: 0 }
     }
 
@@ -532,7 +260,6 @@ type Run = Source<SpillReader>;
 /// the current run, and an incoming row joins the current run if it does not
 /// precede the last row written, otherwise it is tagged for the next run.
 /// Random input therefore yields runs of about `2M` (Knuth), matching Eq. 1.
-/// Rows are normalized once on entry; heap comparisons are then `memcmp`s.
 fn form_runs_from(
     mut input: impl Iterator<Item = Result<Row>>,
     key: &SortKey,
@@ -543,18 +270,16 @@ fn form_runs_from(
     // (the external sort's spill-write phase).
     let _span = env.trace.span("sort", "run_formation");
     let cmp = key.cmp.clone();
-    let mut scratch: Vec<u8> = Vec::new();
-    // (run_tag, arrival seq, keyed row) ordered by tag, then key, then
+    // (run_tag, arrival seq, row) ordered by tag, then key, then
     // arrival — the arrival tie-break makes run formation **stable**: tied
     // keys leave the heap in input order (they are never demoted to the
     // next run, so stability within a run is stability overall). A
     // deterministic, M-independent tie order is what lets the parallel
     // scheduler's sharded sorts reassemble the exact serial output.
-    let mut heap = HeapBy::new(move |a: &(u64, u64, KeyedRow), b: &(u64, u64, KeyedRow)| {
-        match a.0.cmp(&b.0) {
-            Ordering::Equal => a.2.compare(&b.2, &cmp).then(a.1.cmp(&b.1)),
-            other => other,
-        }
+    let mut heap = HeapBy::new(move |a: &(u64, u64, Row), b: &(u64, u64, Row)| {
+        a.0.cmp(&b.0)
+            .then_with(|| cmp.compare(&a.2, &b.2))
+            .then(a.1.cmp(&b.1))
     });
 
     // Fill the heap up to the budget (a single oversized row is force-charged
@@ -566,7 +291,7 @@ fn form_runs_from(
         let bytes = row.encoded_len();
         if heap.is_empty() || ledger.fits(bytes) {
             ledger.charge(bytes);
-            heap.push((0, seq, KeyedRow::new(row, key, env, &mut scratch)));
+            heap.push((0, seq, row));
             seq += 1;
             if !ledger.fits(0) {
                 break;
@@ -579,30 +304,25 @@ fn form_runs_from(
             break;
         }
     }
-    drain_heap_with_input(pending, input, heap, seq, key, env, ledger, &mut scratch)
+    drain_heap_with_input(pending, input, heap, seq, key, env, ledger)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn drain_heap_with_input(
     mut pending: Option<Row>,
     mut input: impl Iterator<Item = Result<Row>>,
-    mut heap: HeapBy<
-        (u64, u64, KeyedRow),
-        impl FnMut(&(u64, u64, KeyedRow), &(u64, u64, KeyedRow)) -> Ordering,
-    >,
+    mut heap: HeapBy<(u64, u64, Row), impl FnMut(&(u64, u64, Row), &(u64, u64, Row)) -> Ordering>,
     mut seq: u64,
     key: &SortKey,
     env: &OpEnv,
     ledger: &mut MemoryLedger,
-    scratch: &mut Vec<u8>,
 ) -> Result<Vec<Run>> {
     let mut runs: Vec<Run> = Vec::new();
     let mut current_tag = 0u64;
     let mut current_file: Option<SpillFile> = None;
     let mut extra_cmp: u64 = 0;
 
-    while let Some((tag, _, keyed)) = heap.pop() {
-        ledger.release(keyed.row.encoded_len());
+    while let Some((tag, _, last)) = heap.pop() {
+        ledger.release(last.encoded_len());
         if tag != current_tag || current_file.is_none() {
             if let Some(f) = current_file.take() {
                 let rank = runs.len() as u64;
@@ -618,9 +338,9 @@ fn drain_heap_with_input(
             current_tag = tag;
         }
         let file = current_file.as_mut().expect("file just ensured");
-        file.push(&keyed.row)?;
+        file.push(&last)?;
         env.tracker.move_rows(1);
-        // `keyed` is now the last tuple written to the current run; incoming
+        // `last` is now the last tuple written to the current run; incoming
         // tuples that precede it must wait for the next run. Ties join the
         // current run (preserving stability).
         loop {
@@ -636,8 +356,7 @@ fn drain_heap_with_input(
             }
             ledger.charge(bytes);
             extra_cmp += 1;
-            let next = KeyedRow::new(next, key, env, scratch);
-            let tag_for_next = if next.compare(&keyed, &key.cmp) == Ordering::Less {
+            let tag_for_next = if key.cmp.compare(&next, &last) == Ordering::Less {
                 current_tag + 1
             } else {
                 current_tag
@@ -769,7 +488,7 @@ fn merge_to_handle<S>(
     record: &[AttrSet],
 ) -> Result<(SegmentHandle, SegmentBounds, usize)> {
     let mut builder = env.store.builder();
-    let mut recorder = PrefixRecorder::new(record, env);
+    let mut recorder = PrefixRecorder::new(record);
     let mut n = 0usize;
     merge_into(sources, next, key, env, |row| {
         recorder.observe(&row);
@@ -780,9 +499,8 @@ fn merge_to_handle<S>(
     Ok((builder.finish()?, recorder.finish(), n))
 }
 
-/// The k-way merge: `next` reads each source's sorted rows, every row read
-/// is keyed on arrival (one `encode_keys` per normalizable row), and `emit`
-/// is handed the rows in order. Ties break by source rank. For runs that is
+/// The k-way merge: `next` reads each source's sorted rows and `emit` is
+/// handed the rows in order. Ties break by source rank. For runs that is
 /// formation rank: replacement selection puts tied keys into the current
 /// run in arrival order (never a later one), so rank order *is* arrival
 /// order for ties — the merge preserves the stable total order end to end.
@@ -796,20 +514,19 @@ fn merge_into<S>(
     let (mut streams, ranks): (Vec<S>, Vec<u64>) =
         sources.into_iter().map(|s| (s.stream, s.rank)).unzip();
     let cmp = key.cmp.clone();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut heap = HeapBy::new(move |a: &(KeyedRow, usize), b: &(KeyedRow, usize)| {
-        a.0.compare(&b.0, &cmp).then(ranks[a.1].cmp(&ranks[b.1]))
+    let mut heap = HeapBy::new(move |a: &(Row, usize), b: &(Row, usize)| {
+        cmp.compare(&a.0, &b.0).then(ranks[a.1].cmp(&ranks[b.1]))
     });
     for (i, s) in streams.iter_mut().enumerate() {
         if let Some(row) = next(s)? {
-            heap.push((KeyedRow::new(row, key, env, &mut scratch), i));
+            heap.push((row, i));
         }
     }
-    while let Some((keyed, i)) = heap.pop() {
-        emit(keyed.row)?;
+    while let Some((row, i)) = heap.pop() {
+        emit(row)?;
         env.tracker.move_rows(1);
         if let Some(row) = next(&mut streams[i])? {
-            heap.push((KeyedRow::new(row, key, env, &mut scratch), i));
+            heap.push((row, i));
         }
     }
     env.tracker.compare(heap.take_comparisons());
@@ -1114,10 +831,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Rows whose sort keys hit every normalization edge: NaN and ±0.0
+    /// Rows whose sort keys hit the comparator's edges: NaN and ±0.0
     /// floats, empty strings and strings containing NUL bytes, ints beyond
-    /// 2^53 (lossy under an f64 cast, so normalization refuses them and the
-    /// whole sort falls back to the comparator), NULLs, and plain values.
+    /// 2^53 (lossy under an f64 cast), NULLs, and plain values.
     fn adversarial_rows(n: usize, seed: u64, include_lossy: bool) -> Vec<Row> {
         use wf_common::Value;
         let mut st = seed;
@@ -1142,60 +858,47 @@ mod tests {
             .collect()
     }
 
-    /// The radix backend (normalized keys) and the comparator backend must
-    /// produce the identical stable order and identical modeled counters on
-    /// adversarial key distributions — including inputs where a lossy int
-    /// forces the whole sort onto the comparator path.
+    /// In memory and external, the sorter returns exactly what a std stable
+    /// sort on the comparator returns, on adversarial key distributions.
     #[test]
-    fn radix_matches_comparator_on_adversarial_values() {
+    fn sorts_equal_a_stable_comparator_sort_on_adversarial_values() {
         let spec = SortSpec::new(vec![
             OrdElem::asc(AttrId::new(0)),
             OrdElem::desc(AttrId::new(1)),
         ]);
         let sk = SortKey::new(&spec);
         for (seed, include_lossy) in [(11u64, false), (12, true), (13, false), (14, true)] {
+            let rows = adversarial_rows(1200, seed, include_lossy);
+            let mut expect = rows.clone();
+            expect.sort_by(|a, b| sk.comparator().compare(a, b));
             for mem in [1024u64, 3] {
-                let rows = adversarial_rows(1200, seed, include_lossy);
-                let env_norm = OpEnv::with_memory_blocks(mem);
-                // A tracker of its own: `with_toggles` shares the original's.
-                let env_cmp = OpEnv::with_memory_blocks(mem).with_toggles(false, true);
-                let a = sort_rows(rows.clone(), &sk, &env_norm).unwrap();
-                let b = sort_rows(rows, &sk, &env_cmp).unwrap();
-                assert_eq!(a, b, "seed={seed} lossy={include_lossy} M={mem}");
-                assert_eq!(
-                    env_norm.tracker.snapshot().modeled_counters(),
-                    env_cmp.tracker.snapshot().modeled_counters(),
-                    "seed={seed} lossy={include_lossy} M={mem}"
-                );
+                let env = OpEnv::with_memory_blocks(mem);
+                let sorted = sort_rows(rows.clone(), &sk, &env).unwrap();
+                assert_eq!(sorted, expect, "seed={seed} lossy={include_lossy} M={mem}");
+                assert_eq!(env.tracker.snapshot().key_encodes, 0);
             }
         }
     }
 
     /// The in-memory comparison charge is the deterministic `n·⌈log₂n⌉`
-    /// regardless of backend or key distribution.
+    /// regardless of key distribution.
     #[test]
     fn in_memory_comparison_charge_is_the_model_formula() {
-        for n in [2usize, 3, 4, 500, 1000] {
-            let expected = n as u64 * (usize::BITS - (n - 1).leading_zeros()) as u64;
-            for norm in [true, false] {
-                let env = OpEnv::with_memory_blocks(1 << 20).with_toggles(norm, true);
-                let mut rows = make_rows(n, n as u64);
-                sort_in_memory(&mut rows, &cmp_on0(), &env);
-                assert_eq!(
-                    env.tracker.snapshot().comparisons,
-                    expected,
-                    "n={n} norm={norm}"
-                );
-            }
+        for n in [0usize, 1, 2, 3, 4, 500, 1000] {
+            let expected = match n {
+                0 | 1 => 0,
+                n => n as u64 * (usize::BITS - (n - 1).leading_zeros()) as u64,
+            };
+            let env = OpEnv::with_memory_blocks(1 << 20);
+            let mut rows = make_rows(n, n as u64);
+            sort_in_memory(&mut rows, &cmp_on0(), &env);
+            assert_eq!(env.tracker.snapshot().comparisons, expected, "n={n}");
         }
     }
 
-    /// Stability under the radix backend: rows with equal keys keep input
-    /// order, including keys that tie only in the 8-byte prefix.
+    /// Rows with equal keys keep input order in memory.
     #[test]
-    fn radix_sort_is_stable() {
-        // Key 9 bytes (int column): values differing only in the low byte
-        // share the 8-byte prefix, so the full-key resolve pass runs.
+    fn in_memory_sort_is_stable() {
         let rows: Vec<Row> = (0..800).map(|i| row![(i % 5) as i64, i as i64]).collect();
         let env = OpEnv::with_memory_blocks(1 << 20);
         let mut sorted = rows.clone();
@@ -1209,42 +912,24 @@ mod tests {
         assert_eq!(sorted, expect, "stable sort must preserve arrival order");
     }
 
-    /// An external sort on normalized keys returns the comparator path's
-    /// rows and modeled counters, and encodes one key per row per pass: at
-    /// run formation, then once more for every row a merge reads back from
-    /// a run.
+    /// An external sort with intermediate merge passes returns the in-memory
+    /// sort's rows and encodes no key on any pass.
     #[test]
-    fn external_runs_match_the_comparator_path() {
+    fn external_runs_match_the_in_memory_sort() {
         let spec = SortSpec::new(vec![OrdElem::asc(AttrId::new(0))]);
         let sk = SortKey::new(&spec);
         let rows = adversarial_rows(3000, 21, false);
-        let env_norm = OpEnv::with_memory_blocks(2);
-        let env_cmp = OpEnv::with_memory_blocks(2).with_toggles(false, true);
-        let a = sort_rows(rows.clone(), &sk, &env_norm).unwrap();
-        let b = sort_rows(rows.clone(), &sk, &env_cmp).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            env_norm.tracker.snapshot().modeled_counters(),
-            env_cmp.tracker.snapshot().modeled_counters(),
-        );
-        // The rows the merges read back, from the runs' sizes and the
-        // passes `reduce_runs` makes over them (a lone run is not re-read
-        // until the final merge).
-        let n = rows.len() as u64;
         let env = OpEnv::with_memory_blocks(2);
+        let external = sort_rows(rows.clone(), &sk, &env).unwrap();
+        let work = env.tracker.snapshot();
+        assert!(work.io_blocks() > 0, "must spill");
+        assert_eq!(work.key_encodes, 0);
+        let mut in_memory = rows.clone();
+        sort_in_memory(&mut in_memory, &sk, &OpEnv::with_memory_blocks(1 << 20));
+        assert_eq!(external, in_memory);
+        // More runs than one merge takes: at least one intermediate pass.
         let runs = form_runs(rows, &sk, &env, &mut env.ledger().unwrap()).unwrap();
-        let mut sizes: Vec<u64> = runs.iter().map(|r| r.stream.remaining_rows()).collect();
-        let mut read_back = n; // the final merge
-        let f = merge_fan_in(env.mem_blocks);
-        while sizes.len() > f {
-            for batch in sizes.chunks(f).filter(|c| c.len() > 1) {
-                read_back += batch.iter().sum::<u64>();
-            }
-            sizes = sizes.chunks(f).map(|c| c.iter().sum()).collect();
-        }
-        assert!(read_back > n, "at least one intermediate pass");
-        assert_eq!(env_norm.tracker.snapshot().key_encodes, n + read_back);
-        assert_eq!(env_cmp.tracker.snapshot().key_encodes, 0);
+        assert!(runs.len() > merge_fan_in(env.mem_blocks));
     }
 
     /// A sort key far longer than any length field of the spill format
@@ -1265,83 +950,6 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
-    #[test]
-    fn inline_key_round_trips() {
-        let small = InlineKey::from_slice(&[1, 2, 3]);
-        assert_eq!(small.as_slice(), &[1, 2, 3]);
-        assert!(matches!(small, InlineKey::Inline { .. }));
-        let big_bytes: Vec<u8> = (0..100).collect();
-        let big = InlineKey::from_slice(&big_bytes);
-        assert_eq!(big.as_slice(), big_bytes.as_slice());
-        assert!(matches!(big, InlineKey::Heap(_)));
-        // Boundary: exactly the inline capacity stays inline.
-        let edge = InlineKey::from_slice(&[7u8; INLINE_KEY_CAP]);
-        assert!(matches!(edge, InlineKey::Inline { .. }));
-    }
-
-    /// One permutation whichever backend orders the pairs: every length
-    /// from 0 across the radix cutover, duplicate keys, keys that tie on the
-    /// 8-byte prefix and differ after it, and (every other round) a row
-    /// whose key does not normalize, which sends the whole input to the
-    /// comparator — against a stable comparator sort, with the model's
-    /// counters.
-    #[test]
-    fn in_memory_sort_is_one_permutation_across_the_cutover() {
-        assert!((2..300).contains(&RADIX_MIN_ROWS), "lengths straddle it");
-        let sk = SortKey::new(&SortSpec::new(vec![
-            OrdElem::asc(AttrId::new(0)),
-            OrdElem::desc(AttrId::new(1)),
-        ]));
-        let mut st = 99u64;
-        for n in 0..=300usize {
-            let lossy = n % 2 == 1;
-            let mut rows: Vec<Row> = (0..n)
-                .map(|i| {
-                    let r = splitmix64(&mut st);
-                    // The first key column fills the prefix by itself, so
-                    // the second only ever shows in the full-key compare.
-                    row![
-                        (r % 7) as i64,
-                        format!("longer-than-the-prefix-{}", (r >> 8) % 5),
-                        i as i64
-                    ]
-                })
-                .collect();
-            if lossy {
-                rows[n / 2] = row![(1i64 << 53) + 1, "x", (n / 2) as i64];
-            }
-            let mut expect = rows.clone();
-            expect.sort_by(|a, b| sk.comparator().compare(a, b));
-            let charge = |n: usize| match n {
-                0 | 1 => 0,
-                n => n as u64 * (usize::BITS - (n - 1).leading_zeros()) as u64,
-            };
-            for norm in [true, false] {
-                let env = OpEnv::with_memory_blocks(1 << 20).with_toggles(norm, true);
-                let mut sorted = rows.clone();
-                sort_in_memory(&mut sorted, &sk, &env);
-                assert_eq!(sorted, expect, "n={n} norm={norm}");
-                let work = env.tracker.snapshot();
-                assert_eq!(work.comparisons, charge(n), "n={n} norm={norm}");
-                let encodable = if norm && n > 1 {
-                    n - usize::from(lossy)
-                } else {
-                    0
-                };
-                assert_eq!(work.key_encodes, encodable as u64, "n={n} norm={norm}");
-            }
-            // The pairs themselves: tuple order is what the radix passes
-            // reach from index order.
-            let pairs: Vec<(u64, u32)> = (0..n as u32)
-                .map(|i| ((splitmix64(&mut st) % 5) << (8 * (i % 8)), i))
-                .collect();
-            let (mut by_radix, mut by_compare) = (pairs.clone(), pairs);
-            radix_sort_prefixes(&mut by_radix);
-            by_compare.sort_unstable();
-            assert_eq!(by_radix, by_compare, "n={n}");
-        }
-    }
-
     /// The streaming recorder marks the boundaries the slice scan marks —
     /// values equal across types (`2` and `2.0`) included — and holds no
     /// copy of a row it was shown.
@@ -1349,7 +957,6 @@ mod tests {
     fn prefix_recorder_matches_the_slice_scan_without_copying_rows() {
         use std::sync::Arc;
         use wf_common::Value;
-        let env = OpEnv::with_memory_blocks(4);
         let payload: Arc<str> = Arc::from("payload-no-boundary-check-reads");
         let mut st = 5u64;
         let rows: Vec<Row> = (0..400)
@@ -1367,13 +974,13 @@ mod tests {
             AttrSet::from_iter([AttrId::new(0)]),
             AttrSet::from_iter([AttrId::new(0), AttrId::new(1)]),
         ];
-        let mut recorder = PrefixRecorder::new(&sets, &env);
+        let mut recorder = PrefixRecorder::new(&sets);
         for row in &rows {
             recorder.observe(row);
             assert_eq!(Arc::strong_count(&payload), rows.len() + 1);
         }
         let streamed = recorder.finish();
-        let scanned = record_prefix_layers(&rows, &sets, &env);
+        let scanned = record_prefix_layers(&rows, &sets);
         assert_eq!(streamed.layers().len(), 2);
         for (a, b) in streamed.layers().iter().zip(scanned.layers()) {
             assert_eq!((&a.attrs, &a.starts), (&b.attrs, &b.starts));

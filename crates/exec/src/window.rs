@@ -524,11 +524,12 @@ impl SegSize {
 /// its error, exactly as a chain of single-call operators would.
 ///
 /// **Modeled cost is unchanged by grouping.** What the group no longer
-/// repeats — the 2nd…K-th partition and peer scan when boundary reuse is
-/// off, one row hand-off per call — is charged as a count, and the boundary
-/// layers evolve in the same sequence, so rows, emitted layers and every
-/// modeled counter equal those of K chained single-call operators in both
-/// positions of `reuse_bounds`.
+/// repeats — one row hand-off per call — is charged as a count. Along a
+/// chain the 2nd…K-th call reads its partition and peer starts off the
+/// layers the first one attached, at no charge, so the group charges none
+/// either. The boundary layers evolve in the same sequence, so rows,
+/// emitted layers and every modeled counter equal those of K chained
+/// single-call operators.
 ///
 /// **Spilled segments** stream through their calls back to back, each
 /// within the residency of its [`StreamableEval`] class, and drop into the
@@ -683,7 +684,6 @@ impl Group {
         scratch.part_starts.clear();
         crate::segment::detect_runs(
             &bounds,
-            env.reuse_bounds,
             &self.wpk,
             &rows,
             0,
@@ -705,14 +705,7 @@ impl Group {
             // pass; one that might not goes alone, and its actual size
             // decides.
             let run = self.resident_run(&self.calls[next..], n, size.as_ref());
-            self.eval_pass(
-                scratch,
-                next..next + run,
-                next > first,
-                &mut rows,
-                &mut bounds,
-                &mut size,
-            )?;
+            self.eval_pass(scratch, next..next + run, &mut rows, &mut bounds, &mut size)?;
             next += run;
             if next < self.calls.len() && size.as_ref().is_some_and(|s| !env.store.fits(s.bytes)) {
                 break;
@@ -745,9 +738,7 @@ impl Group {
     }
 
     /// Evaluate the calls `pass` over the resident `rows`, partition by
-    /// partition, and append their values. `rescan` says whether the first
-    /// call's own operator would have derived the partition starts again
-    /// (it is not the first call over this materialization).
+    /// partition, and append their values.
     ///
     /// Boundary layers evolve as along a chain of single-call operators:
     /// each would hand on the peer groups (when it resolved them, for every
@@ -756,7 +747,6 @@ impl Group {
         &self,
         scratch: &mut Scratch,
         pass: Range<usize>,
-        rescan: bool,
         rows: &mut [Row],
         bounds: &mut SegmentBounds,
         size: &mut Option<SegSize>,
@@ -764,12 +754,6 @@ impl Group {
         let env = &self.env;
         let n = rows.len();
         let calls = &self.calls[pass.clone()];
-        if !env.reuse_bounds {
-            // Without boundary reuse every call's own operator scans the
-            // segment's adjacent pairs for partition starts again.
-            let rescans = calls.len() - usize::from(!rescan);
-            env.tracker.compare((rescans * n.saturating_sub(1)) as u64);
-        }
         env.tracker.move_rows((calls.len() * n) as u64);
         if n == 0 {
             return Ok(());
@@ -891,10 +875,8 @@ impl Group {
     /// union layer proves, making reuse sound.
     ///
     /// The first call of a pass that needs them resolves them, from a
-    /// carried layer or by scanning. For every later call its own operator
-    /// would resolve them again: for free from the union layer the first
-    /// one attached, or — without boundary reuse — by the same scan, which
-    /// is charged here as a count.
+    /// carried layer or by scanning. Every later call's own operator would
+    /// read them for free from the union layer the first one attached.
     fn resolve_peers(
         &self,
         scratch: &mut Scratch,
@@ -904,15 +886,11 @@ impl Group {
     ) {
         let env = &self.env;
         if scratch.peers_from.is_some() {
-            if !env.reuse_bounds {
-                env.tracker.compare((part.len() - 1) as u64);
-            }
             return;
         }
         scratch.peers_from = Some(scratch.peer_starts.len());
         crate::segment::detect_runs(
             bounds,
-            env.reuse_bounds,
             &self.union_attrs,
             rows,
             part.start,

@@ -200,10 +200,10 @@ impl Group {
             groups_from: 0,
         };
         scratch.evals[k].reset();
-        let mut part_split = RunSplitter::new(&bounds, &self.wpk, n, env.reuse_bounds);
+        let mut part_split = RunSplitter::new(&bounds, &self.wpk, n);
         // A whole partition resolves its peers as a resident one does.
         let mut peer_split = (call.needs_peers && hold != Hold::Whole)
-            .then(|| RunSplitter::new(&bounds, &self.union_attrs, n, env.reuse_bounds));
+            .then(|| RunSplitter::new(&bounds, &self.union_attrs, n));
         let mut prev: Option<Row> = None;
         let mut idx = 0usize;
         while let Some(row) = rows.next_row()? {

@@ -105,28 +105,27 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i += width;
             }
             '\'' => {
+                // The text between quotes is taken from `input` whole, so
+                // multi-byte characters survive; a quote is one ASCII byte,
+                // so every slice starts and ends on a char boundary.
                 let start = i;
                 i += 1;
                 let mut s = String::new();
                 loop {
-                    if i >= bytes.len() {
+                    let Some(len) = input[i..].find('\'') else {
                         return Err(Error::Parse {
                             offset: start,
                             message: "unterminated string literal".into(),
                         });
-                    }
-                    if bytes[i] == b'\'' {
-                        // Doubled quote = escaped quote.
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[i] as char);
+                    };
+                    s.push_str(&input[i..i + len]);
+                    i += len + 1;
+                    // Doubled quote = escaped quote.
+                    if bytes.get(i) == Some(&b'\'') {
+                        s.push('\'');
                         i += 1;
+                    } else {
+                        break;
                     }
                 }
                 tokens.push(Token {
@@ -179,11 +178,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     offset: start,
                 });
             }
-            other => {
+            _ => {
+                // Every branch above consumes whole characters, so `i` is
+                // on a char boundary.
+                let other = input[i..].chars().next().unwrap_or_default();
                 return Err(Error::Parse {
                     offset: i,
                     message: format!("unexpected character `{other}`"),
-                })
+                });
             }
         }
     }
@@ -275,5 +277,30 @@ mod tests {
             tokenize("a ; b"),
             Err(Error::Parse { offset: 2, .. })
         ));
+    }
+
+    /// Literals keep multi-byte characters as written, `''` escapes
+    /// included, and an unexpected character is named as written.
+    #[test]
+    fn non_ascii_literals_and_characters_survive() {
+        assert_eq!(
+            kinds("'naïve é' '多字节' 'it''s 🦀''' ''"),
+            vec![
+                TokenKind::Str("naïve é".into()),
+                TokenKind::Str("多字节".into()),
+                TokenKind::Str("it's 🦀'".into()),
+                TokenKind::Str(String::new()),
+                TokenKind::Eof,
+            ]
+        );
+        let toks = tokenize("'é' x").unwrap();
+        assert_eq!(toks[1].offset, 5, "offsets count bytes");
+        assert!(tokenize("'多字节").is_err());
+        for (sql, ch) in [("a é", 'é'), ("🦀", '🦀'), ("x 多", '多')] {
+            let Err(Error::Parse { message, .. }) = tokenize(sql) else {
+                panic!("{sql} must not lex");
+            };
+            assert_eq!(message, format!("unexpected character `{ch}`"), "{sql}");
+        }
     }
 }

@@ -89,7 +89,6 @@ pub struct CostTracker {
     comparisons: AtomicU64,
     hashes: AtomicU64,
     rows_moved: AtomicU64,
-    key_encodes: AtomicU64,
 }
 
 impl CostTracker {
@@ -129,15 +128,6 @@ impl CostTracker {
         self.rows_moved.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Charge `n` normalized-key encodings (byte-comparable sort keys).
-    /// Informational: the paper's cost model does not price encoding, so
-    /// this counter never enters modeled time — the work shows up in wall
-    /// clock and is reported for transparency.
-    #[inline]
-    pub fn encode_keys(&self, n: u64) {
-        self.key_encodes.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Fold a finished snapshot into this tracker — how a parallel
     /// scheduler merges its workers' private trackers back into the chain's
     /// shared one. Callers absorb workers in a fixed (shard) order so the
@@ -149,7 +139,6 @@ impl CostTracker {
         self.compare(s.comparisons);
         self.hash(s.hashes);
         self.move_rows(s.rows_moved);
-        self.encode_keys(s.key_encodes);
     }
 
     /// Current totals.
@@ -160,7 +149,7 @@ impl CostTracker {
             comparisons: self.comparisons.load(Ordering::Relaxed),
             hashes: self.hashes.load(Ordering::Relaxed),
             rows_moved: self.rows_moved.load(Ordering::Relaxed),
-            key_encodes: self.key_encodes.load(Ordering::Relaxed),
+            key_encodes: 0,
         }
     }
 
@@ -171,7 +160,6 @@ impl CostTracker {
         self.comparisons.store(0, Ordering::Relaxed);
         self.hashes.store(0, Ordering::Relaxed);
         self.rows_moved.store(0, Ordering::Relaxed);
-        self.key_encodes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -184,8 +172,9 @@ pub struct CostSnapshot {
     pub comparisons: u64,
     pub hashes: u64,
     pub rows_moved: u64,
-    /// Normalized-key encodings (informational; zero-weighted in modeled
-    /// time — see [`CostTracker::encode_keys`]).
+    /// Always 0: rows are compared through their comparator, so no sort
+    /// key is ever encoded. Kept because the benchmark reads the field
+    /// (`sort.key_encodes`); it never enters modeled time.
     pub key_encodes: u64,
 }
 
@@ -195,10 +184,8 @@ impl CostSnapshot {
         self.blocks_read + self.blocks_written
     }
 
-    /// The counters the paper's cost model prices (everything except the
-    /// informational `key_encodes`). Equivalence tests compare these: the
-    /// byte-key and comparator sort paths must charge identical modeled
-    /// work even though only the former encodes keys.
+    /// The counters the paper's cost model prices (everything except
+    /// `key_encodes`, which is always 0). Equivalence tests compare these.
     pub fn modeled_counters(&self) -> (u64, u64, u64, u64, u64) {
         (
             self.blocks_read,
@@ -337,7 +324,6 @@ mod tests {
         worker.compare(10);
         worker.hash(4);
         worker.move_rows(7);
-        worker.encode_keys(5);
         let main = CostTracker::new();
         main.compare(1);
         main.absorb(&worker.snapshot());
@@ -346,7 +332,7 @@ mod tests {
             (s.blocks_read, s.blocks_written, s.comparisons, s.hashes),
             (3, 2, 11, 4)
         );
-        assert_eq!((s.rows_moved, s.key_encodes), (7, 5));
+        assert_eq!((s.rows_moved, s.key_encodes), (7, 0));
     }
 
     #[test]

@@ -60,8 +60,8 @@ impl IoMeter {
 /// ([`crate::codec::encode_row`], the one entry format) into a block-sized
 /// buffer and written out block by block; every logical block write is
 /// charged to the meter (compression may shrink the physical payload, never
-/// the charge). A sorted run is such a file: its normalized keys live only
-/// in memory, and the merge that reads the run back encodes them again.
+/// the charge). A sorted run is such a file, and the merge that reads it
+/// back compares its rows through the sort's comparator.
 pub struct SpillFile {
     file: Box<dyn BackendFile>,
     buffer: ByteBuf,

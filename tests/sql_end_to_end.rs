@@ -156,3 +156,26 @@ fn multiple_window_functions_one_statement() {
         }
     }
 }
+
+/// String literals with multi-byte characters match the stored values they
+/// spell, through `Database::query`.
+#[test]
+fn non_ascii_string_literals_filter_by_equality() {
+    let schema = Schema::of(&[("id", DataType::Int), ("s", DataType::Str)]);
+    let mut table = Table::new(schema);
+    let words = ["naïve", "é", "多字节", "🦀", "naive", "e"];
+    for (id, word) in words.iter().cycle().take(24).enumerate() {
+        table.push(Row::new(vec![Value::Int(id as i64), Value::str(*word)]));
+    }
+    let db = DatabaseConfig::new().open();
+    db.register("t", table).unwrap();
+    for word in &words[..4] {
+        let sql =
+            format!("SELECT *, row_number() OVER (ORDER BY id) AS rn FROM t WHERE s = '{word}'");
+        let out = db.query(&sql).unwrap();
+        assert_eq!(out.row_count(), 4, "{word}");
+        for row in out.rows() {
+            assert_eq!(row.get(AttrId::new(1)).as_str(), Some(*word));
+        }
+    }
+}

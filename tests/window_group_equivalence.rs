@@ -6,10 +6,11 @@
 //! The matrix (SplitMix64-seeded like `tests/property_based.rs`): every
 //! `WindowFunction` variant × frame class (SQL default, `ROWS k PRECEDING ..
 //! j FOLLOWING`, `RANGE ±d`, `CURRENT ROW .. UNBOUNDED FOLLOWING`, whole
-//! partition) × K ∈ {1, 2, 5, 24} × `M` ∈ {2 blocks, 16 blocks, unbounded} ×
-//! `reuse_bounds` on/off, over partitioned, global
-//! (`WPK = ∅`) and all-one-row-partition inputs, behind a Full Sort or a
-//! Hashed Sort that records none, some or all of the boundary layers.
+//! partition) × K ∈ {1, 2, 5, 24} × `M` ∈ {2 blocks, 16 blocks, unbounded},
+//! over partitioned, global (`WPK = ∅`) and all-one-row-partition inputs,
+//! behind a Full Sort or a Hashed Sort that records none, some or all of the
+//! boundary layers (one that records none makes every step scan for its
+//! boundaries).
 //!
 //! Beside it: segments that change residency inside a group, error and
 //! residency parity, the group's evaluation class, the linear-in-partitions
@@ -169,18 +170,14 @@ fn groups_of(k: usize, rng: &mut SplitMix64) -> Vec<Vec<Call>> {
 #[derive(Debug, Clone, Copy)]
 struct Config {
     mem: Option<u64>,
-    reuse: bool,
 }
 
 impl Config {
     fn all() -> Vec<Config> {
-        let mut out = Vec::new();
-        for mem in [Some(2), Some(16), None] {
-            for reuse in [true, false] {
-                out.push(Config { mem, reuse });
-            }
-        }
-        out
+        [Some(2), Some(16), None]
+            .into_iter()
+            .map(|mem| Config { mem })
+            .collect()
     }
 
     /// A fresh environment: own tracker, own store.
@@ -189,7 +186,6 @@ impl Config {
             Some(m) => OpEnv::with_memory_blocks(m),
             None => OpEnv::with_memory_blocks(1 << 16).with_unbounded_pool(),
         }
-        .with_toggles(true, self.reuse)
     }
 }
 
@@ -350,8 +346,8 @@ fn group_equals_chain_for_every_function_frame_k_and_config() {
             }
         }
     }
-    // 105 calls: 105 + 53 + 21 + 5 groups, 6 configurations each.
-    assert_eq!(cases, (105 + 53 + 21 + 5) * 6);
+    // 105 calls: 105 + 53 + 21 + 5 groups, 3 configurations each.
+    assert_eq!(cases, (105 + 53 + 21 + 5) * 3);
 }
 
 /// A global window (`WPK = ∅`: one partition per segment, no WPK layer to
@@ -436,27 +432,25 @@ fn mixed_calls() -> Vec<Call> {
 fn spilled_segment_turns_resident_mid_group() {
     let shape = Shape::new(&[P], false, 0);
     let calls = mixed_calls();
-    for reuse in [true, false] {
-        let run = |grouped: bool| {
-            let env = OpEnv::with_memory_blocks(5).with_toggles(true, reuse);
-            let rows = sorted_rows(8, 25);
-            assert!(bytes_of(&rows) < 2 * BLOCK_SIZE, "the segment alone fits");
-            let ballast = env.store.admit(sorted_rows(70, 10)).unwrap();
-            assert!(!ballast.is_spilled(), "the ballast is resident");
-            let seg = Segment::from_handle(env.store.admit(rows).unwrap(), SegmentBounds::none());
-            assert!(seg.is_spilled(), "admitted into a full pool");
-            let feed = Feed {
-                segments: VecDeque::from([seg]),
-                ballast: Some(ballast),
-            };
-            let out = finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap();
-            // Only the input ever spilled: every intermediate was resident.
-            assert_eq!(out.store.spilled_segments, 1);
-            assert_eq!(out.store.resident_bytes, 0);
-            out
+    let run = |grouped: bool| {
+        let env = OpEnv::with_memory_blocks(5);
+        let rows = sorted_rows(8, 25);
+        assert!(bytes_of(&rows) < 2 * BLOCK_SIZE, "the segment alone fits");
+        let ballast = env.store.admit(sorted_rows(70, 10)).unwrap();
+        assert!(!ballast.is_spilled(), "the ballast is resident");
+        let seg = Segment::from_handle(env.store.admit(rows).unwrap(), SegmentBounds::none());
+        assert!(seg.is_spilled(), "admitted into a full pool");
+        let feed = Feed {
+            segments: VecDeque::from([seg]),
+            ballast: Some(ballast),
         };
-        assert_eq!(run(true), run(false), "reuse_bounds={reuse}");
-    }
+        let out = finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap();
+        // Only the input ever spilled: every intermediate was resident.
+        assert_eq!(out.store.spilled_segments, 1);
+        assert_eq!(out.store.resident_bytes, 0);
+        out
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// The reverse: a segment enters **resident** and outgrows the pool as
@@ -470,26 +464,24 @@ fn resident_segment_spills_mid_group() {
     let rows = sorted_rows(10, 25);
     let (base, col) = (bytes_of(&rows), rows.len() * Value::Int(0).encoded_len());
     assert!(base + col <= 2 * BLOCK_SIZE && base + 2 * col > 2 * BLOCK_SIZE);
-    for reuse in [true, false] {
-        let run = |grouped: bool| {
-            let env = OpEnv::with_memory_blocks(2).with_toggles(true, reuse);
-            let seg = Segment::from_handle(
-                env.store.admit(rows.clone()).unwrap(),
-                SegmentBounds::none(),
-            );
-            assert!(!seg.is_spilled(), "enters resident");
-            let feed = Feed {
-                segments: VecDeque::from([seg]),
-                ballast: None,
-            };
-            let out = finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap();
-            // The intermediates after calls 2 … K spilled, one by one.
-            assert_eq!(out.store.spilled_segments, calls.len() as u64 - 1);
-            assert_eq!(out.store.resident_bytes, 0);
-            out
+    let run = |grouped: bool| {
+        let env = OpEnv::with_memory_blocks(2);
+        let seg = Segment::from_handle(
+            env.store.admit(rows.clone()).unwrap(),
+            SegmentBounds::none(),
+        );
+        assert!(!seg.is_spilled(), "enters resident");
+        let feed = Feed {
+            segments: VecDeque::from([seg]),
+            ballast: None,
         };
-        assert_eq!(run(true), run(false), "reuse_bounds={reuse}");
-    }
+        let out = finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap();
+        // The intermediates after calls 2 … K spilled, one by one.
+        assert_eq!(out.store.spilled_segments, calls.len() as u64 - 1);
+        assert_eq!(out.store.resident_bytes, 0);
+        out
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// The error a failing call raises, the state it leaves behind, and which
