@@ -5,18 +5,13 @@ use wf_common::{Result, TraceSink};
 use wf_storage::{CostTracker, MemoryLedger, SegmentStore, SpillConfig};
 
 /// Everything a reordering operator needs: the shared cost tracker, the
-/// spill configuration, the size of its unit reorder memory (the paper's
-/// `M`, in blocks), and the shared segment store governing inter-operator
-/// segment residency.
+/// size of its unit reorder memory (the paper's `M`, in blocks), and the
+/// shared segment store governing inter-operator segment residency and
+/// owning the chain's spill configuration.
 #[derive(Clone)]
 pub struct OpEnv {
     /// Shared work counters.
     pub tracker: Arc<CostTracker>,
-    /// Where spills go (backend + compression + read-ahead). Defaults from
-    /// `WF_SPILL_BACKEND` / `WF_SPILL_COMPRESS` / `WF_PREFETCH_BLOCKS`;
-    /// rows, modeled counters, and pool counters are bit-identical across
-    /// every setting — only wall time may move.
-    pub spill: SpillConfig,
     /// Unit reorder memory in blocks.
     pub mem_blocks: u64,
     /// The chain's segment store: every segment an operator emits lives in
@@ -24,14 +19,21 @@ pub struct OpEnv {
     /// default pool budget equals `mem_blocks`; an unbounded pool
     /// ([`OpEnv::with_unbounded_pool`]) reproduces the pre-store pipeline
     /// (everything resident) with bit-identical modeled counters.
+    ///
+    /// It is also the one owner of the chain's [`SpillConfig`]
+    /// ([`SegmentStore::spill_config`]: backend, compression, read-ahead):
+    /// sort runs and hash buckets open their files through it, as pool
+    /// spills do. It defaults from `WF_SPILL_BACKEND` /
+    /// `WF_SPILL_COMPRESS`; rows, modeled counters, and pool counters are
+    /// bit-identical across every setting — only wall time may move.
     pub store: Arc<SegmentStore>,
     /// Worker-thread override for parallel operators: `0` means "use the
     /// plan node's worker count"; any other value forces that many OS
     /// threads without changing the plan's shard count — output rows and
     /// modeled counters are invariant under this knob (the scheduler's
     /// determinism contract). Defaults from the `WF_WORKERS` environment
-    /// variable so CI can force a serial or 4-worker execution of the whole
-    /// suite.
+    /// variable (unset → no override) so CI can force a serial or 4-worker
+    /// execution of the whole suite.
     pub worker_threads: usize,
     /// Span recorder for the wall-clock metric domain (defaults to the
     /// shared no-op sink). Shard environments and rebudgeted environments
@@ -41,12 +43,24 @@ pub struct OpEnv {
     pub trace: Arc<TraceSink>,
 }
 
-/// Parse the `WF_WORKERS` environment variable (`0`/unset → no override).
-pub(crate) fn env_worker_threads() -> usize {
-    std::env::var("WF_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
+/// The `WF_WORKERS` environment variable (unset → no override). Panics on
+/// a value [`parse_workers`] rejects.
+fn env_worker_threads() -> usize {
+    let value = std::env::var_os("WF_WORKERS").unwrap_or_default();
+    parse_workers(&value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `WF_WORKERS`: a thread count; `0` or empty means no override.
+fn parse_workers(value: &str) -> std::result::Result<usize, String> {
+    match value.trim() {
+        "" => Ok(0),
+        count => count.parse().map_err(|_| {
+            format!(
+                "WF_WORKERS={value:?} is not recognised \
+                 (accepted: a thread count, `0` or empty for no override)"
+            )
+        }),
+    }
 }
 
 impl OpEnv {
@@ -54,11 +68,9 @@ impl OpEnv {
     /// configuration, the given memory budget, and a segment pool of the
     /// same size.
     pub fn with_memory_blocks(mem_blocks: u64) -> Self {
-        let spill = SpillConfig::from_env();
         OpEnv {
             tracker: Arc::new(CostTracker::new()),
-            store: SegmentStore::with_spill(Some(mem_blocks.max(1)), spill.clone()),
-            spill,
+            store: SegmentStore::with_spill(Some(mem_blocks.max(1)), SpillConfig::from_env()),
             mem_blocks,
             worker_threads: env_worker_threads(),
             trace: TraceSink::disabled(),
@@ -77,7 +89,6 @@ impl OpEnv {
             .unwrap_or(u64::MAX / wf_storage::BLOCK_SIZE as u64);
         OpEnv {
             tracker: Arc::new(CostTracker::new()),
-            spill: store.spill_config().clone(),
             store,
             mem_blocks,
             worker_threads: env_worker_threads(),
@@ -135,10 +146,9 @@ impl OpEnv {
             .store
             .budget_bytes()
             .map(|b| (b / wf_storage::BLOCK_SIZE) as u64);
-        let store = SegmentStore::with_spill(budget, spill.clone());
+        let store = SegmentStore::with_spill(budget, spill);
         store.set_trace(Arc::clone(&self.trace));
         OpEnv {
-            spill,
             store,
             ..self.clone()
         }
@@ -147,7 +157,8 @@ impl OpEnv {
     /// Same environment with a different memory budget (and a fresh segment
     /// pool of the same size; the tracker stays shared).
     pub fn with_blocks(&self, mem_blocks: u64) -> Self {
-        let store = SegmentStore::with_spill(Some(mem_blocks.max(1)), self.spill.clone());
+        let store =
+            SegmentStore::with_spill(Some(mem_blocks.max(1)), self.store.spill_config().clone());
         store.set_trace(Arc::clone(&self.trace));
         OpEnv {
             mem_blocks,
@@ -161,7 +172,7 @@ impl OpEnv {
     /// in memory, nothing pool-spills). The reference configuration for the
     /// residency equivalence suite.
     pub fn with_unbounded_pool(&self) -> Self {
-        let store = SegmentStore::with_spill(None, self.spill.clone());
+        let store = SegmentStore::with_spill(None, self.store.spill_config().clone());
         store.set_trace(Arc::clone(&self.trace));
         OpEnv {
             store,
@@ -212,6 +223,19 @@ mod tests {
         assert!(traced.shard_env(2).trace.is_enabled());
         assert!(traced.with_blocks(8).trace.is_enabled());
         assert!(traced.with_unbounded_pool().trace.is_enabled());
+    }
+
+    #[test]
+    fn workers_value_parses_or_names_what_is_accepted() {
+        for (value, workers) in [("", 0), ("0", 0), ("4", 4), (" 2 ", 2)] {
+            assert_eq!(parse_workers(value), Ok(workers), "{value:?}");
+        }
+        for garbage in ["four", "-1", "4w", "1.5"] {
+            let err = parse_workers(garbage).unwrap_err();
+            assert!(err.contains("WF_WORKERS"), "{err}");
+            assert!(err.contains(&format!("{garbage:?}")), "{err}");
+            assert!(err.contains("a thread count"), "{err}");
+        }
     }
 
     #[test]

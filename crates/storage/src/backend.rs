@@ -17,8 +17,8 @@
 //!        ▲
 //!        │ open()
 //!   Arc<dyn SpillBackend>
-//!        ├─ MemBackend / ObjectStoreBackend   a Vec of payloads per object
-//!        └─ LocalFileBackend                  the spill arena:
+//!        ├─ MemBackend         a Vec of payloads per object
+//!        └─ LocalFileBackend   the spill arena:
 //!
 //!             one unlinked temp file per backend, SLOT_SIZE-byte slots
 //!             ┌────────┬────────┬────────┬────────┬────────┬──
@@ -41,8 +41,9 @@
 //! backend × compression × prefetch matrix.
 //!
 //! Compression is negotiated per backend: a [`SpillConfig`] may request it,
-//! but it only takes effect when the backend's [`BackendCaps::compressible`]
-//! says the medium benefits (RAM-to-RAM copies do not).
+//! but it only takes effect when the backend's
+//! [`SpillBackend::compressible`] says the medium benefits (RAM-to-RAM
+//! copies do not).
 
 use crate::block::BLOCK_SIZE;
 use crate::codec::FRAME_HEADER;
@@ -51,7 +52,6 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
-use std::time::Duration;
 use wf_common::{Error, Result};
 
 /// Shared request/byte counters of one backend instance. Every file opened
@@ -111,7 +111,7 @@ impl BackendCounters {
 /// A point-in-time read of a backend's [`BackendCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
-    /// Backend name (`"mem"` / `"file"` / `"objectstore"`).
+    /// Backend name (`"mem"` / `"file"`).
     pub backend: &'static str,
     /// Block-append requests issued.
     pub put_requests: u64,
@@ -151,31 +151,18 @@ impl BackendStats {
     }
 }
 
-/// Capability flags a backend advertises; [`SpillConfig`] negotiates
-/// compression against them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCaps {
-    /// Blocks survive in external storage (OS files / object store) rather
-    /// than the process heap.
-    pub persistent: bool,
-    /// Requests cross a (simulated) network: latency-bound, so read-ahead
-    /// pays off most here.
-    pub remote: bool,
-    /// Compressing blocks saves real transfer/storage cost on this medium.
-    /// RAM-backed media decline: the CPU spent would buy nothing.
-    pub compressible: bool,
-}
-
 /// Block-granular storage adapter — where spill blocks physically live.
 ///
 /// Implementations must be cheap to share ([`Arc`]) and thread-safe:
 /// [`SpillBackend::open`] is called once per spill file, from any worker
 /// thread.
 pub trait SpillBackend: Send + Sync {
-    /// Short stable name (`"mem"` / `"file"` / `"objectstore"`).
+    /// Short stable name (`"mem"` / `"file"`).
     fn name(&self) -> &'static str;
-    /// What this medium is good at (drives compression negotiation).
-    fn caps(&self) -> BackendCaps;
+    /// Whether compressing blocks saves real transfer or storage cost on
+    /// this medium; [`SpillConfig::effective_compress`] negotiates against
+    /// it. RAM-backed media decline: the CPU spent would buy nothing.
+    fn compressible(&self) -> bool;
     /// Create a fresh, empty spill object.
     fn open(&self) -> Result<Box<dyn BackendFile>>;
     /// The backend's shared traffic counters.
@@ -253,12 +240,8 @@ impl SpillBackend for MemBackend {
         "mem"
     }
 
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            persistent: false,
-            remote: false,
-            compressible: false,
-        }
+    fn compressible(&self) -> bool {
+        false
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
@@ -392,12 +375,8 @@ impl SpillBackend for LocalFileBackend {
         "file"
     }
 
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            persistent: true,
-            remote: false,
-            compressible: true,
-        }
+    fn compressible(&self) -> bool {
+        true
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
@@ -577,160 +556,6 @@ impl Drop for ArenaFile {
 }
 
 // ---------------------------------------------------------------------------
-// ObjectStoreBackend
-// ---------------------------------------------------------------------------
-
-/// Wall-time knobs of the simulated object store. All-zero (the default)
-/// models an infinitely fast store — request counting still works, which is
-/// what the suite-wide `WF_SPILL_BACKEND=objectstore` CI axis uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObjectStoreConfig {
-    /// Round-trip cost charged to every request (PUT and GET).
-    pub request_latency: Duration,
-    /// Extra time-to-first-byte charged to every GET.
-    pub first_byte_delay: Duration,
-    /// Transfer rate in bytes/second (`0` = unlimited).
-    pub throughput_bytes_per_sec: u64,
-}
-
-impl ObjectStoreConfig {
-    fn transfer_time(&self, bytes: usize) -> Duration {
-        if self.throughput_bytes_per_sec == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(bytes as f64 / self.throughput_bytes_per_sec as f64)
-        }
-    }
-}
-
-/// Simulated remote object store: blocks live on the heap like
-/// [`MemBackend`], but every request sleeps for its modeled network cost
-/// (sleeping, not spinning — so concurrent prefetch fetches genuinely
-/// overlap, even on a single-core host).
-#[derive(Debug)]
-pub struct ObjectStoreBackend {
-    cfg: ObjectStoreConfig,
-    counters: Arc<BackendCounters>,
-}
-
-impl ObjectStoreBackend {
-    pub fn new(cfg: ObjectStoreConfig) -> Arc<Self> {
-        Arc::new(ObjectStoreBackend {
-            cfg,
-            counters: Arc::new(BackendCounters::default()),
-        })
-    }
-
-    /// The latency/throughput knobs this store was built with.
-    pub fn config(&self) -> ObjectStoreConfig {
-        self.cfg
-    }
-}
-
-impl SpillBackend for ObjectStoreBackend {
-    fn name(&self) -> &'static str {
-        "objectstore"
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps {
-            persistent: true,
-            remote: true,
-            compressible: true,
-        }
-    }
-
-    fn open(&self) -> Result<Box<dyn BackendFile>> {
-        self.counters.record_open();
-        Ok(Box::new(ObjectFile {
-            blocks: Mutex::new(Some(Vec::new())),
-            cfg: self.cfg,
-            counters: Arc::clone(&self.counters),
-        }))
-    }
-
-    fn counters(&self) -> &Arc<BackendCounters> {
-        &self.counters
-    }
-}
-
-struct ObjectFile {
-    blocks: Mutex<Option<Vec<Vec<u8>>>>,
-    cfg: ObjectStoreConfig,
-    counters: Arc<BackendCounters>,
-}
-
-impl BackendFile for ObjectFile {
-    fn append_block(&mut self, block: &[u8]) -> Result<()> {
-        let cost = self.cfg.request_latency + self.cfg.transfer_time(block.len());
-        if !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
-        let mut guard = self.blocks.lock().expect("object spill lock");
-        let blocks = guard
-            .as_mut()
-            .ok_or_else(|| Error::Execution("PUT to deleted spill object".into()))?;
-        blocks.push(block.to_vec());
-        self.counters.record_put(block.len());
-        Ok(())
-    }
-
-    fn read_block(&self, idx: u64) -> Result<Vec<u8>> {
-        // Snapshot the payload first, then sleep outside the lock so
-        // concurrent GETs (the prefetcher's whole point) overlap their
-        // simulated network time.
-        let block = {
-            let guard = self.blocks.lock().expect("object spill lock");
-            let blocks = guard
-                .as_ref()
-                .ok_or_else(|| Error::Execution("GET from deleted spill object".into()))?;
-            blocks
-                .get(idx as usize)
-                .ok_or_else(|| Error::Execution(format!("spill block {idx} out of range")))?
-                .clone()
-        };
-        let cost = self.cfg.request_latency
-            + self.cfg.first_byte_delay
-            + self.cfg.transfer_time(block.len());
-        if !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
-        self.counters.record_get(block.len());
-        Ok(block)
-    }
-
-    fn block_count(&self) -> u64 {
-        self.blocks
-            .lock()
-            .expect("object spill lock")
-            .as_ref()
-            .map_or(0, |b| b.len() as u64)
-    }
-
-    fn delete(&self) {
-        if self
-            .blocks
-            .lock()
-            .expect("object spill lock")
-            .take()
-            .is_some()
-        {
-            self.counters.record_delete();
-        }
-    }
-
-    fn counters(&self) -> &Arc<BackendCounters> {
-        &self.counters
-    }
-}
-
-impl Drop for ObjectFile {
-    fn drop(&mut self) {
-        self.delete();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Selection & configuration
 // ---------------------------------------------------------------------------
 
@@ -746,23 +571,13 @@ pub enum SpillBackendKind {
     /// One local temp file holding every spill object
     /// ([`LocalFileBackend`], the spill arena).
     File,
-    /// Simulated object store ([`ObjectStoreBackend`]) with the given
-    /// latency knobs.
-    ObjectStore(ObjectStoreConfig),
 }
 
 impl SpillBackendKind {
-    /// Parse the `WF_SPILL_BACKEND` environment variable
-    /// (`mem`/`file`/`objectstore`; unset or unknown → `Mem`). The
-    /// env-selected object store has zero latency — the CI matrix axis runs
-    /// the whole suite over it, so it must only exercise the code path, not
-    /// slow the suite down.
+    /// The backend the `WF_SPILL_BACKEND` environment variable selects
+    /// (`mem`, `file`; unset → `Mem`). Panics on any other value.
     pub fn from_env() -> Self {
-        match std::env::var("WF_SPILL_BACKEND").as_deref() {
-            Ok("file") => SpillBackendKind::File,
-            Ok("objectstore") => SpillBackendKind::ObjectStore(ObjectStoreConfig::default()),
-            _ => SpillBackendKind::Mem,
-        }
+        read_env("WF_SPILL_BACKEND", parse_backend)
     }
 
     /// Instantiate a fresh backend (its own counters).
@@ -770,8 +585,47 @@ impl SpillBackendKind {
         match self {
             SpillBackendKind::Mem => MemBackend::new(),
             SpillBackendKind::File => LocalFileBackend::new(),
-            SpillBackendKind::ObjectStore(cfg) => ObjectStoreBackend::new(cfg),
         }
+    }
+}
+
+/// Read the environment variable `name` (unset reads as empty) through its
+/// parse function. A value the function rejects panics with its message:
+/// running some other configuration than the one asked for would pass off
+/// one backend's results as another's.
+fn read_env<T>(name: &str, parse: fn(&str) -> std::result::Result<T, String>) -> T {
+    let value = std::env::var_os(name).unwrap_or_default();
+    parse(&value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn rejected(name: &str, value: &str, accepted: &str) -> String {
+    format!("{name}={value:?} is not recognised (accepted: {accepted})")
+}
+
+/// `WF_SPILL_BACKEND`: `mem`, `file`, or empty for the default `Mem`.
+fn parse_backend(value: &str) -> std::result::Result<SpillBackendKind, String> {
+    match value {
+        "" | "mem" => Ok(SpillBackendKind::Mem),
+        "file" => Ok(SpillBackendKind::File),
+        _ => Err(rejected(
+            "WF_SPILL_BACKEND",
+            value,
+            "`mem`, `file` or empty",
+        )),
+    }
+}
+
+/// `WF_SPILL_COMPRESS`: `1` / `true` requests compression; `0`, `false`
+/// or empty leaves it off.
+fn parse_compress(value: &str) -> std::result::Result<bool, String> {
+    match value {
+        "1" | "true" => Ok(true),
+        "" | "0" | "false" => Ok(false),
+        _ => Err(rejected(
+            "WF_SPILL_COMPRESS",
+            value,
+            "`1`, `true`, `0`, `false` or empty",
+        )),
     }
 }
 
@@ -783,8 +637,8 @@ impl SpillBackendKind {
 pub struct SpillConfig {
     /// Where blocks live.
     pub backend: Arc<dyn SpillBackend>,
-    /// Request block compression (applied only where the backend's
-    /// [`BackendCaps::compressible`] agrees).
+    /// Request block compression (applied only where
+    /// [`SpillBackend::compressible`] agrees).
     pub compress: bool,
     /// Read-ahead depth in blocks (`0` = synchronous cold reads).
     pub prefetch_blocks: usize,
@@ -801,11 +655,6 @@ impl SpillConfig {
         Self::of_kind(SpillBackendKind::File)
     }
 
-    /// Simulated object store with the given knobs.
-    pub fn object_store(cfg: ObjectStoreConfig) -> Self {
-        Self::of_kind(SpillBackendKind::ObjectStore(cfg))
-    }
-
     /// A fresh backend of the given kind, compression and prefetch off.
     pub fn of_kind(kind: SpillBackendKind) -> Self {
         SpillConfig {
@@ -816,21 +665,12 @@ impl SpillConfig {
     }
 
     /// Backend from `WF_SPILL_BACKEND`, compression from
-    /// `WF_SPILL_COMPRESS` (`1`/`true`), read-ahead depth from
-    /// `WF_PREFETCH_BLOCKS` — the defaults every environment not given an
-    /// explicit config starts from.
+    /// `WF_SPILL_COMPRESS`, no read-ahead — the defaults every environment
+    /// not given an explicit config starts from. Panics on a value either
+    /// variable does not accept.
     pub fn from_env() -> Self {
-        let compress = matches!(
-            std::env::var("WF_SPILL_COMPRESS").as_deref(),
-            Ok("1") | Ok("true")
-        );
-        let prefetch = std::env::var("WF_PREFETCH_BLOCKS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
         Self::of_kind(SpillBackendKind::from_env())
-            .with_compress(compress)
-            .with_prefetch(prefetch)
+            .with_compress(read_env("WF_SPILL_COMPRESS", parse_compress))
     }
 
     /// Same config with compression requested/cleared.
@@ -848,7 +688,7 @@ impl SpillConfig {
     /// Whether blocks will actually be compressed: requested **and** the
     /// backend's medium benefits (the negotiation).
     pub fn effective_compress(&self) -> bool {
-        self.compress && self.backend.caps().compressible
+        self.compress && self.backend.compressible()
     }
 
     /// Traffic snapshot of the shared backend.
@@ -874,6 +714,8 @@ pub const LOGICAL_BLOCK: usize = BLOCK_SIZE;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::FaultyBackend;
+    use std::time::Duration;
 
     fn round_trip(backend: &dyn SpillBackend) {
         let mut f = backend.open().unwrap();
@@ -906,16 +748,6 @@ mod tests {
     #[test]
     fn file_backend_round_trips() {
         round_trip(&*LocalFileBackend::new());
-    }
-
-    #[test]
-    fn object_store_round_trips_and_counts() {
-        let backend = ObjectStoreBackend::new(ObjectStoreConfig::default());
-        round_trip(&*backend);
-        let s = backend.stats();
-        assert_eq!(s.backend, "objectstore");
-        assert!(s.bytes_written >= 4 * BLOCK_SIZE as u64);
-        assert_eq!(s.bytes_read, s.bytes_written);
     }
 
     /// A private, empty directory for one test's arena.
@@ -1104,28 +936,19 @@ mod tests {
     }
 
     #[test]
-    fn object_store_sleeps_for_latency() {
-        let backend = ObjectStoreBackend::new(ObjectStoreConfig {
-            request_latency: Duration::from_millis(2),
-            first_byte_delay: Duration::from_millis(3),
-            throughput_bytes_per_sec: 0,
-        });
-        let mut f = backend.open().unwrap();
-        let t = std::time::Instant::now();
-        f.append_block(&[0u8; 64]).unwrap();
-        f.read_block(0).unwrap();
-        // One PUT (2 ms) + one GET (2 + 3 ms).
-        assert!(t.elapsed() >= Duration::from_millis(7));
-    }
-
-    #[test]
     fn compression_negotiation_follows_caps() {
         let mem = SpillConfig::mem().with_compress(true);
         assert!(!mem.effective_compress(), "RAM declines compression");
         let file = SpillConfig::file().with_compress(true);
         assert!(file.effective_compress());
-        let os = SpillConfig::object_store(ObjectStoreConfig::default()).with_compress(true);
-        assert!(os.effective_compress());
+        let wrapped = SpillConfig {
+            backend: FaultyBackend::slow(LocalFileBackend::new(), Duration::ZERO),
+            ..file
+        };
+        assert!(
+            wrapped.effective_compress(),
+            "a wrapper forwards its medium's answer"
+        );
         assert!(!SpillConfig::file().effective_compress(), "off by default");
     }
 
@@ -1133,11 +956,33 @@ mod tests {
     fn kind_selects_backends() {
         assert_eq!(SpillBackendKind::Mem.build().name(), "mem");
         assert_eq!(SpillBackendKind::File.build().name(), "file");
-        assert_eq!(
-            SpillBackendKind::ObjectStore(ObjectStoreConfig::default())
-                .build()
-                .name(),
-            "objectstore"
-        );
+    }
+
+    #[test]
+    fn environment_values_parse_or_name_what_is_accepted() {
+        assert_eq!(parse_backend(""), Ok(SpillBackendKind::Mem));
+        assert_eq!(parse_backend("mem"), Ok(SpillBackendKind::Mem));
+        assert_eq!(parse_backend("file"), Ok(SpillBackendKind::File));
+        for garbage in ["objectstore", "File", " file", "disk"] {
+            let err = parse_backend(garbage).unwrap_err();
+            assert!(err.contains("WF_SPILL_BACKEND"), "{err}");
+            assert!(err.contains(&format!("{garbage:?}")), "{err}");
+            assert!(err.contains("`mem`, `file`"), "{err}");
+        }
+        for (value, on) in [
+            ("", false),
+            ("0", false),
+            ("false", false),
+            ("1", true),
+            ("true", true),
+        ] {
+            assert_eq!(parse_compress(value), Ok(on), "{value:?}");
+        }
+        for garbage in ["yes", "on", "TRUE", "2"] {
+            let err = parse_compress(garbage).unwrap_err();
+            assert!(err.contains("WF_SPILL_COMPRESS"), "{err}");
+            assert!(err.contains(&format!("{garbage:?}")), "{err}");
+            assert!(err.contains("`1`, `true`"), "{err}");
+        }
     }
 }

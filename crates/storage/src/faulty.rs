@@ -1,13 +1,15 @@
 //! A fault-injecting [`SpillBackend`] wrapper for tests: every object opened
 //! through it behaves like the wrapped backend's, except that the n-th read
 //! request the backend serves (0-based, counted across its objects) fails or
-//! comes back altered. Everything else — capabilities, counters, deletion on
-//! drop — is the wrapped backend's own, so leak and traffic assertions read
-//! the real thing. [`SplitMix`] seeds the damage.
+//! comes back altered, or that every read request first sleeps a fixed
+//! delay (a slow medium). Everything else — compressibility, counters,
+//! deletion on drop — is the wrapped backend's own, so leak and traffic
+//! assertions read the real thing. [`SplitMix`] seeds the damage.
 
-use crate::backend::{BackendCaps, BackendCounters, BackendFile, SpillBackend};
+use crate::backend::{BackendCounters, BackendFile, SpillBackend};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use wf_common::{Error, Result};
 
 /// SplitMix64, the generator `wf_datagen` uses (this crate sits below it).
@@ -49,8 +51,11 @@ pub(crate) enum Fault {
 }
 
 struct Plan {
-    nth_read: u64,
-    fault: Fault,
+    /// The read request to damage, and how; `None` damages none.
+    fault: Option<(u64, Fault)>,
+    /// Slept before every read request, outside any lock, so concurrent
+    /// readers overlap their waits.
+    delay: Duration,
     reads: AtomicU64,
 }
 
@@ -62,11 +67,24 @@ pub(crate) struct FaultyBackend {
 impl FaultyBackend {
     /// Wrap `inner`, applying `fault` to its `nth_read`-th read request.
     pub(crate) fn on_read(inner: Arc<dyn SpillBackend>, nth_read: u64, fault: Fault) -> Arc<Self> {
+        Self::wrap(inner, Some((nth_read, fault)), Duration::ZERO)
+    }
+
+    /// Wrap `inner`, sleeping `delay` before every read request it serves.
+    pub(crate) fn slow(inner: Arc<dyn SpillBackend>, delay: Duration) -> Arc<Self> {
+        Self::wrap(inner, None, delay)
+    }
+
+    fn wrap(
+        inner: Arc<dyn SpillBackend>,
+        fault: Option<(u64, Fault)>,
+        delay: Duration,
+    ) -> Arc<Self> {
         Arc::new(FaultyBackend {
             inner,
             plan: Arc::new(Plan {
-                nth_read,
                 fault,
+                delay,
                 reads: AtomicU64::new(0),
             }),
         })
@@ -83,8 +101,8 @@ impl SpillBackend for FaultyBackend {
         self.inner.name()
     }
 
-    fn caps(&self) -> BackendCaps {
-        self.inner.caps()
+    fn compressible(&self) -> bool {
+        self.inner.compressible()
     }
 
     fn open(&self) -> Result<Box<dyn BackendFile>> {
@@ -115,18 +133,18 @@ impl BackendFile for FaultyFile {
 
     fn read_block(&self, idx: u64) -> Result<Vec<u8>> {
         let request = self.plan.reads.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(self.plan.delay);
         let mut block = self.inner.read_block(idx)?;
-        if request == self.plan.nth_read {
-            match &self.plan.fault {
-                Fault::Fail => {
-                    return Err(Error::Execution(format!(
-                        "injected fault: read request {request} failed"
-                    )))
-                }
-                Fault::Corrupt(rewrite) => rewrite(&mut block),
+        match &self.plan.fault {
+            Some((nth, Fault::Fail)) if *nth == request => Err(Error::Execution(format!(
+                "injected fault: read request {request} failed"
+            ))),
+            Some((nth, Fault::Corrupt(rewrite))) if *nth == request => {
+                rewrite(&mut block);
+                Ok(block)
             }
+            _ => Ok(block),
         }
-        Ok(block)
     }
 
     fn block_count(&self) -> u64 {

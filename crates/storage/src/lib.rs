@@ -9,9 +9,8 @@
 //! * [`codec`] — the row serialization format used by spill files, plus the
 //!   zero-dependency LZ block compressor backends may apply at rest,
 //! * [`backend`] — pluggable spill media behind the
-//!   [`backend::SpillBackend`] adapter trait: in-memory, one local temp file
-//!   carved into slots (the spill arena), or a simulated object store with
-//!   latency/throughput knobs,
+//!   [`backend::SpillBackend`] adapter trait: in-memory, or one local temp
+//!   file carved into slots (the spill arena),
 //! * [`spill`] — append-only spill files over a configured backend, owning
 //!   all block-granular meter charging,
 //! * [`prefetch`] — the async read-ahead pipeline that fetches upcoming
@@ -44,8 +43,8 @@ pub mod spill;
 pub mod table;
 
 pub use backend::{
-    BackendCaps, BackendFile, BackendStats, LocalFileBackend, MemBackend, ObjectStoreBackend,
-    ObjectStoreConfig, SpillBackend, SpillBackendKind, SpillConfig,
+    BackendFile, BackendStats, LocalFileBackend, MemBackend, SpillBackend, SpillBackendKind,
+    SpillConfig,
 };
 pub use block::{blocks_for_bytes, BLOCK_SIZE};
 pub use cost::{CostSnapshot, CostTracker, CostWeights, PoolCounters};

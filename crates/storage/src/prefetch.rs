@@ -174,7 +174,8 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{MemBackend, ObjectStoreBackend, ObjectStoreConfig, SpillBackend};
+    use crate::backend::{MemBackend, SpillBackend};
+    use crate::faulty::FaultyBackend;
     use std::time::{Duration, Instant};
 
     fn filled(backend: &dyn SpillBackend, blocks: u32) -> Arc<dyn BackendFile> {
@@ -211,11 +212,7 @@ mod tests {
     #[test]
     fn overlaps_latency_of_slow_backends() {
         let per_get = Duration::from_millis(4);
-        let backend = ObjectStoreBackend::new(ObjectStoreConfig {
-            request_latency: Duration::ZERO,
-            first_byte_delay: per_get,
-            throughput_bytes_per_sec: 0,
-        });
+        let backend = FaultyBackend::slow(MemBackend::new(), per_get);
         let file = filled(&*backend, 12);
         let pf = Prefetcher::new(file, 12, 4, false, Arc::clone(backend.counters()));
         let t = Instant::now();
@@ -230,10 +227,7 @@ mod tests {
 
     #[test]
     fn early_drop_joins_workers_cleanly() {
-        let backend = ObjectStoreBackend::new(ObjectStoreConfig {
-            request_latency: Duration::from_millis(2),
-            ..ObjectStoreConfig::default()
-        });
+        let backend = FaultyBackend::slow(MemBackend::new(), Duration::from_millis(2));
         let file = filled(&*backend, 32);
         let pf = Prefetcher::new(file, 32, 4, false, Arc::clone(backend.counters()));
         pf.next_block().unwrap();

@@ -293,7 +293,7 @@ impl SpillReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LocalFileBackend, ObjectStoreConfig, SpillBackendKind};
+    use crate::backend::{LocalFileBackend, SpillBackendKind};
     use crate::faulty::{Fault, FaultyBackend, SplitMix};
     use wf_common::{row, Value};
 
@@ -350,11 +350,7 @@ mod tests {
     fn every_backend_compression_prefetch_combo_round_trips_identically() {
         // The tentpole invariant at its smallest: same rows, same charged
         // blocks, regardless of backend, compression, or read-ahead.
-        for kind in [
-            SpillBackendKind::Mem,
-            SpillBackendKind::File,
-            SpillBackendKind::ObjectStore(ObjectStoreConfig::default()),
-        ] {
+        for kind in [SpillBackendKind::Mem, SpillBackendKind::File] {
             for compress in [false, true] {
                 for prefetch in [0usize, 2] {
                     let cfg = SpillConfig::of_kind(kind)

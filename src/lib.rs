@@ -69,7 +69,7 @@ pub mod prelude {
     pub use wf_core::runtime::{execute_plan, explain_analyze, ExecEnv, ExecReport, StepMetrics};
     pub use wf_core::spec::{WindowFunction, WindowSpec};
     pub use wf_storage::table::Table;
-    pub use wf_storage::{BackendStats, ObjectStoreConfig, SpillBackendKind, SpillConfig};
+    pub use wf_storage::{BackendStats, SpillBackendKind, SpillConfig};
 
     pub use crate::session::{Database, DatabaseConfig, PreparedQuery, QueryOutcome, Session};
     pub use wf_core::admission::{AdmissionConfig, AdmissionStats, CancelToken, QueryGovernor};

@@ -63,7 +63,7 @@ pub struct DatabaseConfig {
     queue_timeout: Option<Duration>,
     spill_backend: Option<SpillBackendKind>,
     compress_spill: Option<bool>,
-    prefetch_blocks: Option<usize>,
+    prefetch_blocks: usize,
 }
 
 impl Default for DatabaseConfig {
@@ -81,7 +81,7 @@ impl Default for DatabaseConfig {
             queue_timeout: None,
             spill_backend: None,
             compress_spill: None,
-            prefetch_blocks: None,
+            prefetch_blocks: 0,
         }
     }
 }
@@ -153,17 +153,17 @@ impl DatabaseConfig {
     }
 
     /// Request block compression at rest for spill files (applied only on
-    /// backends whose medium benefits — local files and the object store;
-    /// the in-memory backend declines). Unset, follows `WF_SPILL_COMPRESS`.
+    /// backends whose medium benefits — local files; the in-memory backend
+    /// declines). Unset, follows `WF_SPILL_COMPRESS`.
     pub fn compress_spill(mut self, compress: bool) -> Self {
         self.compress_spill = Some(compress);
         self
     }
 
-    /// Read-ahead depth in blocks for spill read-back (`0` = synchronous
-    /// cold reads). Unset, follows `WF_PREFETCH_BLOCKS`.
+    /// Read-ahead depth in blocks for spill read-back (default `0`:
+    /// synchronous cold reads).
     pub fn prefetch_blocks(mut self, blocks: usize) -> Self {
-        self.prefetch_blocks = Some(blocks);
+        self.prefetch_blocks = blocks;
         self
     }
 
@@ -179,24 +179,18 @@ impl DatabaseConfig {
     }
 
     /// The live [`SpillConfig`] this config resolves to: environment
-    /// defaults (`WF_SPILL_BACKEND` / `WF_SPILL_COMPRESS` /
-    /// `WF_PREFETCH_BLOCKS`) with the explicit builder knobs layered on
-    /// top. Each call builds a fresh backend (fresh traffic counters).
+    /// defaults (`WF_SPILL_BACKEND` / `WF_SPILL_COMPRESS`) with the explicit
+    /// builder knobs layered on top. Each call builds a fresh backend (fresh
+    /// traffic counters).
     pub fn resolved_spill_config(&self) -> SpillConfig {
         let env = SpillConfig::from_env();
-        let mut cfg = match self.spill_backend {
-            Some(kind) => SpillConfig::of_kind(kind)
-                .with_compress(env.compress)
-                .with_prefetch(env.prefetch_blocks),
+        let compress = self.compress_spill.unwrap_or(env.compress);
+        let cfg = match self.spill_backend {
+            Some(kind) => SpillConfig::of_kind(kind),
             None => env,
         };
-        if let Some(compress) = self.compress_spill {
-            cfg = cfg.with_compress(compress);
-        }
-        if let Some(prefetch) = self.prefetch_blocks {
-            cfg = cfg.with_prefetch(prefetch);
-        }
-        cfg
+        cfg.with_compress(compress)
+            .with_prefetch(self.prefetch_blocks)
     }
 
     /// Open an (empty) database with this configuration.

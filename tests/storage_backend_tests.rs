@@ -1,5 +1,5 @@
 //! The spill-backend invariant, end to end: for one plan at one memory
-//! budget, every backend (in-memory, local file, simulated object store) ×
+//! budget, every backend (in-memory, local file) ×
 //! compression {off, on} × read-ahead {0, 2} must produce **bit-identical
 //! rows, modeled counters, and pool counters**. Backends live entirely
 //! below the charging layer, so only wall time — and the informational
@@ -80,11 +80,7 @@ fn backends_compression_and_prefetch_are_counter_invisible() {
             !reference.rows.is_empty(),
             "M={m}: reference produced no rows"
         );
-        for kind in [
-            SpillBackendKind::Mem,
-            SpillBackendKind::File,
-            SpillBackendKind::ObjectStore(ObjectStoreConfig::default()),
-        ] {
+        for kind in [SpillBackendKind::Mem, SpillBackendKind::File] {
             for compress in [false, true] {
                 for prefetch in [0usize, 2] {
                     let cfg = SpillConfig::of_kind(kind)
@@ -497,7 +493,7 @@ fn database_spill_knobs_flow_into_stats() {
         .memory_blocks(8)
         .max_concurrent(1)
         .per_query_blocks(1)
-        .spill_backend(SpillBackendKind::ObjectStore(ObjectStoreConfig::default()))
+        .spill_backend(SpillBackendKind::File)
         .compress_spill(true)
         .prefetch_blocks(2)
         .open();
@@ -509,9 +505,11 @@ fn database_spill_knobs_flow_into_stats() {
         .unwrap();
     assert_eq!(out.row_count(), 4_000);
     let s = db.spill_stats();
-    assert_eq!(s.backend, "objectstore");
+    assert_eq!(s.backend, "file");
     assert!(s.put_requests > 0, "M=1 must spill");
     assert_eq!(s.put_requests, s.get_requests);
     assert!(s.prefetch_hits + s.prefetch_misses > 0);
     assert!(db.spill_config().effective_compress());
+    let unset = DatabaseConfig::new().resolved_spill_config();
+    assert_eq!(unset.prefetch_blocks, 0, "read-ahead is opt-in");
 }
