@@ -172,6 +172,20 @@ impl SortSpec {
         )
     }
 
+    /// Every element's attribute `a` replaced by `map(a)`, directions and
+    /// NULL placement kept.
+    pub fn map_attrs(&self, map: impl Fn(AttrId) -> AttrId) -> SortSpec {
+        SortSpec::new(
+            self.elems
+                .iter()
+                .map(|e| OrdElem {
+                    attr: map(e.attr),
+                    ..*e
+                })
+                .collect(),
+        )
+    }
+
     /// Keep only the first occurrence of each attribute (later occurrences
     /// add no ordering information).
     pub fn dedup_attrs(&self) -> SortSpec {

@@ -109,6 +109,12 @@ impl Schema {
         &self.fields[id.index()].name
     }
 
+    /// The fields at `columns`, in that order (a projection). Errors when
+    /// a column is named twice, as [`Schema::new`] does.
+    pub fn project(&self, columns: &[AttrId]) -> Result<Schema> {
+        Schema::new(columns.iter().map(|&a| self.field(a).clone()).collect())
+    }
+
     /// A new schema with `extra` appended (window functions append their
     /// output column to the windowed table).
     pub fn with_appended(&self, extra: Field) -> Result<Schema> {

@@ -27,6 +27,10 @@ pub struct TableStats {
     rows: u64,
     bytes: u64,
     distinct: HashMap<AttrId, u64>,
+    /// Encoded bytes per column, summed over the rows (values only; each
+    /// row adds a 2-byte arity header) — what sizes `B` for a statement
+    /// that reads some of the columns ([`TableStats::narrowed`]).
+    column_bytes: HashMap<AttrId, u64>,
     /// Most frequent values per column (top few, with counts) — the
     /// histogram information §3.2's MFV optimization needs.
     hot: HashMap<AttrId, Vec<(Value, u64)>>,
@@ -36,14 +40,19 @@ impl TableStats {
     /// Exact statistics from a materialized table.
     pub fn from_table(table: &Table) -> Self {
         let mut distinct = HashMap::new();
+        let mut column_bytes = HashMap::new();
         let mut hot = HashMap::new();
         for i in 0..table.schema().len() {
             let attr = AttrId::new(i);
             let mut counts: HashMap<&Value, u64> = HashMap::new();
+            let mut bytes = 0;
             for row in table.rows() {
-                *counts.entry(row.get(attr)).or_insert(0) += 1;
+                let value = row.get(attr);
+                bytes += value.encoded_len() as u64;
+                *counts.entry(value).or_insert(0) += 1;
             }
             distinct.insert(attr, counts.len() as u64);
+            column_bytes.insert(attr, bytes);
             let mut top: Vec<(Value, u64)> =
                 counts.into_iter().map(|(v, c)| (v.clone(), c)).collect();
             top.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
@@ -54,6 +63,7 @@ impl TableStats {
             rows: table.row_count() as u64,
             bytes: table.byte_size() as u64,
             distinct,
+            column_bytes,
             hot,
         }
     }
@@ -64,6 +74,7 @@ impl TableStats {
             rows,
             bytes,
             distinct: distinct.into_iter().collect(),
+            column_bytes: HashMap::new(),
             hot: HashMap::new(),
         }
     }
@@ -140,11 +151,45 @@ impl TableStats {
         for (attr, value) in pinned {
             hot.insert(attr, vec![(value, rows)]);
         }
+        let column_bytes = self
+            .column_bytes
+            .iter()
+            .map(|(a, b)| (*a, (*b as f64 * sel).round() as u64))
+            .collect();
         TableStats {
             rows,
             bytes,
             distinct,
+            column_bytes,
             hot,
+        }
+    }
+
+    /// Statistics of the same rows read as `columns` only (base attributes;
+    /// column `i` of the result is `columns[i]`): cardinality, distinct
+    /// counts and hot values carry over, and the width is the kept columns'
+    /// bytes plus each row's header — the narrowed `B` the cost models
+    /// price every reorder with. Without per-column bytes (synthetic
+    /// statistics) the width stays the whole row's.
+    pub fn narrowed(&self, columns: &[AttrId]) -> TableStats {
+        fn renumber<V: Clone>(map: &HashMap<AttrId, V>, columns: &[AttrId]) -> HashMap<AttrId, V> {
+            columns
+                .iter()
+                .enumerate()
+                .filter_map(|(i, a)| map.get(a).map(|v| (AttrId::new(i), v.clone())))
+                .collect()
+        }
+        let bytes = if self.column_bytes.is_empty() {
+            self.bytes
+        } else {
+            2 * self.rows + columns.iter().map(|a| self.column_bytes[a]).sum::<u64>()
+        };
+        TableStats {
+            rows: self.rows,
+            bytes,
+            distinct: renumber(&self.distinct, columns),
+            column_bytes: renumber(&self.column_bytes, columns),
+            hot: renumber(&self.hot, columns),
         }
     }
 
@@ -471,7 +516,7 @@ pub fn ss_reorder_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wf_common::{row, DataType, Schema};
+    use wf_common::{row, DataType, Row, Schema};
 
     fn a(i: usize) -> AttrId {
         AttrId::new(i)
@@ -501,6 +546,47 @@ mod tests {
             10,
             "capped at rows"
         );
+    }
+
+    /// Narrowed statistics keep the rows and each kept column's distinct
+    /// count, renumbered, and are exactly as wide as the table projected
+    /// onto the kept columns.
+    #[test]
+    fn narrowed_stats_are_as_wide_as_the_kept_columns() {
+        let schema = Schema::of(&[
+            ("k", DataType::Int),
+            ("pad", DataType::Str),
+            ("v", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..500 {
+            t.push(row![i % 7, "padding-padding-padding-padding", i]);
+        }
+        let s = TableStats::from_table(&t);
+        let kept = [a(2), a(0)];
+        let n = s.narrowed(&kept);
+        let projected: u64 = t
+            .rows()
+            .iter()
+            .map(|r| {
+                Row::new(kept.iter().map(|&c| r.get(c).clone()).collect()).encoded_len() as u64
+            })
+            .sum();
+        assert_eq!(n.rows(), 500);
+        assert_eq!(n.avg_row_bytes(), projected / 500);
+        assert_eq!(
+            n.blocks(),
+            wf_storage::blocks_for_bytes(projected as usize).max(1)
+        );
+        assert!(n.blocks() < s.blocks());
+        assert_eq!(n.distinct(a(0)), 500, "column 0 is v");
+        assert_eq!(n.distinct(a(1)), 7, "column 1 is k");
+        // A filter scales the per-column bytes with the rows.
+        let f = s
+            .with_predicate(&wf_exec::Predicate::Eq(a(0), 3.into()))
+            .narrowed(&kept);
+        assert_eq!(f.rows(), 71);
+        assert!(f.avg_row_bytes().abs_diff(n.avg_row_bytes()) <= 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::cost::{
 use crate::cover::KeyPattern;
 use crate::props::SegProps;
 use crate::spec::WindowSpec;
-use wf_common::{AttrSet, Schema, SortSpec};
+use wf_common::{AttrId, AttrSet, Result, Schema, SortSpec};
 use wf_storage::CostWeights;
 
 /// The reordering operator in front of one window evaluation.
@@ -105,6 +105,12 @@ pub struct Plan {
     /// `FilterOp` directly after the table scan). Set by
     /// [`crate::planner::optimize`] from the query.
     pub filter: Option<wf_exec::Predicate>,
+    /// The base-table columns the scan keeps, when the query reads fewer
+    /// than all of them (`WindowQuery::scan_columns`): every attribute of
+    /// the plan indexes this narrowed schema, except the filter's, which
+    /// tests the table's rows before they are narrowed. Set by
+    /// [`crate::planner::optimize`] from the query.
+    pub scan_columns: Option<Vec<AttrId>>,
     /// Per-step spilled-segment evaluation class (one-pass / ring-buffer /
     /// buffered), recorded at finalize time — one entry per `steps` entry —
     /// so EXPLAIN output and the execution report can say which residency
@@ -154,10 +160,21 @@ impl Plan {
         heads
     }
 
-    /// Chain with schema-resolved key details (for EXPLAIN-style output).
-    /// A matched step evaluated by the window operator of an earlier step
-    /// says so: `(matched; group of HS→ f_rank)`.
-    pub fn explain(&self, schema: &Schema) -> String {
+    /// The schema the chain runs over: `table`'s, narrowed to
+    /// [`Plan::scan_columns`] when the scan keeps fewer columns.
+    pub fn scan_schema(&self, table: &Schema) -> Result<Schema> {
+        match &self.scan_columns {
+            Some(columns) => table.project(columns),
+            None => Ok(table.clone()),
+        }
+    }
+
+    /// Chain with schema-resolved key details (for EXPLAIN-style output),
+    /// given the table's schema. A matched step evaluated by the window
+    /// operator of an earlier step says so: `(matched; group of HS→
+    /// f_rank)`; a scan that keeps fewer columns than the table has names
+    /// them on a `scan columns:` line.
+    pub fn explain(&self, table: &Schema) -> String {
         let specs = &self.specs;
         let heads = self.group_heads();
         let member_of = |i: usize| {
@@ -165,6 +182,18 @@ impl Plan {
                 .then(|| format!("group of {}", step_label(&self.steps[heads[i]], specs)))
         };
         let mut out = format!("input: {}\n", self.input_props);
+        let schema = &self
+            .scan_schema(table)
+            .expect("the plan's scan columns are distinct columns of its table");
+        if self.scan_columns.is_some() {
+            let names: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
+            out.push_str(&format!(
+                "scan columns: {} of {} ({})\n",
+                names.len(),
+                table.len(),
+                names.join(", ")
+            ));
+        }
         if let Some(pred) = &self.filter {
             out.push_str(&format!("  ── Filter {pred:?}\n"));
         }
@@ -668,6 +697,7 @@ pub fn finalize_chain(
         est_cost: total,
         repairs,
         filter: None,
+        scan_columns: None,
         eval_classes,
     }
 }
@@ -940,6 +970,7 @@ mod tests {
             est_cost: Cost::zero(),
             repairs: 0,
             filter: None,
+            scan_columns: None,
             eval_classes: vec![wf_exec::StreamableEval::Ring; 2],
         };
         assert_eq!(plan.chain_string(), "ws FS→ wf0 → wf0");

@@ -77,6 +77,11 @@ impl std::fmt::Display for Scheme {
 /// overestimate each operator uniformly *except* where they flip a
 /// decision — the FS/HS crossover, HS bucket counts, and the parallel
 /// worker trade all move with the surviving row count.
+///
+/// `stats` are always the base table's. A query narrowed to the columns it
+/// reads ([`WindowQuery::scan_columns`]) plans on the narrowed statistics
+/// (`TableStats::narrowed`): the same rows, only as wide as the kept
+/// columns, so every reorder is priced at the width it moves.
 pub fn optimize(
     query: &WindowQuery,
     stats: &TableStats,
@@ -88,6 +93,14 @@ pub fn optimize(
         Some(pred) => {
             filtered = stats.with_predicate(pred);
             &filtered
+        }
+        None => stats,
+    };
+    let narrowed;
+    let stats = match &query.scan_columns {
+        Some(columns) => {
+            narrowed = stats.narrowed(columns);
+            &narrowed
         }
         None => stats,
     };
@@ -108,9 +121,11 @@ pub fn optimize(
         Scheme::Orcl => plan_orcl(query, &ctx),
         Scheme::Psql => plan_psql(query, &ctx),
     }?;
-    // The WHERE predicate (if any) rides on the plan: the runtime inserts a
-    // FilterOp between the table scan and the first reorder.
+    // The WHERE predicate (if any) and the scan's columns ride on the plan:
+    // the runtime narrows the scan and inserts a FilterOp between it and the
+    // first reorder.
     plan.filter = query.filter.clone();
+    plan.scan_columns = query.scan_columns.clone();
     Ok(plan)
 }
 

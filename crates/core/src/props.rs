@@ -14,7 +14,7 @@
 //! canonical form, which keeps matching a simple positional check.
 
 use crate::spec::WindowSpec;
-use wf_common::{AttrSet, OrdElem, SortSpec};
+use wf_common::{AttrId, AttrSet, OrdElem, SortSpec};
 
 /// Physical property `R_{X,Y}` (+ grouped flag) of a row stream.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -61,6 +61,15 @@ impl SegProps {
     /// True for `R^g_{X,Y}`.
     pub fn is_grouped(&self) -> bool {
         self.grouped
+    }
+
+    /// The same property over attributes renamed by `map` (injective).
+    pub fn map_attrs(&self, map: impl Fn(AttrId) -> AttrId) -> SegProps {
+        SegProps {
+            x: AttrSet::from_iter(self.x.iter().map(&map)),
+            y: self.y.map_attrs(&map),
+            grouped: self.grouped,
+        }
     }
 
     /// Attributes constant within each segment (`X` when grouped, else ∅).

@@ -352,8 +352,12 @@ fn build_chain<'a>(
     let tracker = Arc::clone(env.tracker());
     let op_env = env.op_env().clone();
     // Slot 0 is the scan plus the WHERE filter (when the plan carries one):
-    // filtering streams through the scan's segments before any reorder.
-    let scan = TableScan::new(table, op_env.clone());
+    // filtering streams through the scan's segments before any reorder, and
+    // a narrowed scan's rows leave the filter at the narrowed width.
+    let mut scan = TableScan::new(table, op_env.clone());
+    if let Some(columns) = &plan.scan_columns {
+        scan = scan.with_columns(columns);
+    }
     let source: Box<dyn Operator + 'a> = match &plan.filter {
         Some(pred) => Box::new(FilterOp::new(scan, pred.clone(), op_env.clone())),
         None => Box::new(scan),
@@ -526,7 +530,8 @@ pub fn execute_plan_with_specs(
     let tracker = env.tracker();
     let start_snapshot = tracker.snapshot();
     let start = Instant::now();
-    let base_len = table.schema().len();
+    let input = plan.scan_schema(table.schema())?;
+    let base_len = input.len();
 
     // Compile the chain and drive it segment by segment: downstream steps
     // consume each bucket / run while upstream ones still hold the rest.
@@ -562,9 +567,9 @@ pub fn execute_plan_with_specs(
         .collect();
 
     // Output schema in SELECT order.
-    let mut schema = table.schema().clone();
+    let mut schema = input.clone();
     for spec in specs {
-        let dt = spec.func.result_type(table.schema());
+        let dt = spec.func.result_type(&input);
         schema = schema.with_appended(Field::new(spec.name.clone(), dt))?;
     }
     // Project appended columns from evaluation order back to SELECT order:
@@ -769,12 +774,7 @@ fn render_analyze(
 /// applied after any final ORDER BY so sort keys may reference dropped
 /// columns).
 pub fn project(table: Table, columns: &[wf_common::AttrId]) -> Result<Table> {
-    let schema_in = table.schema().clone();
-    let fields: Vec<Field> = columns
-        .iter()
-        .map(|&a| schema_in.field(a).clone())
-        .collect();
-    let schema = wf_common::Schema::new(fields)?;
+    let schema = table.schema().project(columns)?;
     let mut out = Table::new(schema);
     for row in table.into_rows() {
         let vals: Vec<wf_common::Value> = columns.iter().map(|&a| row.get(a).clone()).collect();

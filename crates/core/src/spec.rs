@@ -120,6 +120,21 @@ impl WindowSpec {
         self.key_with_perm(&self.wpk_written.clone())
     }
 
+    /// The same call with every attribute `a` it reads replaced by
+    /// `map(a)` — the call rebound over a narrowed schema. `map` must be
+    /// injective, so the normalized keys keep their shape.
+    pub fn map_attrs(&self, map: impl Fn(AttrId) -> AttrId) -> WindowSpec {
+        let wpk_written: Vec<AttrId> = self.wpk_written.iter().map(|&a| map(a)).collect();
+        WindowSpec {
+            name: self.name.clone(),
+            func: self.func.map_column(&map),
+            frame: self.frame,
+            wpk_set: AttrSet::from_iter(wpk_written.iter().copied()),
+            wpk_written,
+            wok: self.wok.map_attrs(&map),
+        }
+    }
+
     /// Human-readable form `({a,b}, (c))` with schema names.
     pub fn describe(&self, schema: &Schema) -> String {
         let wpk: Vec<&str> = self.wpk_written.iter().map(|&a| schema.name(a)).collect();

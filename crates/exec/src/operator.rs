@@ -27,8 +27,10 @@
 //!   by a zero-copy handle over the table's own rows (a heap table is
 //!   trivially `R_{∅,ε}`); downstream operators stream it row by row, or —
 //!   the filter — read it by reference ([`Segment::shared_rows`]), instead
-//!   of receiving a clone of the relation. Scan I/O is charged on the first
-//!   pull,
+//!   of receiving a clone of the relation. A scan narrowed to the columns a
+//!   statement reads ([`TableScan::with_columns`]) hands out the same view,
+//!   and each row is cut down to those columns where it is cloned anyway.
+//!   Scan I/O is charged on the first pull, for the whole heap,
 //! * [`crate::full_sort::FullSortOp`] — blocking; one totally ordered
 //!   segment, fed to the external sorter as a row stream,
 //! * [`crate::hashed_sort::HashedSortOp`] — partition phase on first pull,
@@ -69,8 +71,8 @@ use crate::env::OpEnv;
 use crate::segment::{SegmentBounds, SegmentedRows};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wf_common::{Result, Row};
-use wf_storage::{SegmentHandle, SegmentReader, SegmentStore, Table};
+use wf_common::{AttrId, Result, Row};
+use wf_storage::{SegmentHandle, SegmentReader, SegmentStore, SharedRows, Table};
 
 /// One segment flowing between operators: rows in order plus the boundary
 /// layers the chain has already proven over them (see [`SegmentBounds`]).
@@ -166,9 +168,9 @@ impl Segment {
     }
 
     /// The table rows behind this segment when it is a scan's shared view
-    /// of them — a filter tests them by reference here and clones only the
-    /// rows it keeps.
-    pub fn shared_rows(&self) -> Option<&Arc<Vec<Row>>> {
+    /// of them — a filter tests them by reference here and clones (and
+    /// narrows) only the rows it keeps.
+    pub fn shared_rows(&self) -> Option<&SharedRows> {
         match &self.data {
             SegData::Handle(h) => h.as_shared_rows(),
             SegData::Rows(_) => None,
@@ -285,8 +287,15 @@ impl Operator for SegmentSource {
 /// modeled as on-disk, so it never counts toward pipeline residency, and
 /// downstream operators stream it block-at-a-time instead of receiving a
 /// clone of the whole relation.
+///
+/// A statement that reads only some columns scans through
+/// [`TableScan::with_columns`]: the view is the same table `Arc`, and every
+/// row leaves it as the kept columns only, at the clone a reader of the
+/// view makes anyway ([`SharedRows`]). The heap is still read whole, so the
+/// scan's charge does not change.
 pub struct TableScan<'a> {
     table: &'a Table,
+    columns: Option<Arc<[AttrId]>>,
     env: OpEnv,
     done: bool,
 }
@@ -296,9 +305,17 @@ impl<'a> TableScan<'a> {
     pub fn new(table: &'a Table, env: OpEnv) -> Self {
         TableScan {
             table,
+            columns: None,
             env,
             done: false,
         }
+    }
+
+    /// Hand rows out narrowed to `columns` (base positions, in output
+    /// order).
+    pub fn with_columns(mut self, columns: &[AttrId]) -> Self {
+        self.columns = Some(Arc::from(columns));
+        self
     }
 }
 
@@ -312,8 +329,9 @@ impl Operator for TableScan<'_> {
         if self.table.is_empty() {
             return Ok(None);
         }
+        let rows = SharedRows::new(self.table.shared_rows(), self.columns.clone());
         Ok(Some(Segment::from_handle(
-            SegmentStore::shared(self.table.shared_rows()),
+            SegmentStore::shared(rows),
             SegmentBounds::none(),
         )))
     }
@@ -381,6 +399,33 @@ mod tests {
         assert_eq!(n, 5);
         let got: Vec<Row> = stream.map(|r| r.unwrap()).collect();
         assert_eq!(got, t.rows());
+    }
+
+    /// A narrowed scan charges what the full scan does and hands out the
+    /// kept columns only, in the listed order.
+    #[test]
+    fn narrowed_table_scan_charges_the_heap_and_keeps_its_columns() {
+        let schema = Schema::of(&[
+            ("a", DataType::Int),
+            ("pad", DataType::Str),
+            ("b", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..40 {
+            t.push(row![i, "padding-padding", -i]);
+        }
+        let env = OpEnv::with_memory_blocks(4);
+        let mut scan =
+            TableScan::new(&t, env.clone()).with_columns(&[AttrId::new(2), AttrId::new(0)]);
+        let seg = scan.next_segment().unwrap().unwrap();
+        assert_eq!(seg.len(), 40);
+        let got = seg.into_rows().unwrap();
+        let want: Vec<Row> = (0..40).map(|i| row![-i, i]).collect();
+        assert_eq!(got, want);
+        let s = env.tracker.snapshot();
+        assert_eq!(s.blocks_read, t.block_count(), "the heap is read whole");
+        assert_eq!(s.rows_moved, 40);
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
     }
 
     #[test]

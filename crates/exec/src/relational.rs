@@ -165,14 +165,16 @@ impl<I: Operator> Operator for FilterOp<I> {
                 }
                 Ok(())
             };
-            // A scan's rows are tested where they lie and cloned only when
-            // kept; any other segment's rows are owned already.
+            // A scan's rows are tested where they lie, at the table's full
+            // width (the predicate names base columns), and cloned — narrowed
+            // to the statement's columns — only when kept; any other
+            // segment's rows are owned already.
             let kept = match &shared {
-                Some(table_rows) => keep_matching(
+                Some(table) => keep_matching(
                     &self.pred,
-                    table_rows.iter().map(Ok),
+                    table.base().iter().map(Ok),
                     &mut remaps,
-                    |row: &Row| sink(row.clone()),
+                    |row: &Row| sink(table.project(row)),
                 )?,
                 None => keep_matching(&self.pred, stream, &mut remaps, &mut sink)?,
             };

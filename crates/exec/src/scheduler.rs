@@ -72,7 +72,6 @@ use crate::sorter::{merge_sorted_handles, SortKey};
 use crate::util::hash_row_on;
 use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use wf_common::{AttrSet, Error, Result, SortSpec};
 use wf_storage::{SegmentBuilder, SegmentHandle, SegmentStore};
 
@@ -473,16 +472,21 @@ impl<I: Operator> ParallelChainOp<I> {
             // Every row is hashed once; charged once per segment.
             let n = seg.len();
             if let Some(table) = seg.shared_rows() {
+                // The shard key read at the table's width; columns keep base
+                // order under narrowing, so the values hash in the same
+                // order as on the narrowed row.
+                let base_attrs =
+                    AttrSet::from_iter(self.shard_attrs.iter().map(|a| table.base_attr(a)));
                 let mut idx: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for (i, row) in table.iter().enumerate() {
-                    let s = route(hash_row_on(row, &self.shard_attrs));
+                for (i, row) in table.base().iter().enumerate() {
+                    let s = route(hash_row_on(row, &base_attrs));
                     idx[s].push(i);
-                    out[s].bytes += row.encoded_len();
+                    out[s].bytes += table.projected_len(row);
                 }
                 for (shard, idx) in out.iter_mut().zip(idx) {
                     shard.seal()?;
                     if !idx.is_empty() {
-                        let view = SegmentStore::shared_subset(Arc::clone(table), idx);
+                        let view = SegmentStore::shared_subset(table.clone(), idx);
                         shard.pieces.push(view);
                     }
                 }
@@ -672,6 +676,7 @@ mod tests {
     use crate::full_sort::FullSortOp;
     use crate::operator::SegmentSource;
     use crate::segment::SegmentedRows;
+    use std::sync::Arc;
     use wf_common::{row, AttrId, OrdElem, Row};
 
     fn key(ids: &[usize]) -> SortSpec {
@@ -1010,7 +1015,7 @@ mod tests {
             let env = OpEnv::with_memory_blocks(4);
             let input = Segments(VecDeque::from([
                 Segment::from_handle(
-                    SegmentStore::shared(Arc::new(head.to_vec())),
+                    SegmentStore::shared(Arc::new(head.to_vec()).into()),
                     SegmentBounds::none(),
                 ),
                 Segment::from_handle(
@@ -1018,7 +1023,7 @@ mod tests {
                     SegmentBounds::none(),
                 ),
                 Segment::from_handle(
-                    SegmentStore::shared(Arc::new(head.to_vec())),
+                    SegmentStore::shared(Arc::new(head.to_vec()).into()),
                     SegmentBounds::none(),
                 ),
             ]));

@@ -155,6 +155,34 @@ impl WindowFunction {
         }
     }
 
+    /// The input column the function reads (`None` for ranking functions
+    /// and `count(*)`).
+    pub fn column(&self) -> Option<AttrId> {
+        use WindowFunction::*;
+        match self {
+            RowNumber | Rank | DenseRank | PercentRank | CumeDist | Ntile(_) | Count(None) => None,
+            Lag { col, .. } | Lead { col, .. } | NthValue(col, _) => Some(*col),
+            FirstValue(col) | LastValue(col) | Count(Some(col)) | Sum(col) | Avg(col)
+            | Min(col) | Max(col) | VarPop(col) | VarSamp(col) | StddevPop(col)
+            | StddevSamp(col) => Some(*col),
+        }
+    }
+
+    /// The same function reading `map(col)` for its input column — the
+    /// function rebound over a narrowed schema.
+    pub fn map_column(&self, map: impl Fn(AttrId) -> AttrId) -> WindowFunction {
+        use WindowFunction::*;
+        let mut f = self.clone();
+        match &mut f {
+            RowNumber | Rank | DenseRank | PercentRank | CumeDist | Ntile(_) | Count(None) => {}
+            Lag { col, .. } | Lead { col, .. } | NthValue(col, _) => *col = map(*col),
+            FirstValue(col) | LastValue(col) | Count(Some(col)) | Sum(col) | Avg(col)
+            | Min(col) | Max(col) | VarPop(col) | VarSamp(col) | StddevPop(col)
+            | StddevSamp(col) => *col = map(*col),
+        }
+        f
+    }
+
     /// True for functions that read a frame (aggregates and value
     /// functions); ranking and row-reference functions ignore frames.
     pub fn uses_frame(&self) -> bool {

@@ -32,6 +32,17 @@ impl ByteBuf {
         self.data.len()
     }
 
+    /// Bytes allocated, buffered or not.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Make room for exactly `additional` more bytes (see
+    /// [`Vec::reserve_exact`]).
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.data.reserve_exact(additional);
+    }
+
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()

@@ -52,7 +52,7 @@ pub use mem::MemoryLedger;
 pub use prefetch::Prefetcher;
 pub use segstore::{
     ResidencyHold, RingCharge, SegmentBuilder, SegmentHandle, SegmentReader, SegmentStore,
-    StoreSnapshot,
+    SharedRows, StoreSnapshot,
 };
 pub use spill::{IoMeter, SpillFile, SpillReader};
 pub use table::Table;

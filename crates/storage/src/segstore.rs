@@ -29,7 +29,7 @@ use crate::block::blocks_for_bytes;
 use crate::cost::PoolCounters;
 use crate::spill::{IoMeter, SpillFile, SpillReader};
 use std::sync::{Arc, Mutex};
-use wf_common::{Result, Row, TraceSink};
+use wf_common::{AttrId, Result, Row, TraceSink};
 
 /// Residency accounting (behind the store's mutex).
 #[derive(Debug, Default)]
@@ -401,7 +401,7 @@ impl SegmentStore {
     /// A handle over shared base-table rows: zero-copy and charged to
     /// nothing — the heap table is modeled as *on disk* (its scan is charged
     /// separately), so it never counts toward pipeline residency.
-    pub fn shared(rows: Arc<Vec<Row>>) -> SegmentHandle {
+    pub fn shared(rows: SharedRows) -> SegmentHandle {
         SegmentHandle::Shared { rows, idx: None }
     }
 
@@ -410,7 +410,7 @@ impl SegmentStore {
     /// [`SegmentStore::shared`] is; the parallel scheduler hands each worker
     /// its shard of a scanned table this way instead of copying the rows
     /// through the pool.
-    pub fn shared_subset(rows: Arc<Vec<Row>>, idx: Vec<usize>) -> SegmentHandle {
+    pub fn shared_subset(rows: SharedRows, idx: Vec<usize>) -> SegmentHandle {
         SegmentHandle::Shared {
             rows,
             idx: Some(idx),
@@ -613,6 +613,79 @@ impl Drop for ResidentSeg {
     }
 }
 
+/// A heap table's rows as a scan hands them out: the table's own `Arc`,
+/// never copied whole, seen through the columns the statement reads.
+///
+/// With every column kept (`columns` is `None`) a row reads as the table
+/// holds it, and a whole-table read adopts the rows without a copy. With a
+/// column list each row reads as those columns, in that order: the
+/// narrowing happens at the clone that reading a shared view makes anyway
+/// ([`SegmentHandle::into_rows`], [`SegmentReader`], and the callers that
+/// test [`SharedRows::base`] by reference and keep a few), so it costs no
+/// pass of its own and nothing is ever held at the table's width.
+#[derive(Debug, Clone)]
+pub struct SharedRows {
+    rows: Arc<Vec<Row>>,
+    columns: Option<Arc<[AttrId]>>,
+}
+
+impl SharedRows {
+    /// `rows` read through `columns` (base positions, in output order), or
+    /// whole when `None`.
+    pub fn new(rows: Arc<Vec<Row>>, columns: Option<Arc<[AttrId]>>) -> Self {
+        SharedRows { rows, columns }
+    }
+
+    /// The table's rows at full width — what a caller testing rows by
+    /// reference reads before it keeps any.
+    pub fn base(&self) -> &Arc<Vec<Row>> {
+        &self.rows
+    }
+
+    /// The base column that the statement's column `attr` reads.
+    pub fn base_attr(&self, attr: AttrId) -> AttrId {
+        self.columns.as_ref().map_or(attr, |c| c[attr.index()])
+    }
+
+    /// A base row as the statement sees it: a clone, narrowed.
+    pub fn project(&self, row: &Row) -> Row {
+        match &self.columns {
+            None => row.clone(),
+            Some(cols) => Row::new(cols.iter().map(|&a| row.get(a).clone()).collect()),
+        }
+    }
+
+    /// [`Row::encoded_len`] of [`SharedRows::project`]`(row)`, without the
+    /// clone.
+    pub fn projected_len(&self, row: &Row) -> usize {
+        match &self.columns {
+            None => row.encoded_len(),
+            Some(cols) => {
+                2 + cols
+                    .iter()
+                    .map(|&a| row.get(a).encoded_len())
+                    .sum::<usize>()
+            }
+        }
+    }
+
+    /// Every row, as the statement sees it: adopted without a copy when no
+    /// other handle shares them and no column is dropped.
+    fn into_rows(self) -> Vec<Row> {
+        match &self.columns {
+            None => Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone()),
+            Some(_) => self.rows.iter().map(|r| self.project(r)).collect(),
+        }
+    }
+}
+
+impl From<Arc<Vec<Row>>> for SharedRows {
+    /// Every column of `rows`.
+    fn from(rows: Arc<Vec<Row>>) -> Self {
+        SharedRows::new(rows, None)
+    }
+}
+
 /// One segment managed by the store: resident in the pool, spilled to the
 /// device, or a zero-copy view of shared base-table rows. Single-consumer:
 /// reading or materializing consumes the handle.
@@ -622,7 +695,7 @@ pub enum SegmentHandle {
     /// A view over shared rows (the heap table; modeled as on-disk, never
     /// pool-charged): all of them, or only those at `idx`, in that order.
     Shared {
-        rows: Arc<Vec<Row>>,
+        rows: SharedRows,
         idx: Option<Vec<usize>>,
     },
     /// Spilled to the pool device; read back block at a time.
@@ -634,7 +707,7 @@ impl SegmentHandle {
     pub fn len(&self) -> usize {
         match self {
             SegmentHandle::Resident(r) => r.rows.len(),
-            SegmentHandle::Shared { rows, idx } => idx.as_ref().map_or(rows.len(), Vec::len),
+            SegmentHandle::Shared { rows, idx } => idx.as_ref().map_or(rows.base().len(), Vec::len),
             SegmentHandle::Spilled { rows, .. } => *rows as usize,
         }
     }
@@ -653,7 +726,7 @@ impl SegmentHandle {
     /// all of them — an operator that keeps few of them (a filter) reads them
     /// by reference here instead of streaming a clone of every row. A
     /// by-index view answers `None`: its rows are not the whole table.
-    pub fn as_shared_rows(&self) -> Option<&Arc<Vec<Row>>> {
+    pub fn as_shared_rows(&self) -> Option<&SharedRows> {
         match self {
             SegmentHandle::Shared { rows, idx: None } => Some(rows),
             _ => None,
@@ -672,13 +745,11 @@ impl SegmentHandle {
                 );
                 Ok(rows)
             }
-            SegmentHandle::Shared { rows, idx: None } => {
-                Ok(Arc::try_unwrap(rows).unwrap_or_else(|a| a.as_ref().clone()))
-            }
+            SegmentHandle::Shared { rows, idx: None } => Ok(rows.into_rows()),
             SegmentHandle::Shared {
                 rows,
                 idx: Some(idx),
-            } => Ok(idx.iter().map(|&i| rows[i].clone()).collect()),
+            } => Ok(idx.iter().map(|&i| rows.project(&rows.base()[i])).collect()),
             SegmentHandle::Spilled { mut reader, .. } => reader.read_all(),
         }
     }
@@ -721,7 +792,7 @@ pub enum SegmentReader {
     },
     /// Shared base-table rows (all, or those at `idx`), cloned lazily.
     Shared {
-        rows: Arc<Vec<Row>>,
+        rows: SharedRows,
         idx: Option<Vec<usize>>,
         next: usize,
     },
@@ -740,7 +811,7 @@ impl SegmentReader {
                     None => Some(*next),
                 };
                 *next += 1;
-                Ok(i.and_then(|i| rows.get(i)).cloned())
+                Ok(i.and_then(|i| rows.base().get(i)).map(|r| rows.project(r)))
             }
             SegmentReader::Spilled(r) => r.next_row(),
         }
@@ -830,11 +901,11 @@ mod tests {
     fn shared_handle_is_uncharged() {
         let base = Arc::new(rows(100));
         let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
-        let h = SegmentStore::shared(Arc::clone(&base));
+        let h = SegmentStore::shared(Arc::clone(&base).into());
         assert_eq!(h.len(), 100);
         assert!(!h.is_spilled());
         assert_eq!(store.snapshot().resident_bytes, 0);
-        assert!(Arc::ptr_eq(h.as_shared_rows().unwrap(), &base));
+        assert!(Arc::ptr_eq(h.as_shared_rows().unwrap().base(), &base));
         assert_eq!(h.into_rows().unwrap(), *base);
         assert!(store.admit(rows(3)).unwrap().as_shared_rows().is_none());
     }
@@ -846,15 +917,51 @@ mod tests {
         let base = Arc::new(rows(100));
         let idx = vec![7, 3, 99, 3];
         let want: Vec<Row> = idx.iter().map(|&i| base[i].clone()).collect();
-        let h = SegmentStore::shared_subset(Arc::clone(&base), idx.clone());
+        let h = SegmentStore::shared_subset(Arc::clone(&base).into(), idx.clone());
         assert_eq!(h.len(), 4);
         assert!(!h.is_spilled());
         assert!(h.as_shared_rows().is_none(), "a subset is not the table");
         let streamed: Vec<Row> = h.read().map(|r| r.unwrap()).collect();
         assert_eq!(streamed, want);
-        let h = SegmentStore::shared_subset(Arc::clone(&base), idx);
+        let h = SegmentStore::shared_subset(Arc::clone(&base).into(), idx);
         assert_eq!(h.into_rows().unwrap(), want);
-        assert!(SegmentStore::shared_subset(base, Vec::new()).is_empty());
+        assert!(SegmentStore::shared_subset(base.into(), Vec::new()).is_empty());
+    }
+
+    /// A narrowed view reads every row as its kept columns, in the listed
+    /// order, on each read path — whole, by index, streamed — and says how
+    /// long each projected row encodes without building it.
+    #[test]
+    fn narrowed_view_reads_only_its_columns() {
+        let base = Arc::new(
+            (0..50)
+                .map(|i| row![i as i64, format!("pad-{i}"), i as i64 * 10])
+                .collect::<Vec<_>>(),
+        );
+        let cols: Arc<[AttrId]> = Arc::from([AttrId::new(2), AttrId::new(0)]);
+        let view = SharedRows::new(Arc::clone(&base), Some(cols));
+        let want: Vec<Row> = base
+            .iter()
+            .map(|r| row![r.values()[2].clone(), r.values()[0].clone()])
+            .collect();
+        for r in base.iter() {
+            assert_eq!(view.projected_len(r), view.project(r).encoded_len());
+        }
+        assert_eq!(view.base_attr(AttrId::new(0)), AttrId::new(2));
+        let h = SegmentStore::shared(view.clone());
+        assert!(h.as_shared_rows().is_some());
+        assert_eq!(h.into_rows().unwrap(), want);
+        let streamed: Vec<Row> = SegmentStore::shared(view.clone())
+            .read()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(streamed, want);
+        let h = SegmentStore::shared_subset(view, vec![4, 1]);
+        assert_eq!(
+            h.into_rows().unwrap(),
+            vec![want[4].clone(), want[1].clone()]
+        );
+        assert_eq!(base.len(), 50, "the table itself is untouched");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! buffers encoded rows and writes whole logical blocks to a pluggable
 //! [`SpillBackend`](crate::backend::SpillBackend), charging the shared
 //! [`CostTracker`]; a [`SpillReader`] streams them back, charging reads the
-//! same way.
+//! same way. The write buffer is allocated as rows arrive, never ahead of
+//! them: a Hashed Sort keeps one file open per spilled bucket, and an idle
+//! or nearly empty file holds next to nothing.
 //!
 //! The charging layer lives entirely here and is expressed in *logical*
 //! uncompressed [`BLOCK_SIZE`] blocks. Everything physical — which medium
@@ -57,8 +59,9 @@ impl IoMeter {
 }
 
 /// Writer for one spill file. Rows are encoded back to back
-/// ([`crate::codec::encode_row`], the one entry format) into a block-sized
-/// buffer and written out block by block; every logical block write is
+/// ([`crate::codec::encode_row`], the one entry format) into a buffer that
+/// grows with its contents (nothing before the first row, at most a block
+/// plus one row) and written out block by block; every logical block write is
 /// charged to the meter (compression may shrink the physical payload, never
 /// the charge). A sorted run is such a file, and the merge that reads it
 /// back compares its rows through the sort's comparator.
@@ -77,11 +80,14 @@ pub struct SpillFile {
 
 impl SpillFile {
     /// Create a spill file on a configured backend, with the config's
-    /// compression (post-negotiation) and read-ahead settings.
+    /// compression (post-negotiation) and read-ahead settings. The write
+    /// buffer starts empty and grows with the rows pushed: a Hashed Sort
+    /// opens one file per spilled bucket, and a reserved block-sized buffer
+    /// per file is memory no ledger counts.
     pub fn with_config(cfg: &SpillConfig, meter: IoMeter) -> Result<Self> {
         Ok(SpillFile {
             file: cfg.backend.open()?,
-            buffer: ByteBuf::with_capacity(2 * BLOCK_SIZE),
+            buffer: ByteBuf::new(),
             meter,
             rows: 0,
             bytes: 0,
@@ -102,6 +108,18 @@ impl SpillFile {
 
     /// Append one row.
     pub fn push(&mut self, row: &Row) -> Result<()> {
+        // Grow with the contents, doubling, but past `BLOCK_SIZE - 1` bytes
+        // only for the row that fills the block: a file that never fills a
+        // block never holds one.
+        let need = self.buffer.len() + row.encoded_len();
+        if need > self.buffer.capacity() {
+            let cap = if need >= BLOCK_SIZE {
+                need
+            } else {
+                (2 * self.buffer.capacity()).clamp(need, BLOCK_SIZE - 1)
+            };
+            self.buffer.reserve_exact(cap - self.buffer.len());
+        }
         encode_row(row, &mut self.buffer);
         self.rows += 1;
         while self.buffer.len() >= BLOCK_SIZE {
@@ -381,6 +399,45 @@ mod tests {
         let mut r = f.into_reader().unwrap();
         assert!(r.next_row().unwrap().is_none());
         assert_eq!(tracker.snapshot().io_blocks(), 0);
+    }
+
+    /// The write buffer holds nothing before the first row, and a file
+    /// that never fills a block never holds a block's worth of buffer —
+    /// what lets a Hashed Sort keep a thousand bucket files open.
+    #[test]
+    fn write_buffer_grows_with_its_contents() {
+        let tracker = Arc::new(CostTracker::new());
+        let f = mem_spill(&tracker);
+        assert_eq!(f.buffer.capacity(), 0, "a fresh file holds no buffer");
+        let mut f = mem_spill(&tracker);
+        let mut rows = 0;
+        for r in sample_rows(1000) {
+            if f.buffer.len() + r.encoded_len() >= BLOCK_SIZE {
+                break;
+            }
+            f.push(&r).unwrap();
+            rows += 1;
+            assert!(f.buffer.capacity() < BLOCK_SIZE, "after {rows} rows");
+            assert!(f.buffer.capacity() < 2 * f.buffer.len().max(16));
+        }
+        assert!(rows > 100, "the file came close to a block");
+        assert_eq!(tracker.snapshot().blocks_written, 0);
+        // Past the block the buffer holds at most the block plus one row,
+        // and the blocks written are the ones a full-size buffer writes.
+        for r in sample_rows(3000) {
+            f.push(&r).unwrap();
+            assert!(f.buffer.capacity() <= BLOCK_SIZE + r.encoded_len());
+        }
+        let _ = f.into_reader().unwrap();
+        let bytes: usize = sample_rows(1000)[..rows]
+            .iter()
+            .chain(&sample_rows(3000))
+            .map(Row::encoded_len)
+            .sum();
+        assert_eq!(
+            tracker.snapshot().blocks_written,
+            crate::block::blocks_for_bytes(bytes)
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The SQL front end with frames and the full function library: moving
 //! averages, running totals, ntile buckets and value references — prepared
-//! and executed through a database session.
+//! and executed through a database session. A second statement names its
+//! columns: the scan keeps only those it reads, and the rows are the
+//! `SELECT *` form's with the list projected afterwards (checked here).
 //!
 //! ```sh
 //! cargo run --example sql_frontend
@@ -58,5 +60,37 @@ fn main() -> Result<()> {
         let cells: Vec<String> = row.values().iter().map(|v| v.to_string()).collect();
         println!("{}", cells.join(" | "));
     }
+
+    // An explicit list reads `store` and `revenue` only: `day` is dropped at
+    // the scan, and every reorder moves two-column rows.
+    let window = "sum(revenue) OVER (PARTITION BY store ORDER BY revenue) AS running";
+    let listed = format!("SELECT revenue, store, {window} FROM daily_sales ORDER BY revenue");
+    let starred = format!("SELECT *, {window} FROM daily_sales ORDER BY revenue");
+    let explain = db.explain(&listed)?;
+    println!("\nEXPLAIN {listed}:\n{explain}");
+    assert!(
+        explain.contains("scan columns: 2 of 3 (store, revenue)"),
+        "the scan is pruned"
+    );
+    let narrow = db.query(&listed)?;
+    let wide = db.query(&starred)?;
+    let columns: Vec<AttrId> = ["revenue", "store", "running"]
+        .iter()
+        .map(|name| wide.schema().resolve(name))
+        .collect::<Result<_>>()?;
+    let projected: Vec<Row> = wide
+        .rows()
+        .iter()
+        .map(|r| Row::new(columns.iter().map(|&a| r.get(a).clone()).collect()))
+        .collect();
+    assert_eq!(
+        narrow.rows(),
+        projected.as_slice(),
+        "rows of the SELECT * form"
+    );
+    println!(
+        "{} rows, equal to the SELECT * form projected",
+        narrow.row_count()
+    );
     Ok(())
 }

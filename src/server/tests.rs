@@ -367,6 +367,32 @@ fn wire_statements() -> [(&'static str, std::ops::Range<usize>); 3] {
     ]
 }
 
+/// At `repro serve`'s defaults (8 000 rows, a 64-block budget) the medium
+/// statement reads three of the nine columns; narrowed to them its input is
+/// ~29 blocks, it fits the budget, and nothing spills: no spill object is
+/// opened and no block is put. The full `SELECT *` statement reads every
+/// column, so its 209-block input still spills through the Hashed Sort's
+/// bucket files — the gap that stays open until reorders carry narrow
+/// tuples instead of whole rows.
+#[test]
+fn served_medium_statement_spills_nothing_at_the_defaults() {
+    let db = open_database(&ServeOptions::default());
+    let [_, (medium, _), (full, _)] = wire_statements();
+    let spilled = |sql: &str| {
+        let before = db.spill_stats();
+        db.query(sql).unwrap();
+        let after = db.spill_stats();
+        (
+            after.delete_requests - before.delete_requests,
+            after.put_requests - before.put_requests,
+        )
+    };
+    assert_eq!(spilled(medium), (0, 0), "spill objects, block puts");
+    let (objects, puts) = spilled(full);
+    assert!(objects > 0 && puts > 0, "{objects} objects, {puts} puts");
+    assert_eq!(db.spill_stats().live_objects, 0);
+}
+
 /// The wire regression, as state: a Nagle / delayed-ACK stall (a 40 ms
 /// kernel timer on every reply) needs `TCP_NODELAY` off at one end, so both
 /// ends of a served connection must have it on — and replies of every size

@@ -459,11 +459,20 @@ impl Session {
     /// Plan an already-bound [`WindowQuery`] (the [`QueryBuilder`] path)
     /// against a registered table.
     ///
+    /// The result's column names are checked here, before planning and
+    /// admission ([`WindowQuery::check_output_names`]). The query is then
+    /// narrowed to the columns it reads ([`WindowQuery::prune_unread`]): a
+    /// statement with a column list scans, plans and reorders only those,
+    /// while one that reads every column (every `SELECT *`) is planned and
+    /// run exactly as written.
+    ///
     /// [`QueryBuilder`]: wf_core::query::QueryBuilder
     pub fn prepare_query(&self, table: &str, query: WindowQuery) -> Result<PreparedQuery> {
         let canonical = Catalog::canonical(table);
         // Resolve the table now so errors surface at prepare time.
         self.db.table(&canonical)?;
+        query.check_output_names()?;
+        let query = query.prune_unread();
         let stats = self.db.stats_for(&canonical)?;
         let env = self.db.plan_env();
         let plan = optimize(&query, &stats, self.db.inner.cfg.scheme, &env)?;
@@ -527,7 +536,8 @@ impl PreparedQuery {
         &self.table_name
     }
 
-    /// The bound window query this plan was optimized for.
+    /// The bound window query this plan was optimized for (narrowed to
+    /// the columns it reads; see [`Session::prepare_query`]).
     pub fn window_query(&self) -> &WindowQuery {
         &self.query
     }
