@@ -13,6 +13,8 @@
 //! about window functions `wf = (WPK, WOK)` purely in terms of this algebra;
 //! `wf-core` builds the segmented-relation property calculus on top of it.
 
+#![forbid(unsafe_code)]
+
 pub mod attrs;
 pub mod error;
 pub mod json;
@@ -29,4 +31,4 @@ pub use ord::{Direction, NullOrder, OrdElem, RowComparator, SortSpec};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema};
 pub use trace::{SpanGuard, SpanRecord, TraceSink};
-pub use value::Value;
+pub use value::{Text, Value};

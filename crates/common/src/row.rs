@@ -67,6 +67,22 @@ impl Row {
         self.values.reserve(additional);
     }
 
+    /// How many more values fit before the row must grow.
+    pub fn spare_capacity(&self) -> usize {
+        self.values.capacity() - self.values.len()
+    }
+
+    /// A copy with room for `spare` more values: the clone a scan hands out,
+    /// sized once for the window columns its statement appends.
+    pub fn clone_with_spare(&self, spare: usize) -> Row {
+        let mut values = Vec::with_capacity(self.values.len() + spare);
+        values.extend_from_slice(&self.values);
+        Row {
+            values,
+            encoded_len: self.encoded_len,
+        }
+    }
+
     /// Consume into the underlying values.
     pub fn into_values(self) -> Vec<Value> {
         self.values

@@ -3,7 +3,68 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// A shared, immutable UTF-8 string behind one thin pointer, so that a
+/// [`Value`] is 16 bytes, not the 24 a fat `Arc<str>` makes it. Clones share
+/// the bytes. Equality, order, hash and `Display` are the string's own,
+/// exactly as for `str` (the derives reach it through `Arc` and `Box`).
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Text(Arc<Box<str>>);
+
+impl Text {
+    /// The string.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// How many handles share these bytes (for tests that check a row was
+    /// moved, not copied).
+    pub fn ref_count(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(Arc::new(s.into()))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text(Arc::new(s.into_boxed_str()))
+    }
+}
+
+impl From<Arc<str>> for Text {
+    fn from(s: Arc<str>) -> Self {
+        Text::from(&*s)
+    }
+}
 
 /// A SQL value. `Null` is a first-class member so that window ordering can
 /// implement `NULLS FIRST` / `NULLS LAST` placement.
@@ -18,13 +79,14 @@ pub enum Value {
     Int(i64),
     /// 64-bit float, totally ordered via `total_cmp`.
     Float(f64),
-    /// Interned UTF-8 string; `Arc` keeps row cloning cheap.
-    Str(Arc<str>),
+    /// Shared UTF-8 string; the thin [`Text`] handle keeps row cloning
+    /// cheap and the value 16 bytes.
+    Str(Text),
 }
 
 impl Value {
     /// Convenience constructor for strings.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
+    pub fn str(s: impl Into<Text>) -> Self {
         Value::Str(s.into())
     }
 
@@ -66,7 +128,7 @@ impl Value {
     /// String payload, if any.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -94,14 +156,25 @@ impl Value {
             (_, Null) => Ordering::Greater,
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
+            (Str(a), Str(b)) => a.cmp(b),
             // Fixed cross-type rank: numbers < strings.
             (Int(_) | Float(_), Str(_)) => Ordering::Less,
             (Str(_), Int(_) | Float(_)) => Ordering::Greater,
         }
     }
+}
+
+/// An integer against a float, numerically. Beyond ±2^53 `i as f64`
+/// rounds, so a tie there is broken on the exact values (a tied `f` is an
+/// integer of magnitude at most 2^63, exact in `i128`); without it two
+/// distinct ints would both equal one float and the order would not be
+/// transitive.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    (i as f64)
+        .total_cmp(&f)
+        .then_with(|| (i as i128).cmp(&(f as i128)))
 }
 
 impl PartialEq for Value {
@@ -245,6 +318,153 @@ mod tests {
         assert_eq!(Value::Int(2).cmp(&Value::Float(2.0)), Ordering::Equal);
         assert_eq!(Value::Int(2).cmp(&Value::Float(2.5)), Ordering::Less);
         assert_eq!(Value::Float(3.0).cmp(&Value::Int(2)), Ordering::Greater);
+    }
+
+    /// Beyond ±2^53 an int and the float it rounds to are still ordered by
+    /// their exact values, so the order stays total: every triple of a
+    /// grid of edge values is transitive, and equality implies equal hashes.
+    #[test]
+    fn int_float_order_is_total_beyond_2_pow_53() {
+        let p53 = 1i64 << 53;
+        let mut grid = vec![Value::Null];
+        for i in [
+            0,
+            1,
+            -1,
+            p53,
+            p53 - 1,
+            p53 + 1,
+            p53 + 2,
+            -p53,
+            -p53 - 1,
+            -p53 + 1,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            grid.push(Value::Int(i));
+        }
+        for f in [
+            0.0,
+            -0.0,
+            1.0,
+            (p53 as f64),
+            -(p53 as f64),
+            (p53 + 2) as f64,
+            9.223372036854776e18,
+            -9.223372036854776e18,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.5,
+        ] {
+            grid.push(Value::Float(f));
+        }
+        grid.push(Value::str(""));
+        for a in &grid {
+            assert_eq!(a.cmp(a), Ordering::Equal, "{a:?}");
+            for b in &grid {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &grid {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        // The tie is broken only where the float rounding hid a difference.
+        assert_eq!(
+            Value::Int(p53 + 1).cmp(&Value::Float(p53 as f64)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Float(p53 as f64).cmp(&Value::Int(p53 + 1)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(p53).cmp(&Value::Float(p53 as f64)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::Float(9.223372036854776e18)),
+            Ordering::Less
+        );
+        // ±0 and NaN keep `total_cmp`'s placement.
+        assert_eq!(Value::Int(0).cmp(&Value::Float(-0.0)), Ordering::Greater);
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+
+        let mut sorted = [
+            Value::Int(p53 + 1),
+            Value::Float(p53 as f64),
+            Value::Int(p53),
+            Value::Int(p53 - 1),
+            Value::Float((p53 + 2) as f64),
+        ];
+        sorted.sort();
+        assert_eq!(
+            sorted.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            [
+                "9007199254740991",
+                "9007199254740992",
+                "9007199254740992",
+                "9007199254740993",
+                "9007199254740994",
+            ]
+        );
+        assert_eq!(sorted[3], Value::Int(p53 + 1));
+    }
+
+    /// A value is 16 bytes: the string handle is one thin pointer.
+    #[test]
+    fn values_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Text>(), 8);
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    /// A string value compares, orders, displays and hashes as its `str`
+    /// does — the hasher sees the tag and then exactly what `str` feeds it,
+    /// as it did when the payload was an `Arc<str>`.
+    #[test]
+    fn string_values_behave_as_their_str() {
+        let long = "λ".repeat(32 * 1024);
+        let strs = [
+            "",
+            "a",
+            "ab",
+            "é日本",
+            "nul\0inside",
+            "nul\0",
+            long.as_str(),
+        ];
+        for a in strs {
+            let va = Value::str(a);
+            assert_eq!(va.to_string(), a);
+            assert_eq!(format!("{va:?}"), format!("Str({a:?})"));
+            assert_eq!(va.as_str(), Some(a));
+            assert_eq!(va.encoded_len(), 1 + 4 + a.len());
+            let mut text = Vec::new();
+            va.write_text(&mut text);
+            assert_eq!(text, a.as_bytes());
+            let mut h = DefaultHasher::new();
+            2u8.hash(&mut h);
+            a.hash(&mut h);
+            assert_eq!(hash_of(&va), h.finish());
+            let from_arc: Arc<str> = Arc::from(a);
+            assert_eq!(Value::str(from_arc), va);
+            assert_eq!(Value::str(a.to_string()), va);
+            for b in strs {
+                assert_eq!(va.cmp(&Value::str(b)), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(va == Value::str(b), a == b);
+            }
+        }
+        assert_eq!(long.len(), 64 * 1024);
     }
 
     #[test]

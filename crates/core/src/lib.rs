@@ -22,6 +22,8 @@
 //! * [`integrated`] — §5's integrated optimization over input-property
 //!   variants and ORDER BY requirements.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod cost;
 pub mod cover;

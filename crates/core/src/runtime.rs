@@ -353,8 +353,10 @@ fn build_chain<'a>(
     let op_env = env.op_env().clone();
     // Slot 0 is the scan plus the WHERE filter (when the plan carries one):
     // filtering streams through the scan's segments before any reorder, and
-    // a narrowed scan's rows leave the filter at the narrowed width.
-    let mut scan = TableScan::new(table, op_env.clone());
+    // a narrowed scan's rows leave the filter at the narrowed width. Rows
+    // leave the scan with room for one value per window function, so the
+    // steps below push into them without reallocating.
+    let mut scan = TableScan::new(table, op_env.clone()).with_spare(specs.len());
     if let Some(columns) = &plan.scan_columns {
         scan = scan.with_columns(columns);
     }

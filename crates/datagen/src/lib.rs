@@ -13,6 +13,8 @@
 //!
 //! All generators are deterministic in their seed.
 
+#![forbid(unsafe_code)]
+
 pub mod queries;
 pub mod rng;
 pub mod web_sales;

@@ -7,7 +7,7 @@
 //! §5's scaling notes), and a padding column for realistic row width.
 
 use crate::rng::SplitMix64;
-use wf_common::{AttrId, DataType, Row, Schema, Value};
+use wf_common::{AttrId, DataType, Row, Schema, Text, Value};
 use wf_storage::Table;
 
 /// Columns of the generated table, in schema order.
@@ -114,7 +114,7 @@ impl WsConfig {
     pub fn generate(&self) -> Table {
         let mut rng = SplitMix64::seed_from_u64(self.seed);
         let mut table = Table::new(self.schema());
-        let pad: std::sync::Arc<str> = "x".repeat(self.padding).into();
+        let pad = Text::from("x".repeat(self.padding));
         for order in 0..self.rows {
             let row = Row::new(vec![
                 Value::Int(rng.random_below(self.d_date) as i64),

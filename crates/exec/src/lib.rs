@@ -35,6 +35,8 @@
 //! shared [`wf_storage::CostTracker`], which is what the benchmark harness
 //! converts into modeled execution time.
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod full_sort;
 pub mod hashed_sort;

@@ -293,9 +293,14 @@ impl Operator for SegmentSource {
 /// row leaves it as the kept columns only, at the clone a reader of the
 /// view makes anyway ([`SharedRows`]). The heap is still read whole, so the
 /// scan's charge does not change.
+///
+/// A chain that appends window columns scans through
+/// [`TableScan::with_spare`]: the same clone leaves room for them, so no
+/// window operator downstream reallocates a row.
 pub struct TableScan<'a> {
     table: &'a Table,
     columns: Option<Arc<[AttrId]>>,
+    spare: usize,
     env: OpEnv,
     done: bool,
 }
@@ -306,6 +311,7 @@ impl<'a> TableScan<'a> {
         TableScan {
             table,
             columns: None,
+            spare: 0,
             env,
             done: false,
         }
@@ -315,6 +321,13 @@ impl<'a> TableScan<'a> {
     /// order).
     pub fn with_columns(mut self, columns: &[AttrId]) -> Self {
         self.columns = Some(Arc::from(columns));
+        self
+    }
+
+    /// Hand rows out with room for `spare` more values each: the columns the
+    /// statement's window functions append.
+    pub fn with_spare(mut self, spare: usize) -> Self {
+        self.spare = spare;
         self
     }
 }
@@ -329,7 +342,8 @@ impl Operator for TableScan<'_> {
         if self.table.is_empty() {
             return Ok(None);
         }
-        let rows = SharedRows::new(self.table.shared_rows(), self.columns.clone());
+        let rows =
+            SharedRows::new(self.table.shared_rows(), self.columns.clone()).with_spare(self.spare);
         Ok(Some(Segment::from_handle(
             SegmentStore::shared(rows),
             SegmentBounds::none(),

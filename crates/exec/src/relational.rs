@@ -584,8 +584,7 @@ pub fn group_by_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use wf_common::row;
+    use wf_common::{row, Text};
 
     fn sample() -> Table {
         let schema = Schema::of(&[
@@ -673,14 +672,14 @@ mod tests {
     #[test]
     fn filter_clones_only_the_rows_it_keeps() {
         let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
-        let dropped: Arc<str> = Arc::from("dropped");
-        let kept: Arc<str> = Arc::from("kept");
+        let dropped = Text::from("dropped");
+        let kept = Text::from("kept");
         let mut t = Table::new(schema);
         for i in 0..100 {
             let s = if i % 10 == 0 { &kept } else { &dropped };
-            t.push(Row::new(vec![Value::Int(i), Value::Str(Arc::clone(s))]));
+            t.push(Row::new(vec![Value::Int(i), Value::Str(s.clone())]));
         }
-        let (dropped_refs, kept_refs) = (Arc::strong_count(&dropped), Arc::strong_count(&kept));
+        let (dropped_refs, kept_refs) = (dropped.ref_count(), kept.ref_count());
 
         // The scan charges its own tracker, so `env` sees only the filter.
         let env = OpEnv::with_memory_blocks(8);
@@ -691,8 +690,8 @@ mod tests {
         assert!(op.next_segment().unwrap().is_none());
 
         assert_eq!(out.len(), 10);
-        assert_eq!(Arc::strong_count(&dropped), dropped_refs);
-        assert_eq!(Arc::strong_count(&kept), kept_refs + 10);
+        assert_eq!(dropped.ref_count(), dropped_refs);
+        assert_eq!(kept.ref_count(), kept_refs + 10);
         let work = env.tracker.snapshot();
         assert_eq!(work.comparisons, 100);
         assert_eq!(work.rows_moved, 10);

@@ -402,8 +402,7 @@ mod tests {
     /// encoded, and no copy of a row left behind.
     #[test]
     fn units_are_moved_and_charged_per_the_model() {
-        use std::sync::Arc;
-        use wf_common::Value;
+        use wf_common::{Text, Value};
 
         struct Once(Option<Segment>);
         impl Operator for Once {
@@ -412,7 +411,7 @@ mod tests {
             }
         }
 
-        let payload: Arc<str> = Arc::from("shared-payload");
+        let payload = Text::from("shared-payload");
         let sizes = [1usize, 1, 3, 1, 25, 2, 1, 40];
         let mut rows: Vec<Row> = Vec::new();
         let mut sort_cmp = 0u64;
@@ -421,7 +420,7 @@ mod tests {
                 rows.push(Row::new(vec![
                     Value::Int(unit as i64),
                     Value::Int(((j * 7919) % 13) as i64),
-                    Value::Str(Arc::clone(&payload)),
+                    Value::Str(payload.clone()),
                 ]));
             }
             if len > 1 {
@@ -452,7 +451,7 @@ mod tests {
             let out = out.into_rows().unwrap();
             assert_eq!(out, expect, "store_backed={store_backed}");
             // Input, expectation, output and the local handle — nothing else.
-            assert_eq!(Arc::strong_count(&payload), 3 * n + 1);
+            assert_eq!(payload.ref_count(), 3 * n + 1);
             let work = env.tracker.snapshot();
             assert_eq!(work.rows_moved, n as u64);
             assert_eq!(work.comparisons, (n as u64 - 1) + sort_cmp);

@@ -958,9 +958,8 @@ mod tests {
     /// copy of a row it was shown.
     #[test]
     fn prefix_recorder_matches_the_slice_scan_without_copying_rows() {
-        use std::sync::Arc;
-        use wf_common::Value;
-        let payload: Arc<str> = Arc::from("payload-no-boundary-check-reads");
+        use wf_common::{Text, Value};
+        let payload = Text::from("payload-no-boundary-check-reads");
         let mut st = 5u64;
         let rows: Vec<Row> = (0..400)
             .map(|i| {
@@ -970,7 +969,7 @@ mod tests {
                 } else {
                     Value::Float((i / 8) as f64)
                 };
-                Row::new(vec![Value::Int(a), b, Value::Str(Arc::clone(&payload))])
+                Row::new(vec![Value::Int(a), b, Value::Str(payload.clone())])
             })
             .collect();
         let sets = [
@@ -980,7 +979,7 @@ mod tests {
         let mut recorder = PrefixRecorder::new(&sets);
         for row in &rows {
             recorder.observe(row);
-            assert_eq!(Arc::strong_count(&payload), rows.len() + 1);
+            assert_eq!(payload.ref_count(), rows.len() + 1);
         }
         let streamed = recorder.finish();
         let scanned = record_prefix_layers(&rows, &sets);

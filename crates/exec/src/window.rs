@@ -1362,6 +1362,41 @@ mod tests {
         assert_eq!(rn, vec![1, 1]);
     }
 
+    /// Rows scanned with room for a group's columns leave it full and
+    /// ungrown: every call's value lands in the allocation the scan made
+    /// (spare capacity exactly used, none added).
+    #[test]
+    fn window_group_over_a_scanned_segment_grows_no_row() {
+        use crate::operator::TableScan;
+        use wf_common::{DataType, Schema};
+        use wf_storage::Table;
+        let schema = Schema::of(&[
+            ("p", DataType::Int),
+            ("o", DataType::Int),
+            ("x", DataType::Int),
+            ("s", DataType::Str),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..300i64 {
+            t.push(row![i / 25, i % 7, i, "pad"]);
+        }
+        let calls = vec![
+            (WindowFunction::Rank, None),
+            (WindowFunction::Sum(a(2)), None),
+            (WindowFunction::RowNumber, None),
+        ];
+        let env = OpEnv::with_memory_blocks(64);
+        let scan = TableScan::new(&t, env.clone()).with_spare(calls.len());
+        let mut op = WindowOp::group(scan, aset(&[0]), spec(&[]), calls, env);
+        let out = drain(&mut op).unwrap();
+        assert_eq!(out.rows().len(), 300);
+        for (r, base) in out.rows().iter().zip(t.rows()) {
+            assert_eq!(&r.values()[..4], base.values());
+            assert_eq!(r.arity(), 7);
+            assert_eq!(r.spare_capacity(), 0, "{r}");
+        }
+    }
+
     #[test]
     fn empty_input_ok() {
         let env = OpEnv::with_memory_blocks(8);

@@ -14,6 +14,8 @@
 //! names against a [`Catalog`] and produces a
 //! [`wf_core::query::WindowQuery`]).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod binder;
 pub mod lexer;

@@ -482,6 +482,32 @@ mod tests {
         assert_eq!(round_trip(&r), r);
     }
 
+    /// The bytes of a row are the format's, whatever handle a string value
+    /// holds: pinned byte for byte, with `encoded_len` equal to their count,
+    /// for empty, multi-byte, NUL-bearing and 64 KiB strings.
+    #[test]
+    fn string_rows_encode_to_the_pinned_bytes() {
+        let r = row![7i64, "", "é\0", Value::Null, 1.5f64];
+        let mut buf = ByteBuf::new();
+        encode_row(&r, &mut buf);
+        let mut want = vec![5, 0, TAG_INT, 7, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([TAG_STR, 0, 0, 0, 0]);
+        want.extend([TAG_STR, 3, 0, 0, 0, 0xc3, 0xa9, 0]);
+        want.push(TAG_NULL);
+        want.push(TAG_FLOAT);
+        want.extend(1.5f64.to_bits().to_le_bytes());
+        assert_eq!(buf.as_slice(), want.as_slice());
+        assert_eq!(round_trip(&r), r);
+
+        let long = "日".repeat(64 * 1024 / 3 + 1);
+        let r = row![long.as_str()];
+        let mut buf = ByteBuf::new();
+        encode_row(&r, &mut buf);
+        assert_eq!(&buf.as_slice()[..7], &[1, 0, TAG_STR, 2, 0, 1, 0]);
+        assert_eq!(&buf.as_slice()[7..], long.as_bytes());
+        assert_eq!(round_trip(&r).values()[0].as_str(), Some(long.as_str()));
+    }
+
     #[test]
     fn round_trips_empty_row() {
         let r = Row::new(vec![]);

@@ -29,6 +29,8 @@
 //! experiments reproduce the paper's I/O behaviour (pass counts, spill
 //! fractions) at laptop scale.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod block;
 pub mod bytebuf;

@@ -617,23 +617,36 @@ impl Drop for ResidentSeg {
 /// never copied whole, seen through the columns the statement reads.
 ///
 /// With every column kept (`columns` is `None`) a row reads as the table
-/// holds it, and a whole-table read adopts the rows without a copy. With a
-/// column list each row reads as those columns, in that order: the
-/// narrowing happens at the clone that reading a shared view makes anyway
-/// ([`SegmentHandle::into_rows`], [`SegmentReader`], and the callers that
-/// test [`SharedRows::base`] by reference and keep a few), so it costs no
-/// pass of its own and nothing is ever held at the table's width.
+/// holds it. With a column list each row reads as those columns, in that
+/// order: the narrowing happens at the clone that reading a shared view
+/// makes anyway ([`SegmentHandle::into_rows`], [`SegmentReader`], and the
+/// callers that test [`SharedRows::base`] by reference and keep a few), so it
+/// costs no pass of its own and nothing is ever held at the table's width.
+/// The same clone leaves room for the `spare` values the statement appends
+/// (one per window function), so a row is allocated once, at its output
+/// width.
 #[derive(Debug, Clone)]
 pub struct SharedRows {
     rows: Arc<Vec<Row>>,
     columns: Option<Arc<[AttrId]>>,
+    spare: usize,
 }
 
 impl SharedRows {
     /// `rows` read through `columns` (base positions, in output order), or
     /// whole when `None`.
     pub fn new(rows: Arc<Vec<Row>>, columns: Option<Arc<[AttrId]>>) -> Self {
-        SharedRows { rows, columns }
+        SharedRows {
+            rows,
+            columns,
+            spare: 0,
+        }
+    }
+
+    /// Hand out rows with room for `spare` more values each.
+    pub fn with_spare(mut self, spare: usize) -> Self {
+        self.spare = spare;
+        self
     }
 
     /// The table's rows at full width — what a caller testing rows by
@@ -647,11 +660,16 @@ impl SharedRows {
         self.columns.as_ref().map_or(attr, |c| c[attr.index()])
     }
 
-    /// A base row as the statement sees it: a clone, narrowed.
+    /// A base row as the statement sees it: a clone, narrowed, with room for
+    /// the values the statement appends.
     pub fn project(&self, row: &Row) -> Row {
         match &self.columns {
-            None => row.clone(),
-            Some(cols) => Row::new(cols.iter().map(|&a| row.get(a).clone()).collect()),
+            None => row.clone_with_spare(self.spare),
+            Some(cols) => {
+                let mut values = Vec::with_capacity(cols.len() + self.spare);
+                values.extend(cols.iter().map(|&a| row.get(a).clone()));
+                Row::new(values)
+            }
         }
     }
 
@@ -670,12 +688,12 @@ impl SharedRows {
     }
 
     /// Every row, as the statement sees it: adopted without a copy when no
-    /// other handle shares them and no column is dropped.
+    /// other handle shares them and they are handed out as they are.
     fn into_rows(self) -> Vec<Row> {
-        match &self.columns {
-            None => Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone()),
-            Some(_) => self.rows.iter().map(|r| self.project(r)).collect(),
+        if self.columns.is_none() && self.spare == 0 {
+            return Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone());
         }
+        self.rows.iter().map(|r| self.project(r)).collect()
     }
 }
 
@@ -830,7 +848,7 @@ impl Iterator for SegmentReader {
 mod tests {
     use super::*;
     use crate::block::BLOCK_SIZE;
-    use wf_common::row;
+    use wf_common::{row, Value};
 
     fn rows(n: usize) -> Vec<Row> {
         (0..n)
@@ -962,6 +980,67 @@ mod tests {
             vec![want[4].clone(), want[1].clone()]
         );
         assert_eq!(base.len(), 50, "the table itself is untouched");
+    }
+
+    /// A view with spare `k` hands out every row with room for `k` more
+    /// values, on each clone path — whole, by index, streamed, narrowed and
+    /// `project` — and the rows themselves are the ones a view without spare
+    /// hands out.
+    #[test]
+    fn spare_view_hands_out_rows_with_room_to_grow() {
+        let base = Arc::new(
+            (0..20)
+                .map(|i| row![i as i64, format!("pad-{i}"), -(i as i64)])
+                .collect::<Vec<_>>(),
+        );
+        let cols: Arc<[AttrId]> = Arc::from([AttrId::new(2), AttrId::new(0)]);
+        for columns in [None, Some(cols)] {
+            let plain = SharedRows::new(Arc::clone(&base), columns.clone());
+            let want: Vec<Row> = base.iter().map(|r| plain.project(r)).collect();
+            for k in [0, 1, 4] {
+                let view = SharedRows::new(Arc::clone(&base), columns.clone()).with_spare(k);
+                let check = |rows: &[Row]| {
+                    for r in rows {
+                        assert_eq!(r.spare_capacity(), k, "{columns:?}");
+                    }
+                };
+                let projected: Vec<Row> = base.iter().map(|r| view.project(r)).collect();
+                check(&projected);
+                assert_eq!(projected, want);
+                let whole = SegmentStore::shared(view.clone()).into_rows().unwrap();
+                check(&whole);
+                assert_eq!(whole, want);
+                let streamed: Vec<Row> = SegmentStore::shared(view.clone())
+                    .read()
+                    .map(|r| r.unwrap())
+                    .collect();
+                check(&streamed);
+                assert_eq!(streamed, want);
+                let idx = vec![5, 0, 19];
+                let picked = SegmentStore::shared_subset(view.clone(), idx.clone())
+                    .into_rows()
+                    .unwrap();
+                check(&picked);
+                let streamed: Vec<Row> = SegmentStore::shared_subset(view, idx)
+                    .read()
+                    .map(|r| r.unwrap())
+                    .collect();
+                check(&streamed);
+                assert_eq!(picked, streamed);
+                assert_eq!(
+                    picked,
+                    vec![want[5].clone(), want[0].clone(), want[19].clone()]
+                );
+            }
+        }
+        // Pushing `k` values into a spare-`k` row fills it without growing.
+        let mut r = SharedRows::from(Arc::clone(&base))
+            .with_spare(2)
+            .project(&base[3]);
+        r.push(Value::Int(1));
+        r.push(Value::str("w"));
+        assert_eq!(r.spare_capacity(), 0);
+        assert_eq!(r.encoded_len(), base[3].encoded_len() + 9 + 6);
     }
 
     #[test]

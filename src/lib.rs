@@ -45,6 +45,8 @@
 //! assert_eq!(result.table.row_count(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod server;
 pub mod session;
 pub use session::{Database, DatabaseConfig, PreparedQuery, QueryOutcome, Session};
@@ -60,7 +62,7 @@ pub use wf_storage as storage;
 pub mod prelude {
     pub use wf_common::{
         AttrId, AttrSeq, AttrSet, DataType, Direction, Error, Field, NullOrder, OrdElem, Result,
-        Row, RowComparator, Schema, SortSpec, Value,
+        Row, RowComparator, Schema, SortSpec, Text, Value,
     };
     pub use wf_core::cost::TableStats;
     pub use wf_core::plan::{Plan, PlanStep, ReorderOp};
