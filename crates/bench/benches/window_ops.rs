@@ -188,12 +188,13 @@ fn main() {
     let calls = fanout_calls(val);
     for (name, k) in [("fanout_k1", 1), ("fanout_k8", 8), ("fanout_k24", 24)] {
         group.bench(name, || {
+            let env = OpEnv::with_memory_blocks(1024);
             let mut op = WindowOp::group(
-                SegmentSource::new(fanout.clone()),
+                SegmentSource::new(fanout.clone(), &env),
                 wpk.clone(),
                 wok.clone(),
                 calls[..k].to_vec(),
-                OpEnv::with_memory_blocks(1024),
+                env,
             );
             drain(&mut op).unwrap();
         });

@@ -113,11 +113,6 @@ impl SortSpec {
         SortSpec { elems }
     }
 
-    /// All-ascending specification over a plain attribute sequence.
-    pub fn asc_over(seq: &AttrSeq) -> Self {
-        SortSpec::new(seq.as_slice().iter().map(|&a| OrdElem::asc(a)).collect())
-    }
-
     /// Length.
     pub fn len(&self) -> usize {
         self.elems.len()

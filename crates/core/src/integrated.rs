@@ -16,7 +16,7 @@ use crate::props::SegProps;
 use crate::query::WindowQuery;
 use crate::runtime::ExecEnv;
 use wf_common::{Result, SortSpec};
-use wf_exec::{full_sort, segmented_sort, SegmentedRows};
+use wf_exec::{drain, FullSortOp, SegmentedSortOp, TableScan};
 use wf_storage::Table;
 
 /// One way the upstream plan could deliver the windowed table.
@@ -140,29 +140,29 @@ pub fn optimize_integrated(
 
 /// Apply the final ORDER BY to an executed result, using a partial
 /// (segmented) sort when a prefix of the order is already satisfied.
+///
+/// The result is read through a scan's shared view of its rows, so each row
+/// is cloned once, where the sort takes it, and the sort runs in `env`'s
+/// pool like every other reorder of the statement.
 pub fn apply_final_order(
-    table: Table,
+    table: &Table,
     final_props: &SegProps,
     order: &SortSpec,
     env: &ExecEnv,
 ) -> Result<Table> {
     if order.is_empty() || final_props.satisfies_order(order) {
-        return Ok(table);
+        return Ok(table.clone());
     }
-    let schema = table.schema().clone();
-    let rows = SegmentedRows::single_segment(table.into_rows());
+    let env = env.op_env();
+    let scan = TableScan::new(table, env.clone());
     let prefix = final_props.satisfied_order_prefix(order);
     let sorted = if prefix > 0 {
-        segmented_sort(
-            rows,
-            &order.prefix(prefix),
-            &order.suffix(prefix),
-            env.op_env(),
-        )?
+        let (alpha, beta) = (order.prefix(prefix), order.suffix(prefix));
+        drain(&mut SegmentedSortOp::new(scan, alpha, beta, env.clone()))?
     } else {
-        full_sort(rows, order, env.op_env())?
+        drain(&mut FullSortOp::new(scan, order.clone(), env.clone()))?
     };
-    Table::from_rows(schema, sorted.into_rows())
+    Table::from_rows(table.schema().clone(), sorted.into_rows())
 }
 
 #[cfg(test)]
@@ -283,7 +283,7 @@ mod tests {
         }
         let env = ExecEnv::with_memory_blocks(64);
         let order = key(&[0]);
-        let sorted = apply_final_order(t, &SegProps::unordered(), &order, &env).unwrap();
+        let sorted = apply_final_order(&t, &SegProps::unordered(), &order, &env).unwrap();
         let vals: Vec<i64> = sorted
             .rows()
             .iter()

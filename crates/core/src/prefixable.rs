@@ -12,7 +12,7 @@
 
 use crate::cover::{partition_into_cover_sets, ThetaElem};
 use crate::spec::WindowSpec;
-use wf_common::{AttrSet, Direction, NullOrder, OrdElem};
+use wf_common::{AttrSet, OrdElem};
 
 /// The attributes that can appear first in some `perm(WPK) ∘ WOK` of `wf`:
 /// any WPK attribute, or the first WOK element when WPK is empty.
@@ -190,21 +190,6 @@ pub fn partition_into_prefixable(specs: &[WindowSpec], idxs: &[usize]) -> Vec<Ve
         remaining = rest;
     }
     out
-}
-
-/// Convert direction-free θ elements to concrete sort elements (canonical
-/// ascending, NULLS LAST) — used when a hash key or display needs values.
-pub fn theta_as_elems(theta: &[ThetaElem]) -> Vec<OrdElem> {
-    theta
-        .iter()
-        .map(|t| {
-            t.elem.unwrap_or(OrdElem {
-                attr: t.attr,
-                dir: Direction::Asc,
-                nulls: NullOrder::Last,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

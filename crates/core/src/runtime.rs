@@ -775,10 +775,10 @@ fn render_analyze(
 /// Project a table to the given output columns (SELECT-list projection;
 /// applied after any final ORDER BY so sort keys may reference dropped
 /// columns).
-pub fn project(table: Table, columns: &[wf_common::AttrId]) -> Result<Table> {
+pub fn project(table: &Table, columns: &[wf_common::AttrId]) -> Result<Table> {
     let schema = table.schema().project(columns)?;
     let mut out = Table::new(schema);
-    for row in table.into_rows() {
+    for row in table.rows() {
         let vals: Vec<wf_common::Value> = columns.iter().map(|&a| row.get(a).clone()).collect();
         out.push(wf_common::Row::new(vals));
     }

@@ -188,8 +188,14 @@ mod tests {
     #[test]
     fn ledger_matches_budget() {
         let env = OpEnv::with_memory_blocks(4);
-        assert_eq!(env.ledger().unwrap().budget_blocks(), 4);
-        assert_eq!(env.with_blocks(9).ledger().unwrap().budget_blocks(), 9);
+        assert_eq!(
+            env.ledger().unwrap().budget_bytes(),
+            4 * wf_storage::BLOCK_SIZE
+        );
+        assert_eq!(
+            env.with_blocks(9).ledger().unwrap().budget_bytes(),
+            9 * wf_storage::BLOCK_SIZE
+        );
     }
 
     #[test]

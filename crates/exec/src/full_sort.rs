@@ -15,16 +15,17 @@
 //! layer even after a total reorder.
 
 use crate::env::OpEnv;
-use crate::operator::{drain, Operator, SegStream, Segment, SegmentSource};
+use crate::operator::{drain, Operator, Segment, SegmentSource};
 use crate::segment::SegmentedRows;
 use crate::sorter::{sort_stream_to_handle, SortKey};
 use wf_common::{AttrSet, Result, Row, SortSpec};
+use wf_storage::SegmentReader;
 
 /// Iterator over every row an upstream operator yields, pulling segments
 /// lazily so only one segment's stream is open at a time.
 pub(crate) struct UpstreamRows<'a, I: Operator> {
     op: &'a mut I,
-    cur: Option<SegStream>,
+    cur: Option<SegmentReader>,
 }
 
 impl<'a, I: Operator> UpstreamRows<'a, I> {
@@ -114,7 +115,7 @@ impl<I: Operator> Operator for FullSortOp<I> {
 /// Sort all rows on `key`; returns one totally ordered segment. Thin wrapper
 /// over [`FullSortOp`] for batch callers.
 pub fn full_sort(input: SegmentedRows, key: &SortSpec, env: &OpEnv) -> Result<SegmentedRows> {
-    let mut op = FullSortOp::new(SegmentSource::new(input), key.clone(), env.clone());
+    let mut op = FullSortOp::new(SegmentSource::new(input, env), key.clone(), env.clone());
     drain(&mut op)
 }
 
@@ -189,7 +190,7 @@ mod tests {
             .collect();
         let total_bytes: usize = rows.iter().map(Row::encoded_len).sum();
         let mut op = FullSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
+            SegmentSource::new(SegmentedRows::single_segment(rows), &env),
             key(&[0]),
             env.clone(),
         );
@@ -215,7 +216,7 @@ mod tests {
             .collect();
         let wpk = AttrSet::from_iter([AttrId::new(0)]);
         let mut op = FullSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
+            SegmentSource::new(SegmentedRows::single_segment(rows), &env),
             key(&[0, 1]),
             env.clone(),
         )

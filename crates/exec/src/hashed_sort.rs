@@ -291,7 +291,7 @@ pub fn hashed_sort(
     env: &OpEnv,
 ) -> Result<SegmentedRows> {
     let mut op = HashedSortOp::new(
-        SegmentSource::new(input),
+        SegmentSource::new(input, env),
         whk.clone(),
         key.clone(),
         options.clone(),
@@ -560,7 +560,7 @@ mod tests {
     fn buckets_record_prefix_layers() {
         let env = OpEnv::with_memory_blocks(64);
         let mut op = HashedSortOp::new(
-            SegmentSource::new(input(600, 12)),
+            SegmentSource::new(input(600, 12), &env),
             aset(&[0]),
             key(&[0, 1]),
             HsOptions::with_buckets(4),

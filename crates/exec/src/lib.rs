@@ -52,7 +52,7 @@ pub mod window;
 pub use env::OpEnv;
 pub use full_sort::{full_sort, FullSortOp};
 pub use hashed_sort::{hashed_sort, HashedSortOp, HsOptions};
-pub use operator::{drain, Operator, SegStream, Segment, SegmentSource, TableScan};
+pub use operator::{drain, Operator, Segment, SegmentSource, TableScan};
 pub use relational::{
     filter, group_by_hash, group_by_sort, FilterOp, GroupAgg, GroupByHashOp, GroupBySortOp,
     Predicate,

@@ -11,15 +11,15 @@
 //! trait Operator { fn next_segment(&mut self) -> Result<Option<Segment>>; }
 //! ```
 //!
-//! A [`Segment`] pairs boundary metadata ([`SegmentBounds`]) with its rows,
-//! which live either inline (`Vec<Row>`, the batch wrappers' form) or in a
-//! [`wf_storage::SegmentHandle`] managed by the environment's
-//! [`wf_storage::SegmentStore`] — transparently memory-resident or spilled.
-//! Operators *consume* segments as streaming block iterators
-//! ([`Segment::into_stream`]) or materialize them ([`Segment::into_parts`])
-//! when an algorithm genuinely needs random access; they *produce* segments
-//! through the store, so a chain's physical resident set is bounded by the
-//! pool budget plus the largest unit any single operator must hold.
+//! A [`Segment`] pairs boundary metadata ([`SegmentBounds`]) with a
+//! [`wf_storage::SegmentHandle`] over its rows. The environment's
+//! [`wf_storage::SegmentStore`] alone decides whether those rows are
+//! memory-resident or spilled. Operators *consume* segments as streaming
+//! block iterators ([`Segment::into_stream`]) or materialize them
+//! ([`Segment::into_parts`]) when an algorithm genuinely needs random
+//! access; they *produce* every segment through the store, so a chain's
+//! physical resident set is bounded by the pool budget plus the largest
+//! unit any single operator must hold.
 //!
 //! Every physical operator implements it:
 //!
@@ -74,79 +74,26 @@ use std::sync::Arc;
 use wf_common::{AttrId, Result, Row};
 use wf_storage::{SegmentHandle, SegmentReader, SegmentStore, SharedRows, Table};
 
-/// One segment flowing between operators: rows in order plus the boundary
-/// layers the chain has already proven over them (see [`SegmentBounds`]).
-/// Operators that reorder rows must drop or filter the bounds; operators
-/// that preserve row order pass them through and may add layers.
+/// One segment flowing between operators: a store handle over its rows in
+/// order plus the boundary layers the chain has already proven over them
+/// (see [`SegmentBounds`]). Operators that reorder rows must drop or filter
+/// the bounds; operators that preserve row order pass them through and may
+/// add layers.
 #[derive(Debug)]
 pub struct Segment {
-    data: SegData,
+    handle: SegmentHandle,
     pub bounds: SegmentBounds,
 }
 
-#[derive(Debug)]
-enum SegData {
-    /// Inline rows (batch wrappers, tiny segments).
-    Rows(Vec<Row>),
-    /// Store-managed rows — resident in the pool or spilled.
-    Handle(SegmentHandle),
-}
-
-/// Streaming row iterator over a consumed segment.
-pub enum SegStream {
-    Rows(std::vec::IntoIter<Row>),
-    Handle(SegmentReader),
-}
-
-impl SegStream {
-    /// Next row, or `None` at the end.
-    pub fn next_row(&mut self) -> Result<Option<Row>> {
-        match self {
-            SegStream::Rows(it) => Ok(it.next()),
-            SegStream::Handle(r) => r.next_row(),
-        }
-    }
-}
-
-impl Iterator for SegStream {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Result<Row>> {
-        self.next_row().transpose()
-    }
-}
-
 impl Segment {
-    /// A segment with no boundary metadata.
-    pub fn plain(rows: Vec<Row>) -> Self {
-        Segment {
-            data: SegData::Rows(rows),
-            bounds: SegmentBounds::none(),
-        }
-    }
-
-    /// A segment carrying boundary layers.
-    pub fn with_bounds(rows: Vec<Row>, bounds: SegmentBounds) -> Self {
-        Segment {
-            data: SegData::Rows(rows),
-            bounds,
-        }
-    }
-
     /// A store-managed segment.
     pub fn from_handle(handle: SegmentHandle, bounds: SegmentBounds) -> Self {
-        Segment {
-            data: SegData::Handle(handle),
-            bounds,
-        }
+        Segment { handle, bounds }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.data {
-            SegData::Rows(r) => r.len(),
-            SegData::Handle(h) => h.len(),
-        }
+        self.handle.len()
     }
 
     /// True when no rows.
@@ -157,63 +104,37 @@ impl Segment {
     /// True when the rows live on the spill device (streaming consumption
     /// is then the only way to stay within the residency bound).
     pub fn is_spilled(&self) -> bool {
-        matches!(&self.data, SegData::Handle(h) if h.is_spilled())
-    }
-
-    /// True when the segment is managed by the store (operators mirror this
-    /// on their outputs so batch wrappers stay pool-free while streaming
-    /// chains stay residency-tracked).
-    pub fn is_store_backed(&self) -> bool {
-        matches!(&self.data, SegData::Handle(_))
+        self.handle.is_spilled()
     }
 
     /// The table rows behind this segment when it is a scan's shared view
     /// of them — a filter tests them by reference here and clones (and
     /// narrows) only the rows it keeps.
     pub fn shared_rows(&self) -> Option<&SharedRows> {
-        match &self.data {
-            SegData::Handle(h) => h.as_shared_rows(),
-            SegData::Rows(_) => None,
-        }
+        self.handle.as_shared_rows()
     }
 
     /// Materialize into rows plus bounds (charges pool reads for a spilled
     /// segment; releases the pool charge of a resident one).
     pub fn into_parts(self) -> Result<(Vec<Row>, SegmentBounds)> {
-        let rows = match self.data {
-            SegData::Rows(r) => r,
-            SegData::Handle(h) => h.into_rows()?,
-        };
-        Ok((rows, self.bounds))
+        Ok((self.handle.into_rows()?, self.bounds))
     }
 
     /// Materialize into rows, discarding bounds.
     pub fn into_rows(self) -> Result<Vec<Row>> {
-        Ok(self.into_parts()?.0)
+        self.handle.into_rows()
     }
 
-    /// Decompose into the underlying store handle plus bounds, admitting
-    /// inline rows to `store` first — how the parallel scheduler ships
-    /// finished worker segments across the reassembly step.
-    pub(crate) fn into_handle(
-        self,
-        store: &Arc<SegmentStore>,
-    ) -> Result<(SegmentHandle, SegmentBounds)> {
-        match self.data {
-            SegData::Handle(h) => Ok((h, self.bounds)),
-            SegData::Rows(r) => Ok((store.admit(r)?, self.bounds)),
-        }
+    /// Decompose into the store handle plus bounds — how the parallel
+    /// scheduler ships finished worker segments across the reassembly step.
+    pub(crate) fn into_handle(self) -> (SegmentHandle, SegmentBounds) {
+        (self.handle, self.bounds)
     }
 
-    /// Consume as a streaming row iterator; returns `(row count, stream,
+    /// Consume as a streaming row reader; returns `(row count, reader,
     /// bounds)`.
-    pub fn into_stream(self) -> (usize, SegStream, SegmentBounds) {
-        let n = self.len();
-        let stream = match self.data {
-            SegData::Rows(r) => SegStream::Rows(r.into_iter()),
-            SegData::Handle(h) => SegStream::Handle(h.read()),
-        };
-        (n, stream, self.bounds)
+    pub fn into_stream(self) -> (usize, SegmentReader, SegmentBounds) {
+        (self.handle.len(), self.handle.read(), self.bounds)
     }
 }
 
@@ -255,28 +176,32 @@ pub fn drain(op: &mut dyn Operator) -> Result<SegmentedRows> {
 }
 
 /// Leaf operator over an already-materialized segmented relation: yields its
-/// segments (with any carried bounds) in order. The adapter behind every
-/// free-function wrapper.
+/// segments (with any carried bounds) in order, admitting each to the store
+/// on the pull that hands it out, as an upstream operator would. The adapter
+/// behind every free-function wrapper, which therefore runs in its
+/// environment's pool like any chain.
 pub struct SegmentSource {
-    segments: VecDeque<Segment>,
+    segments: VecDeque<(Vec<Row>, SegmentBounds)>,
+    store: Arc<SegmentStore>,
 }
 
 impl SegmentSource {
-    /// Split a segmented relation into its segments.
-    pub fn new(input: SegmentedRows) -> Self {
+    /// Split a segmented relation into its segments, to be admitted to
+    /// `env`'s store one per pull.
+    pub fn new(input: SegmentedRows, env: &OpEnv) -> Self {
         SegmentSource {
-            segments: input
-                .into_segments()
-                .into_iter()
-                .map(|(rows, bounds)| Segment::with_bounds(rows, bounds))
-                .collect(),
+            segments: input.into_segments().into(),
+            store: Arc::clone(&env.store),
         }
     }
 }
 
 impl Operator for SegmentSource {
     fn next_segment(&mut self) -> Result<Option<Segment>> {
-        Ok(self.segments.pop_front())
+        let Some((rows, bounds)) = self.segments.pop_front() else {
+            return Ok(None);
+        };
+        Ok(Some(Segment::from_handle(self.store.admit(rows)?, bounds)))
     }
 }
 
@@ -359,7 +284,8 @@ mod tests {
     #[test]
     fn segment_source_yields_segments_in_order() {
         let s = SegmentedRows::from_parts(vec![row![1], row![2], row![3], row![4]], vec![0, 2, 3]);
-        let mut src = SegmentSource::new(s.clone());
+        let env = OpEnv::with_memory_blocks(4);
+        let mut src = SegmentSource::new(s.clone(), &env);
         let rows = |o: Option<Segment>| o.map(|s| s.into_rows().unwrap());
         assert_eq!(
             rows(src.next_segment().unwrap()),
@@ -369,13 +295,33 @@ mod tests {
         assert_eq!(rows(src.next_segment().unwrap()), Some(vec![row![4]]));
         assert!(src.next_segment().unwrap().is_none());
         // Round trip through drain.
-        let mut src2 = SegmentSource::new(s.clone());
+        let mut src2 = SegmentSource::new(s.clone(), &env);
         assert_eq!(drain(&mut src2).unwrap(), s);
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
+    }
+
+    /// Each segment is admitted on the pull that hands it out: the pool
+    /// holds the segments pulled and not yet consumed, never the relation.
+    #[test]
+    fn segment_source_admits_one_segment_per_pull() {
+        let rows: Vec<Row> = (0..4).map(|i| row![i]).collect();
+        let bytes = |r: &[Row]| r.iter().map(Row::encoded_len).sum::<usize>();
+        let s = SegmentedRows::from_parts(rows.clone(), vec![0, 2]);
+        let env = OpEnv::with_memory_blocks(4);
+        let mut src = SegmentSource::new(s, &env);
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
+        let first = src.next_segment().unwrap().unwrap();
+        assert_eq!(env.store.snapshot().resident_bytes, bytes(&rows[..2]));
+        drop(first);
+        let second = src.next_segment().unwrap().unwrap();
+        assert_eq!(env.store.snapshot().resident_bytes, bytes(&rows[2..]));
+        assert_eq!(second.into_rows().unwrap(), rows[2..]);
+        assert_eq!(env.store.snapshot().resident_bytes, 0);
     }
 
     #[test]
     fn empty_source_drains_empty() {
-        let mut src = SegmentSource::new(SegmentedRows::empty());
+        let mut src = SegmentSource::new(SegmentedRows::empty(), &OpEnv::with_memory_blocks(4));
         assert_eq!(drain(&mut src).unwrap(), SegmentedRows::empty());
     }
 
@@ -390,7 +336,7 @@ mod tests {
         let seg = scan.next_segment().unwrap().unwrap();
         assert_eq!(seg.len(), 2);
         // The scan's segment is a zero-copy view, never pool-charged.
-        assert!(seg.is_store_backed() && !seg.is_spilled());
+        assert!(!seg.is_spilled());
         assert_eq!(env.store.snapshot().resident_bytes, 0);
         assert!(scan.next_segment().unwrap().is_none());
         assert!(scan.next_segment().unwrap().is_none());

@@ -22,7 +22,7 @@ use crate::util::hash_row_on;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use wf_common::{AttrId, AttrSet, DataType, Error, Field, Result, Row, Schema, SortSpec, Value};
-use wf_storage::Table;
+use wf_storage::{SegmentBuilder, Table};
 
 /// A simple column-vs-literal predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,7 +143,6 @@ impl<I: Operator> Operator for FilterOp<I> {
             let Some(seg) = self.input.next_segment()? else {
                 return Ok(None);
             };
-            let store_backed = seg.is_store_backed();
             let shared = seg.shared_rows().cloned();
             let (n, stream, bounds) = seg.into_stream();
             let mut remaps: Vec<LayerRemap> = bounds
@@ -156,15 +155,8 @@ impl<I: Operator> Operator for FilterOp<I> {
                     new_starts: Vec::new(),
                 })
                 .collect();
-            let mut builder = store_backed.then(|| self.env.store.builder());
-            let mut rows: Vec<Row> = Vec::new();
-            let mut sink = |row| {
-                match &mut builder {
-                    Some(b) => b.push(row)?,
-                    None => rows.push(row),
-                }
-                Ok(())
-            };
+            let mut builder = self.env.store.builder();
+            let mut sink = |row| builder.push(row);
             // A scan's rows are tested where they lie, at the table's full
             // width (the predicate names base columns), and cloned — narrowed
             // to the statement's columns — only when kept; any other
@@ -190,10 +182,7 @@ impl<I: Operator> Operator for FilterOp<I> {
                     out_bounds.add_layer(attrs, starts);
                 }
             }
-            return Ok(Some(match builder {
-                Some(b) => Segment::from_handle(b.finish()?, out_bounds),
-                None => Segment::with_bounds(rows, out_bounds),
-            }));
+            return Ok(Some(Segment::from_handle(builder.finish()?, out_bounds)));
         }
     }
 }
@@ -439,7 +428,8 @@ impl<I: Operator> Operator for GroupByHashOp<I> {
             None => Ok(None),
             Some(row) => {
                 self.env.tracker.move_rows(1);
-                Ok(Some(Segment::plain(vec![row])))
+                let handle = self.env.store.admit(vec![row])?;
+                Ok(Some(Segment::from_handle(handle, SegmentBounds::none())))
             }
         }
     }
@@ -515,18 +505,18 @@ impl<I: Operator> Operator for GroupBySortOp<I> {
             &[],
         )?;
 
-        let mut out: Vec<Row> = Vec::new();
+        let mut out = env.store.builder();
         let mut reader = sorted.read();
         let mut run_start: Option<Row> = None;
         let mut states = vec![AggState::new(); self.aggs.len()];
-        let finish_group = |start: &Row, states: &mut Vec<AggState>, out: &mut Vec<Row>| {
+        let finish_group = |start: &Row, states: &mut Vec<AggState>, out: &mut SegmentBuilder| {
             let mut vals: Vec<Value> = self.keys.iter().map(|&a| start.get(a).clone()).collect();
             for (agg, st) in self.aggs.iter().zip(states.iter()) {
                 vals.push(st.finish(agg));
             }
-            out.push(Row::new(vals));
             env.tracker.move_rows(1);
             *states = vec![AggState::new(); self.aggs.len()];
+            out.push(Row::new(vals))
         };
         while let Some(row) = reader.next_row()? {
             let same_group = match &run_start {
@@ -538,7 +528,7 @@ impl<I: Operator> Operator for GroupBySortOp<I> {
             };
             if !same_group {
                 let start = run_start.take().expect("open run");
-                finish_group(&start, &mut states, &mut out);
+                finish_group(&start, &mut states, &mut out)?;
             }
             if run_start.is_none() {
                 run_start = Some(row.clone());
@@ -548,12 +538,15 @@ impl<I: Operator> Operator for GroupBySortOp<I> {
             }
         }
         if let Some(start) = run_start {
-            finish_group(&start, &mut states, &mut out);
+            finish_group(&start, &mut states, &mut out)?;
         }
         if out.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Segment::plain(out)))
+        Ok(Some(Segment::from_handle(
+            out.finish()?,
+            SegmentBounds::none(),
+        )))
     }
 }
 

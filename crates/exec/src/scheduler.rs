@@ -334,7 +334,7 @@ fn run_worker_chain(
                 let (rows, bounds) = seg.into_parts()?;
                 (park.admit(rows)?, bounds)
             }
-            _ => seg.into_handle(&env.store)?,
+            _ => seg.into_handle(),
         });
     }
     Ok(out)
@@ -741,7 +741,7 @@ mod tests {
         env: &OpEnv,
     ) -> (Vec<Row>, Vec<crate::segment::BoundaryLayer>) {
         let mut op = ParallelChainOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
+            SegmentSource::new(SegmentedRows::single_segment(rows), env),
             ParInner::Fs { key: key(&[0, 1]) },
             aset(&[0]),
             4,
@@ -818,7 +818,7 @@ mod tests {
         for workers in [2usize, 4] {
             let env_p = OpEnv::with_memory_blocks(2);
             let mut op = ParallelChainOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+                SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
                 ParInner::Fs { key: key(&[0, 1]) },
                 aset(&[0]),
                 workers,
@@ -843,7 +843,7 @@ mod tests {
         let serial_sum = {
             let env = OpEnv::with_memory_blocks(4);
             let fs = FullSortOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+                SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env),
                 key(&[0, 1]),
                 env.clone(),
             )
@@ -865,7 +865,7 @@ mod tests {
         for workers in [2usize, 4] {
             let env_p = OpEnv::with_memory_blocks(2);
             let mut op = ParallelChainOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+                SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
                 ParInner::Fs { key: key(&[0, 1]) },
                 aset(&[0]),
                 workers,
@@ -886,7 +886,7 @@ mod tests {
         env: &OpEnv,
     ) -> Vec<(Vec<Row>, Vec<crate::segment::BoundaryLayer>)> {
         let fs = FullSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows)),
+            SegmentSource::new(SegmentedRows::single_segment(rows), env),
             key(&[0, 1]),
             env.clone(),
         )
@@ -920,7 +920,7 @@ mod tests {
         for (workers, m) in [(1usize, 4u64), (2, 4), (4, 4), (4, 2), (31, 4)] {
             let env_p = OpEnv::with_memory_blocks(m);
             let mut op = ParallelChainOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+                SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
                 ParInner::Fs { key: key(&[0, 1]) },
                 aset(&[0]),
                 workers,
@@ -949,7 +949,7 @@ mod tests {
         // Serial chain, stable emission so bucket order is comparable.
         let env_s = OpEnv::with_memory_blocks(4);
         let hs = HashedSortOp::new(
-            SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+            SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_s),
             aset(&[0]),
             key(&[0, 1]),
             HsOptions {
@@ -975,7 +975,7 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let env_p = OpEnv::with_memory_blocks(4);
             let mut op = ParallelChainOp::new(
-                SegmentSource::new(SegmentedRows::single_segment(rows.clone())),
+                SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
                 ParInner::Hs {
                     whk: aset(&[0]),
                     key: key(&[0, 1]),
@@ -1149,7 +1149,7 @@ mod tests {
     fn chain_span_empty_input_yields_nothing() {
         let env = OpEnv::with_memory_blocks(2);
         let mut op = ParallelChainOp::new(
-            SegmentSource::new(SegmentedRows::empty()),
+            SegmentSource::new(SegmentedRows::empty(), &env),
             ParInner::Fs { key: key(&[0, 1]) },
             aset(&[0]),
             4,

@@ -58,7 +58,6 @@ impl<I: Operator> SegmentedSortOp<I> {
     /// Sort one segment's units, preserving the segment as a whole. The
     /// materialized path — used when the segment is already in memory.
     fn sort_segment(&self, seg: Segment) -> Result<Segment> {
-        let store_backed = seg.is_store_backed();
         let (rows, mut bounds) = seg.into_parts()?;
         let env = &self.env;
         let end = rows.len();
@@ -67,14 +66,10 @@ impl<I: Operator> SegmentedSortOp<I> {
             // carried layers.
             env.tracker.move_rows(rows.len() as u64);
             let sorted = sort_rows(rows, &self.beta, env)?;
-            return if store_backed {
-                Ok(Segment::from_handle(
-                    env.store.admit(sorted)?,
-                    crate::segment::SegmentBounds::none(),
-                ))
-            } else {
-                Ok(Segment::plain(sorted))
-            };
+            return Ok(Segment::from_handle(
+                env.store.admit(sorted)?,
+                crate::segment::SegmentBounds::none(),
+            ));
         }
         // Unit starts: reuse a carried boundary layer when one covers α's
         // attributes, else walk the segment comparing adjacent α values.
@@ -112,11 +107,7 @@ impl<I: Operator> SegmentedSortOp<I> {
         // are unions of units.
         bounds.retain_subsets_of(&self.alpha_attrs);
         bounds.add_layer(self.alpha_attrs.clone(), unit_starts);
-        if store_backed {
-            Ok(Segment::from_handle(self.env.store.admit(out)?, bounds))
-        } else {
-            Ok(Segment::with_bounds(out, bounds))
-        }
+        Ok(Segment::from_handle(env.store.admit(out)?, bounds))
     }
 
     /// The streaming path for spilled segments: detect unit boundaries on
@@ -207,7 +198,7 @@ pub fn segmented_sort(
     env: &OpEnv,
 ) -> Result<SegmentedRows> {
     let mut op = SegmentedSortOp::new(
-        SegmentSource::new(input),
+        SegmentSource::new(input, env),
         alpha.clone(),
         beta.clone(),
         env.clone(),
@@ -396,10 +387,10 @@ mod tests {
     }
 
     /// Units leave the segment by move — one-row units without a sort —
-    /// and are charged what the model says, over plain and store-backed
-    /// segments alike: rows against a stable per-unit sort, `rows_moved`,
-    /// `comparisons` (boundary scan + `len·⌈log₂ len⌉` per unit), no key
-    /// encoded, and no copy of a row left behind.
+    /// and are charged what the model says: rows against a stable per-unit
+    /// sort, `rows_moved`, `comparisons` (boundary scan + `len·⌈log₂ len⌉`
+    /// per unit), no key encoded, no copy of a row left behind, and the
+    /// output handed to the store.
     #[test]
     fn units_are_moved_and_charged_per_the_model() {
         use wf_common::{Text, Value};
@@ -433,29 +424,20 @@ mod tests {
             let int = |i| r.get(AttrId::new(i)).as_int().unwrap();
             (int(0), int(1))
         });
-        for store_backed in [false, true] {
-            let env = OpEnv::with_memory_blocks(64);
-            let seg = if store_backed {
-                let handle = env.store.admit(rows.clone()).unwrap();
-                Segment::from_handle(handle, crate::segment::SegmentBounds::none())
-            } else {
-                Segment::plain(rows.clone())
-            };
-            let mut op = SegmentedSortOp::new(Once(Some(seg)), key(&[0]), key(&[1]), env.clone());
-            let out = op.next_segment().unwrap().unwrap();
-            assert_eq!(out.is_store_backed(), store_backed);
-            assert_eq!(
-                env.store.snapshot().resident_rows,
-                n * usize::from(store_backed)
-            );
-            let out = out.into_rows().unwrap();
-            assert_eq!(out, expect, "store_backed={store_backed}");
-            // Input, expectation, output and the local handle — nothing else.
-            assert_eq!(payload.ref_count(), 3 * n + 1);
-            let work = env.tracker.snapshot();
-            assert_eq!(work.rows_moved, n as u64);
-            assert_eq!(work.comparisons, (n as u64 - 1) + sort_cmp);
-            assert_eq!(work.key_encodes, 0);
-        }
+        let env = OpEnv::with_memory_blocks(64);
+        let handle = env.store.admit(rows.clone()).unwrap();
+        let seg = Segment::from_handle(handle, crate::segment::SegmentBounds::none());
+        let mut op = SegmentedSortOp::new(Once(Some(seg)), key(&[0]), key(&[1]), env.clone());
+        let out = op.next_segment().unwrap().unwrap();
+        assert_eq!(env.store.snapshot().resident_rows, n);
+        let out = out.into_rows().unwrap();
+        assert_eq!(out, expect);
+        assert_eq!(env.store.snapshot().resident_rows, 0);
+        // Input, expectation, output and the local handle — nothing else.
+        assert_eq!(payload.ref_count(), 3 * n + 1);
+        let work = env.tracker.snapshot();
+        assert_eq!(work.rows_moved, n as u64);
+        assert_eq!(work.comparisons, (n as u64 - 1) + sort_cmp);
+        assert_eq!(work.key_encodes, 0);
     }
 }

@@ -1,8 +1,10 @@
 //! The window-function operator: sequentially scans a matched (reordered)
 //! input and appends one derived column per window call (paper §1's
 //! evaluation model). One operator evaluates a whole **window group** —
-//! every call sharing a `(WPK, WOK)` — in one pass per segment; see
-//! [`WindowOp`].
+//! every call sharing a `(WPK, WOK)` — in one pass per resident segment;
+//! see [`WindowOp`]. Whether a segment is resident or spilled is the
+//! segment store's decision alone: the operator reads what it is handed
+//! and hands its output back to the store.
 //!
 //! Partition boundaries are detected by a change in the `WPK` values or a
 //! segment boundary — sound because a matched input delivers every
@@ -436,23 +438,6 @@ impl Call {
     fn eval_class(&self) -> StreamableEval {
         StreamableEval::classify(&self.func, &self.frame)
     }
-
-    /// Upper bound on the encoded length of one value of this call, given
-    /// the longest value of the input rows: a number, or — for the functions
-    /// that copy a column value — that longest value or the call's default.
-    fn value_len_bound(&self, longest_input: usize) -> usize {
-        use WindowFunction::*;
-        let number = Value::Int(0).encoded_len();
-        match &self.func {
-            Lag { default, .. } | Lead { default, .. } => {
-                longest_input.max(default.as_ref().map_or(number, Value::encoded_len))
-            }
-            FirstValue(_) | LastValue(_) | NthValue(..) | Min(_) | Max(_) => {
-                longest_input.max(number)
-            }
-            _ => number,
-        }
-    }
 }
 
 /// What every call of a window group shares: the keys, the calls and the
@@ -504,30 +489,6 @@ impl Scratch {
     }
 }
 
-/// Encoded size of a resident segment's rows, followed call by call to make
-/// the store's admission decisions ahead of the store.
-struct SegSize {
-    bytes: usize,
-    /// Encoded length of the longest single value.
-    longest_value: usize,
-}
-
-impl SegSize {
-    fn of(rows: &[Row]) -> SegSize {
-        let mut size = SegSize {
-            bytes: 0,
-            longest_value: 0,
-        };
-        for row in rows {
-            size.bytes += row.encoded_len();
-            for v in row.values() {
-                size.longest_value = size.longest_value.max(v.encoded_len());
-            }
-        }
-        size
-    }
-}
-
 /// The window operator as a pull-based pipeline stage: a **window group**.
 /// It evaluates every window function that shares one `(WPK, WOK)` — a
 /// single function is the group of one — over each upstream segment (which
@@ -559,12 +520,14 @@ impl SegSize {
 /// emitted layers and every modeled counter equal those of K chained
 /// single-call operators.
 ///
-/// **Spilled segments** stream through their calls back to back, each
-/// within the residency of its [`StreamableEval`] class, and drop into the
-/// resident pass as soon as an intermediate comes back resident. Conversely
-/// the resident pass stops where a chain of single-call operators would
-/// have spilled an intermediate, spills it and streams on — the same
-/// sequence of residency decisions, hence the same pool traffic.
+/// **Residency is the store's decision.** A resident segment runs every
+/// call still to run in one pass and is handed to the store once, which
+/// keeps it resident or spills it. A spilled segment streams through its
+/// calls one at a time, each within the residency of its
+/// [`StreamableEval`] class, and joins the resident pass as soon as an
+/// intermediate comes back resident. A chain of single-call operators
+/// hands the store every intermediate; the group hands it fewer, so it
+/// spills no more than the chain does.
 pub struct WindowOp<I> {
     input: I,
     group: Group,
@@ -674,16 +637,17 @@ impl<I: Operator> Operator for WindowOp<I> {
             let invalid = group.calls.iter().find_map(invalid);
             return invalid.map_or(Ok(None), |e| Err(e.clone()));
         };
+        // Spilled, the segment streams call by call until an intermediate
+        // comes back resident; the calls left then run in one pass.
         let mut next = 0;
-        while next < group.calls.len() {
-            if seg.is_spilled() {
-                let _span = group.env.trace.span("window", "eval_spilled");
-                seg = group.eval_spilled(scratch, seg, next)?;
-                next += 1;
-            } else {
-                let _span = group.env.trace.span("window", "eval");
-                (seg, next) = group.eval_resident(scratch, seg, next)?;
-            }
+        while next < group.calls.len() && seg.is_spilled() {
+            let _span = group.env.trace.span("window", "eval_spilled");
+            seg = group.eval_spilled(scratch, seg, next)?;
+            next += 1;
+        }
+        if next < group.calls.len() {
+            let _span = group.env.trace.span("window", "eval");
+            seg = group.eval_resident(scratch, seg, next)?;
         }
         Ok(Some(seg))
     }
@@ -691,81 +655,31 @@ impl<I: Operator> Operator for WindowOp<I> {
 
 impl Group {
     /// The resident pass, for a segment already in memory: evaluate
-    /// `calls[first..]` over it and return the segment plus the index of the
-    /// next call still to run (`calls.len()` unless the walk stopped where
-    /// an intermediate would have spilled).
+    /// `calls[first..]` over it and hand the result to the store.
     ///
     /// A segment boundary always starts a new partition (adjacent segments
     /// are disjoint on a subset of `WPK`); within the segment partitions
     /// break on `WPK`-value changes — taken from a carried boundary layer
     /// when the chain already proved them, detected by scanning otherwise.
-    fn eval_resident(
-        &self,
-        scratch: &mut Scratch,
-        seg: Segment,
-        first: usize,
-    ) -> Result<(Segment, usize)> {
+    fn eval_resident(&self, scratch: &mut Scratch, seg: Segment, first: usize) -> Result<Segment> {
         let env = &self.env;
-        let store_backed = seg.is_store_backed();
         let (mut rows, mut bounds) = seg.into_parts()?;
-        let n = rows.len();
         scratch.part_starts.clear();
         crate::segment::detect_runs(
             &bounds,
             &self.wpk,
             &rows,
             0,
-            n,
+            rows.len(),
             |a, b| self.wpk_eq(a, b),
             &env.tracker,
             &mut scratch.part_starts,
         );
-        // A chain of single-call operators hands every intermediate to the
-        // store; one that does not fit the pool spills and its successor
-        // streams it. Follow the encoded size call by call to stop exactly
-        // there (an unbounded pool admits everything).
-        let may_spill =
-            store_backed && first + 1 < self.calls.len() && env.store.budget_bytes().is_some();
-        let mut size = may_spill.then(|| SegSize::of(&rows));
-        let mut next = first;
-        while next < self.calls.len() {
-            // Calls whose intermediates provably fit the pool go in one
-            // pass; one that might not goes alone, and its actual size
-            // decides.
-            let run = self.resident_run(&self.calls[next..], n, size.as_ref());
-            self.eval_pass(scratch, next..next + run, &mut rows, &mut bounds, &mut size)?;
-            next += run;
-            if next < self.calls.len() && size.as_ref().is_some_and(|s| !env.store.fits(s.bytes)) {
-                break;
-            }
-        }
-        let seg = if store_backed {
-            Segment::from_handle(env.store.admit(rows)?, bounds)
-        } else {
-            Segment::with_bounds(rows, bounds)
-        };
-        Ok((seg, next))
+        self.eval_pass(scratch, first, &mut rows, &mut bounds)?;
+        Ok(Segment::from_handle(env.store.admit(rows)?, bounds))
     }
 
-    /// How many of `calls` (at least one) can run over an `n`-row resident
-    /// segment of `size` before an intermediate could outgrow the pool —
-    /// judged by an upper bound on what each call appends.
-    fn resident_run(&self, calls: &[Call], n: usize, size: Option<&SegSize>) -> usize {
-        let Some(size) = size else {
-            return calls.len();
-        };
-        let mut bytes = size.bytes;
-        calls
-            .iter()
-            .take_while(|call| {
-                bytes += n * call.value_len_bound(size.longest_value);
-                self.env.store.fits(bytes)
-            })
-            .count()
-            .max(1)
-    }
-
-    /// Evaluate the calls `pass` over the resident `rows`, partition by
+    /// Evaluate `calls[first..]` over the resident `rows`, partition by
     /// partition, and append their values.
     ///
     /// Boundary layers evolve as along a chain of single-call operators:
@@ -774,14 +688,13 @@ impl Group {
     fn eval_pass(
         &self,
         scratch: &mut Scratch,
-        pass: Range<usize>,
+        first: usize,
         rows: &mut [Row],
         bounds: &mut SegmentBounds,
-        size: &mut Option<SegSize>,
     ) -> Result<()> {
         let env = &self.env;
         let n = rows.len();
-        let calls = &self.calls[pass.clone()];
+        let calls = &self.calls[first..];
         env.tracker.move_rows((calls.len() * n) as u64);
         if n == 0 {
             return Ok(());
@@ -795,9 +708,7 @@ impl Group {
         scratch.peer_starts.clear();
         // A pass that failed over an earlier segment left its evaluators
         // mid-partition.
-        scratch.evals[pass.clone()]
-            .iter_mut()
-            .for_each(Evaluator::reset);
+        scratch.evals[first..].iter_mut().for_each(Evaluator::reset);
         // The failing call with the lowest index wins, wherever in the
         // segment it fails: after a failure only the calls before it go on.
         let mut live = calls.len();
@@ -808,7 +719,7 @@ impl Group {
             scratch.begin_partition();
             for slot in 0..live {
                 if let Err(e) =
-                    self.eval_partition(scratch, pass.start + slot, slot, rows, bounds, lo..hi)
+                    self.eval_partition(scratch, first + slot, slot, rows, bounds, lo..hi)
                 {
                     failure = Some(e);
                     live = slot;
@@ -819,10 +730,6 @@ impl Group {
                 continue;
             }
             let columns = &mut scratch.columns[..calls.len()];
-            if let Some(size) = size {
-                let values = columns.iter().flatten();
-                size.bytes += values.map(Value::encoded_len).sum::<usize>();
-            }
             // Row by row: each row grows once and takes its values while it
             // is at hand.
             for (i, row) in rows[lo..hi].iter_mut().enumerate() {
@@ -989,7 +896,7 @@ pub fn evaluate_window(
     env: &OpEnv,
 ) -> Result<SegmentedRows> {
     let mut op = WindowOp::new(
-        SegmentSource::new(input),
+        SegmentSource::new(input, env),
         wpk.clone(),
         wok.clone(),
         func.clone(),

@@ -14,7 +14,6 @@ use wf_common::{Error, Result};
 pub struct MemoryLedger {
     budget: usize,
     used: usize,
-    high_water: usize,
 }
 
 impl MemoryLedger {
@@ -29,7 +28,6 @@ impl MemoryLedger {
         Ok(MemoryLedger {
             budget: blocks as usize * BLOCK_SIZE,
             used: 0,
-            high_water: 0,
         })
     }
 
@@ -38,19 +36,9 @@ impl MemoryLedger {
         self.budget
     }
 
-    /// Budget in blocks.
-    pub fn budget_blocks(&self) -> u64 {
-        (self.budget / BLOCK_SIZE) as u64
-    }
-
     /// Bytes currently charged.
     pub fn used_bytes(&self) -> usize {
         self.used
-    }
-
-    /// Maximum bytes ever charged simultaneously.
-    pub fn high_water_bytes(&self) -> usize {
-        self.high_water
     }
 
     /// True if `bytes` more would still fit.
@@ -63,17 +51,6 @@ impl MemoryLedger {
     /// buffered somewhere before spilling).
     pub fn charge(&mut self, bytes: usize) {
         self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
-    }
-
-    /// Charge `bytes` if they fit; returns whether the charge happened.
-    pub fn try_charge(&mut self, bytes: usize) -> bool {
-        if self.fits(bytes) {
-            self.charge(bytes);
-            true
-        } else {
-            false
-        }
     }
 
     /// Release `bytes` previously charged.
@@ -101,24 +78,12 @@ mod tests {
     fn charge_release_cycle() {
         let mut m = MemoryLedger::with_blocks(1).unwrap();
         assert_eq!(m.budget_bytes(), BLOCK_SIZE);
-        assert!(m.try_charge(BLOCK_SIZE));
-        assert!(!m.try_charge(1));
+        m.charge(BLOCK_SIZE);
+        assert!(!m.fits(1));
         m.release(BLOCK_SIZE / 2);
-        assert!(m.fits(BLOCK_SIZE / 2));
-        assert!(m.try_charge(BLOCK_SIZE / 2));
+        assert!(m.fits(BLOCK_SIZE / 2) && !m.fits(BLOCK_SIZE / 2 + 1));
         m.release_all();
         assert_eq!(m.used_bytes(), 0);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut m = MemoryLedger::with_blocks(2).unwrap();
-        m.charge(100);
-        m.charge(200);
-        m.release(250);
-        m.charge(10);
-        assert_eq!(m.high_water_bytes(), 300);
-        assert_eq!(m.used_bytes(), 60);
     }
 
     #[test]
@@ -127,11 +92,5 @@ mod tests {
         m.charge(10 * BLOCK_SIZE);
         assert!(!m.fits(1));
         assert_eq!(m.used_bytes(), 10 * BLOCK_SIZE);
-    }
-
-    #[test]
-    fn budget_blocks_round_trips() {
-        let m = MemoryLedger::with_blocks(7).unwrap();
-        assert_eq!(m.budget_blocks(), 7);
     }
 }

@@ -390,14 +390,6 @@ impl SegmentStore {
         b.finish()
     }
 
-    /// Whether a segment of `bytes` encoded bytes would be admitted resident
-    /// right now — the decision [`SegmentStore::admit`] makes, asked up front
-    /// and without charging anything.
-    pub fn fits(&self, bytes: usize) -> bool {
-        self.budget
-            .is_none_or(|b| self.state.lock().expect("store lock").used_bytes + bytes <= b)
-    }
-
     /// A handle over shared base-table rows: zero-copy and charged to
     /// nothing — the heap table is modeled as *on disk* (its scan is charged
     /// separately), so it never counts toward pipeline residency.

@@ -583,10 +583,10 @@ impl PreparedQuery {
         let order = self.query.order_by.clone().unwrap_or_else(SortSpec::empty);
         let mut out = report.table.clone();
         if !order.is_empty() {
-            out = apply_final_order(out, &self.plan.final_props, &order, &env)?;
+            out = apply_final_order(&out, &self.plan.final_props, &order, &env)?;
         }
         if let Some(projection) = &self.query.projection {
-            out = project(out, projection)?;
+            out = project(&out, projection)?;
         }
         let queue_wait = permit.queue_wait();
         drop(permit);

@@ -160,7 +160,7 @@ fn ss_chain_identical_rows_and_work() {
 
     let env_s = ExecEnv::with_memory_blocks(8);
     let mut ss = SegmentedSortOp::new(
-        SegmentSource::new(segmented.clone()),
+        SegmentSource::new(segmented.clone(), env_s.op_env()),
         asc(&[1]),
         asc(&[2]),
         env_s.op_env().clone(),
@@ -194,7 +194,10 @@ fn hashed_sort_op_streams_buckets_in_batch_order() {
 
     let env_s = ExecEnv::with_memory_blocks(16);
     let mut op = HashedSortOp::new(
-        SegmentSource::new(SegmentedRows::single_segment(table.rows().to_vec())),
+        SegmentSource::new(
+            SegmentedRows::single_segment(table.rows().to_vec()),
+            env_s.op_env(),
+        ),
         whk,
         key,
         opts,
@@ -289,7 +292,7 @@ fn execute_plan_matches_batch_composition_of_same_plan() {
             ReorderOp::None => current,
             ReorderOp::Fs { key } => {
                 let mut op = FullSortOp::new(
-                    SegmentSource::new(current),
+                    SegmentSource::new(current, env_b.op_env()),
                     key.clone(),
                     env_b.op_env().clone(),
                 )
@@ -303,7 +306,7 @@ fn execute_plan_matches_batch_composition_of_same_plan() {
                 mfv,
             } => {
                 let mut op = HashedSortOp::new(
-                    SegmentSource::new(current),
+                    SegmentSource::new(current, env_b.op_env()),
                     whk.clone(),
                     key.clone(),
                     HsOptions {

@@ -1,7 +1,8 @@
 //! Window groups: one [`WindowOp`] over K calls sharing a `(WPK, WOK)` is
-//! indistinguishable — rows, segment starts, emitted boundary layers, every
-//! modeled counter, the store's residency ledger and pool traffic — from K
-//! chained single-call operators.
+//! indistinguishable — rows, segment starts, emitted boundary layers and
+//! every modeled counter — from K chained single-call operators. Its pool
+//! traffic is at most the chain's: the chain hands the store every
+//! intermediate, the group a resident segment's output only.
 //!
 //! The matrix (SplitMix64-seeded like `tests/property_based.rs`): every
 //! `WindowFunction` variant × frame class (SQL default, `ROWS k PRECEDING ..
@@ -323,11 +324,46 @@ fn assert_group_equals_chain(table: &Table, shape: &Shape, calls: &[Call], cfg: 
     );
     assert_eq!(grouped.bounds, chained.bounds, "boundary layers: {}", ctx());
     assert_eq!(grouped.work, chained.work, "modeled counters: {}", ctx());
-    assert_eq!(grouped.store, chained.store, "store ledger: {}", ctx());
+    let budget = cfg.mem.map(|m| m as usize * BLOCK_SIZE);
+    assert_pool_traffic_at_most(&grouped.store, &chained.store, budget, &ctx());
     assert_eq!(
         grouped.rows.rows()[0].arity(),
         table.schema().len() + calls.len()
     );
+}
+
+/// The group spills no more than the chain it replaces, and both let go of
+/// every resident byte. Its peak is the chain's at most, or else within the
+/// pool `budget`: a spilling admission fills the pool up to the last whole
+/// row that fits, and the group's wider rows stop at a different byte.
+fn assert_pool_traffic_at_most(
+    group: &StoreSnapshot,
+    chain: &StoreSnapshot,
+    budget: Option<usize>,
+    ctx: &str,
+) {
+    assert!(
+        group.spill_blocks_written <= chain.spill_blocks_written,
+        "spill blocks written {} > {}: {ctx}",
+        group.spill_blocks_written,
+        chain.spill_blocks_written
+    );
+    assert!(
+        group.spilled_segments <= chain.spilled_segments,
+        "spilled segments {} > {}: {ctx}",
+        group.spilled_segments,
+        chain.spilled_segments
+    );
+    let bound = chain.peak_resident_bytes.max(budget.unwrap_or(0));
+    assert!(
+        group.peak_resident_bytes <= bound,
+        "peak resident bytes {} > {} (chain {}): {ctx}",
+        group.peak_resident_bytes,
+        bound,
+        chain.peak_resident_bytes
+    );
+    assert_eq!(group.resident_bytes, 0, "group residency left: {ctx}");
+    assert_eq!(chain.resident_bytes, 0, "chain residency left: {ctx}");
 }
 
 /// The full matrix over partitioned input (12 partitions of 30 rows, peer
@@ -454,10 +490,11 @@ fn spilled_segment_turns_resident_mid_group() {
 }
 
 /// The reverse: a segment enters **resident** and outgrows the pool as
-/// columns are appended — the group stops exactly where the chain's
-/// intermediate would have spilled and streams on.
+/// columns are appended. The chain hands every intermediate to the store
+/// and spills each one past the first; the group runs every call in one
+/// pass and the store spills its output once.
 #[test]
-fn resident_segment_spills_mid_group() {
+fn resident_segment_spills_once_after_the_group() {
     let shape = Shape::new(&[P], false, 0);
     let calls = mixed_calls();
     // Fits two blocks with one derived column, not with two.
@@ -475,13 +512,16 @@ fn resident_segment_spills_mid_group() {
             segments: VecDeque::from([seg]),
             ballast: None,
         };
-        let out = finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap();
-        // The intermediates after calls 2 … K spilled, one by one.
-        assert_eq!(out.store.spilled_segments, calls.len() as u64 - 1);
-        assert_eq!(out.store.resident_bytes, 0);
-        out
+        finish(windows(Box::new(feed), &shape, &calls, &env, grouped), &env).unwrap()
     };
-    assert_eq!(run(true), run(false));
+    let (group, chain) = (run(true), run(false));
+    assert_eq!(group.store.spilled_segments, 1, "the group's output only");
+    assert_eq!(chain.store.spilled_segments, calls.len() as u64 - 1);
+    assert_eq!(group.rows, chain.rows);
+    assert_eq!(group.bounds, chain.bounds);
+    assert_eq!(group.work, chain.work);
+    let budget = Some(2 * BLOCK_SIZE);
+    assert_pool_traffic_at_most(&group.store, &chain.store, budget, "one oversized segment");
 }
 
 /// The error a failing call raises, the state it leaves behind, and which
