@@ -111,7 +111,7 @@ impl Schema {
 
     /// The fields at `columns`, in that order (a projection). Errors when
     /// a column is named twice, as [`Schema::new`] does.
-    pub fn project(&self, columns: &[AttrId]) -> Result<Schema> {
+    pub fn select(&self, columns: &[AttrId]) -> Result<Schema> {
         Schema::new(columns.iter().map(|&a| self.field(a).clone()).collect())
     }
 

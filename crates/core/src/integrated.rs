@@ -7,17 +7,17 @@
 //! that minimizes chain cost **plus** the residual ORDER BY cost — which is
 //! zero when the chain's final properties already satisfy the ORDER BY, a
 //! partial (segmented) sort when a prefix is satisfied, and a full sort
-//! otherwise.
+//! otherwise. [`optimize`] classifies and prices the ORDER BY with every
+//! chain ([`crate::plan::FinalOrder`]) and the runtime runs that sort as the
+//! chain's last step; this module only weighs the input variants.
 
-use crate::cost::{fs_cost, ss_cost, ss_units, Cost, TableStats};
+use crate::cost::TableStats;
 use crate::plan::Plan;
 use crate::planner::{optimize, Scheme};
 use crate::props::SegProps;
 use crate::query::WindowQuery;
 use crate::runtime::ExecEnv;
-use wf_common::{Result, SortSpec};
-use wf_exec::{drain, FullSortOp, SegmentedSortOp, TableScan};
-use wf_storage::Table;
+use wf_common::Result;
 
 /// One way the upstream plan could deliver the windowed table.
 #[derive(Debug, Clone)]
@@ -45,54 +45,16 @@ impl InputVariant {
     }
 }
 
-/// How the final ORDER BY will be satisfied.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FinalOrder {
-    /// No ORDER BY clause.
-    NotRequired,
-    /// The chain's output already satisfies it.
-    Satisfied,
-    /// A partial sort suffices: `prefix_len` leading elements already hold.
-    PartialSort { prefix_len: usize },
-    /// A full sort is needed.
-    FullSort,
-}
-
 /// Result of integrated optimization.
 #[derive(Debug)]
 pub struct IntegratedPlan {
     /// Index of the chosen input variant.
     pub variant: usize,
+    /// The chain, with its final ORDER BY classified and priced
+    /// ([`Plan::final_order`]).
     pub plan: Plan,
-    pub final_order: FinalOrder,
     /// Chain + ORDER BY + variant setup, modeled ms.
     pub total_ms: f64,
-}
-
-/// Cost of satisfying `order` given the chain's final properties.
-fn order_by_cost(
-    props: &SegProps,
-    order: &SortSpec,
-    stats: &TableStats,
-    mem_blocks: u64,
-) -> (FinalOrder, Cost) {
-    if order.is_empty() {
-        return (FinalOrder::NotRequired, Cost::zero());
-    }
-    if props.satisfies_order(order) {
-        return (FinalOrder::Satisfied, Cost::zero());
-    }
-    let prefix = props.satisfied_order_prefix(order);
-    if prefix > 0 {
-        // Partial sort: the satisfied prefix segments the work like SS.
-        let alpha = order.prefix(prefix);
-        let u = ss_units(stats, props.x(), &alpha, 1);
-        return (
-            FinalOrder::PartialSort { prefix_len: prefix },
-            ss_cost(stats, mem_blocks, 1, u),
-        );
-    }
-    (FinalOrder::FullSort, fs_cost(stats, mem_blocks))
 }
 
 /// Pick the best (variant, chain) combination for a query with an optional
@@ -105,32 +67,18 @@ pub fn optimize_integrated(
     env: &ExecEnv,
 ) -> Result<IntegratedPlan> {
     let weights = env.weights();
-    let order = query.order_by.clone().unwrap_or_else(SortSpec::empty);
-    // The final ORDER BY runs downstream of any WHERE, like every reorder:
-    // price it on post-filter statistics too (`optimize` applies the same
-    // substitution internally for the chain itself).
-    let filtered;
-    let order_stats = match &query.filter {
-        Some(pred) => {
-            filtered = stats.with_predicate(pred);
-            &filtered
-        }
-        None => stats,
-    };
     let mut best: Option<IntegratedPlan> = None;
     for (vi, variant) in variants.iter().enumerate() {
         let mut q = query.clone();
         q.input_props = variant.props.clone();
         q.input_segments = variant.segments;
+        // `optimize` prices the ORDER BY with the chain.
         let plan = optimize(&q, stats, scheme, env)?;
-        let (final_order, oc) =
-            order_by_cost(&plan.final_props, &order, order_stats, env.mem_blocks());
-        let total_ms = variant.setup_cost_ms + plan.est_cost.ms(&weights) + oc.ms(&weights);
+        let total_ms = variant.setup_cost_ms + plan.est_cost.ms(&weights);
         if best.as_ref().is_none_or(|b| total_ms < b.total_ms) {
             best = Some(IntegratedPlan {
                 variant: vi,
                 plan,
-                final_order,
                 total_ms,
             });
         }
@@ -138,38 +86,12 @@ pub fn optimize_integrated(
     best.ok_or_else(|| wf_common::Error::Planning("no input variants supplied".into()))
 }
 
-/// Apply the final ORDER BY to an executed result, using a partial
-/// (segmented) sort when a prefix of the order is already satisfied.
-///
-/// The result is read through a scan's shared view of its rows, so each row
-/// is cloned once, where the sort takes it, and the sort runs in `env`'s
-/// pool like every other reorder of the statement.
-pub fn apply_final_order(
-    table: &Table,
-    final_props: &SegProps,
-    order: &SortSpec,
-    env: &ExecEnv,
-) -> Result<Table> {
-    if order.is_empty() || final_props.satisfies_order(order) {
-        return Ok(table.clone());
-    }
-    let env = env.op_env();
-    let scan = TableScan::new(table, env.clone());
-    let prefix = final_props.satisfied_order_prefix(order);
-    let sorted = if prefix > 0 {
-        let (alpha, beta) = (order.prefix(prefix), order.suffix(prefix));
-        drain(&mut SegmentedSortOp::new(scan, alpha, beta, env.clone()))?
-    } else {
-        drain(&mut FullSortOp::new(scan, order.clone(), env.clone()))?
-    };
-    Table::from_rows(table.schema().clone(), sorted.into_rows())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FinalOrder;
     use crate::query::QueryBuilder;
-    use wf_common::{row, AttrId, DataType, OrdElem, Schema};
+    use wf_common::{AttrId, DataType, OrdElem, Schema, SortSpec};
 
     fn a(i: usize) -> AttrId {
         AttrId::new(i)
@@ -251,10 +173,10 @@ mod tests {
         let env = ExecEnv::with_memory_blocks(111).with_par_workers(1);
         let sat =
             optimize_integrated(&q_sat, &[InputVariant::heap()], &st, Scheme::Cso, &env).unwrap();
-        assert_eq!(sat.final_order, FinalOrder::Satisfied);
+        assert_eq!(sat.plan.final_order, FinalOrder::Satisfied);
         let full =
             optimize_integrated(&q_full, &[InputVariant::heap()], &st, Scheme::Cso, &env).unwrap();
-        assert_eq!(full.final_order, FinalOrder::FullSort);
+        assert_eq!(full.plan.final_order, FinalOrder::FullSort);
         assert!(full.total_ms > sat.total_ms);
     }
 
@@ -271,25 +193,10 @@ mod tests {
         let env = ExecEnv::with_memory_blocks(111).with_par_workers(1);
         let best =
             optimize_integrated(&q, &[InputVariant::heap()], &st, Scheme::Cso, &env).unwrap();
-        assert_eq!(best.final_order, FinalOrder::PartialSort { prefix_len: 1 });
-    }
-
-    #[test]
-    fn apply_final_order_sorts() {
-        let s = schema();
-        let mut t = Table::new(s);
-        for i in 0..100 {
-            t.push(row![(100 - i) as i64, i as i64, (i % 7) as i64]);
-        }
-        let env = ExecEnv::with_memory_blocks(64);
-        let order = key(&[0]);
-        let sorted = apply_final_order(&t, &SegProps::unordered(), &order, &env).unwrap();
-        let vals: Vec<i64> = sorted
-            .rows()
-            .iter()
-            .map(|r| r.get(a(0)).as_int().unwrap())
-            .collect();
-        assert!(vals.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(
+            best.plan.final_order,
+            FinalOrder::PartialSort { prefix_len: 1 }
+        );
     }
 
     #[test]

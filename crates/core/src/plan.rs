@@ -10,8 +10,8 @@
 //! only a more expensive one, which the estimate then reflects honestly.
 
 use crate::cost::{
-    fs_cost, hs_bucket_count, hs_cost, par_fs_cost, par_hs_cost, ss_reorder_cost, window_scan_cost,
-    Cost, TableStats,
+    fs_cost, hs_bucket_count, hs_cost, par_fs_cost, par_hs_cost, ss_cost, ss_reorder_cost,
+    ss_units, window_scan_cost, Cost, TableStats,
 };
 use crate::cover::KeyPattern;
 use crate::props::SegProps;
@@ -79,6 +79,60 @@ impl ReorderOp {
     }
 }
 
+/// How the chain's output meets the statement's final ORDER BY (paper §5).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FinalOrder {
+    /// No ORDER BY clause.
+    NotRequired,
+    /// The chain's output already satisfies it.
+    Satisfied,
+    /// A partial sort suffices: `prefix_len` leading elements already hold,
+    /// so a Segmented Sort orders each group of them on the rest.
+    PartialSort { prefix_len: usize },
+    /// A full sort is needed.
+    FullSort,
+}
+
+impl FinalOrder {
+    /// The label of the sort this leaves at the end of the chain, in the
+    /// execution reports; `None` when no sort runs.
+    pub fn label(&self) -> Option<&'static str> {
+        match self {
+            FinalOrder::NotRequired | FinalOrder::Satisfied => None,
+            FinalOrder::PartialSort { .. } => Some("SS→ ORDER BY"),
+            FinalOrder::FullSort => Some("FS→ ORDER BY"),
+        }
+    }
+}
+
+/// Classify `order` against the chain's final properties and price the sort
+/// it leaves: nothing when the properties satisfy it, a segmented sort when
+/// they satisfy a prefix, a full sort otherwise.
+pub fn order_by_cost(
+    props: &SegProps,
+    order: &SortSpec,
+    stats: &TableStats,
+    mem_blocks: u64,
+) -> (FinalOrder, Cost) {
+    if order.is_empty() {
+        return (FinalOrder::NotRequired, Cost::zero());
+    }
+    if props.satisfies_order(order) {
+        return (FinalOrder::Satisfied, Cost::zero());
+    }
+    let prefix = props.satisfied_order_prefix(order);
+    if prefix > 0 {
+        // Partial sort: the satisfied prefix segments the work like SS.
+        let alpha = order.prefix(prefix);
+        let u = ss_units(stats, props.x(), &alpha, 1);
+        return (
+            FinalOrder::PartialSort { prefix_len: prefix },
+            ss_cost(stats, mem_blocks, 1, u),
+        );
+    }
+    (FinalOrder::FullSort, fs_cost(stats, mem_blocks))
+}
+
 /// One link of the chain: reorder (maybe) then evaluate `specs[wf]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStep {
@@ -111,6 +165,18 @@ pub struct Plan {
     /// tests the table's rows before they are narrowed. Set by
     /// [`crate::planner::optimize`] from the query.
     pub scan_columns: Option<Vec<AttrId>>,
+    /// The statement's final ORDER BY over its output columns — the scan's
+    /// columns, then one per window function in SELECT order. Set by
+    /// [`crate::planner::optimize`] from the query.
+    pub order_by: Option<SortSpec>,
+    /// How the chain's output meets [`Plan::order_by`], classified once by
+    /// [`crate::planner::optimize`], which adds the sort's price to
+    /// `est_cost`; the runtime appends the sort it names to the chain.
+    pub final_order: FinalOrder,
+    /// The output columns the statement keeps, over the same columns as
+    /// [`Plan::order_by`]; `None` keeps every one. Set by
+    /// [`crate::planner::optimize`] from the query.
+    pub projection: Option<Vec<AttrId>>,
     /// Per-step spilled-segment evaluation class (one-pass / ring-buffer /
     /// buffered), recorded at finalize time — one entry per `steps` entry —
     /// so EXPLAIN output and the execution report can say which residency
@@ -164,7 +230,7 @@ impl Plan {
     /// [`Plan::scan_columns`] when the scan keeps fewer columns.
     pub fn scan_schema(&self, table: &Schema) -> Result<Schema> {
         match &self.scan_columns {
-            Some(columns) => table.project(columns),
+            Some(columns) => table.select(columns),
             None => Ok(table.clone()),
         }
     }
@@ -194,6 +260,12 @@ impl Plan {
                 names.join(", ")
             ));
         }
+        // Output columns: the scan's, then the window functions'.
+        let col = |a: AttrId| match a.index().checked_sub(schema.len()) {
+            Some(w) => specs[w].name.clone(),
+            None => schema.name(a).to_string(),
+        };
+        let col: &dyn Fn(AttrId) -> String = &col;
         if let Some(pred) = &self.filter {
             out.push_str(&format!("  ── Filter {pred:?}\n"));
         }
@@ -207,7 +279,7 @@ impl Plan {
                     None => out.push_str("  ── (matched)\n"),
                 },
                 ReorderOp::Fs { key } => {
-                    out.push_str(&format!("  ── FullSort key={}\n", names(key, schema)))
+                    out.push_str(&format!("  ── FullSort key={}\n", names(key, col)))
                 }
                 ReorderOp::Hs {
                     whk,
@@ -216,8 +288,8 @@ impl Plan {
                     mfv,
                 } => out.push_str(&format!(
                     "  ── HashedSort whk={{{}}} key={} buckets={}{}\n",
-                    set_names(whk, schema),
-                    names(key, schema),
+                    set_names(whk, col),
+                    names(key, col),
                     n_buckets,
                     if mfv.is_empty() {
                         String::new()
@@ -227,8 +299,8 @@ impl Plan {
                 )),
                 ReorderOp::Ss { alpha, beta } => out.push_str(&format!(
                     "  ── SegmentedSort α={} β={}\n",
-                    names(alpha, schema),
-                    names(beta, schema)
+                    names(alpha, col),
+                    names(beta, col)
                 )),
                 ReorderOp::Par { inner, workers } => {
                     // The whole span runs inside the workers: head reorder,
@@ -237,7 +309,7 @@ impl Plan {
                     let span = par_span_len(&self.steps, specs, i);
                     let shard = par_shard_attrs(step, specs);
                     let head = match inner.as_ref() {
-                        ReorderOp::Fs { key } => format!("FullSort key={}", names(key, schema)),
+                        ReorderOp::Fs { key } => format!("FullSort key={}", names(key, col)),
                         ReorderOp::Hs {
                             whk,
                             key,
@@ -245,8 +317,8 @@ impl Plan {
                             ..
                         } => format!(
                             "HashedSort whk={{{}}} key={} buckets={}",
-                            set_names(whk, schema),
-                            names(key, schema),
+                            set_names(whk, col),
+                            names(key, col),
                             n_buckets
                         ),
                         other => format!("{other:?}"),
@@ -256,8 +328,8 @@ impl Plan {
                         if let ReorderOp::Ss { alpha, beta } = &s.reorder {
                             ops.push(format!(
                                 "SegmentedSort α={} β={}",
-                                names(alpha, schema),
-                                names(beta, schema)
+                                names(alpha, col),
+                                names(beta, col)
                             ));
                         }
                         ops.push(format!("Window {}", specs[s.wf].name));
@@ -265,7 +337,7 @@ impl Plan {
                     out.push_str(&format!(
                         "  ── Parallel workers={} shard={{{}}} [{}] ∘ Merge\n",
                         workers,
-                        set_names(&shard, schema),
+                        set_names(&shard, col),
                         ops.join(" ∘ ")
                     ));
                     for (j, s) in self.steps.iter().enumerate().skip(i).take(span) {
@@ -290,25 +362,36 @@ impl Plan {
             ));
             i += 1;
         }
+        if let Some(order) = &self.order_by {
+            let sort = match self.final_order {
+                FinalOrder::NotRequired => None,
+                FinalOrder::Satisfied => Some(format!("{} (satisfied)", names(order, col))),
+                FinalOrder::PartialSort { prefix_len: p } => Some(format!(
+                    "SegmentedSort α={} β={}",
+                    names(&order.prefix(p), col),
+                    names(&order.suffix(p), col)
+                )),
+                FinalOrder::FullSort => Some(format!("FullSort key={}", names(order, col))),
+            };
+            if let Some(sort) = sort {
+                out.push_str(&format!("  ── ORDER BY {sort}\n"));
+            }
+        }
         out.push_str(&format!("output: {}", self.final_props));
         out
     }
 }
 
-fn set_names(attrs: &AttrSet, schema: &Schema) -> String {
-    attrs
-        .iter()
-        .map(|a| schema.name(a).to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn set_names(attrs: &AttrSet, name: &dyn Fn(AttrId) -> String) -> String {
+    attrs.iter().map(name).collect::<Vec<_>>().join(",")
 }
 
-fn names(key: &SortSpec, schema: &Schema) -> String {
+fn names(key: &SortSpec, name: &dyn Fn(AttrId) -> String) -> String {
     let parts: Vec<String> = key
         .elems()
         .iter()
         .map(|e| {
-            let mut s = schema.name(e.attr).to_string();
+            let mut s = name(e.attr);
             if e.dir == wf_common::Direction::Desc {
                 s.push_str(" desc");
             }
@@ -414,14 +497,14 @@ pub fn step_label(step: &PlanStep, specs: &[WindowSpec]) -> String {
 /// reorder of its own and has step `k`'s `(WPK, WOK)` — once a relation
 /// matches a window function it matches every function on the same keys, so
 /// they all evaluate off the one reordered relation (`wf_exec::WindowOp`).
-/// Shared by the runtime's lowering, EXPLAIN and the execution reports; the
-/// scheduler applies the same rule to the stages of a `Par` span.
+/// Shared by the runtime's lowering — of serial steps and of a `PAR→`
+/// span's worker chains alike — EXPLAIN and the execution reports.
 pub fn window_group_len(steps: &[PlanStep], specs: &[WindowSpec], k: usize) -> usize {
-    wf_exec::group_len(
-        &steps[k..],
-        |s| (specs[s.wf].wpk(), specs[s.wf].wok()),
-        |s| s.reorder == ReorderOp::None,
-    )
+    let keys = |s: &PlanStep| (specs[s.wf].wpk(), specs[s.wf].wok());
+    1 + steps[k + 1..]
+        .iter()
+        .take_while(|s| s.reorder == ReorderOp::None && keys(s) == keys(&steps[k]))
+        .count()
 }
 
 /// At (near-)equal modeled cost, plans should prefer the reorder with the
@@ -631,8 +714,10 @@ pub fn finalize_chain(
                     *workers >= 1
                         && match inner.as_ref() {
                             ReorderOp::Fs { .. } => !spec.wpk().is_empty(),
-                            ReorderOp::Hs { whk, .. } => {
-                                !whk.is_empty() && whk.is_subset(spec.wpk())
+                            // No MFV bypass: its leading segment has no
+                            // place in the ascending-bucket interleave.
+                            ReorderOp::Hs { whk, mfv, .. } => {
+                                !whk.is_empty() && whk.is_subset(spec.wpk()) && mfv.is_empty()
                             }
                             _ => false,
                         }
@@ -698,6 +783,9 @@ pub fn finalize_chain(
         repairs,
         filter: None,
         scan_columns: None,
+        order_by: None,
+        final_order: FinalOrder::NotRequired,
+        projection: None,
         eval_classes,
     }
 }
@@ -949,6 +1037,50 @@ mod tests {
         assert!(!matches!(plan3.steps[0].reorder, ReorderOp::Par { .. }));
     }
 
+    /// An HS inner carrying MFV values is repaired: the MFV rows would go
+    /// out as an extra leading segment, which the ascending-bucket
+    /// interleave of the workers' output has no place for. The same node
+    /// without them is accepted.
+    #[test]
+    fn finalize_repairs_par_hs_with_mfv_values() {
+        let s = stats();
+        let ctx = PlanContext::new(&s, 37);
+        let specs = vec![wf(&[0], &[1])];
+        let par_hs = |mfv: Vec<Vec<wf_common::Value>>| {
+            vec![PlanStep {
+                wf: 0,
+                reorder: ReorderOp::Par {
+                    inner: Box::new(ReorderOp::Hs {
+                        whk: AttrSet::from_iter([a(0)]),
+                        key: key(&[0, 1]),
+                        n_buckets: 16,
+                        mfv,
+                    }),
+                    workers: 4,
+                },
+            }]
+        };
+        let plain = finalize_chain(
+            "test",
+            &specs,
+            &SegProps::unordered(),
+            1,
+            par_hs(vec![]),
+            &ctx,
+        );
+        assert_eq!(plain.repairs, 0);
+        let hot = vec![vec![wf_common::Value::Int(7)]];
+        let plan = finalize_chain("test", &specs, &SegProps::unordered(), 1, par_hs(hot), &ctx);
+        assert_eq!(plan.repairs, 1);
+        let mfv_left = match &plan.steps[0].reorder {
+            ReorderOp::Par { inner, .. } => {
+                matches!(inner.as_ref(), ReorderOp::Hs { mfv, .. } if !mfv.is_empty())
+            }
+            _ => false,
+        };
+        assert!(!mfv_left, "{:?}", plan.steps[0].reorder);
+    }
+
     #[test]
     fn chain_string_formats_paper_style() {
         let specs = vec![wf(&[0], &[1]), wf(&[0], &[2])];
@@ -971,6 +1103,9 @@ mod tests {
             repairs: 0,
             filter: None,
             scan_columns: None,
+            order_by: None,
+            final_order: FinalOrder::NotRequired,
+            projection: None,
             eval_classes: vec![wf_exec::StreamableEval::Ring; 2],
         };
         assert_eq!(plan.chain_string(), "ws FS→ wf0 → wf0");

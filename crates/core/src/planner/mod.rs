@@ -12,7 +12,7 @@ pub use orcl::plan_orcl;
 pub use psql::plan_psql;
 
 use crate::cost::TableStats;
-use crate::plan::{Plan, PlanContext};
+use crate::plan::{order_by_cost, Plan, PlanContext};
 use crate::query::WindowQuery;
 use crate::runtime::ExecEnv;
 use wf_common::Result;
@@ -78,6 +78,10 @@ impl std::fmt::Display for Scheme {
 /// decision — the FS/HS crossover, HS bucket counts, and the parallel
 /// worker trade all move with the surviving row count.
 ///
+/// A final ORDER BY is classified against the chain's output here, once
+/// ([`crate::plan::FinalOrder`]), and the sort it leaves is part of
+/// `est_cost`.
+///
 /// `stats` are always the base table's. A query narrowed to the columns it
 /// reads ([`WindowQuery::scan_columns`]) plans on the narrowed statistics
 /// (`TableStats::narrowed`): the same rows, only as wide as the kept
@@ -121,11 +125,20 @@ pub fn optimize(
         Scheme::Orcl => plan_orcl(query, &ctx),
         Scheme::Psql => plan_psql(query, &ctx),
     }?;
-    // The WHERE predicate (if any) and the scan's columns ride on the plan:
-    // the runtime narrows the scan and inserts a FilterOp between it and the
-    // first reorder.
+    // The WHERE predicate (if any), the scan's columns and the statement's
+    // tail ride on the plan: the runtime narrows the scan, inserts a
+    // FilterOp between it and the first reorder, and ends the chain with
+    // the sort the final ORDER BY leaves (priced here, on the same
+    // post-filter statistics as the chain) and the projection.
     plan.filter = query.filter.clone();
     plan.scan_columns = query.scan_columns.clone();
+    if let Some(order) = &query.order_by {
+        let (final_order, cost) = order_by_cost(&plan.final_props, order, stats, env.mem_blocks());
+        plan.final_order = final_order;
+        plan.est_cost = plan.est_cost.plus(&cost);
+    }
+    plan.order_by = query.order_by.clone();
+    plan.projection = query.projection.clone();
     Ok(plan)
 }
 

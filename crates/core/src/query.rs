@@ -150,7 +150,7 @@ impl WindowQuery {
         WindowQuery {
             schema: self
                 .schema
-                .project(&kept)
+                .select(&kept)
                 .expect("a subset of distinct columns"),
             specs: self.specs.iter().map(|s| s.map_attrs(narrow)).collect(),
             input_props: self.input_props.map_attrs(narrow),

@@ -16,26 +16,38 @@
 //! are still unsorted — the paper's complete-partition pipelining (§3.2/3.3)
 //! rather than fully-materialized hand-offs between steps.
 //!
+//! This module is the one place a plan becomes operators. A `PAR→` span's
+//! workers run chains built by the same group lowering as serial steps
+//! (the scheduler only scatters, runs and reassembles them), and the
+//! statement's tail joins the chain: when the chain's output does not
+//! satisfy the final ORDER BY, a `SegmentedSortOp` (a satisfied prefix) or
+//! `FullSortOp` sorts it as the last step, and rows take their output
+//! columns — SELECT order, then the projection — as they leave.
+//!
 //! Cost attribution: every reorder-plus-group subtree is wrapped in a
 //! `Metered` shim that charges the shared tracker delta of each pull to its
 //! slots, minus whatever nested upstream slots charged during the same pull
 //! — so the per-step breakdown in [`ExecReport::step_metrics`] is exact even though
 //! the steps' work interleaves in time. The report keeps **one slot per plan
-//! step**: work and wall of a group (as of a `PAR→` span) are not separable
-//! per function and land on the head's slot, while every member slot counts
-//! the rows and segments that flowed through it. Totals are unchanged from
-//! the batch executor: the operators charge the identical counters.
+//! step** (plus one for the final sort): work and wall of a group (as of a
+//! `PAR→` span) are not separable per function and land on the head's slot,
+//! while every member slot counts the rows and segments that flowed through
+//! it. Totals are unchanged from the batch executor: the operators charge
+//! the identical counters.
 
-use crate::plan::{step_label, window_group_len, Plan, ReorderOp};
+use crate::plan::{
+    par_shard_attrs, par_span_len, step_label, window_group_len, FinalOrder, Plan, PlanStep,
+    ReorderOp,
+};
 use crate::spec::WindowSpec;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wf_common::{Field, Result, Row, TraceSink};
+use wf_common::{AttrId, Error, Field, Result, Row, TraceSink};
 use wf_exec::{
-    FilterOp, FullSortOp, HashedSortOp, HsOptions, OpEnv, Operator, Segment, SegmentedSortOp,
-    TableScan, WindowOp,
+    FilterOp, FullSortOp, HashedSortOp, HsOptions, OpEnv, Operator, ParRoute, ParallelChainOp,
+    Segment, SegmentedSortOp, TableScan, WindowOp, WorkerChain,
 };
 use wf_storage::{CostSnapshot, CostTracker, CostWeights, StoreSnapshot, Table, BLOCK_SIZE};
 
@@ -177,7 +189,9 @@ impl ExecEnv {
 /// Result of executing a plan.
 #[derive(Debug)]
 pub struct ExecReport {
-    /// The windowed table with one appended column per function.
+    /// The statement's result: the windowed table with one appended column
+    /// per function in SELECT order, sorted on the plan's final ORDER BY
+    /// and cut to its projection.
     pub table: Table,
     /// Work performed by this execution (tracker delta).
     pub work: CostSnapshot,
@@ -187,7 +201,9 @@ pub struct ExecReport {
     /// free in wall time).
     pub wall: Duration,
     /// Per-step execution metrics in chain order: slot 0 is the table scan
-    /// plus any WHERE filter, slot `k + 1` is plan step `k`. Each carries
+    /// plus any WHERE filter, slot `k + 1` is plan step `k`, and a last
+    /// slot (`FS→ ORDER BY` / `SS→ ORDER BY`) is the final ORDER BY's sort
+    /// when the chain's output does not already satisfy it. Each carries
     /// the modeled work counters and the measured side — own wall time,
     /// rows and segments emitted — that EXPLAIN ANALYZE compares them
     /// against.
@@ -236,16 +252,6 @@ pub struct StepMetrics {
     /// Residency class of the step's window evaluation (`None` for the
     /// scan slot).
     pub eval_class: Option<wf_exec::StreamableEval>,
-}
-
-/// Execute a finalized plan over `table`.
-///
-/// The initial table scan is charged (the windowed table is read once);
-/// intermediate results flow in memory, and every reorder charges its own
-/// spill I/O and comparisons, exactly like the paper's measured plan
-/// execution times.
-pub fn execute_plan(plan: &Plan, table: &Table, env: &ExecEnv) -> Result<ExecReport> {
-    execute_plan_with_specs(plan, &plan.specs, table, env)
 }
 
 /// One slot of per-step execution accounting: the modeled work counters
@@ -339,18 +345,31 @@ impl<O: Operator> Operator for Metered<O> {
     }
 }
 
-/// Compile a plan into its operator chain over `table`. Returns the chain's
-/// sink plus the evaluation order of specs (the chain may evaluate window
-/// functions in a different order than the SELECT list).
+/// Compile a plan into its operator chain over `table`: the scan (and
+/// filter), every window group behind its reorder, every `PAR→` span, and
+/// the sort the final ORDER BY needs, each behind its `Metered` shim.
+/// Returns the chain's sink plus where each output column (base columns,
+/// then one per window function in SELECT order) sits in the chain's rows:
+/// the chain evaluates window functions in its own order.
 fn build_chain<'a>(
     plan: &Plan,
-    specs: &[WindowSpec],
     table: &'a Table,
+    base_len: usize,
     env: &ExecEnv,
     cells: &MeterCells,
-) -> (Box<dyn Operator + 'a>, Vec<usize>) {
-    let tracker = Arc::clone(env.tracker());
-    let op_env = env.op_env().clone();
+) -> Result<(Box<dyn Operator + 'a>, Vec<usize>)> {
+    let specs = &plan.specs;
+    let op_env = env.op_env();
+    let meter = |op: Box<dyn Operator + 'a>, slots: std::ops::Range<usize>, label: String| {
+        Box::new(Metered::new(
+            op,
+            Arc::clone(env.tracker()),
+            Rc::clone(cells),
+            slots,
+            Rc::from(label),
+            Arc::clone(&op_env.trace),
+        )) as Box<dyn Operator + 'a>
+    };
     // Slot 0 is the scan plus the WHERE filter (when the plan carries one):
     // filtering streams through the scan's segments before any reorder, and
     // a narrowed scan's rows leave the filter at the narrowed width. Rows
@@ -364,171 +383,251 @@ fn build_chain<'a>(
         Some(pred) => Box::new(FilterOp::new(scan, pred.clone(), op_env.clone())),
         None => Box::new(scan),
     };
-    let mut op: Box<dyn Operator + 'a> = Box::new(Metered::new(
-        source,
-        Arc::clone(&tracker),
-        Rc::clone(cells),
-        0..1,
-        Rc::from("scan+filter"),
-        Arc::clone(&op_env.trace),
-    ));
+    let mut op = meter(source, 0..1, "scan+filter".to_string());
     let mut eval_order: Vec<usize> = Vec::with_capacity(plan.steps.len());
     let mut k = 0;
     while k < plan.steps.len() {
         let step = &plan.steps[k];
-        let spec = &specs[step.wf];
-        // Sort-key prefixes whose boundary layers FS/HS record for free
-        // during their final merge: the partition key and the partition ∪
-        // order key (peer groups) — exactly what this step's window
-        // evaluation (and any matched-prefix successor) starts from.
-        let mut record = Vec::new();
-        if !spec.wpk().is_empty() {
-            record.push(spec.wpk().clone());
-        }
-        let union = spec.wpk().union(&spec.wok().attr_set());
-        if !union.is_empty() && Some(&union) != record.first() {
-            record.push(union);
-        }
-        op = match &step.reorder {
-            ReorderOp::None => op,
-            ReorderOp::Fs { key } => Box::new(
-                FullSortOp::new(op, key.clone(), op_env.clone()).with_recorded_prefixes(record),
-            ),
-            ReorderOp::Hs {
-                whk,
-                key,
-                n_buckets,
-                mfv,
-            } => {
-                let opts = HsOptions {
-                    n_buckets: *n_buckets,
-                    mfv_values: mfv.clone(),
-                    stable_emission: false,
-                };
-                Box::new(
-                    HashedSortOp::new(op, whk.clone(), key.clone(), opts, op_env.clone())
-                        .with_recorded_prefixes(record),
-                )
-            }
-            ReorderOp::Ss { alpha, beta } => Box::new(SegmentedSortOp::new(
-                op,
-                alpha.clone(),
-                beta.clone(),
-                op_env.clone(),
-            )),
-            // Chain-parallel span: shard on the head's scatter key, then
-            // keep going *inside* each worker — head reorder, this step's
-            // window, and every fused SS-compatible successor — and merge
-            // finished rows shard by shard (wf_exec::scheduler). The
-            // finalizer guarantees an FS or HS inner; a hand-built plan
-            // with any other inner falls back to a serial Full Sort rather
-            // than mis-executing.
+        // One shim per window group or `PAR→` span keeps the report at one
+        // entry per plan step: work inside one operator is not separable
+        // per function.
+        let len = match &step.reorder {
             ReorderOp::Par { inner, workers } => {
-                let par_inner = match inner.as_ref() {
-                    ReorderOp::Fs { key } => Some(wf_exec::ParInner::Fs { key: key.clone() }),
-                    ReorderOp::Hs {
-                        whk,
-                        key,
-                        n_buckets,
-                        ..
-                    } => Some(wf_exec::ParInner::Hs {
-                        whk: whk.clone(),
-                        key: key.clone(),
-                        n_buckets: *n_buckets,
-                    }),
-                    _ => None,
-                };
-                if let Some(par_inner) = par_inner {
-                    let span = crate::plan::par_span_len(&plan.steps, specs, k);
-                    let shard = crate::plan::par_shard_attrs(step, specs);
-                    let stages: Vec<wf_exec::ChainStage> = plan.steps[k..k + span]
-                        .iter()
-                        .map(|s| {
-                            let sp = &specs[s.wf];
-                            wf_exec::ChainStage {
-                                ss: match &s.reorder {
-                                    ReorderOp::Ss { alpha, beta } => {
-                                        Some((alpha.clone(), beta.clone()))
-                                    }
-                                    _ => None,
-                                },
-                                wpk: sp.wpk().clone(),
-                                wok: sp.wok().clone(),
-                                func: sp.func.clone(),
-                                frame: sp.frame,
-                            }
-                        })
-                        .collect();
-                    op = Box::new(
-                        wf_exec::ParallelChainOp::new(
-                            op,
-                            par_inner,
-                            shard,
-                            *workers,
-                            stages,
-                            op_env.clone(),
-                        )
-                        .with_recorded_prefixes(record),
-                    );
-                    // One shim over the whole span keeps the report at one
-                    // entry per plan step: elapsed work inside the workers
-                    // is not separable per stage.
-                    op = Box::new(Metered::new(
-                        op,
-                        Arc::clone(&tracker),
-                        Rc::clone(cells),
-                        k + 1..k + 1 + span,
-                        Rc::from(step_label(step, specs)),
-                        Arc::clone(&op_env.trace),
-                    ));
-                    for s in &plan.steps[k..k + span] {
-                        eval_order.push(s.wf);
-                    }
-                    k += span;
-                    continue;
-                }
-                debug_assert!(false, "Par node with unsupported inner: {inner:?}");
-                Box::new(
-                    FullSortOp::new(op, crate::plan::default_fs_key(spec), op_env.clone())
-                        .with_recorded_prefixes(record),
-                )
+                let span = par_span_len(&plan.steps, specs, k);
+                op = Box::new(par_span(op, plan, k..k + span, inner, *workers, op_env)?);
+                span
+            }
+            reorder => {
+                let len = window_group_len(&plan.steps, specs, k);
+                op = lower_group(op, reorder, &plan.steps[k..k + len], specs, op_env, false);
+                len
             }
         };
-        // Every directly following step that is matched on this step's
-        // (WPK, WOK) evaluates off the same reordered relation: one window
-        // operator for the whole group.
-        let group = &plan.steps[k..][..window_group_len(&plan.steps, specs, k)];
-        op = Box::new(WindowOp::group(
-            op,
-            spec.wpk().clone(),
-            spec.wok().clone(),
-            group
-                .iter()
-                .map(|s| (specs[s.wf].func.clone(), specs[s.wf].frame))
-                .collect(),
-            op_env.clone(),
-        ));
-        op = Box::new(Metered::new(
-            op,
-            Arc::clone(&tracker),
-            Rc::clone(cells),
-            k + 1..k + 1 + group.len(),
-            Rc::from(step_label(step, specs)),
-            Arc::clone(&op_env.trace),
-        ));
-        eval_order.extend(group.iter().map(|s| s.wf));
-        k += group.len();
+        op = meter(op, k + 1..k + 1 + len, step_label(step, specs));
+        eval_order.extend(plan.steps[k..k + len].iter().map(|s| s.wf));
+        k += len;
     }
-    (op, eval_order)
+
+    // Output column `j` of the SELECT order sits in chain column
+    // `chain_col[j]`: base columns stay put, window columns follow the
+    // evaluation order.
+    let mut chain_col: Vec<usize> = (0..base_len + specs.len()).collect();
+    for (slot, &wf) in eval_order.iter().enumerate() {
+        chain_col[base_len + wf] = base_len + slot;
+    }
+    // The final ORDER BY sorts the chain's rows where they are, on keys
+    // remapped to the chain's columns: the last metered step.
+    if let (Some(order), Some(label)) = (&plan.order_by, plan.final_order.label()) {
+        let order = order.map_attrs(|a| AttrId::new(chain_col[a.index()]));
+        op = match plan.final_order {
+            FinalOrder::PartialSort { prefix_len } => Box::new(SegmentedSortOp::new(
+                op,
+                order.prefix(prefix_len),
+                order.suffix(prefix_len),
+                op_env.clone(),
+            )),
+            _ => Box::new(FullSortOp::new(op, order, op_env.clone())),
+        };
+        let slot = cells.borrow().len();
+        cells.borrow_mut().push(StepExec::default());
+        op = meter(op, slot..slot + 1, label.to_string());
+    }
+    Ok((op, chain_col))
 }
 
-/// Execute a plan against an explicit spec list (normally `plan.specs`).
-pub fn execute_plan_with_specs(
-    plan: &Plan,
+/// Lower one window group: `reorder` in front of the group's head step,
+/// then one window operator evaluating the head and every matched member
+/// off the one reordered relation. The serial chain and every `PAR→`
+/// worker build their steps here; `stable_buckets` makes a Hashed Sort
+/// emit its buckets in ascending id, which a worker's output needs for
+/// the interleave ([`ParRoute::Interleave`]).
+fn lower_group<'a>(
+    op: Box<dyn Operator + 'a>,
+    reorder: &ReorderOp,
+    group: &[PlanStep],
     specs: &[WindowSpec],
-    table: &Table,
-    env: &ExecEnv,
-) -> Result<ExecReport> {
+    env: &OpEnv,
+    stable_buckets: bool,
+) -> Box<dyn Operator + 'a> {
+    let spec = &specs[group[0].wf];
+    // Sort-key prefixes whose boundary layers FS/HS record for free during
+    // their final merge: the partition key and the partition ∪ order key
+    // (peer groups) — exactly what this group's window evaluation (and any
+    // matched-prefix successor) starts from.
+    let mut record = Vec::new();
+    if !spec.wpk().is_empty() {
+        record.push(spec.wpk().clone());
+    }
+    let union = spec.wpk().union(&spec.wok().attr_set());
+    if !union.is_empty() && Some(&union) != record.first() {
+        record.push(union);
+    }
+    let op: Box<dyn Operator + 'a> = match reorder {
+        ReorderOp::None => op,
+        ReorderOp::Fs { key } => {
+            Box::new(FullSortOp::new(op, key.clone(), env.clone()).with_recorded_prefixes(record))
+        }
+        ReorderOp::Hs {
+            whk,
+            key,
+            n_buckets,
+            mfv,
+        } => {
+            let opts = HsOptions {
+                n_buckets: *n_buckets,
+                mfv_values: mfv.clone(),
+                stable_emission: stable_buckets,
+            };
+            Box::new(
+                HashedSortOp::new(op, whk.clone(), key.clone(), opts, env.clone())
+                    .with_recorded_prefixes(record),
+            )
+        }
+        ReorderOp::Ss { alpha, beta } => Box::new(SegmentedSortOp::new(
+            op,
+            alpha.clone(),
+            beta.clone(),
+            env.clone(),
+        )),
+        ReorderOp::Par { .. } => unreachable!("PAR→ spans are lowered by par_span"),
+    };
+    Box::new(WindowOp::group(
+        op,
+        spec.wpk().clone(),
+        spec.wok().clone(),
+        group
+            .iter()
+            .map(|s| (specs[s.wf].func.clone(), specs[s.wf].frame))
+            .collect(),
+        env.clone(),
+    ))
+}
+
+/// A `PAR→` span over plan steps `span`: shard on the head's scatter key,
+/// and in each worker run the head's `inner` reorder and every window group
+/// of the span, lowered by [`lower_group`]. The inner reorder decides how
+/// finished rows come back: a Full Sort merges on the order the span's rows
+/// end in, a Hashed Sort interleaves its buckets. Any other inner — or a
+/// Hashed Sort with MFV values, whose extra leading segment the interleave
+/// cannot place — is a malformed plan (`finalize_chain` never emits one).
+fn par_span<'a>(
+    input: Box<dyn Operator + 'a>,
+    plan: &Plan,
+    span: std::ops::Range<usize>,
+    inner: &ReorderOp,
+    workers: usize,
+    env: &OpEnv,
+) -> Result<ParallelChainOp<Box<dyn Operator + 'a>>> {
+    let steps = plan.steps[span.clone()].to_vec();
+    let route = match inner {
+        ReorderOp::Fs { key } => ParRoute::Merge {
+            order: steps
+                .iter()
+                .rev()
+                .find_map(|s| match &s.reorder {
+                    ReorderOp::Ss { alpha, beta } => Some(alpha.concat(beta)),
+                    _ => None,
+                })
+                .unwrap_or_else(|| key.clone()),
+        },
+        ReorderOp::Hs { n_buckets, mfv, .. } if mfv.is_empty() => ParRoute::Interleave {
+            n_buckets: *n_buckets,
+        },
+        other => {
+            return Err(Error::Planning(format!(
+                "a PAR→ span needs a Full Sort or a Hashed Sort without MFV values at its \
+                 head, not {other:?}"
+            )))
+        }
+    };
+    let shard = par_shard_attrs(&plan.steps[span.start], &plan.specs);
+    let (specs, head) = (plan.specs.clone(), inner.clone());
+    let chain: WorkerChain = Arc::new(move |source, env| {
+        let mut op = source;
+        let mut i = 0;
+        while i < steps.len() {
+            let len = window_group_len(&steps, &specs, i);
+            let reorder = if i == 0 { &head } else { &steps[i].reorder };
+            op = lower_group(op, reorder, &steps[i..i + len], &specs, env, true);
+            i += len;
+        }
+        op
+    });
+    Ok(ParallelChainOp::new(
+        input,
+        route,
+        shard,
+        workers,
+        chain,
+        env.clone(),
+    ))
+}
+
+/// How a chain row becomes an output row: output column `j` is chain
+/// column `columns[j]` — the evaluation-order permutation and the
+/// projection in one map, worked out once per statement. A permutation of
+/// every column swaps values in place (the identity: none), anything else
+/// builds each row from the values it picks.
+enum ColumnMap {
+    Swaps(Vec<(usize, usize)>),
+    Pick(Vec<usize>),
+}
+
+impl ColumnMap {
+    fn new(columns: Vec<usize>, width: usize) -> Self {
+        let mut seen = vec![false; width];
+        let permutation = columns.len() == width
+            && columns
+                .iter()
+                .all(|&c| !std::mem::replace(&mut seen[c], true));
+        if !permutation {
+            return ColumnMap::Pick(columns);
+        }
+        // at[p] = the chain column whose value sits at position p.
+        let mut at: Vec<usize> = (0..width).collect();
+        let mut swaps = Vec::new();
+        for (j, &want) in columns.iter().enumerate() {
+            let k = j + at[j..]
+                .iter()
+                .position(|&c| c == want)
+                .expect("a permutation holds every column");
+            if k != j {
+                at.swap(j, k);
+                swaps.push((j, k));
+            }
+        }
+        ColumnMap::Swaps(swaps)
+    }
+
+    fn apply(&self, rows: &mut [Row]) {
+        match self {
+            ColumnMap::Swaps(swaps) if swaps.is_empty() => {}
+            ColumnMap::Swaps(swaps) => {
+                for row in rows {
+                    for &(a, b) in swaps {
+                        row.swap_columns(a, b);
+                    }
+                }
+            }
+            ColumnMap::Pick(columns) => {
+                for row in rows {
+                    let values = row.values();
+                    *row = Row::new(columns.iter().map(|&c| values[c].clone()).collect());
+                }
+            }
+        }
+    }
+}
+
+/// Execute a finalized plan over `table`: the window chain, then the final
+/// ORDER BY and the projection the plan carries.
+///
+/// The initial table scan is charged (the windowed table is read once);
+/// intermediate results flow in memory, and every reorder — the final sort
+/// included — charges its own spill I/O and comparisons, exactly like the
+/// paper's measured plan execution times.
+pub fn execute_plan(plan: &Plan, table: &Table, env: &ExecEnv) -> Result<ExecReport> {
+    let specs = &plan.specs;
     let tracker = env.tracker();
     let start_snapshot = tracker.snapshot();
     let start = Instant::now();
@@ -537,64 +636,58 @@ pub fn execute_plan_with_specs(
 
     // Compile the chain and drive it segment by segment: downstream steps
     // consume each bucket / run while upstream ones still hold the rest.
+    // Rows take their output columns as they leave it.
     let cells: MeterCells = Rc::new(RefCell::new(vec![
         StepExec::default();
         plan.steps.len() + 1
     ]));
-    let (mut op, eval_order) = build_chain(plan, specs, table, env, &cells);
+    let (mut op, chain_col) = build_chain(plan, table, base_len, env, &cells)?;
+    let columns = match &plan.projection {
+        Some(projection) => projection.iter().map(|a| chain_col[a.index()]).collect(),
+        None => chain_col,
+    };
+    let map = ColumnMap::new(columns, base_len + specs.len());
     let mut rows: Vec<Row> = Vec::new();
     while let Some(seg) = op.next_segment()? {
-        rows.extend(seg.into_rows()?);
+        let mut seg_rows = seg.into_rows()?;
+        map.apply(&mut seg_rows);
+        rows.append(&mut seg_rows);
     }
     drop(op);
 
-    // Measured per-step metrics, scan slot included. A step's residency
-    // class comes from the plan (recorded at finalize time, same source as
-    // `eval_classes` below).
+    // Measured per-step metrics: the scan slot, one slot per plan step and
+    // the final sort's, if it ran. A step's residency class comes from the
+    // plan (recorded at finalize time, same source as `eval_classes`).
     let step_metrics: Vec<StepMetrics> = cells
         .borrow()
         .iter()
         .enumerate()
         .map(|(idx, exec)| StepMetrics {
-            label: match idx {
-                0 => "scan+filter".to_string(),
-                k => step_label(&plan.steps[k - 1], specs),
+            label: match idx.checked_sub(1) {
+                None => "scan+filter".to_string(),
+                Some(k) => match plan.steps.get(k) {
+                    Some(step) => step_label(step, specs),
+                    None => plan.final_order.label().unwrap_or_default().to_string(),
+                },
             },
             work: exec.work,
             wall: exec.wall,
             rows: exec.rows,
             segments: exec.segments,
-            eval_class: idx.checked_sub(1).map(|k| plan.eval_classes[k]),
+            eval_class: idx
+                .checked_sub(1)
+                .and_then(|k| plan.eval_classes.get(k).copied()),
         })
         .collect();
 
-    // Output schema in SELECT order.
+    // Output schema in SELECT order, projected.
     let mut schema = input.clone();
     for spec in specs {
         let dt = spec.func.result_type(&input);
         schema = schema.with_appended(Field::new(spec.name.clone(), dt))?;
     }
-    // Project appended columns from evaluation order back to SELECT order:
-    // the permutation is worked out once, as swaps, and every row's values
-    // are swapped in place.
-    let mut slots = eval_order; // slots[k] = the spec whose values sit in appended slot k
-    let mut swaps: Vec<(usize, usize)> = Vec::new();
-    for s in 0..slots.len() {
-        let k = s + slots[s..]
-            .iter()
-            .position(|&spec| spec == s)
-            .expect("every spec is evaluated once");
-        if k != s {
-            slots.swap(s, k);
-            swaps.push((base_len + s, base_len + k));
-        }
-    }
-    if !swaps.is_empty() {
-        for row in &mut rows {
-            for &(a, b) in &swaps {
-                row.swap_columns(a, b);
-            }
-        }
+    if let Some(projection) = &plan.projection {
+        schema = schema.select(projection)?;
     }
 
     let work = tracker.snapshot().since(&start_snapshot);
@@ -657,7 +750,7 @@ fn render_analyze(
         let wall_ms = m.wall.as_secs_f64() * 1e3;
         let model_ms = weights.modeled_ms(&m.work);
         let step = match slot.checked_sub(1) {
-            Some(k) if heads[k] != k => {
+            Some(k) if heads.get(k).is_some_and(|&head| head != k) => {
                 format!(
                     "{}  (group of {})",
                     m.label,
@@ -772,26 +865,13 @@ fn render_analyze(
     out
 }
 
-/// Project a table to the given output columns (SELECT-list projection;
-/// applied after any final ORDER BY so sort keys may reference dropped
-/// columns).
-pub fn project(table: &Table, columns: &[wf_common::AttrId]) -> Result<Table> {
-    let schema = table.schema().project(columns)?;
-    let mut out = Table::new(schema);
-    for row in table.rows() {
-        let vals: Vec<wf_common::Value> = columns.iter().map(|&a| row.get(a).clone()).collect();
-        out.push(wf_common::Row::new(vals));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::TableStats;
     use crate::planner::{optimize, Scheme};
     use crate::query::QueryBuilder;
-    use wf_common::{row, DataType, Schema};
+    use wf_common::{row, DataType, Schema, SortSpec};
 
     fn sample_table() -> Table {
         let schema = Schema::of(&[
@@ -833,7 +913,7 @@ mod tests {
         let env = ExecEnv::with_memory_blocks(64);
         for scheme in [Scheme::Cso, Scheme::Psql, Scheme::Orcl, Scheme::Bfo] {
             let plan = optimize(&query, &stats, scheme, &env).unwrap();
-            let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
+            let report = execute_plan(&plan, &table, &env).unwrap();
             let out = &report.table;
             assert_eq!(out.row_count(), 10);
             let s = out.schema().clone();
@@ -874,7 +954,7 @@ mod tests {
         let stats = TableStats::from_table(&table);
         let env = ExecEnv::with_memory_blocks(64);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
-        let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
+        let report = execute_plan(&plan, &table, &env).unwrap();
         assert_eq!(report.step_metrics.len(), 2, "the scan and one step");
         assert!(report.modeled_ms > 0.0);
         assert!(report.work.rows_moved > 0);
@@ -895,7 +975,7 @@ mod tests {
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
         assert_eq!(plan.eval_classes, vec![wf_exec::StreamableEval::Ring]);
         assert_eq!(plan.weakest_eval_class(), wf_exec::StreamableEval::Ring);
-        let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
+        let report = execute_plan(&plan, &table, &env).unwrap();
         assert_eq!(report.eval_classes.len(), 1);
         assert_eq!(report.eval_classes[0].0, "r");
         assert_eq!(report.eval_classes[0].1, wf_exec::StreamableEval::Ring);
@@ -916,7 +996,7 @@ mod tests {
         // Pinned serial: the CI matrix forces `WF_WORKERS=4` over the suite.
         let env = ExecEnv::with_memory_blocks(64).with_par_workers(1);
         let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
-        let report = execute_plan_with_specs(&plan, &query.specs, &table, &env).unwrap();
+        let report = execute_plan(&plan, &table, &env).unwrap();
         assert_eq!(report.step_metrics.len(), plan.steps.len() + 1);
         assert_eq!(report.step_metrics[0].label, "scan+filter");
         assert_eq!(report.step_metrics[0].eval_class, None);
@@ -969,6 +1049,113 @@ mod tests {
             .filter(|l| l.starts_with("scan+filter") || l.contains('→') && l.contains('.'))
             .count();
         assert!(table_lines >= report.step_metrics.len(), "{text}");
+    }
+
+    /// The final ORDER BY and the projection run inside the chain: sorted on
+    /// a window column the chain evaluates out of SELECT order, then cut to
+    /// a reordered subset of the columns, the result is the unsorted,
+    /// unprojected result sorted (stably) and projected by hand.
+    #[test]
+    fn final_order_and_projection_are_the_chain_tail() {
+        let table = sample_table();
+        let schema = table.schema().clone();
+        // One sort on (dept, salary, empnum) serves both: every scheme but
+        // PSQL's SELECT order evaluates `b` first and `a` off its output.
+        let query = QueryBuilder::new(&schema)
+            .rank("a", &["dept"], &[("salary", false)])
+            .rank(
+                "b",
+                &[],
+                &[("dept", false), ("salary", false), ("empnum", false)],
+            )
+            .build()
+            .unwrap();
+        let env = ExecEnv::with_memory_blocks(64).with_par_workers(1);
+        let stats = TableStats::from_table(&table);
+        for scheme in [Scheme::Cso, Scheme::Psql, Scheme::Orcl, Scheme::Bfo] {
+            let plain = optimize(&query, &stats, scheme, &env).unwrap();
+            let all = execute_plan(&plain, &table, &env).unwrap().table;
+            let (a, b) = (AttrId::new(3), AttrId::new(4));
+            // ORDER BY a DESC, b; SELECT b, empnum, a.
+            let order = SortSpec::new(vec![
+                wf_common::OrdElem::desc(a),
+                wf_common::OrdElem::asc(b),
+            ]);
+            let projection = vec![b, AttrId::new(0), a];
+            let mut q = query.clone();
+            q.order_by = Some(order.clone());
+            q.projection = Some(projection.clone());
+            let plan = optimize(&q, &stats, scheme, &env).unwrap();
+            assert_eq!(plan.final_order, FinalOrder::FullSort, "{scheme}");
+            assert_eq!(plan.steps[0].wf, usize::from(scheme != Scheme::Psql));
+            let report = execute_plan(&plan, &table, &env).unwrap();
+            let mut want = all.rows().to_vec();
+            let cmp = wf_common::RowComparator::new(&order);
+            want.sort_by(|x, y| cmp.compare(x, y));
+            let want: Vec<Row> = want
+                .iter()
+                .map(|r| Row::new(projection.iter().map(|&c| r.get(c).clone()).collect()))
+                .collect();
+            assert_eq!(report.table.rows(), &want[..], "{scheme}");
+            let names: Vec<&str> = report
+                .table
+                .schema()
+                .fields()
+                .iter()
+                .map(|f| f.name.as_str())
+                .collect();
+            assert_eq!(names, ["b", "empnum", "a"], "{scheme}");
+            assert_eq!(report.step_metrics.last().unwrap().label, "FS→ ORDER BY");
+        }
+    }
+
+    /// A `PAR→` node whose inner reorder the scheduler cannot reassemble —
+    /// neither a Full Sort nor a Hashed Sort, or a Hashed Sort with MFV
+    /// values — fails with a planning error instead of running as something
+    /// else. `finalize_chain` never emits one; a plan built by hand can.
+    #[test]
+    fn malformed_par_spans_are_planning_errors() {
+        let table = sample_table();
+        let schema = table.schema().clone();
+        let query = QueryBuilder::new(&schema)
+            .rank("r", &["dept"], &[("salary", false)])
+            .build()
+            .unwrap();
+        let env = ExecEnv::with_memory_blocks(64).with_par_workers(1);
+        let stats = TableStats::from_table(&table);
+        let mut plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
+        let (dept, salary) = (AttrId::new(1), AttrId::new(2));
+        let dept_key = SortSpec::new(vec![wf_common::OrdElem::asc(dept)]);
+        let salary_key = SortSpec::new(vec![wf_common::OrdElem::asc(salary)]);
+        let hs = |mfv: Vec<Vec<wf_common::Value>>| ReorderOp::Hs {
+            whk: wf_common::AttrSet::from_iter([dept]),
+            key: dept_key.concat(&salary_key),
+            n_buckets: 4,
+            mfv,
+        };
+        let par = |inner: ReorderOp| ReorderOp::Par {
+            inner: Box::new(inner),
+            workers: 2,
+        };
+        for inner in [
+            ReorderOp::None,
+            ReorderOp::Ss {
+                alpha: dept_key.clone(),
+                beta: salary_key.clone(),
+            },
+            par(hs(Vec::new())),
+            hs(vec![vec![wf_common::Value::Int(1)]]),
+        ] {
+            plan.steps[0].reorder = par(inner.clone());
+            let err = execute_plan(&plan, &table, &env).unwrap_err();
+            assert!(matches!(err, Error::Planning(_)), "{inner:?}: {err}");
+        }
+        // The well-formed span runs.
+        plan.steps[0].reorder = par(hs(Vec::new()));
+        assert_eq!(
+            execute_plan(&plan, &table, &env).unwrap().table.row_count(),
+            10
+        );
     }
 
     #[test]

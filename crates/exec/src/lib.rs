@@ -57,11 +57,10 @@ pub use relational::{
     filter, group_by_hash, group_by_sort, FilterOp, GroupAgg, GroupByHashOp, GroupBySortOp,
     Predicate,
 };
-pub use scheduler::{per_worker_blocks, resolve_threads, ChainStage, ParInner, ParallelChainOp};
+pub use scheduler::{per_worker_blocks, resolve_threads, ParRoute, ParallelChainOp, WorkerChain};
 pub use segment::{BoundaryLayer, RunSplitter, SegmentBounds, SegmentedRows};
 pub use segmented_sort::{segmented_sort, SegmentedSortOp};
 pub use sorter::SortKey;
 pub use window::{
-    evaluate_window, group_len, Bound, FrameSpec, FrameUnits, StreamableEval, WindowFunction,
-    WindowOp,
+    evaluate_window, Bound, FrameSpec, FrameUnits, StreamableEval, WindowFunction, WindowOp,
 };

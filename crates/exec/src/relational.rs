@@ -166,7 +166,7 @@ impl<I: Operator> Operator for FilterOp<I> {
                     &self.pred,
                     table.base().iter().map(Ok),
                     &mut remaps,
-                    |row: &Row| sink(table.project(row)),
+                    |row: &Row| sink(table.narrow(row)),
                 )?,
                 None => keep_matching(&self.pred, stream, &mut remaps, &mut sink)?,
             };

@@ -2,9 +2,13 @@
 //! worker pool (paper §3.5, made planner-visible by `ReorderOp::Par`).
 //!
 //! [`ParallelChainOp`] is the physical operator behind a planned `Par` span:
-//! the head reorder (FS *or* HS — [`ParInner`]), its window call, and any
-//! follow-up SS + window stages whose partition keys cover the shard key
-//! ([`ChainStage`]). One span runs four phases:
+//! the head reorder (FS *or* HS), its window call, and any follow-up SS +
+//! window stages whose partition keys cover the shard key. The scheduler
+//! does not know those operators: the runtime hands it a [`WorkerChain`]
+//! that builds them over a worker's shard — with the same lowering as the
+//! serial chain's steps — and a [`ParRoute`] that says how the workers'
+//! output comes back together. The scheduler owns scatter, threads,
+//! parking and reassembly. One span runs four phases:
 //!
 //! 1. **Scatter** — every input row is hashed on the shard key (a subset of
 //!    the window partition key, so every window partition lands wholly
@@ -63,15 +67,12 @@
 //! exactly what the planner's cost decision weighs).
 
 use crate::env::OpEnv;
-use crate::full_sort::FullSortOp;
-use crate::hashed_sort::{HashedSortOp, HsOptions};
 use crate::operator::{Operator, Segment};
 use crate::segment::SegmentBounds;
-use crate::segmented_sort::SegmentedSortOp;
 use crate::sorter::{merge_sorted_handles, SortKey};
 use crate::util::hash_row_on;
-use crate::window::{group_len, FrameSpec, WindowFunction, WindowOp};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use wf_common::{AttrSet, Error, Result, SortSpec};
 use wf_storage::{SegmentBuilder, SegmentHandle, SegmentStore};
 
@@ -211,117 +212,54 @@ impl Operator for HandleSource {
     }
 }
 
-/// The reorder at the head of a chain-parallel span — what `ReorderOp::Par`
-/// carries as its inner node, lowered to per-worker operators.
+/// How a span's finished worker segments come back together — decided by
+/// the reorder at the span's head, which the runtime lowers.
 #[derive(Debug, Clone)]
-pub enum ParInner {
-    /// Per-shard Full Sort; the final row merge restores the serial total
-    /// order (the shard key is a subset of the sort key, so key-equal rows
-    /// never straddle shards).
-    Fs {
-        /// The full sort key `perm(WPK) ∘ WOK`.
-        key: SortSpec,
+pub enum ParRoute {
+    /// A Full Sort head: row `r` goes to shard `hash(r) % workers`, each
+    /// worker emits at most one segment, and the outputs are k-way merged on
+    /// `order`, the ordering the span's rows end in (the shard key is a
+    /// subset of it, so rows equal on it never straddle shards).
+    Merge {
+        /// The span's final ordering: the last in-worker SS's `α ∘ β`,
+        /// else the head sort key.
+        order: SortSpec,
     },
-    /// Per-worker Hashed Sort over **globally numbered** buckets: the
-    /// scatter assigns bucket `b = hash % n_buckets` to worker
-    /// `b % workers`, and each worker re-derives the same bucket ids with
-    /// the same hash function, so the final emission can interleave worker
-    /// outputs in ascending global bucket order — a pure function of the
-    /// row values, never of which buckets happened to spill.
-    Hs {
-        /// Hash key `WHK ⊆ WPK`.
-        whk: AttrSet,
-        /// Per-bucket sort key.
-        key: SortSpec,
+    /// A Hashed Sort head over **globally numbered** buckets: bucket
+    /// `b = hash % n_buckets` goes to worker `b % workers`, and each worker
+    /// re-derives the same bucket ids with the same hash function and emits
+    /// its non-empty buckets in ascending id, so the outputs interleave back
+    /// in ascending global bucket order — a pure function of the row values,
+    /// never of which buckets happened to spill.
+    Interleave {
         /// Global bucket count (shared by the scatter and every worker).
         n_buckets: usize,
     },
 }
 
-/// One fused stage of a chain-parallel span: an optional SS reorder (whose
-/// `α` covers the shard key, so units never straddle shards) followed by a
-/// window call — both run inside the worker against its ledger sub-account.
-#[derive(Debug, Clone)]
-pub struct ChainStage {
-    /// `Some((alpha, beta))` — run SS in front of this stage's window.
-    /// Stage 0 never carries one (the span's head reorder fills that role).
-    pub ss: Option<(SortSpec, SortSpec)>,
-    /// Window partition key of this stage's call.
-    pub wpk: AttrSet,
-    /// Window order key of this stage's call.
-    pub wok: SortSpec,
-    /// The window computation.
-    pub func: WindowFunction,
-    /// Explicit frame, `None` for the SQL default.
-    pub frame: Option<FrameSpec>,
-}
+/// Builds one worker's chain over its shard, in the worker's environment —
+/// the span's head reorder, its window groups and every fused stage, lowered
+/// by the same code that lowers serial steps. Called once per worker, on the
+/// worker's thread.
+pub type WorkerChain = Arc<dyn Fn(Box<dyn Operator>, &OpEnv) -> Box<dyn Operator> + Send + Sync>;
 
-/// Run one worker's whole span chain over its shard: head reorder (FS or
-/// HS), then every fused stage's SS + window. Returns the finished
-/// segments in emission order — at most one for an FS head, one per
-/// non-empty bucket (ascending bucket id) for an HS head.
+/// Run one worker's chain over its shard. Returns the finished segments in
+/// emission order — at most one for a merged span, one per non-empty bucket
+/// (ascending bucket id) for an interleaved one.
 ///
 /// With `park`, each finished segment still in memory is written to the
 /// spill device at once (module docs, phase 2) instead of being held in the
 /// budget the worker's next bucket needs.
-fn run_worker_chain(
+fn run_worker(
     shard: Vec<SegmentHandle>,
     park: bool,
-    inner: &ParInner,
-    head_record: &[AttrSet],
-    stages: &[ChainStage],
+    chain: &WorkerChain,
     env: &OpEnv,
 ) -> Result<Vec<(SegmentHandle, SegmentBounds)>> {
     let source = HandleSource {
         pieces: shard.into_iter(),
     };
-    let mut op: Box<dyn Operator> = match inner {
-        ParInner::Fs { key } => Box::new(
-            FullSortOp::new(source, key.clone(), env.clone())
-                .with_recorded_prefixes(head_record.to_vec()),
-        ),
-        ParInner::Hs {
-            whk,
-            key,
-            n_buckets,
-        } => Box::new(
-            HashedSortOp::new(
-                source,
-                whk.clone(),
-                key.clone(),
-                HsOptions {
-                    n_buckets: *n_buckets,
-                    mfv_values: Vec::new(),
-                    stable_emission: true,
-                },
-                env.clone(),
-            )
-            .with_recorded_prefixes(head_record.to_vec()),
-        ),
-    };
-    // Stages that need no SS of their own on the head's (WPK, WOK) share
-    // its window operator — the grouping rule of the serial chain.
-    let mut rest = stages;
-    while let Some(stage) = rest.first() {
-        if let Some((alpha, beta)) = &stage.ss {
-            op = Box::new(SegmentedSortOp::new(
-                op,
-                alpha.clone(),
-                beta.clone(),
-                env.clone(),
-            ));
-        }
-        let (group, tail) =
-            rest.split_at(group_len(rest, |s| (&s.wpk, &s.wok), |s| s.ss.is_none()));
-        op = Box::new(WindowOp::group(
-            op,
-            stage.wpk.clone(),
-            stage.wok.clone(),
-            group.iter().map(|s| (s.func.clone(), s.frame)).collect(),
-            env.clone(),
-        ));
-        rest = tail;
-    }
+    let mut op = chain(Box::new(source), env);
     // A pooled one-block account of the worker's: what it parks counts in
     // the worker's own snapshot (spilled segments, peaks), and at most one
     // block of it — small segments it keeps resident — counts against the
@@ -353,21 +291,22 @@ enum ChainState {
 }
 
 /// The chain-parallel operator behind a planned `Par` span: scatter on the
-/// shard key, run the **whole span** — head reorder, window evaluation and
-/// any SS-compatible follow-up stages — inside each worker, then reassemble
-/// *finished rows* deterministically:
+/// shard key, run the **whole span** — built by the [`WorkerChain`] the
+/// runtime hands in — inside each worker, then reassemble *finished rows*
+/// deterministically along the [`ParRoute`]:
 ///
-/// * **FS head** — each worker emits at most one finished segment (FS is
-///   single-segment and every later stage is 1:1); the non-empty worker
-///   outputs are k-way ordered-merged on the span's final ordering, with the
-///   boundary layers every worker proved re-recorded for free during the
-///   merge. Rows, layers and the segment structure equal the serial chain's.
-/// * **HS head** — each worker emits one finished segment per non-empty
-///   bucket in ascending global bucket id; the final emission interleaves
-///   them back into one ascending bucket-id sequence (pure concatenation —
-///   no row merge), one segment per pull. The output is a deterministic
-///   permutation of the serial `Hs` chain's segments, invariant across
-///   worker, thread and pool configurations.
+/// * **Merge** (FS head) — each worker emits at most one finished segment
+///   (FS is single-segment and every later stage is 1:1); the non-empty
+///   worker outputs are k-way ordered-merged on the span's final ordering,
+///   with the boundary layers every worker proved re-recorded for free
+///   during the merge. Rows, layers and the segment structure equal the
+///   serial chain's.
+/// * **Interleave** (HS head) — each worker emits one finished segment per
+///   non-empty bucket in ascending global bucket id; the final emission
+///   interleaves them back into one ascending bucket-id sequence (pure
+///   concatenation — no row merge), one segment per pull. The output is a
+///   deterministic permutation of the serial `Hs` chain's segments,
+///   invariant across worker, thread and pool configurations.
 ///
 /// Counter and residency choreography (module docs): fresh per-worker
 /// trackers absorbed in shard order, ledger sub-accounts at
@@ -376,71 +315,43 @@ enum ChainState {
 /// count and the residency stays governed at `O(M + Σ_w (M_w + unit_w))`.
 pub struct ParallelChainOp<I> {
     input: I,
-    inner: ParInner,
+    route: ParRoute,
     /// Scatter key: the head spec's WPK for an FS head, `WHK` for HS.
     shard_attrs: AttrSet,
     workers: usize,
-    head_record: Vec<AttrSet>,
-    stages: Vec<ChainStage>,
+    chain: WorkerChain,
     env: OpEnv,
     state: ChainState,
 }
 
 impl<I: Operator> ParallelChainOp<I> {
-    /// A span over `input`: `inner` at the head, then `stages` in order
-    /// (stage 0 is the head reorder's own window call). `shard_attrs` is
-    /// the scatter key — the head spec's WPK for FS (must be a subset of
-    /// the sort key), the hash key for HS (must equal `inner`'s `whk`).
+    /// A span over `input`, scattered on `shard_attrs` to `workers` shards,
+    /// each running the chain `chain` builds. For a merged route the shard
+    /// key must be a subset of the merge order; for an interleaved one it is
+    /// the hash key the workers' Hashed Sort buckets on.
     pub fn new(
         input: I,
-        inner: ParInner,
+        route: ParRoute,
         shard_attrs: AttrSet,
         workers: usize,
-        stages: Vec<ChainStage>,
+        chain: WorkerChain,
         env: OpEnv,
     ) -> Self {
-        debug_assert!(!stages.is_empty(), "a span carries at least its own window");
-        match &inner {
-            ParInner::Fs { key } => debug_assert!(
-                shard_attrs.is_subset(&key.attr_set()),
-                "shard key must be a subset of the sort key"
-            ),
-            ParInner::Hs { whk, .. } => {
-                debug_assert_eq!(&shard_attrs, whk, "HS spans scatter on the hash key")
-            }
+        if let ParRoute::Merge { order } = &route {
+            debug_assert!(
+                shard_attrs.is_subset(&order.attr_set()),
+                "shard key must be a subset of the merge order"
+            );
         }
         ParallelChainOp {
             input,
-            inner,
+            route,
             shard_attrs,
             workers: workers.max(1),
-            head_record: Vec::new(),
-            stages,
+            chain,
             env,
             state: ChainState::Pending,
         }
-    }
-
-    /// Record boundary layers for these prefixes of the head sort key in
-    /// every worker — the same sets the serial chain would hand its first
-    /// window step.
-    pub fn with_recorded_prefixes(mut self, sets: Vec<AttrSet>) -> Self {
-        self.head_record = sets;
-        self
-    }
-
-    /// The ordering the span's rows end in: the last SS stage's `α ∘ β`,
-    /// else the head sort key — the key the FS-head merge reassembles on.
-    fn final_order(&self) -> SortSpec {
-        let mut order = match &self.inner {
-            ParInner::Fs { key } | ParInner::Hs { key, .. } => key.clone(),
-        };
-        for stage in &self.stages {
-            if let Some((alpha, beta)) = &stage.ss {
-                order = alpha.concat(beta);
-            }
-        }
-        order
     }
 
     /// Phase 1: hash every input row on the shard key and route it to its
@@ -450,9 +361,9 @@ impl<I: Operator> ParallelChainOp<I> {
     fn scatter(&mut self) -> Result<Scatter> {
         let shards = self.workers;
         let env = &self.env;
-        let n_buckets = match &self.inner {
-            ParInner::Hs { n_buckets, .. } => (*n_buckets).max(1),
-            ParInner::Fs { .. } => 0,
+        let n_buckets = match &self.route {
+            ParRoute::Interleave { n_buckets } => (*n_buckets).max(1),
+            ParRoute::Merge { .. } => 0,
         };
         let mut bucket_nonempty = vec![false; n_buckets];
         let _span = env
@@ -481,7 +392,7 @@ impl<I: Operator> ParallelChainOp<I> {
                 for (i, row) in table.base().iter().enumerate() {
                     let s = route(hash_row_on(row, &base_attrs));
                     idx[s].push(i);
-                    out[s].bytes += table.projected_len(row);
+                    out[s].bytes += table.narrowed_len(row);
                 }
                 for (shard, idx) in out.iter_mut().zip(idx) {
                     shard.seal()?;
@@ -542,7 +453,7 @@ impl<I: Operator> ParallelChainOp<I> {
             })
             .collect();
         let threads = resolve_threads(env, self.workers, self.workers);
-        let (inner, head_record, stages) = (&self.inner, &self.head_record, &self.stages);
+        let chain = &self.chain;
         let finished = run_sharded(
             self.workers,
             threads,
@@ -553,7 +464,7 @@ impl<I: Operator> ParallelChainOp<I> {
                 let _span = shard_env
                     .trace
                     .span_with("worker", || format!("chain_worker shard={i}"));
-                run_worker_chain(shard, park, inner, head_record, stages, &shard_env)
+                run_worker(shard, park, chain, &shard_env)
             },
         );
         absorb_worker_trackers(env, shard_envs);
@@ -585,7 +496,7 @@ impl<I: Operator> ParallelChainOp<I> {
         let shard_envs = self.shard_envs();
         let mut per_worker = self.run_workers(shards, &shard_envs)?;
 
-        if matches!(self.inner, ParInner::Fs { .. }) {
+        if let ParRoute::Merge { order } = &self.route {
             // FS head: merge the non-empty workers' finished rows on the
             // span's final ordering, re-recording exactly the boundary
             // layers every worker proved (their attribute sets agree by
@@ -605,7 +516,7 @@ impl<I: Operator> ParallelChainOp<I> {
                     handles.push(handle);
                 }
             }
-            let key = SortKey::new(&self.final_order());
+            let key = SortKey::new(order);
             let merge_span = env.trace.span("par", "merge");
             let (out, bounds, n) =
                 merge_sorted_handles(handles, &key, env, &record.unwrap_or_default())?;
@@ -674,10 +585,11 @@ impl<I: Operator> Operator for ParallelChainOp<I> {
 mod tests {
     use super::*;
     use crate::full_sort::FullSortOp;
+    use crate::hashed_sort::{HashedSortOp, HsOptions};
     use crate::operator::SegmentSource;
     use crate::segment::SegmentedRows;
-    use std::sync::Arc;
-    use wf_common::{row, AttrId, OrdElem, Row};
+    use crate::window::{WindowFunction, WindowOp};
+    use wf_common::{row, AttrId, OrdElem, Row, SortSpec};
 
     fn key(ids: &[usize]) -> SortSpec {
         SortSpec::new(ids.iter().map(|&i| OrdElem::asc(AttrId::new(i))).collect())
@@ -724,13 +636,48 @@ mod tests {
         assert_eq!(resolve_threads(&forced, 2, 3), 3, "override clamps too");
     }
 
-    fn rank_stage(wpk: &[usize], wok: &[usize]) -> ChainStage {
-        ChainStage {
-            ss: None,
-            wpk: aset(wpk),
-            wok: key(wok),
-            func: WindowFunction::Rank,
-            frame: None,
+    /// The span of an FS head: a Full Sort on `(0, 1)` recording `record`,
+    /// then `func` over `PARTITION BY 0 ORDER BY 1`.
+    fn fs_chain(func: WindowFunction, record: Vec<AttrSet>) -> WorkerChain {
+        Arc::new(move |source, env| {
+            let fs = FullSortOp::new(source, key(&[0, 1]), env.clone())
+                .with_recorded_prefixes(record.clone());
+            Box::new(WindowOp::new(
+                fs,
+                aset(&[0]),
+                key(&[1]),
+                func.clone(),
+                None,
+                env.clone(),
+            ))
+        })
+    }
+
+    /// The span of an HS head: a Hashed Sort on column 0 into `n_buckets`
+    /// global buckets, emitted in ascending id, then `func` over
+    /// `PARTITION BY 0 ORDER BY 1`.
+    fn hs_chain(n_buckets: usize, func: WindowFunction) -> WorkerChain {
+        Arc::new(move |source, env| {
+            let opts = HsOptions {
+                n_buckets,
+                mfv_values: Vec::new(),
+                stable_emission: true,
+            };
+            let hs = HashedSortOp::new(source, aset(&[0]), key(&[0, 1]), opts, env.clone());
+            Box::new(WindowOp::new(
+                hs,
+                aset(&[0]),
+                key(&[1]),
+                func.clone(),
+                None,
+                env.clone(),
+            ))
+        })
+    }
+
+    fn merge_on_01() -> ParRoute {
+        ParRoute::Merge {
+            order: key(&[0, 1]),
         }
     }
 
@@ -742,13 +689,12 @@ mod tests {
     ) -> (Vec<Row>, Vec<crate::segment::BoundaryLayer>) {
         let mut op = ParallelChainOp::new(
             SegmentSource::new(SegmentedRows::single_segment(rows), env),
-            ParInner::Fs { key: key(&[0, 1]) },
+            merge_on_01(),
             aset(&[0]),
             4,
-            vec![rank_stage(&[0], &[1])],
+            fs_chain(WindowFunction::Rank, vec![aset(&[0])]),
             env.clone(),
-        )
-        .with_recorded_prefixes(vec![aset(&[0])]);
+        );
         let seg = op.next_segment().unwrap().unwrap();
         assert!(op.next_segment().unwrap().is_none(), "blocking single emit");
         let layers = seg.bounds.layers().to_vec();
@@ -819,13 +765,12 @@ mod tests {
             let env_p = OpEnv::with_memory_blocks(2);
             let mut op = ParallelChainOp::new(
                 SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
-                ParInner::Fs { key: key(&[0, 1]) },
+                merge_on_01(),
                 aset(&[0]),
                 workers,
-                vec![rank_stage(&[0], &[1])],
+                fs_chain(WindowFunction::Rank, vec![aset(&[0]), aset(&[0, 1])]),
                 env_p.clone(),
-            )
-            .with_recorded_prefixes(vec![aset(&[0]), aset(&[0, 1])]);
+            );
             let seg = op.next_segment().unwrap().unwrap();
             let out = seg.into_rows().unwrap();
             assert_eq!(out, serial[0].0, "workers={workers}");
@@ -833,13 +778,6 @@ mod tests {
 
         // Same probe through the one-pass (staged) window path: a running
         // sum over the SQL-default frame.
-        let sum_stage = || ChainStage {
-            ss: None,
-            wpk: aset(&[0]),
-            wok: key(&[1]),
-            func: WindowFunction::Sum(AttrId::new(2)),
-            frame: None,
-        };
         let serial_sum = {
             let env = OpEnv::with_memory_blocks(4);
             let fs = FullSortOp::new(
@@ -866,13 +804,15 @@ mod tests {
             let env_p = OpEnv::with_memory_blocks(2);
             let mut op = ParallelChainOp::new(
                 SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
-                ParInner::Fs { key: key(&[0, 1]) },
+                merge_on_01(),
                 aset(&[0]),
                 workers,
-                vec![sum_stage()],
+                fs_chain(
+                    WindowFunction::Sum(AttrId::new(2)),
+                    vec![aset(&[0]), aset(&[0, 1])],
+                ),
                 env_p.clone(),
-            )
-            .with_recorded_prefixes(vec![aset(&[0]), aset(&[0, 1])]);
+            );
             let mut out = Vec::new();
             while let Some(seg) = op.next_segment().unwrap() {
                 out.extend(seg.into_rows().unwrap());
@@ -921,13 +861,12 @@ mod tests {
             let env_p = OpEnv::with_memory_blocks(m);
             let mut op = ParallelChainOp::new(
                 SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
-                ParInner::Fs { key: key(&[0, 1]) },
+                merge_on_01(),
                 aset(&[0]),
                 workers,
-                vec![rank_stage(&[0], &[1])],
+                fs_chain(WindowFunction::Rank, vec![aset(&[0]), aset(&[0, 1])]),
                 env_p.clone(),
-            )
-            .with_recorded_prefixes(vec![aset(&[0]), aset(&[0, 1])]);
+            );
             let seg = op.next_segment().unwrap().unwrap();
             let layers = seg.bounds.layers().to_vec();
             let out = seg.into_rows().unwrap();
@@ -976,14 +915,10 @@ mod tests {
             let env_p = OpEnv::with_memory_blocks(4);
             let mut op = ParallelChainOp::new(
                 SegmentSource::new(SegmentedRows::single_segment(rows.clone()), &env_p),
-                ParInner::Hs {
-                    whk: aset(&[0]),
-                    key: key(&[0, 1]),
-                    n_buckets,
-                },
+                ParRoute::Interleave { n_buckets },
                 aset(&[0]),
                 workers,
-                vec![rank_stage(&[0], &[1])],
+                hs_chain(n_buckets, WindowFunction::Rank),
                 env_p.clone(),
             );
             let mut par = Vec::new();
@@ -1031,13 +966,12 @@ mod tests {
             want.extend_from_slice(head);
             let mut op = ParallelChainOp::new(
                 input,
-                ParInner::Fs { key: key(&[0, 1]) },
+                merge_on_01(),
                 aset(&[0]),
                 workers,
-                vec![rank_stage(&[0], &[1])],
+                fs_chain(WindowFunction::Rank, vec![aset(&[0]), aset(&[0, 1])]),
                 env.clone(),
-            )
-            .with_recorded_prefixes(vec![aset(&[0]), aset(&[0, 1])]);
+            );
             let out = op.next_segment().unwrap().unwrap().into_rows().unwrap();
             assert_eq!(out, serial_fs_chain(want, &env)[0].0, "workers={workers}");
             drop(op);
@@ -1098,20 +1032,10 @@ mod tests {
         let span = || {
             ParallelChainOp::new(
                 crate::operator::TableScan::new(&table, env.clone()),
-                ParInner::Hs {
-                    whk: aset(&[0]),
-                    key: key(&[0, 1]),
-                    n_buckets,
-                },
+                ParRoute::Interleave { n_buckets },
                 aset(&[0]),
                 2,
-                vec![ChainStage {
-                    ss: None,
-                    wpk: aset(&[0]),
-                    wok: key(&[1]),
-                    func: WindowFunction::Sum(AttrId::new(2)),
-                    frame: None,
-                }],
+                hs_chain(n_buckets, WindowFunction::Sum(AttrId::new(2))),
                 env.clone(),
             )
         };
@@ -1150,10 +1074,10 @@ mod tests {
         let env = OpEnv::with_memory_blocks(2);
         let mut op = ParallelChainOp::new(
             SegmentSource::new(SegmentedRows::empty(), &env),
-            ParInner::Fs { key: key(&[0, 1]) },
+            merge_on_01(),
             aset(&[0]),
             4,
-            vec![rank_stage(&[0], &[1])],
+            fs_chain(WindowFunction::Rank, vec![]),
             env,
         );
         assert!(op.next_segment().unwrap().is_none());

@@ -501,7 +501,7 @@ impl Scratch {
 /// chain by its reorders because, once a relation *matches*, every function
 /// of the cover set evaluates off the one reordered relation. The runtime
 /// therefore folds every run of matched plan steps on one `(WPK, WOK)` into
-/// one operator ([`group_len`]).
+/// one operator (`wf_core::plan::window_group_len`).
 ///
 /// **Resident segments** take one pass, partition by partition: one
 /// materialization, one partition-start derivation, and per partition —
@@ -532,24 +532,6 @@ pub struct WindowOp<I> {
     input: I,
     group: Group,
     scratch: Scratch,
-}
-
-/// How many of `steps` (head first) one [`WindowOp`] evaluates: the head
-/// plus every directly following step that is `matched` — needs no reorder
-/// of its own — on the head's `keys`, its `(WPK, WOK)`. The one grouping
-/// rule behind the serial runtime's chains and the scheduler's worker
-/// chains.
-pub fn group_len<'a, S, K: PartialEq>(
-    steps: &'a [S],
-    keys: impl Fn(&'a S) -> K,
-    matched: impl Fn(&S) -> bool,
-) -> usize {
-    let Some(head) = steps.first() else { return 0 };
-    let head_keys = keys(head);
-    1 + steps[1..]
-        .iter()
-        .take_while(|s| matched(s) && keys(s) == head_keys)
-        .count()
 }
 
 impl<I: Operator> WindowOp<I> {

@@ -654,7 +654,7 @@ impl SharedRows {
 
     /// A base row as the statement sees it: a clone, narrowed, with room for
     /// the values the statement appends.
-    pub fn project(&self, row: &Row) -> Row {
+    pub fn narrow(&self, row: &Row) -> Row {
         match &self.columns {
             None => row.clone_with_spare(self.spare),
             Some(cols) => {
@@ -665,9 +665,9 @@ impl SharedRows {
         }
     }
 
-    /// [`Row::encoded_len`] of [`SharedRows::project`]`(row)`, without the
+    /// [`Row::encoded_len`] of [`SharedRows::narrow`]`(row)`, without the
     /// clone.
-    pub fn projected_len(&self, row: &Row) -> usize {
+    pub fn narrowed_len(&self, row: &Row) -> usize {
         match &self.columns {
             None => row.encoded_len(),
             Some(cols) => {
@@ -685,7 +685,7 @@ impl SharedRows {
         if self.columns.is_none() && self.spare == 0 {
             return Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone());
         }
-        self.rows.iter().map(|r| self.project(r)).collect()
+        self.rows.iter().map(|r| self.narrow(r)).collect()
     }
 }
 
@@ -759,7 +759,7 @@ impl SegmentHandle {
             SegmentHandle::Shared {
                 rows,
                 idx: Some(idx),
-            } => Ok(idx.iter().map(|&i| rows.project(&rows.base()[i])).collect()),
+            } => Ok(idx.iter().map(|&i| rows.narrow(&rows.base()[i])).collect()),
             SegmentHandle::Spilled { mut reader, .. } => reader.read_all(),
         }
     }
@@ -821,7 +821,7 @@ impl SegmentReader {
                     None => Some(*next),
                 };
                 *next += 1;
-                Ok(i.and_then(|i| rows.base().get(i)).map(|r| rows.project(r)))
+                Ok(i.and_then(|i| rows.base().get(i)).map(|r| rows.narrow(r)))
             }
             SegmentReader::Spilled(r) => r.next_row(),
         }
@@ -955,7 +955,7 @@ mod tests {
             .map(|r| row![r.values()[2].clone(), r.values()[0].clone()])
             .collect();
         for r in base.iter() {
-            assert_eq!(view.projected_len(r), view.project(r).encoded_len());
+            assert_eq!(view.narrowed_len(r), view.narrow(r).encoded_len());
         }
         assert_eq!(view.base_attr(AttrId::new(0)), AttrId::new(2));
         let h = SegmentStore::shared(view.clone());
@@ -976,7 +976,7 @@ mod tests {
 
     /// A view with spare `k` hands out every row with room for `k` more
     /// values, on each clone path — whole, by index, streamed, narrowed and
-    /// `project` — and the rows themselves are the ones a view without spare
+    /// `narrow` — and the rows themselves are the ones a view without spare
     /// hands out.
     #[test]
     fn spare_view_hands_out_rows_with_room_to_grow() {
@@ -988,7 +988,7 @@ mod tests {
         let cols: Arc<[AttrId]> = Arc::from([AttrId::new(2), AttrId::new(0)]);
         for columns in [None, Some(cols)] {
             let plain = SharedRows::new(Arc::clone(&base), columns.clone());
-            let want: Vec<Row> = base.iter().map(|r| plain.project(r)).collect();
+            let want: Vec<Row> = base.iter().map(|r| plain.narrow(r)).collect();
             for k in [0, 1, 4] {
                 let view = SharedRows::new(Arc::clone(&base), columns.clone()).with_spare(k);
                 let check = |rows: &[Row]| {
@@ -996,7 +996,7 @@ mod tests {
                         assert_eq!(r.spare_capacity(), k, "{columns:?}");
                     }
                 };
-                let projected: Vec<Row> = base.iter().map(|r| view.project(r)).collect();
+                let projected: Vec<Row> = base.iter().map(|r| view.narrow(r)).collect();
                 check(&projected);
                 assert_eq!(projected, want);
                 let whole = SegmentStore::shared(view.clone()).into_rows().unwrap();
@@ -1028,7 +1028,7 @@ mod tests {
         // Pushing `k` values into a spare-`k` row fills it without growing.
         let mut r = SharedRows::from(Arc::clone(&base))
             .with_spare(2)
-            .project(&base[3]);
+            .narrow(&base[3]);
         r.push(Value::Int(1));
         r.push(Value::str("w"));
         assert_eq!(r.spare_capacity(), 0);

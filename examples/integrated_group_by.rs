@@ -98,7 +98,7 @@ fn main() -> Result<()> {
         variants[best.variant].label,
         best.plan.chain_string(),
         best.total_ms,
-        best.final_order
+        best.plan.final_order
     );
 
     // Execute the chosen combination end to end, served through a session:

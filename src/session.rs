@@ -28,14 +28,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-use wf_common::{Error, Result, Schema, SortSpec, TraceSink};
+use wf_common::{Error, Result, Schema, TraceSink};
 use wf_core::admission::{AdmissionConfig, AdmissionStats, CancelToken, QueryGovernor};
 use wf_core::cost::TableStats;
-use wf_core::integrated::apply_final_order;
 use wf_core::plan::Plan;
 use wf_core::planner::{optimize, Scheme};
 use wf_core::query::WindowQuery;
-use wf_core::runtime::{explain_analyze, project, ExecEnv, ExecReport};
+use wf_core::runtime::{explain_analyze, ExecEnv, ExecReport};
 use wf_sql::{parse_window_query, Catalog};
 use wf_storage::{BackendStats, SegmentStore, SpillBackendKind, SpillConfig, StoreSnapshot, Table};
 
@@ -556,9 +555,9 @@ impl PreparedQuery {
     }
 
     /// Admit the query into the shared pool (waiting in the FIFO queue if
-    /// every permit is out), execute the plan inside the admitted ledger
-    /// sub-account, apply the final ORDER BY and projection, and return the
-    /// full [`QueryOutcome`].
+    /// every permit is out), execute the plan — final ORDER BY and
+    /// projection included — inside the admitted ledger sub-account, and
+    /// return the full [`QueryOutcome`].
     pub fn execute(&self) -> Result<QueryOutcome> {
         let start = Instant::now();
         let db = &self.session.db;
@@ -579,19 +578,10 @@ impl PreparedQuery {
             env = env.with_trace(Arc::clone(s));
         }
         let (report, analyze) = explain_analyze(&self.plan, &table, &env)?;
-
-        let order = self.query.order_by.clone().unwrap_or_else(SortSpec::empty);
-        let mut out = report.table.clone();
-        if !order.is_empty() {
-            out = apply_final_order(&out, &self.plan.final_props, &order, &env)?;
-        }
-        if let Some(projection) = &self.query.projection {
-            out = project(&out, projection)?;
-        }
         let queue_wait = permit.queue_wait();
         drop(permit);
         Ok(QueryOutcome {
-            table: out,
+            table: report.table.clone(),
             plan: self.plan.clone(),
             report,
             explain: analyze,
@@ -618,7 +608,8 @@ impl std::fmt::Debug for PreparedQuery {
 /// API's replacement for the old `(Table, Plan, ExecReport)` tuple).
 #[derive(Debug)]
 pub struct QueryOutcome {
-    /// The result rows (final ORDER BY and projection applied).
+    /// The result rows (final ORDER BY and projection applied); shares its
+    /// rows with `report.table`.
     pub table: Table,
     /// The executed plan.
     pub plan: Plan,

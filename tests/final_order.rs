@@ -7,6 +7,7 @@
 mod common;
 
 use common::random_table;
+use wfopt::core::plan::order_by_cost;
 use wfopt::prelude::*;
 
 /// One statement whose final ORDER BY the chain does not deliver, with a
@@ -122,5 +123,80 @@ fn final_order_by_sorts_in_the_pool_and_leaves_nothing_behind() {
                 assert_eq!(spill_files(), 0, "{ctx}");
             }
         }
+    }
+}
+
+/// The final ORDER BY is part of the statement's execution, not a pass
+/// after it: against the same statement without it, its sort's comparisons
+/// and run I/O are in `report.work`, its pool traffic in `report.store`,
+/// EXPLAIN ANALYZE has a row for it, and `est_cost` carries its price —
+/// for a full sort and for a segmented sort of a satisfied prefix.
+#[test]
+fn the_final_sort_is_metered_reported_and_priced() {
+    let table = random_table(3_000, &[40, 25], 7);
+    let blocks = 4u64;
+    let run = |sql: &str| {
+        let db = DatabaseConfig::new()
+            .scheme(Scheme::Cso)
+            .memory_blocks(blocks)
+            .max_concurrent(1)
+            .per_query_blocks(blocks)
+            .spill_backend(SpillBackendKind::Mem)
+            .open();
+        db.register("t", table.clone()).unwrap();
+        db.session().prepare(sql).unwrap().execute().unwrap()
+    };
+    let cases = [
+        (
+            "SELECT *, rank() OVER (PARTITION BY c0 ORDER BY c1) AS r FROM t",
+            "ORDER BY r DESC, id",
+            "FS→ ORDER BY",
+        ),
+        (
+            "SELECT *, rank() OVER (ORDER BY c1) AS g FROM t",
+            "ORDER BY c1, id DESC",
+            "SS→ ORDER BY",
+        ),
+    ];
+    for (sql, tail, label) in cases {
+        let plain = run(sql);
+        let sorted = run(&format!("{sql} {tail}"));
+        let (p, s) = (&plain.report, &sorted.report);
+        assert_eq!(s.table.row_count(), p.table.row_count(), "{label}");
+
+        assert!(s.work.comparisons > p.work.comparisons, "{label}");
+        // A full sort of the ~15-block result writes runs at 4 blocks; a
+        // segmented sort's c1 groups each fit, so it writes none.
+        if label.starts_with("FS") {
+            assert!(s.work.blocks_written > p.work.blocks_written, "{label}");
+        }
+        assert!(
+            s.store.spill_blocks_written > p.store.spill_blocks_written,
+            "{label}: {:?} vs {:?}",
+            s.store,
+            p.store
+        );
+
+        let last = s.step_metrics.last().unwrap();
+        assert_eq!(last.label, label);
+        assert_eq!(last.rows, s.table.row_count() as u64, "{label}");
+        assert!(last.work.comparisons > 0, "{label}");
+        assert_eq!(s.step_metrics.len(), p.step_metrics.len() + 1, "{label}");
+        assert!(sorted.explain.contains(label), "{}", sorted.explain);
+        assert!(!plain.explain.contains("ORDER BY"), "{}", plain.explain);
+
+        // The chain is the same; the estimate grows by the sort's price.
+        assert_eq!(sorted.plan.chain_string(), plain.plan.chain_string());
+        let order = sorted.plan.order_by.as_ref().unwrap();
+        let stats = TableStats::from_table(&table);
+        let (_, price) = order_by_cost(&plain.plan.final_props, order, &stats, blocks);
+        let weights = ExecEnv::with_memory_blocks(blocks).weights();
+        let want = plain.plan.est_cost.ms(&weights) + price.ms(&weights);
+        let got = sorted.plan.est_cost.ms(&weights);
+        assert!(price.ms(&weights) > 0.0, "{label}");
+        assert!(
+            (got - want).abs() <= 1e-9 * want,
+            "{label}: {got} vs {want}"
+        );
     }
 }

@@ -24,7 +24,7 @@ use wfopt::core::query::WindowQuery;
 use wfopt::core::runtime::{execute_plan, ExecEnv};
 use wfopt::core::spec::WindowSpec;
 use wfopt::exec::{
-    drain, ChainStage, FullSortOp, Operator, ParInner, ParallelChainOp, TableScan, WindowOp,
+    drain, FullSortOp, Operator, ParRoute, ParallelChainOp, TableScan, WindowOp, WorkerChain,
 };
 use wfopt::prelude::*;
 
@@ -226,18 +226,30 @@ fn par_chain_layers_match_serial() {
         let op_env = env.op_env().clone();
         let scan = TableScan::new(&table, op_env.clone());
         let mut chain: Box<dyn Operator> = if parallel {
-            let stage = ChainStage {
-                ss: None,
-                wpk: wpk.clone(),
-                wok: wok.clone(),
-                func: WindowFunction::Rank,
-                frame: None,
+            let (wpk, wok, record) = (wpk.clone(), wok.clone(), record.clone());
+            let chain: WorkerChain = std::sync::Arc::new(move |source, env| {
+                let sort = FullSortOp::new(source, key(&[0, 1]), env.clone())
+                    .with_recorded_prefixes(record.clone());
+                Box::new(WindowOp::new(
+                    sort,
+                    wpk.clone(),
+                    wok.clone(),
+                    WindowFunction::Rank,
+                    None,
+                    env.clone(),
+                ))
+            });
+            let route = ParRoute::Merge {
+                order: key(&[0, 1]),
             };
-            let inner = ParInner::Fs { key: key(&[0, 1]) };
-            Box::new(
-                ParallelChainOp::new(scan, inner, wpk.clone(), 4, vec![stage], op_env)
-                    .with_recorded_prefixes(record.clone()),
-            )
+            Box::new(ParallelChainOp::new(
+                scan,
+                route,
+                aset(&[0]),
+                4,
+                chain,
+                op_env,
+            ))
         } else {
             let sort = FullSortOp::new(scan, key(&[0, 1]), op_env.clone())
                 .with_recorded_prefixes(record.clone());
