@@ -213,20 +213,6 @@ impl AttrSeq {
                 .collect(),
         )
     }
-
-    /// Sequence with later duplicates removed (a second occurrence of an
-    /// attribute in a sort key adds no ordering information).
-    pub fn dedup_keep_first(&self) -> AttrSeq {
-        let mut seen = AttrSet::empty();
-        let mut out = Vec::with_capacity(self.elems.len());
-        for &a in &self.elems {
-            if !seen.contains(a) {
-                seen.insert(a);
-                out.push(a);
-            }
-        }
-        AttrSeq::new(out)
-    }
 }
 
 impl FromIterator<AttrId> for AttrSeq {
@@ -329,9 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn seq_without_and_dedup() {
+    fn seq_without() {
         assert_eq!(seq(&[1, 2, 3, 2]).without(&set(&[2])), seq(&[1, 3]));
-        assert_eq!(seq(&[1, 2, 1, 3, 2]).dedup_keep_first(), seq(&[1, 2, 3]));
     }
 
     #[test]

@@ -42,20 +42,6 @@ pub struct AdmissionConfig {
     pub per_query_blocks: u64,
 }
 
-impl AdmissionConfig {
-    /// A governor config that splits `pool_blocks` evenly over
-    /// `max_concurrent` queries (minimum one block each) with a queue as
-    /// deep as the permit count.
-    pub fn split_evenly(pool_blocks: u64, max_concurrent: usize) -> Self {
-        let max_concurrent = max_concurrent.max(1);
-        AdmissionConfig {
-            max_concurrent,
-            queue_depth: max_concurrent,
-            per_query_blocks: (pool_blocks / max_concurrent as u64).max(1),
-        }
-    }
-}
-
 /// Monotonic counters describing everything the governor has ever done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
@@ -333,15 +319,6 @@ mod tests {
                 per_query_blocks: 8,
             },
         )
-    }
-
-    #[test]
-    fn split_evenly_divides_the_pool() {
-        let cfg = AdmissionConfig::split_evenly(64, 8);
-        assert_eq!(cfg.per_query_blocks, 8);
-        assert_eq!(cfg.queue_depth, 8);
-        // Never below one block, even for absurd permit counts.
-        assert_eq!(AdmissionConfig::split_evenly(2, 100).per_query_blocks, 1);
     }
 
     #[test]

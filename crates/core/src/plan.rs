@@ -247,10 +247,16 @@ impl Plan {
             (heads[i] != i)
                 .then(|| format!("group of {}", step_label(&self.steps[heads[i]], specs)))
         };
-        let mut out = format!("input: {}\n", self.input_props);
         let schema = &self
             .scan_schema(table)
             .expect("the plan's scan columns are distinct columns of its table");
+        // Output columns: the scan's, then the window functions'.
+        let col = |a: AttrId| match a.index().checked_sub(schema.len()) {
+            Some(w) => specs[w].name.clone(),
+            None => schema.name(a).to_string(),
+        };
+        let col: &dyn Fn(AttrId) -> String = &col;
+        let mut out = format!("input: {}\n", props_names(&self.input_props, col));
         if self.scan_columns.is_some() {
             let names: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
             out.push_str(&format!(
@@ -260,12 +266,6 @@ impl Plan {
                 names.join(", ")
             ));
         }
-        // Output columns: the scan's, then the window functions'.
-        let col = |a: AttrId| match a.index().checked_sub(schema.len()) {
-            Some(w) => specs[w].name.clone(),
-            None => schema.name(a).to_string(),
-        };
-        let col: &dyn Fn(AttrId) -> String = &col;
         if let Some(pred) = &self.filter {
             out.push_str(&format!("  ── Filter {pred:?}\n"));
         }
@@ -377,9 +377,19 @@ impl Plan {
                 out.push_str(&format!("  ── ORDER BY {sort}\n"));
             }
         }
-        out.push_str(&format!("output: {}", self.final_props));
+        out.push_str(&format!("output: {}", props_names(&self.final_props, col)));
         out
     }
+}
+
+/// [`SegProps`]' `Display` with column names for attribute ids.
+fn props_names(props: &SegProps, name: &dyn Fn(AttrId) -> String) -> String {
+    if props.x().is_empty() && props.y().is_empty() {
+        return "R(unordered)".to_string();
+    }
+    let g = if props.is_grouped() { "g" } else { "" };
+    let (x, y) = (set_names(props.x(), name), names(props.y(), name));
+    format!("R{g}{{{x}}},{y}")
 }
 
 fn set_names(attrs: &AttrSet, name: &dyn Fn(AttrId) -> String) -> String {

@@ -233,12 +233,6 @@ impl SegProps {
         SegProps::new(self.x.clone(), split.full_key(), self.grouped)
     }
 
-    /// Window evaluation appends a column and never reorders: properties
-    /// pass through unchanged (Thm. 4's premise).
-    pub fn after_window(&self) -> SegProps {
-        self.clone()
-    }
-
     // ------------------------------------------------------------------
     // ORDER BY support (§5)
     // ------------------------------------------------------------------
@@ -445,8 +439,6 @@ mod tests {
         // After reordering for wf1, wf2 is still SS-reorderable.
         assert!(r1.matches(&wf1));
         assert!(r1.ss_reorderable(&wf2));
-        // And after "evaluating" wf1 (no property change).
-        assert!(r1.after_window().ss_reorderable(&wf2));
     }
 
     #[test]

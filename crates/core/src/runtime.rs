@@ -720,19 +720,23 @@ pub fn execute_plan(plan: &Plan, table: &Table, env: &ExecEnv) -> Result<ExecRep
     })
 }
 
-/// EXPLAIN ANALYZE: execute `plan` and render its EXPLAIN tree followed by
-/// a per-step table comparing the modeled time against the measured wall —
-/// the modeled-vs-measured delta is the headline — alongside actual rows,
-/// segments, comparison and spill-byte counters and each step's residency
-/// class, with store residency/pool-traffic footers. Returns the report
-/// too, so callers can reuse the execution instead of re-running it.
+/// EXPLAIN ANALYZE: execute `plan` and render it ([`render_analyze`]).
+/// Returns the report too, so callers can reuse the execution instead of
+/// re-running it.
 pub fn explain_analyze(plan: &Plan, table: &Table, env: &ExecEnv) -> Result<(ExecReport, String)> {
     let report = execute_plan(plan, table, env)?;
     let text = render_analyze(plan, table.schema(), &report, env.weights());
     Ok((report, text))
 }
 
-fn render_analyze(
+/// The EXPLAIN ANALYZE text of an executed plan: its EXPLAIN tree over the
+/// source `schema`, followed by a per-step table comparing the modeled time
+/// against the measured wall — the modeled-vs-measured delta is the
+/// headline — alongside actual rows, segments, comparisons, spill bytes and
+/// each step's residency class, with store residency/pool-traffic footers.
+/// `spill B` counts spill traffic only: the scan's read of the table is
+/// modeled I/O, not spill, so the scan row shows 0 and `total` leaves it out.
+pub fn render_analyze(
     plan: &Plan,
     schema: &wf_common::Schema,
     report: &ExecReport,
@@ -742,6 +746,10 @@ fn render_analyze(
         "step", "wall ms", "model ms", "Δ ms", "rows", "segs", "cmp", "spill B", "class",
     ];
     let spill_bytes = |work: &CostSnapshot| work.io_blocks() * BLOCK_SIZE as u64;
+    let scan_bytes = report
+        .step_metrics
+        .first()
+        .map_or(0, |m| spill_bytes(&m.work));
     let mut rows: Vec<Vec<String>> = Vec::new();
     // A window group's wall and work are its head's row; say so on the
     // members' rows (slot `k + 1` is plan step `k`).
@@ -767,7 +775,7 @@ fn render_analyze(
             m.rows.to_string(),
             m.segments.to_string(),
             m.work.comparisons.to_string(),
-            spill_bytes(&m.work).to_string(),
+            if slot == 0 { 0 } else { spill_bytes(&m.work) }.to_string(),
             m.eval_class
                 .map_or_else(|| "-".to_string(), |c| c.to_string()),
         ]);
@@ -786,7 +794,9 @@ fn render_analyze(
             .sum::<u64>()
             .to_string(),
         report.work.comparisons.to_string(),
-        spill_bytes(&report.work).to_string(),
+        spill_bytes(&report.work)
+            .saturating_sub(scan_bytes)
+            .to_string(),
         if report.eval_classes.is_empty() {
             "-".to_string()
         } else {
@@ -1049,6 +1059,40 @@ mod tests {
             .filter(|l| l.starts_with("scan+filter") || l.contains('→') && l.contains('.'))
             .count();
         assert!(table_lines >= report.step_metrics.len(), "{text}");
+    }
+
+    /// `spill B` is spill traffic only: a statement that spills nothing
+    /// shows 0 on every row, the scan's (modeled) read of the table
+    /// included.
+    #[test]
+    fn spill_column_counts_spill_traffic_only() {
+        let table = sample_table();
+        let schema = table.schema().clone();
+        let query = QueryBuilder::new(&schema)
+            .rank("a", &["dept"], &[("salary", false)])
+            .rank("b", &[], &[("salary", false)])
+            .build()
+            .unwrap();
+        let stats = TableStats::from_table(&table);
+        let env = ExecEnv::with_memory_blocks(64);
+        let plan = optimize(&query, &stats, Scheme::Cso, &env).unwrap();
+        let (report, text) = explain_analyze(&plan, &table, &env).unwrap();
+        assert!(
+            report.step_metrics[0].work.blocks_read > 0,
+            "the scan reads"
+        );
+        assert_eq!(report.store.spill_blocks_written, 0);
+        let rows: Vec<&str> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("step"))
+            .filter(|l| !l.starts_with("step") && !l.starts_with('-'))
+            .take_while(|l| !l.starts_with("peak residency"))
+            .collect();
+        assert_eq!(rows.len(), report.step_metrics.len() + 1, "{text}");
+        for row in rows {
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cells[cells.len() - 2], "0", "{row}\n{text}");
+        }
     }
 
     /// The final ORDER BY and the projection run inside the chain: sorted on

@@ -65,12 +65,6 @@ impl Table {
         Arc::clone(&self.rows)
     }
 
-    /// Mutable row access (used by in-place sorters in tests;
-    /// copy-on-write when the rows are shared).
-    pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        Arc::make_mut(&mut self.rows)
-    }
-
     /// Consume into rows.
     pub fn into_rows(self) -> Vec<Row> {
         Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone())
@@ -209,11 +203,5 @@ mod tests {
         assert!(Arc::ptr_eq(&rows, &original.shared_rows()), "original");
         assert!(!Arc::ptr_eq(&rows, &clone.shared_rows()));
         assert_eq!(clone.row_count(), 3);
-
-        let mut other = original.clone();
-        other.rows_mut()[0] = row![9, "w"];
-        assert!(Arc::ptr_eq(&rows, &original.shared_rows()), "original");
-        assert_eq!(other.rows()[0], row![9, "w"]);
-        assert_eq!(original.rows()[0], row![1, "x"]);
     }
 }

@@ -45,7 +45,7 @@ fn main() -> Result<()> {
         prepared.table_name(),
         prepared.window_query().specs.len()
     );
-    println!("EXPLAIN:\n{}\n", prepared.explain()?);
+    println!("EXPLAIN:\n{}\n", prepared.explain());
 
     let outcome = prepared.execute()?;
     let out = &outcome.table;

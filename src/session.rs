@@ -1,8 +1,13 @@
 //! The served, concurrent front end: a shareable [`Database`] opened from a
 //! [`DatabaseConfig`], handing out [`Session`]s whose
 //! [`prepare`](Session::prepare) → [`execute`](PreparedQuery::execute) flow
-//! returns everything about a run — rows, plan, [`ExecReport`], EXPLAIN
-//! ANALYZE text, optional trace — in one [`QueryOutcome`].
+//! returns everything about a run — rows, plan, [`ExecReport`], optional
+//! trace — in one [`QueryOutcome`], which renders EXPLAIN ANALYZE on request.
+//!
+//! A table is one registry entry — its rows and statistics, swapped in
+//! whole by [`Database::register`]. A statement looks its table up once,
+//! at prepare time, and keeps that entry: it binds, plans and runs on the
+//! table it was costed on, however often the name is re-registered since.
 //!
 //! Concurrency model: the database owns one global
 //! [`SegmentStore`] pool and a
@@ -12,14 +17,6 @@
 //! so `max_concurrent × per_query_blocks ≤ memory_blocks` bounds global
 //! residency while each query's spill decisions — and therefore its rows and
 //! modeled counters — stay bit-identical to a solo run.
-//!
-//! # Migration from the pre-session `Database`
-//!
-//! | old                                  | new                                                        |
-//! |--------------------------------------|------------------------------------------------------------|
-//! | `Database::new()`                    | `DatabaseConfig::new().open()`                             |
-//! | `db.query_detailed(sql)` 3-tuple     | [`QueryOutcome`] named fields                              |
-//! | `db.query(sql)`                      | unchanged (or `db.session().query(sql)`)                   |
 //!
 //! Scheme and memory are fixed when the database is opened
 //! ([`DatabaseConfig::scheme`], [`DatabaseConfig::per_query_blocks`]): every
@@ -34,9 +31,11 @@ use wf_core::cost::TableStats;
 use wf_core::plan::Plan;
 use wf_core::planner::{optimize, Scheme};
 use wf_core::query::WindowQuery;
-use wf_core::runtime::{explain_analyze, ExecEnv, ExecReport};
-use wf_sql::{parse_window_query, Catalog};
-use wf_storage::{BackendStats, SegmentStore, SpillBackendKind, SpillConfig, StoreSnapshot, Table};
+use wf_core::runtime::{execute_plan, render_analyze, ExecEnv, ExecReport};
+use wf_sql::Catalog;
+use wf_storage::{
+    BackendStats, CostWeights, SegmentStore, SpillBackendKind, SpillConfig, StoreSnapshot, Table,
+};
 
 /// Builder for a [`Database`]: planning scheme, the global memory pool, and
 /// the admission-control knobs.
@@ -59,7 +58,6 @@ pub struct DatabaseConfig {
     per_query_blocks: Option<u64>,
     queue_depth: Option<usize>,
     worker_threads: Option<usize>,
-    queue_timeout: Option<Duration>,
     spill_backend: Option<SpillBackendKind>,
     compress_spill: Option<bool>,
     prefetch_blocks: usize,
@@ -77,7 +75,6 @@ impl Default for DatabaseConfig {
             per_query_blocks: None,
             queue_depth: None,
             worker_threads: None,
-            queue_timeout: None,
             spill_backend: None,
             compress_spill: None,
             prefetch_blocks: 0,
@@ -135,13 +132,6 @@ impl DatabaseConfig {
         self
     }
 
-    /// Default queue-wait timeout for every session (default: wait
-    /// indefinitely). Sessions can override per query.
-    pub fn queue_timeout(mut self, timeout: Duration) -> Self {
-        self.queue_timeout = Some(timeout);
-        self
-    }
-
     /// Spill backend for every query's spill traffic (sort runs, hash
     /// buckets, pool overflow). Unset, the backend comes from the
     /// `WF_SPILL_BACKEND` environment variable (in-memory by default).
@@ -192,8 +182,14 @@ impl DatabaseConfig {
             .with_prefetch(self.prefetch_blocks)
     }
 
-    /// Open an (empty) database with this configuration.
+    /// Open an (empty) database with this configuration. The environment
+    /// every statement is planned in — the per-query budget, the pinned
+    /// workers — is resolved here, once.
     pub fn open(self) -> Database {
+        let mut plan_env = ExecEnv::with_memory_blocks(self.resolved_per_query_blocks());
+        if let Some(n) = self.worker_threads {
+            plan_env = plan_env.with_par_workers(n).with_worker_threads(n);
+        }
         let pool = SegmentStore::with_spill(Some(self.memory_blocks), self.resolved_spill_config());
         let governor = QueryGovernor::new(
             Arc::clone(&pool),
@@ -205,10 +201,9 @@ impl DatabaseConfig {
         );
         Database {
             inner: Arc::new(DbInner {
-                catalog: RwLock::new(Catalog::new()),
                 tables: RwLock::new(HashMap::new()),
-                stats: RwLock::new(HashMap::new()),
                 governor,
+                plan_env,
                 cfg: self,
             }),
         }
@@ -216,16 +211,22 @@ impl DatabaseConfig {
 }
 
 struct DbInner {
-    catalog: RwLock<Catalog>,
-    tables: RwLock<HashMap<String, Table>>,
-    stats: RwLock<HashMap<String, TableStats>>,
+    tables: RwLock<HashMap<String, Arc<Registered>>>,
     governor: Arc<QueryGovernor>,
+    plan_env: ExecEnv,
     cfg: DatabaseConfig,
+}
+
+/// One registered table: its rows (and with them its schema) and the
+/// statistics the planner costs it with. Replaced whole, never edited.
+struct Registered {
+    table: Table,
+    stats: TableStats,
 }
 
 /// An in-memory database of named tables with a window-query SQL interface,
 /// shared across threads: `Database` is `Clone + Send + Sync`, every clone
-/// is a handle to the same catalog, tables and admission governor.
+/// is a handle to the same tables and admission governor.
 ///
 /// ```
 /// use wfopt::prelude::*;
@@ -297,31 +298,25 @@ impl Database {
         self.spill_config().stats()
     }
 
-    /// Register (or replace) a table; statistics are computed eagerly.
-    /// Names are canonicalized exactly like the SQL catalog's
-    /// ([`Catalog::canonical`]), so `WS` and `ws` are the same table.
+    /// Register (or replace) a table; statistics are computed eagerly and
+    /// the entry is swapped in whole. Statements prepared before keep the
+    /// entry they were planned on. Names are canonicalized exactly like the
+    /// SQL catalog's ([`Catalog::canonical`]), so `WS` and `ws` are the
+    /// same table.
     pub fn register(&self, name: &str, table: Table) -> Result<()> {
-        let key = Catalog::canonical(name);
-        self.inner
-            .catalog
-            .write()
-            .expect("catalog lock")
-            .register(name, table.schema().clone());
-        self.inner
-            .stats
-            .write()
-            .expect("stats lock")
-            .insert(key.clone(), TableStats::from_table(&table));
+        let entry = Arc::new(Registered {
+            stats: TableStats::from_table(&table),
+            table,
+        });
         self.inner
             .tables
             .write()
             .expect("tables lock")
-            .insert(key, table);
+            .insert(Catalog::canonical(name), entry);
         Ok(())
     }
 
-    /// Look up a registered table (a cheap handle: rows are `Arc`-shared).
-    pub fn table(&self, name: &str) -> Result<Table> {
+    fn entry(&self, name: &str) -> Result<Arc<Registered>> {
         self.inner
             .tables
             .read()
@@ -329,6 +324,11 @@ impl Database {
             .get(&Catalog::canonical(name))
             .cloned()
             .ok_or_else(|| Error::InvalidQuery(format!("unknown table `{name}`")))
+    }
+
+    /// Look up a registered table (a cheap handle: rows are `Arc`-shared).
+    pub fn table(&self, name: &str) -> Result<Table> {
+        self.entry(name).map(|e| e.table.clone())
     }
 
     /// Table schema by name.
@@ -355,7 +355,7 @@ impl Database {
     pub fn session(&self) -> Session {
         Session {
             db: self.clone(),
-            timeout: self.inner.cfg.queue_timeout,
+            timeout: None,
             cancel: None,
             trace: false,
         }
@@ -366,34 +366,9 @@ impl Database {
         self.session().query(sql)
     }
 
-    /// Run a window query, returning the full [`QueryOutcome`] (result
-    /// table, plan, execution report, EXPLAIN ANALYZE text, timings).
-    pub fn query_detailed(&self, sql: &str) -> Result<QueryOutcome> {
-        self.session().execute(sql)
-    }
-
     /// The plan a query would run, without executing it (EXPLAIN).
     pub fn explain(&self, sql: &str) -> Result<String> {
         self.session().explain(sql)
-    }
-
-    fn stats_for(&self, canonical: &str) -> Result<TableStats> {
-        self.inner
-            .stats
-            .read()
-            .expect("stats lock")
-            .get(canonical)
-            .cloned()
-            .ok_or_else(|| Error::InvalidQuery(format!("no statistics for `{canonical}`")))
-    }
-
-    /// Planning environment: per-query budget, pinned workers if configured.
-    fn plan_env(&self) -> ExecEnv {
-        let env = ExecEnv::with_memory_blocks(self.inner.cfg.resolved_per_query_blocks());
-        match self.inner.cfg.worker_threads {
-            Some(n) => env.with_par_workers(n).with_worker_threads(n),
-            None => env,
-        }
     }
 }
 
@@ -448,15 +423,21 @@ impl Session {
         self
     }
 
-    /// Parse, bind and optimize a SQL window query against the catalog.
+    /// Parse a SQL window query, look its table up once, and bind and
+    /// optimize it against that entry.
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery> {
-        let catalog = self.db.inner.catalog.read().expect("catalog lock").clone();
-        let (table_name, query) = parse_window_query(sql, &catalog)?;
-        self.prepare_query(&table_name, query)
+        let stmt = wf_sql::parse(sql)?;
+        let entry = self.db.entry(&stmt.table)?;
+        let mut catalog = Catalog::new();
+        catalog.register(&stmt.table, entry.table.schema().clone());
+        let query = wf_sql::bind(&stmt, &catalog)?;
+        self.plan(&stmt.table, entry, query)
     }
 
     /// Plan an already-bound [`WindowQuery`] (the [`QueryBuilder`] path)
-    /// against a registered table.
+    /// against a registered table. The query must be built on that table's
+    /// schema (or on its columns [`WindowQuery::scan_columns`] keeps);
+    /// otherwise this is an [`Error::InvalidQuery`].
     ///
     /// The result's column names are checked here, before planning and
     /// admission ([`WindowQuery::check_output_names`]). The query is then
@@ -467,17 +448,35 @@ impl Session {
     ///
     /// [`QueryBuilder`]: wf_core::query::QueryBuilder
     pub fn prepare_query(&self, table: &str, query: WindowQuery) -> Result<PreparedQuery> {
-        let canonical = Catalog::canonical(table);
-        // Resolve the table now so errors surface at prepare time.
-        self.db.table(&canonical)?;
+        let entry = self.db.entry(table)?;
+        let schema = entry.table.schema();
+        let read = match &query.scan_columns {
+            None => Some(schema.clone()),
+            Some(cols) if cols.iter().all(|a| a.index() < schema.len()) => schema.select(cols).ok(),
+            Some(_) => None,
+        };
+        if read.as_ref() != Some(&query.schema) {
+            return Err(Error::InvalidQuery(format!(
+                "the query was built on another schema than table `{table}`'s"
+            )));
+        }
+        self.plan(table, entry, query)
+    }
+
+    fn plan(
+        &self,
+        table: &str,
+        entry: Arc<Registered>,
+        query: WindowQuery,
+    ) -> Result<PreparedQuery> {
         query.check_output_names()?;
         let query = query.prune_unread();
-        let stats = self.db.stats_for(&canonical)?;
-        let env = self.db.plan_env();
-        let plan = optimize(&query, &stats, self.db.inner.cfg.scheme, &env)?;
+        let db = &self.db.inner;
+        let plan = optimize(&query, &entry.stats, db.cfg.scheme, &db.plan_env)?;
         Ok(PreparedQuery {
             session: self.clone(),
-            table_name: canonical,
+            table_name: Catalog::canonical(table),
+            entry,
             query,
             plan,
         })
@@ -495,7 +494,7 @@ impl Session {
 
     /// The plan a query would run, without executing it (EXPLAIN).
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.prepare(sql)?.explain()
+        Ok(self.prepare(sql)?.explain())
     }
 }
 
@@ -515,11 +514,15 @@ impl std::fmt::Debug for Session {
 /// A planned query, ready to execute (repeatedly, if desired).
 ///
 /// Produced by [`Session::prepare`]/[`Session::prepare_query`]; the plan is
-/// fixed at prepare time, while each [`execute`](PreparedQuery::execute)
-/// goes through admission and runs in a fresh pooled sub-account.
+/// fixed at prepare time, and so is the table: every
+/// [`execute`](PreparedQuery::execute) runs on the registry entry the plan
+/// was costed on, even after [`Database::register`] has replaced the name.
+/// Each execution goes through admission and runs in a fresh pooled
+/// sub-account.
 pub struct PreparedQuery {
     session: Session,
     table_name: String,
+    entry: Arc<Registered>,
     query: WindowQuery,
     plan: Plan,
 }
@@ -542,16 +545,16 @@ impl PreparedQuery {
     }
 
     /// EXPLAIN text for the plan (chain, scheme, estimated cost, steps).
-    pub fn explain(&self) -> Result<String> {
-        let db = &self.session.db;
-        let env = db.plan_env();
-        Ok(format!(
+    pub fn explain(&self) -> String {
+        format!(
             "{} [{}; est {:.1} ms]\n{}",
             self.plan.chain_string(),
             self.plan.scheme,
-            self.plan.est_cost.ms(&env.weights()),
-            self.plan.explain(&db.schema(&self.table_name)?)
-        ))
+            self.plan
+                .est_cost
+                .ms(&self.session.db.inner.plan_env.weights()),
+            self.plan.explain(self.entry.table.schema())
+        )
     }
 
     /// Admit the query into the shared pool (waiting in the FIFO queue if
@@ -568,7 +571,6 @@ impl PreparedQuery {
                 return Err(Error::Canceled("before execution".into()));
             }
         }
-        let table = db.table(&self.table_name)?;
         let mut env = ExecEnv::with_store(Arc::clone(permit.store()));
         if let Some(n) = db.inner.cfg.worker_threads {
             env = env.with_par_workers(n).with_worker_threads(n);
@@ -577,18 +579,19 @@ impl PreparedQuery {
         if let Some(s) = &sink {
             env = env.with_trace(Arc::clone(s));
         }
-        let (report, analyze) = explain_analyze(&self.plan, &table, &env)?;
+        let report = execute_plan(&self.plan, &self.entry.table, &env)?;
         let queue_wait = permit.queue_wait();
         drop(permit);
         Ok(QueryOutcome {
             table: report.table.clone(),
             plan: self.plan.clone(),
             report,
-            explain: analyze,
             wall: start.elapsed(),
             queue_wait,
             admission: governor.stats(),
             trace: sink.map(|s| s.to_chrome_json()),
+            source: self.entry.table.schema().clone(),
+            weights: env.weights(),
         })
     }
 }
@@ -604,8 +607,7 @@ impl std::fmt::Debug for PreparedQuery {
     }
 }
 
-/// Everything one query execution produced, in named fields (the session
-/// API's replacement for the old `(Table, Plan, ExecReport)` tuple).
+/// Everything one query execution produced, in named fields.
 #[derive(Debug)]
 pub struct QueryOutcome {
     /// The result rows (final ORDER BY and projection applied); shares its
@@ -615,8 +617,6 @@ pub struct QueryOutcome {
     pub plan: Plan,
     /// Execution report: modeled counters, per-step metrics, store snapshot.
     pub report: ExecReport,
-    /// Rendered EXPLAIN ANALYZE text for the run.
-    pub explain: String,
     /// End-to-end wall time, admission wait included.
     pub wall: Duration,
     /// Time spent waiting in the admission queue.
@@ -626,6 +626,20 @@ pub struct QueryOutcome {
     /// Execution timeline as Chrome trace-event JSON, when the session had
     /// tracing enabled ([`Session::with_trace`]).
     pub trace: Option<String>,
+    /// The source table's schema and the time-model weights, for
+    /// [`QueryOutcome::explain`].
+    source: Schema,
+    weights: CostWeights,
+}
+
+impl QueryOutcome {
+    /// EXPLAIN ANALYZE for this run: the plan's EXPLAIN tree, then one row
+    /// per step with measured wall against modeled ms, rows, segments,
+    /// comparisons and spill bytes (see [`render_analyze`]). Rendered from
+    /// the report when asked for, not on every execution.
+    pub fn explain(&self) -> String {
+        render_analyze(&self.plan, &self.source, &self.report, self.weights)
+    }
 }
 
 #[cfg(test)]
@@ -656,7 +670,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.table.row_count(), 4);
         assert_eq!(out.table.schema().len(), 3);
-        assert!(out.explain.contains("model ms"), "analyze table rendered");
+        assert!(out.explain().contains("model ms"), "analyze table rendered");
         assert_eq!(out.queue_wait, Duration::ZERO);
         assert_eq!(out.admission.admitted, 1);
         assert!(out.trace.is_none());
@@ -717,21 +731,5 @@ mod tests {
             .query("SELECT *, rank() OVER (ORDER BY v) AS r FROM t")
             .unwrap();
         assert_eq!(again.row_count(), 4);
-    }
-
-    /// What the removed `Database` builder shims did, through the config.
-    #[test]
-    fn deprecated_shims_still_work() {
-        let db = DatabaseConfig::new()
-            .scheme(Scheme::Psql)
-            .per_query_blocks(64)
-            .open();
-        assert_eq!(db.config().resolved_per_query_blocks(), 64);
-        let schema = Schema::of(&[("v", DataType::Int)]);
-        let mut t = Table::new(schema);
-        t.push(Row::new(vec![1.into()]));
-        db.register("t", t).unwrap();
-        let out = db.query_detailed("SELECT *, rank() OVER (ORDER BY v) AS r FROM t");
-        assert_eq!(out.unwrap().table.row_count(), 1);
     }
 }

@@ -169,7 +169,7 @@ fn a_list_naming_every_column_is_the_star_statement() {
             star.report.store.spill_blocks_written
         );
         assert_eq!(listed.table.rows(), star.table.rows());
-        assert!(!listed.explain.contains("scan columns:"));
+        assert!(!listed.explain().contains("scan columns:"));
     }
 }
 
@@ -193,7 +193,7 @@ fn a_narrowed_statement_plans_and_explains_its_width() {
         wide.report.work.io_blocks()
     );
     let line = "scan columns: 3 of 9 (ws_sold_time_sk, ws_item_sk, ws_quantity)";
-    assert!(narrow.explain.contains(line), "{}", narrow.explain);
+    assert!(narrow.explain().contains(line), "{}", narrow.explain());
     assert!(db.explain(&list).unwrap().contains(line));
     // The step labels stay as pinned.
     assert_eq!(narrow.report.step_metrics[0].label, "scan+filter");

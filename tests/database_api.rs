@@ -197,14 +197,17 @@ fn tiny_memory_database_still_correct() {
 fn query_detailed_returns_named_outcome() {
     let db = sales_db();
     let outcome = db
-        .query_detailed(
-            "SELECT *, rank() OVER (PARTITION BY store ORDER BY revenue) AS r FROM sales",
-        )
+        .session()
+        .execute("SELECT *, rank() OVER (PARTITION BY store ORDER BY revenue) AS r FROM sales")
         .unwrap();
     assert_eq!(outcome.table.row_count(), 6);
     assert!(!outcome.plan.steps.is_empty());
     assert_eq!(outcome.report.table.row_count(), 6);
-    assert!(outcome.explain.contains("model ms"), "{}", outcome.explain);
+    assert!(
+        outcome.explain().contains("model ms"),
+        "{}",
+        outcome.explain()
+    );
     assert!(outcome.wall >= outcome.report.wall);
     assert_eq!(outcome.queue_wait.as_nanos(), 0, "uncontended database");
     assert_eq!(outcome.admission.admitted, 1);

@@ -151,14 +151,16 @@ fn the_final_sort_is_metered_reported_and_priced() {
             "SELECT *, rank() OVER (PARTITION BY c0 ORDER BY c1) AS r FROM t",
             "ORDER BY r DESC, id",
             "FS→ ORDER BY",
+            "output: R{c0},(c0,c1)",
         ),
         (
             "SELECT *, rank() OVER (ORDER BY c1) AS g FROM t",
             "ORDER BY c1, id DESC",
             "SS→ ORDER BY",
+            "output: R{},(c1)",
         ),
     ];
-    for (sql, tail, label) in cases {
+    for (sql, tail, label, output) in cases {
         let plain = run(sql);
         let sorted = run(&format!("{sql} {tail}"));
         let (p, s) = (&plain.report, &sorted.report);
@@ -182,8 +184,13 @@ fn the_final_sort_is_metered_reported_and_priced() {
         assert_eq!(last.rows, s.table.row_count() as u64, "{label}");
         assert!(last.work.comparisons > 0, "{label}");
         assert_eq!(s.step_metrics.len(), p.step_metrics.len() + 1, "{label}");
-        assert!(sorted.explain.contains(label), "{}", sorted.explain);
-        assert!(!plain.explain.contains("ORDER BY"), "{}", plain.explain);
+        assert!(sorted.explain().contains(label), "{}", sorted.explain());
+        assert!(!plain.explain().contains("ORDER BY"), "{}", plain.explain());
+        // The properties lines name their columns, as the step lines do.
+        let text = sorted.explain();
+        assert!(text.starts_with("input: R(unordered)\n"), "{text}");
+        assert!(text.contains(&format!("\n{output}\n")), "{text}");
+        assert!(!text.contains('#'), "{text}");
 
         // The chain is the same; the estimate grows by the sort's price.
         assert_eq!(sorted.plan.chain_string(), plain.plan.chain_string());
