@@ -421,11 +421,14 @@ mod tests {
         assert_eq!(sorted[3], Value::Int(p53 + 1));
     }
 
-    /// A value is 16 bytes: the string handle is one thin pointer.
+    /// A value is 16 bytes: the string handle is one thin pointer. A row is
+    /// 32: its values' `Vec` plus the cached length and the origin, packed
+    /// as two `u32`s.
     #[test]
     fn values_are_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Text>(), 8);
         assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<crate::Row>(), 32);
     }
 
     /// A string value compares, orders, displays and hashes as its `str`

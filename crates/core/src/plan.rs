@@ -377,7 +377,15 @@ impl Plan {
                 out.push_str(&format!("  ── ORDER BY {sort}\n"));
             }
         }
-        out.push_str(&format!("output: {}", props_names(&self.final_props, col)));
+        // Rows leave in the order the last step gives them: a final sort's,
+        // when one runs, else the chain's.
+        let output = match (&self.order_by, &self.final_order) {
+            (Some(order), FinalOrder::PartialSort { .. } | FinalOrder::FullSort) => {
+                SegProps::sorted(order.clone())
+            }
+            _ => self.final_props.clone(),
+        };
+        out.push_str(&format!("output: {}", props_names(&output, col)));
         out
     }
 }

@@ -359,7 +359,23 @@ fn build_chain<'a>(
     cells: &MeterCells,
 ) -> Result<(Box<dyn Operator + 'a>, Vec<usize>)> {
     let specs = &plan.specs;
-    let op_env = env.op_env();
+    // Slot 0 is the scan plus the WHERE filter (when the plan carries one):
+    // filtering streams through the scan's segments before any reorder, and
+    // a narrowed scan's rows leave the filter at the narrowed width. Rows
+    // leave the scan with room for one value per window function, so the
+    // steps below push into them without reallocating.
+    let mut scan = TableScan::new(table, env.op_env().clone()).with_spare(specs.len());
+    if let Some(columns) = &plan.scan_columns {
+        scan = scan.with_columns(columns);
+    }
+    // The statement's store: the env's account, whose spill files (and its
+    // `PAR→` workers') write a row cloned from the scan's view as its index
+    // and appended columns. Each file holds the view, so the rows its
+    // references name stay readable for as long as it does.
+    let op_env = &OpEnv {
+        store: env.op_env().store.with_view(scan.view()),
+        ..env.op_env().clone()
+    };
     let meter = |op: Box<dyn Operator + 'a>, slots: std::ops::Range<usize>, label: String| {
         Box::new(Metered::new(
             op,
@@ -370,15 +386,6 @@ fn build_chain<'a>(
             Arc::clone(&op_env.trace),
         )) as Box<dyn Operator + 'a>
     };
-    // Slot 0 is the scan plus the WHERE filter (when the plan carries one):
-    // filtering streams through the scan's segments before any reorder, and
-    // a narrowed scan's rows leave the filter at the narrowed width. Rows
-    // leave the scan with room for one value per window function, so the
-    // steps below push into them without reallocating.
-    let mut scan = TableScan::new(table, op_env.clone()).with_spare(specs.len());
-    if let Some(columns) = &plan.scan_columns {
-        scan = scan.with_columns(columns);
-    }
     let source: Box<dyn Operator + 'a> = match &plan.filter {
         Some(pred) => Box::new(FilterOp::new(scan, pred.clone(), op_env.clone())),
         None => Box::new(scan),

@@ -335,10 +335,7 @@ fn spill_victim(
     let Some((idx, bytes)) = victim else {
         return Ok(false);
     };
-    let mut file = SpillFile::with_config(
-        env.store.spill_config(),
-        IoMeter::Model(env.tracker.clone()),
-    )?;
+    let mut file = env.store.spill_file(IoMeter::Model(env.tracker.clone()))?;
     if let Bucket::Mem { rows, .. } = &mut buckets[idx] {
         for row in rows.drain(..) {
             file.push(&row)?;

@@ -255,6 +255,11 @@ impl<'a> TableScan<'a> {
         self.spare = spare;
         self
     }
+
+    /// The view this scan hands its rows out through.
+    pub fn view(&self) -> SharedRows {
+        SharedRows::new(self.table.shared_rows(), self.columns.clone()).with_spare(self.spare)
+    }
 }
 
 impl Operator for TableScan<'_> {
@@ -267,10 +272,8 @@ impl Operator for TableScan<'_> {
         if self.table.is_empty() {
             return Ok(None);
         }
-        let rows =
-            SharedRows::new(self.table.shared_rows(), self.columns.clone()).with_spare(self.spare);
         Ok(Some(Segment::from_handle(
-            SegmentStore::shared(rows),
+            SegmentStore::shared(self.view()),
             SegmentBounds::none(),
         )))
     }

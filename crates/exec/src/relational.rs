@@ -166,9 +166,9 @@ impl<I: Operator> Operator for FilterOp<I> {
                     &self.pred,
                     table.base().iter().map(Ok),
                     &mut remaps,
-                    |row: &Row| sink(table.narrow(row)),
+                    |idx, _| sink(table.narrow_at(idx)),
                 )?,
-                None => keep_matching(&self.pred, stream, &mut remaps, &mut sink)?,
+                None => keep_matching(&self.pred, stream, &mut remaps, |_, row| sink(row))?,
             };
             self.env.tracker.compare(n as u64);
             self.env.tracker.move_rows(kept as u64);
@@ -187,13 +187,13 @@ impl<I: Operator> Operator for FilterOp<I> {
     }
 }
 
-/// Hand the rows of `input` that match `pred` to `keep`, remapping the
-/// carried layers; returns how many were kept.
+/// Hand the rows of `input` that match `pred` to `keep`, with their
+/// positions, remapping the carried layers; returns how many were kept.
 fn keep_matching<R: Borrow<Row>>(
     pred: &Predicate,
     input: impl Iterator<Item = Result<R>>,
     remaps: &mut [LayerRemap],
-    mut keep: impl FnMut(R) -> Result<()>,
+    mut keep: impl FnMut(usize, R) -> Result<()>,
 ) -> Result<usize> {
     let mut kept = 0;
     for (idx, row) in input.enumerate() {
@@ -203,7 +203,7 @@ fn keep_matching<R: Borrow<Row>>(
         }
         if pred.matches(row.borrow()) {
             kept += 1;
-            keep(row)?;
+            keep(idx, row)?;
         }
     }
     Ok(kept)

@@ -331,10 +331,7 @@ fn drain_heap_with_input(
                     rank,
                 });
             }
-            current_file = Some(SpillFile::with_config(
-                env.store.spill_config(),
-                IoMeter::Model(env.tracker.clone()),
-            )?);
+            current_file = Some(env.store.spill_file(IoMeter::Model(env.tracker.clone()))?);
             current_tag = tag;
         }
         let file = current_file.as_mut().expect("file just ensured");
@@ -413,10 +410,7 @@ fn reduce_runs(mut runs: Vec<Run>, key: &SortKey, env: &OpEnv) -> Result<Vec<Run
                 continue;
             }
             let rank = batch.iter().map(|r| r.rank).min().unwrap_or(0);
-            let mut out = SpillFile::with_config(
-                env.store.spill_config(),
-                IoMeter::Model(env.tracker.clone()),
-            )?;
+            let mut out = env.store.spill_file(IoMeter::Model(env.tracker.clone()))?;
             merge_into(batch, SpillReader::next_row, key, env, |row| out.push(&row))?;
             next.push(Run {
                 stream: out.into_reader()?,

@@ -3,23 +3,37 @@
 //! Format (little-endian):
 //!
 //! ```text
-//! row   := arity:u16 value*
-//! value := 0x00                      -- NULL
-//!        | 0x01 i64                  -- Int
-//!        | 0x02 f64-bits             -- Float
-//!        | 0x03 len:u32 utf8-bytes   -- Str
+//! entry     := row | reference
+//! row       := arity:u16 value*                 -- arity < 0x8000
+//! reference := (0x8000 | appended):u16 index:u32 value*
+//! value     := 0x00                      -- NULL
+//!            | 0x01 i64                  -- Int
+//!            | 0x02 f64-bits             -- Float
+//!            | 0x03 len:u32 utf8-bytes   -- Str
 //! ```
 //!
+//! A `row` holds every value. A `reference` stands for a row cloned from a
+//! statement's scan view (`Row::origin`): base row `index` as the view
+//! narrows it, followed by the `appended` values written after it — the
+//! window columns the row gained since the scan. Only a spill file whose
+//! config carries that view writes or reads one ([`crate::SpillFile`]); the
+//! top bit of the header tells the two apart, so a plain row is at most
+//! 32 767 columns wide.
+//!
 //! [`wf_common::Value::encoded_len`] mirrors these sizes so block accounting
-//! can be computed without serializing.
+//! can be computed without serializing: [`Row::encoded_len`] is the length
+//! of the row's `row` entry whichever entry is written.
 //!
 //! Decoding reads from a `&mut &[u8]` cursor: on success the slice is
-//! advanced past the row; on error the cursor state is unspecified. A buffer
-//! that ends inside a row and bytes that cannot be a row are different
-//! failures (`RowError`): the spill reader tops up on the first and stops
-//! on the second.
+//! advanced past the entry; on error the cursor state is unspecified. A
+//! buffer that ends inside an entry and bytes that cannot be an entry are
+//! different failures (`RowError`): the spill reader tops up on the first
+//! and stops on the second. A plain row decodes at exactly its width; a
+//! reference decodes through the view, so its strings are the table's own
+//! and it keeps the view's room for the columns still to be appended.
 
 use crate::bytebuf::ByteBuf;
+use crate::segstore::SharedRows;
 use wf_common::{Error, Result, Row, Value};
 
 const TAG_NULL: u8 = 0x00;
@@ -27,10 +41,30 @@ const TAG_INT: u8 = 0x01;
 const TAG_FLOAT: u8 = 0x02;
 const TAG_STR: u8 = 0x03;
 
+/// The header bit that marks a reference entry.
+const REFERENCE: u16 = 0x8000;
+/// The widest plain row, and the most values a reference appends.
+pub(crate) const MAX_ENTRY_VALUES: usize = (REFERENCE - 1) as usize;
+/// Bytes of a reference entry ahead of its values (header and index).
+pub const REFERENCE_HEADER: usize = 2 + 4;
+
 /// Append the encoding of `row` to `buf`.
 pub fn encode_row(row: &Row, buf: &mut ByteBuf) {
     buf.put_u16_le(row.arity() as u16);
-    for v in row.values() {
+    encode_values(row.values(), buf);
+}
+
+/// Append a reference entry for `row`: base row `index` of a view `width`
+/// columns wide, then the row's values past `width`.
+pub(crate) fn encode_reference(row: &Row, index: u32, width: usize, buf: &mut ByteBuf) {
+    let appended = &row.values()[width..];
+    buf.put_u16_le(REFERENCE | appended.len() as u16);
+    buf.put_u32_le(index);
+    encode_values(appended, buf);
+}
+
+fn encode_values(values: &[Value], buf: &mut ByteBuf) {
+    for v in values {
         match v {
             Value::Null => buf.put_u8(TAG_NULL),
             Value::Int(i) => {
@@ -73,7 +107,8 @@ impl From<RowError> for Error {
 }
 
 /// Split `n` bytes off the cursor. A truncation's `need` is counted from
-/// the cursor here; [`try_decode_row`] rebases it to the start of the row.
+/// the cursor here; [`try_decode_entry`] rebases it to the start of the
+/// entry.
 fn take<'a>(
     cursor: &mut &'a [u8],
     n: usize,
@@ -87,18 +122,21 @@ fn take<'a>(
     Ok(head)
 }
 
-/// Decode one row from the front of `cursor`, advancing it. Returns an error
-/// on truncated or corrupt input.
+/// Decode one plain row from the front of `cursor`, advancing it. Returns
+/// an error on truncated or corrupt input, and on a reference entry.
 pub fn decode_row(cursor: &mut &[u8]) -> Result<Row> {
-    Ok(try_decode_row(cursor)?)
+    Ok(try_decode_entry(cursor, None)?)
 }
 
-/// [`decode_row`] with the two failure kinds kept apart. A truncation's
-/// `need` counts from the row's first byte (`take` leaves the cursor at the
-/// field that failed).
-pub(crate) fn try_decode_row(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
+/// Decode one entry, rebuilding a reference through `view`, with the two
+/// failure kinds kept apart. A truncation's `need` counts from the entry's
+/// first byte (`take` leaves the cursor at the field that failed).
+pub(crate) fn try_decode_entry(
+    cursor: &mut &[u8],
+    view: Option<&SharedRows>,
+) -> std::result::Result<Row, RowError> {
     let start = cursor.len();
-    row_fields(cursor).map_err(|e| match e {
+    entry_fields(cursor, view).map_err(|e| match e {
         RowError::Truncated { what, need } => RowError::Truncated {
             what,
             need: start - cursor.len() + need,
@@ -107,37 +145,71 @@ pub(crate) fn try_decode_row(cursor: &mut &[u8]) -> std::result::Result<Row, Row
     })
 }
 
-fn row_fields(cursor: &mut &[u8]) -> std::result::Result<Row, RowError> {
-    let arity_bytes = take(cursor, 2, "arity")?;
-    let arity = u16::from_le_bytes([arity_bytes[0], arity_bytes[1]]) as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let tag = take(cursor, 1, "value tag")?[0];
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => {
-                let b = take(cursor, 8, "int")?;
-                Value::Int(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-            }
-            TAG_FLOAT => {
-                let b = take(cursor, 8, "float")?;
-                Value::Float(f64::from_bits(u64::from_le_bytes(
-                    b.try_into().expect("8 bytes"),
-                )))
-            }
-            TAG_STR => {
-                let b = take(cursor, 4, "string length")?;
-                let len = u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
-                let body = take(cursor, len, "string body")?;
-                let s = std::str::from_utf8(body)
-                    .map_err(|_| RowError::Corrupt("invalid utf-8 in string value".into()))?;
-                Value::str(s)
-            }
-            other => return Err(RowError::Corrupt(format!("unknown value tag {other:#x}"))),
-        };
-        values.push(v);
+fn entry_fields(
+    cursor: &mut &[u8],
+    view: Option<&SharedRows>,
+) -> std::result::Result<Row, RowError> {
+    let header_bytes = take(cursor, 2, "arity")?;
+    let header = u16::from_le_bytes([header_bytes[0], header_bytes[1]]);
+    if header & REFERENCE == 0 {
+        let mut values = Vec::with_capacity(header as usize);
+        for _ in 0..header {
+            values.push(value(cursor)?);
+        }
+        return Ok(Row::new(values));
     }
-    Ok(Row::new(values))
+    let appended = (header & !REFERENCE) as usize;
+    let b = take(cursor, 4, "row index")?;
+    let index = u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
+    let Some(view) = view else {
+        return Err(RowError::Corrupt(
+            "row reference in a spill file that has no table view".into(),
+        ));
+    };
+    if index >= view.base().len() {
+        return Err(RowError::Corrupt(format!(
+            "row reference {index} past the table's {} rows",
+            view.base().len()
+        )));
+    }
+    // Every value takes at least its tag byte.
+    if cursor.len() < appended {
+        return Err(RowError::Truncated {
+            what: "appended values",
+            need: appended,
+        });
+    }
+    let mut row = view.narrow_at(index);
+    for _ in 0..appended {
+        row.push(value(cursor)?);
+    }
+    Ok(row)
+}
+
+fn value(cursor: &mut &[u8]) -> std::result::Result<Value, RowError> {
+    let tag = take(cursor, 1, "value tag")?[0];
+    Ok(match tag {
+        TAG_NULL => Value::Null,
+        TAG_INT => {
+            let b = take(cursor, 8, "int")?;
+            Value::Int(i64::from_le_bytes(b.try_into().expect("8 bytes")))
+        }
+        TAG_FLOAT => {
+            let b = take(cursor, 8, "float")?;
+            Value::Float(f64::from_bits(u64::from_le_bytes(
+                b.try_into().expect("8 bytes"),
+            )))
+        }
+        TAG_STR => {
+            let b = take(cursor, 4, "string length")?;
+            let len = u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
+            let body = take(cursor, len, "string body")?;
+            let s = std::str::from_utf8(body)
+                .map_err(|_| RowError::Corrupt("invalid utf-8 in string value".into()))?;
+            Value::str(s)
+        }
+        other => return Err(RowError::Corrupt(format!("unknown value tag {other:#x}"))),
+    })
 }
 
 fn corrupt(msg: &str) -> Error {
@@ -463,6 +535,7 @@ fn lz_decode(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::faulty::SplitMix;
+    use std::sync::Arc;
     use wf_common::row;
 
     fn round_trip(r: &Row) -> Row {
@@ -548,10 +621,43 @@ mod tests {
             // is past what is held and no later than the entry's end.
             let mut short = &full[..full.len() - cut];
             assert!(matches!(
-                try_decode_row(&mut short),
+                try_decode_entry(&mut short, None),
                 Err(RowError::Truncated { need, .. }) if need > full.len() - cut && need <= full.len()
             ));
         }
+    }
+
+    /// A reference entry rebuilds base row `index` through the view — its
+    /// origin and the view's spare room kept — and appends the values after
+    /// it. A cut one reports what the whole entry needs; one read without a
+    /// view, or past the view's table, is corruption.
+    #[test]
+    fn reference_entries_decode_through_the_view() {
+        let view = SharedRows::from(Arc::new(vec![row![1, "a"], row![2, "bb"]])).with_spare(2);
+        let mut row = view.narrow_at(1);
+        row.push(Value::Int(7));
+        let mut buf = ByteBuf::new();
+        encode_reference(&row, 1, 2, &mut buf);
+        assert_eq!(buf.len(), REFERENCE_HEADER + 9);
+        let mut cursor = buf.as_slice();
+        let back = try_decode_entry(&mut cursor, Some(&view)).unwrap();
+        assert!(cursor.is_empty());
+        assert_eq!(back, row);
+        assert_eq!((back.origin(), back.spare_capacity()), (Some(1), 1));
+        assert_eq!(back.encoded_len(), row.encoded_len());
+
+        let mut short = &buf.as_slice()[..buf.len() - 1];
+        assert!(matches!(
+            try_decode_entry(&mut short, Some(&view)),
+            Err(RowError::Truncated { need, .. }) if need == buf.len()
+        ));
+        let err = decode_row(&mut buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("no table view"), "{err}");
+        let one_row = SharedRows::from(Arc::new(vec![row![1, "a"]]));
+        assert!(matches!(
+            try_decode_entry(&mut buf.as_slice(), Some(&one_row)),
+            Err(RowError::Corrupt(m)) if m.contains("row reference 1 past the table's 1 rows")
+        ));
     }
 
     #[test]
@@ -563,7 +669,7 @@ mod tests {
         assert!(decode_row(&mut cursor).is_err());
         let mut cursor = buf.as_slice();
         assert!(matches!(
-            try_decode_row(&mut cursor),
+            try_decode_entry(&mut cursor, None),
             Err(RowError::Corrupt(_))
         ));
     }

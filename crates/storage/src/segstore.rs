@@ -97,8 +97,14 @@ pub struct SegmentStore {
     /// files. Shared (cloned) into every sub-account, so one store's whole
     /// tree reports into the same backend counters.
     spill: SpillConfig,
+    /// The statement's scan view ([`SegmentStore::with_view`]): every spill
+    /// file this store or a sub-account opens writes a row cloned from it as
+    /// a reference.
+    view: Option<SharedRows>,
     pool_io: Arc<PoolCounters>,
-    state: Mutex<PoolState>,
+    /// Shared only with the store's statement views
+    /// ([`SegmentStore::with_view`]), which are the same account.
+    state: Arc<Mutex<PoolState>>,
     /// Set only on accounts created by [`SegmentStore::pooled_sub_store`]:
     /// every charge/release is mirrored up the chain so the root ledger's
     /// high-water mark tracks the true combined residency of all live
@@ -109,8 +115,8 @@ pub struct SegmentStore {
     /// Span recorder for pool spill-out events; the shared no-op sink until
     /// [`SegmentStore::set_trace`] swaps it in. Behind its own mutex so the
     /// store stays `Sync` without widening the state lock; it is read once
-    /// per *segment overflow*, never per row.
-    trace: Mutex<Arc<TraceSink>>,
+    /// per *segment overflow*, never per row. Shared like `state`.
+    trace: Arc<Mutex<Arc<TraceSink>>>,
 }
 
 impl SegmentStore {
@@ -120,16 +126,43 @@ impl SegmentStore {
         Arc::new(SegmentStore {
             budget: budget_blocks.map(|b| b as usize * crate::block::BLOCK_SIZE),
             spill,
+            view: None,
             pool_io: Arc::new(PoolCounters::new()),
-            state: Mutex::new(PoolState::default()),
+            state: Arc::default(),
             parent: None,
-            trace: Mutex::new(TraceSink::disabled()),
+            trace: Arc::new(Mutex::new(TraceSink::disabled())),
+        })
+    }
+
+    /// This store as one statement sees it: the same account — budget,
+    /// ledger, pool counters, trace and parent are shared, so a charge
+    /// through either handle is a charge to both — whose spill files
+    /// ([`SegmentStore::spill_file`]) write a row cloned from `view`, the
+    /// statement's scan view, as a reference ([`SpillFile::push`]).
+    /// Sub-accounts of it inherit the view. The files hold the view, so its
+    /// table outlives them.
+    pub fn with_view(self: &Arc<Self>, view: SharedRows) -> Arc<SegmentStore> {
+        Arc::new(SegmentStore {
+            budget: self.budget,
+            spill: self.spill.clone(),
+            view: Some(view),
+            pool_io: Arc::clone(&self.pool_io),
+            state: Arc::clone(&self.state),
+            parent: self.parent.clone(),
+            trace: Arc::clone(&self.trace),
         })
     }
 
     /// The spill configuration this store (and its sub-accounts) use.
     pub fn spill_config(&self) -> &SpillConfig {
         &self.spill
+    }
+
+    /// Open a spill file on this store's configuration, charging `meter`:
+    /// sort runs, hash buckets and pool overflow all open theirs here, so
+    /// each writes references into the statement's view when it has one.
+    pub fn spill_file(&self, meter: IoMeter) -> Result<SpillFile> {
+        Ok(SpillFile::with_config(&self.spill, meter)?.with_view(self.view.clone()))
     }
 
     /// Attach a span recorder; pool spill-outs record `spill` spans on it.
@@ -241,10 +274,11 @@ impl SegmentStore {
         Arc::new(SegmentStore {
             budget,
             spill: self.spill.clone(),
+            view: self.view.clone(),
             pool_io: Arc::clone(&self.pool_io),
-            state: Mutex::new(PoolState::default()),
+            state: Arc::default(),
             parent: None,
-            trace: Mutex::new(self.trace()),
+            trace: Arc::new(Mutex::new(self.trace())),
         })
     }
 
@@ -276,10 +310,11 @@ impl SegmentStore {
         Arc::new(SegmentStore {
             budget: budget_blocks.map(|b| b.max(1) as usize * crate::block::BLOCK_SIZE),
             spill: self.spill.clone(),
+            view: self.view.clone(),
             pool_io: Arc::new(PoolCounters::mirroring(Arc::clone(&self.pool_io))),
-            state: Mutex::new(PoolState::default()),
+            state: Arc::default(),
             parent: Some(Arc::clone(self)),
-            trace: Mutex::new(self.trace()),
+            trace: Arc::new(Mutex::new(self.trace())),
         })
     }
 
@@ -527,8 +562,9 @@ impl SegmentBuilder {
         let buffered = self.rows.len();
         let trace = self.store.trace();
         let _span = trace.span_with("spill", || format!("pool.spill_out prefix_rows={buffered}"));
-        let mut file =
-            SpillFile::with_config(&self.store.spill, IoMeter::Pool(self.store.pool_io.clone()))?;
+        let mut file = self
+            .store
+            .spill_file(IoMeter::Pool(self.store.pool_io.clone()))?;
         for r in self.rows.drain(..) {
             file.push(&r)?;
         }
@@ -652,20 +688,31 @@ impl SharedRows {
         self.columns.as_ref().map_or(attr, |c| c[attr.index()])
     }
 
-    /// A base row as the statement sees it: a clone, narrowed, with room for
-    /// the values the statement appends.
-    pub fn narrow(&self, row: &Row) -> Row {
-        match &self.columns {
+    /// Base row `index` as the statement sees it: a clone, narrowed, with
+    /// room for the values the statement appends, remembering `index` as
+    /// its origin — the one place a row gets one (see [`Row`]). Panics past
+    /// the table's end, as indexing does.
+    pub fn narrow_at(&self, index: usize) -> Row {
+        let row = &self.rows[index];
+        let narrowed = match &self.columns {
             None => row.clone_with_spare(self.spare),
             Some(cols) => {
                 let mut values = Vec::with_capacity(cols.len() + self.spare);
                 values.extend(cols.iter().map(|&a| row.get(a).clone()));
                 Row::new(values)
             }
-        }
+        };
+        narrowed.with_origin(index)
     }
 
-    /// [`Row::encoded_len`] of [`SharedRows::narrow`]`(row)`, without the
+    /// How many leading values of [`SharedRows::narrow_at`]`(index)` come
+    /// from the base row; `None` past the table's end.
+    pub(crate) fn width_at(&self, index: usize) -> Option<usize> {
+        let row = self.rows.get(index)?;
+        Some(self.columns.as_ref().map_or(row.arity(), |c| c.len()))
+    }
+
+    /// [`Row::encoded_len`] of the narrowed clone of `row`, without the
     /// clone.
     pub fn narrowed_len(&self, row: &Row) -> usize {
         match &self.columns {
@@ -685,7 +732,7 @@ impl SharedRows {
         if self.columns.is_none() && self.spare == 0 {
             return Arc::try_unwrap(self.rows).unwrap_or_else(|a| a.as_ref().clone());
         }
-        self.rows.iter().map(|r| self.narrow(r)).collect()
+        (0..self.rows.len()).map(|i| self.narrow_at(i)).collect()
     }
 }
 
@@ -759,7 +806,7 @@ impl SegmentHandle {
             SegmentHandle::Shared {
                 rows,
                 idx: Some(idx),
-            } => Ok(idx.iter().map(|&i| rows.narrow(&rows.base()[i])).collect()),
+            } => Ok(idx.iter().map(|&i| rows.narrow_at(i)).collect()),
             SegmentHandle::Spilled { mut reader, .. } => reader.read_all(),
         }
     }
@@ -821,7 +868,8 @@ impl SegmentReader {
                     None => Some(*next),
                 };
                 *next += 1;
-                Ok(i.and_then(|i| rows.base().get(i)).map(|r| rows.narrow(r)))
+                Ok(i.filter(|&i| i < rows.base().len())
+                    .map(|i| rows.narrow_at(i)))
             }
             SegmentReader::Spilled(r) => r.next_row(),
         }
@@ -907,6 +955,42 @@ mod tests {
         }
     }
 
+    /// A statement's view of a store is the same account: what it charges
+    /// and spills, the store reports. Its spill files — and those of its
+    /// worker and pooled sub-accounts — write the view's rows as six-byte
+    /// references, charged as the whole rows they stand for.
+    #[test]
+    fn a_statement_view_is_the_same_account_and_spills_references() {
+        let base = Arc::new(rows(2000));
+        let store = SegmentStore::with_spill(Some(1), SpillConfig::mem());
+        let view = SharedRows::from(Arc::clone(&base));
+        let stmt = store.with_view(view.clone());
+        let accounts = [
+            Arc::clone(&stmt),
+            stmt.sub_store(Some(1)),
+            stmt.pooled_sub_store(Some(1)),
+        ];
+        for account in accounts {
+            let before = store.spill_config().stats().bytes_written;
+            let h = account
+                .admit((0..base.len()).map(|i| view.narrow_at(i)).collect())
+                .unwrap();
+            assert!(h.is_spilled());
+            let written = store.spill_config().stats().bytes_written - before;
+            assert_eq!(written, 2000 * crate::codec::REFERENCE_HEADER as u64);
+            assert_eq!(h.into_rows().unwrap(), *base);
+        }
+        let logical: usize = base.iter().map(Row::encoded_len).sum();
+        let snap = store.snapshot();
+        assert_eq!(snap.spill_blocks_written, 3 * blocks_for_bytes(logical));
+        assert_eq!(snap.spill_blocks_read, snap.spill_blocks_written);
+        // The statement's own and its pooled account's spills; a worker
+        // account's reach the store when its phase is absorbed.
+        assert_eq!(snap.spilled_segments, 2);
+        assert_eq!(snap.resident_bytes, 0);
+        assert_eq!(store.spill_config().stats().live_objects, 0);
+    }
+
     #[test]
     fn shared_handle_is_uncharged() {
         let base = Arc::new(rows(100));
@@ -954,8 +1038,8 @@ mod tests {
             .iter()
             .map(|r| row![r.values()[2].clone(), r.values()[0].clone()])
             .collect();
-        for r in base.iter() {
-            assert_eq!(view.narrowed_len(r), view.narrow(r).encoded_len());
+        for (i, r) in base.iter().enumerate() {
+            assert_eq!(view.narrowed_len(r), view.narrow_at(i).encoded_len());
         }
         assert_eq!(view.base_attr(AttrId::new(0)), AttrId::new(2));
         let h = SegmentStore::shared(view.clone());
@@ -976,8 +1060,8 @@ mod tests {
 
     /// A view with spare `k` hands out every row with room for `k` more
     /// values, on each clone path — whole, by index, streamed, narrowed and
-    /// `narrow` — and the rows themselves are the ones a view without spare
-    /// hands out.
+    /// `narrow_at` — and the rows themselves are the ones a view without
+    /// spare hands out. Each clone remembers the base row it came from.
     #[test]
     fn spare_view_hands_out_rows_with_room_to_grow() {
         let base = Arc::new(
@@ -988,19 +1072,25 @@ mod tests {
         let cols: Arc<[AttrId]> = Arc::from([AttrId::new(2), AttrId::new(0)]);
         for columns in [None, Some(cols)] {
             let plain = SharedRows::new(Arc::clone(&base), columns.clone());
-            let want: Vec<Row> = base.iter().map(|r| plain.narrow(r)).collect();
+            let want: Vec<Row> = (0..base.len()).map(|i| plain.narrow_at(i)).collect();
             for k in [0, 1, 4] {
                 let view = SharedRows::new(Arc::clone(&base), columns.clone()).with_spare(k);
                 let check = |rows: &[Row]| {
                     for r in rows {
                         assert_eq!(r.spare_capacity(), k, "{columns:?}");
+                        assert_eq!(r, &want[r.origin().unwrap()], "{columns:?}");
                     }
                 };
-                let projected: Vec<Row> = base.iter().map(|r| view.narrow(r)).collect();
+                let projected: Vec<Row> = (0..base.len()).map(|i| view.narrow_at(i)).collect();
                 check(&projected);
                 assert_eq!(projected, want);
                 let whole = SegmentStore::shared(view.clone()).into_rows().unwrap();
-                check(&whole);
+                if k == 0 && columns.is_none() {
+                    // Adopted as the table holds them: no clone, no origin.
+                    assert!(whole.iter().all(|r| r.origin().is_none()));
+                } else {
+                    check(&whole);
+                }
                 assert_eq!(whole, want);
                 let streamed: Vec<Row> = SegmentStore::shared(view.clone())
                     .read()
@@ -1028,7 +1118,7 @@ mod tests {
         // Pushing `k` values into a spare-`k` row fills it without growing.
         let mut r = SharedRows::from(Arc::clone(&base))
             .with_spare(2)
-            .narrow(&base[3]);
+            .narrow_at(3);
         r.push(Value::Int(1));
         r.push(Value::str("w"));
         assert_eq!(r.spare_capacity(), 0);

@@ -1,16 +1,19 @@
 //! Randomized (deterministic-seed) tests for the storage layer: codec
 //! round-trips on arbitrary rows and spill files preserving arbitrary row
-//! sequences with exact block accounting.
+//! sequences — whole rows and references into a scan's view, mixed — with
+//! exact block accounting.
 //!
 //! These were originally `proptest` properties; the workspace builds without
 //! external dependencies, so they now enumerate a fixed seeded sample of the
 //! same input space (mixed-type rows, empty rows, long strings, extremes).
 
 use std::sync::Arc;
-use wf_common::{Row, Value};
+use wf_common::{AttrId, Row, Value};
 use wf_storage::bytebuf::ByteBuf;
-use wf_storage::codec::{decode_row, encode_row};
-use wf_storage::{blocks_for_bytes, CostTracker, IoMeter, SpillConfig, SpillFile};
+use wf_storage::codec::{decode_row, encode_row, REFERENCE_HEADER};
+use wf_storage::{
+    blocks_for_bytes, CostTracker, IoMeter, SegmentStore, SharedRows, SpillConfig, SpillFile,
+};
 
 /// SplitMix64 — the same tiny deterministic generator the test helpers use.
 struct Rng(u64);
@@ -117,5 +120,110 @@ fn spill_files_preserve_sequences() {
             "case {case}: at most one trailing partial block"
         );
         assert_eq!(s.blocks_read, s.blocks_written, "case {case}");
+    }
+}
+
+/// Files mixing whole rows and references into a scan's view — every
+/// column, or two of them — on the mem backend, raw and compressed: the
+/// rows come back equal, references with their origin and the view's room
+/// for the columns still to come; blocks are charged exactly as the
+/// full-width stream crosses them, on the way out and, row by row, on the
+/// way back (a reader dropped halfway has paid for the blocks its rows
+/// reached); the raw device holds exactly the entries' bytes; and nothing
+/// is left live.
+#[test]
+fn mixed_entries_round_trip_with_exact_block_accounting() {
+    let mut rng = Rng(3);
+    let base: Arc<Vec<Row>> = Arc::new(
+        (0..500)
+            .map(|_| {
+                let mut values: Vec<Value> = (0..3).map(|_| rng.value()).collect();
+                values.push(Value::str("p".repeat(100)));
+                Row::new(values)
+            })
+            .collect(),
+    );
+    let two: Arc<[AttrId]> = Arc::from([AttrId::new(3), AttrId::new(1)]);
+    for case in 0..48 {
+        let (columns, width) = match case % 2 {
+            0 => (None, 4),
+            _ => (Some(Arc::clone(&two)), 2),
+        };
+        let compress = case % 4 >= 2;
+        let view = SharedRows::new(Arc::clone(&base), columns).with_spare(3);
+        let store = SegmentStore::with_spill(None, SpillConfig::mem().with_compress(compress))
+            .with_view(view.clone());
+        let n = (rng.next() % 900) as usize;
+        let rows: Vec<Row> = (0..n)
+            .map(|_| match rng.next() % 3 {
+                0 => rng.grown_row(),
+                _ => {
+                    let mut r = view.narrow_at((rng.next() % 500) as usize);
+                    for _ in 0..rng.next() % 4 {
+                        r.push(rng.value());
+                    }
+                    r
+                }
+            })
+            .collect();
+        let tracker = Arc::new(CostTracker::new());
+        let mut f = store
+            .spill_file(IoMeter::Model(Arc::clone(&tracker)))
+            .unwrap();
+        for r in &rows {
+            f.push(r).unwrap();
+        }
+        let logical: usize = rows.iter().map(Row::encoded_len).sum();
+        let physical: usize = rows
+            .iter()
+            .map(|r| match r.origin() {
+                Some(_) => {
+                    REFERENCE_HEADER
+                        + r.values()[width..]
+                            .iter()
+                            .map(Value::encoded_len)
+                            .sum::<usize>()
+                }
+                None => r.encoded_len(),
+            })
+            .sum();
+        let mut reader = f.into_reader().unwrap();
+        let s = tracker.snapshot();
+        assert_eq!(s.blocks_written, blocks_for_bytes(logical), "case {case}");
+        if !compress {
+            let stats = store.spill_config().stats();
+            assert_eq!(stats.bytes_written, physical as u64, "case {case}");
+        }
+
+        // Half the rows, then the reader is dropped: charged for the blocks
+        // those rows reach into.
+        let half = n / 2;
+        let mut back = Vec::with_capacity(n);
+        for _ in 0..half {
+            back.push(reader.next_row().unwrap().unwrap());
+        }
+        let prefix: usize = rows[..half].iter().map(Row::encoded_len).sum();
+        assert_eq!(
+            tracker.snapshot().blocks_read,
+            blocks_for_bytes(prefix),
+            "case {case}"
+        );
+        back.extend(reader.read_all().unwrap());
+        assert!(reader.next_row().unwrap().is_none());
+        assert_eq!(back, rows, "case {case}");
+        for (b, r) in back.iter().zip(&rows) {
+            assert_eq!(b.origin(), r.origin(), "case {case}");
+            assert_eq!(b.encoded_len(), r.encoded_len(), "case {case}");
+            if r.origin().is_some() {
+                assert_eq!(b.arity() + b.spare_capacity(), width + 3, "case {case}");
+            }
+        }
+        assert_eq!(
+            tracker.snapshot().blocks_read,
+            s.blocks_written,
+            "case {case}"
+        );
+        drop(reader);
+        assert_eq!(store.spill_config().stats().live_objects, 0, "case {case}");
     }
 }

@@ -372,8 +372,11 @@ fn wire_statements() -> [(&'static str, std::ops::Range<usize>); 3] {
 /// ~29 blocks, it fits the budget, and nothing spills: no spill object is
 /// opened and no block is put. The full `SELECT *` statement reads every
 /// column, so its 209-block input still spills through the Hashed Sort's
-/// bucket files — the gap that stays open until reorders carry narrow
-/// tuples instead of whole rows.
+/// bucket files, and is charged as 209 blocks of whole rows. What reaches
+/// the device is no longer those rows: each spilled row came from the scan,
+/// so its entry is its row index and its one window column, a few bytes
+/// instead of ~214. The objects and puts asserted below are that residue;
+/// the charge, priced in whole tuples as the paper prices a reorder, stays.
 #[test]
 fn served_medium_statement_spills_nothing_at_the_defaults() {
     let db = open_database(&ServeOptions::default());

@@ -151,13 +151,13 @@ fn the_final_sort_is_metered_reported_and_priced() {
             "SELECT *, rank() OVER (PARTITION BY c0 ORDER BY c1) AS r FROM t",
             "ORDER BY r DESC, id",
             "FS→ ORDER BY",
-            "output: R{c0},(c0,c1)",
+            "output: R{},(r desc,id)",
         ),
         (
             "SELECT *, rank() OVER (ORDER BY c1) AS g FROM t",
             "ORDER BY c1, id DESC",
             "SS→ ORDER BY",
-            "output: R{},(c1)",
+            "output: R{},(c1,id desc)",
         ),
     ];
     for (sql, tail, label, output) in cases {
@@ -186,7 +186,9 @@ fn the_final_sort_is_metered_reported_and_priced() {
         assert_eq!(s.step_metrics.len(), p.step_metrics.len() + 1, "{label}");
         assert!(sorted.explain().contains(label), "{}", sorted.explain());
         assert!(!plain.explain().contains("ORDER BY"), "{}", plain.explain());
-        // The properties lines name their columns, as the step lines do.
+        // The properties lines name their columns, as the step lines do,
+        // and the output line gives the order rows leave in: the final
+        // sort's, not the chain's.
         let text = sorted.explain();
         assert!(text.starts_with("input: R(unordered)\n"), "{text}");
         assert!(text.contains(&format!("\n{output}\n")), "{text}");
